@@ -9,7 +9,7 @@ known grid product distribution (exact rational moment/correlation
 machinery).
 """
 
-from .dataset import CostlyDataset, EvaluationReport, ProbeLedger, report
+from .dataset import CostlyDataset, ProbeLedger
 from .errors import (BoundViolationError, GeneratorExhaustedError,
                      InternalError, ModelViolationError, OracleMisuseError,
                      RealizabilityError, UsageError, VarianceUnderflowError)

@@ -7,15 +7,21 @@ ProbeLedger attached to each dataset meters every read, which is what all the
 probe-complexity bounds in this package are asserted against.
 
 Two value kinds are supported: boolean features (decision trees / lists) and
-rational features on the grid {1 + j/M : 0 <= j <= M} (monomials and sparse
-polynomials, where exact Fraction arithmetic keeps verification exact).
+rational features (monomials and sparse polynomials, on the grid
+{1 + j/M : 0 <= j <= M}).  A rational matrix is stored as int64 numerators
+over one integer denominator: generated streams store M + j over M, and
+Fraction input is brought over the least common multiple of its
+denominators.  Exact Fractions exist only where exactness is needed: scalar
+reads (`probe`, `peek*`) and labels.  Column reads (`probe_rows`,
+`probe_column`) return float64 numerator / denominator, the correctly rounded
+value of each cell, for the sampled estimators.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import UsageError
 
 BOOL = "bool"
 RATIONAL = "rational"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ProbeLedger:
@@ -45,9 +52,6 @@ class ProbeLedger:
     def record_all(self) -> None:
         self._mask[:, :] = True
 
-    def was_probed(self, example: int, feature: int) -> bool:
-        return bool(self._mask[example, feature])
-
     @property
     def total_probes(self) -> int:
         return int(self._mask.sum())
@@ -59,17 +63,14 @@ class ProbeLedger:
     def per_example_max(self) -> int:
         return int(self._mask.sum(axis=1).max()) if self._mask.size else 0
 
-    def probed_pairs(self) -> set:
-        rows, cols = np.nonzero(self._mask)
-        return {(int(e), int(i)) for e, i in zip(rows, cols)}
-
 
 class CostlyDataset:
     """An S x N feature matrix whose cells must be probed to be read.
 
     `probe*` methods meter reads through the ledger; `peek*` methods are the
     unmetered oracle channel, reserved for teacher gain, exact-mode oracles
-    and test assertions.
+    and test assertions.  Rational values are int64 numerators over
+    `self._den`, which `from_rational` sets.
     """
 
     def __init__(self, value_kind: str, values: np.ndarray, labels):
@@ -77,29 +78,42 @@ class CostlyDataset:
             raise UsageError(f"unknown value kind {value_kind!r}")
         if values.ndim != 2:
             raise UsageError("values must be a 2-d matrix")
+        if value_kind == RATIONAL and values.dtype != np.int64:
+            raise UsageError("rational values must be int64 numerators")
         if len(labels) != values.shape[0]:
             raise UsageError("labels must match the number of examples")
         self.value_kind = value_kind
         self._values = values
         self._labels = labels
+        self._den = 1
         self.ledger = ProbeLedger(*values.shape)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_bool(cls, values, labels) -> "CostlyDataset":
-        vals = np.asarray(values, dtype=np.uint8)
+        try:
+            vals = np.asarray(values, dtype=np.uint8)
+        except ValueError as exc:
+            raise UsageError(f"bad boolean matrix: {exc}") from exc
         labs = np.asarray(labels, dtype=bool)
         return cls(BOOL, vals, labs)
 
     @classmethod
-    def from_rational(cls, values, labels) -> "CostlyDataset":
-        """values: nested lists (or object array) of Fractions; labels: Fractions."""
-        arr = np.empty((len(values), len(values[0])), dtype=object)
-        for e, row in enumerate(values):
-            for i, v in enumerate(row):
-                arr[e, i] = Fraction(v)
-        return cls(RATIONAL, arr, [Fraction(v) for v in labels])
+    def from_rational(cls, values, labels, denominator=None) -> "CostlyDataset":
+        """values: rows of Fractions (nested lists or an object array), stored
+        as numerators over the LCM of their denominators; or, given
+        `denominator`, an integer matrix of numerators over it.
+        labels: Fractions."""
+        if denominator is None:
+            values, denominator = _common_numerators(values)
+        else:
+            values = np.asarray(values, dtype=np.int64)
+        if not 0 < denominator <= _INT64_MAX:
+            raise UsageError("rational denominator must lie in [1, 2^63)")
+        ds = cls(RATIONAL, values, [Fraction(v) for v in labels])
+        ds._den = denominator
+        return ds
 
     # -- shape -------------------------------------------------------------
 
@@ -123,13 +137,17 @@ class CostlyDataset:
         """Read one cell, charging one probe unless it was read before."""
         self._check(example, feature)
         self.ledger.record(example, feature)
-        return self._values[example, feature]
+        return self.peek(example, feature)
 
     def probe_rows(self, rows, feature: int) -> np.ndarray:
-        """Read one feature on a set of examples (one probe per fresh cell)."""
+        """Read one feature on a set of examples (one probe per fresh cell).
+
+        Rational cells come back as float64 numerator / denominator."""
         self._check(0, feature)
         self.ledger.record_rows(rows, feature)
-        return self._values[rows, feature]
+        if self.value_kind == BOOL:
+            return self._values[rows, feature]
+        return self._values[rows, feature] / self._den
 
     def probe_column(self, feature: int) -> np.ndarray:
         return self.probe_rows(np.arange(self.n_examples), feature)
@@ -154,13 +172,25 @@ class CostlyDataset:
 
     def peek(self, example: int, feature: int):
         """Unmetered read — oracle/audit channel only."""
-        return self._values[example, feature]
+        if self.value_kind == BOOL:
+            return self._values[example, feature]
+        return Fraction(int(self._values[example, feature]), self._den)
 
     def peek_rows(self, rows, feature: int):
-        return self._values[rows, feature]
+        if self.value_kind == BOOL:
+            return self._values[rows, feature]
+        return self._fractions(self._values[rows, feature])
 
     def peek_all(self):
-        return self._values
+        if self.value_kind == BOOL:
+            return self._values
+        return self._fractions(self._values)
+
+    def _fractions(self, nums: np.ndarray) -> np.ndarray:
+        """Numerators as an object array of exact Fractions."""
+        out = np.empty(nums.shape, dtype=object)
+        out.flat = [Fraction(n, self._den) for n in nums.ravel().tolist()]
+        return out
 
     # -- serialization -----------------------------------------------------
 
@@ -169,7 +199,7 @@ class CostlyDataset:
             examples = self._values.astype(int).tolist()
             labels = ["+" if l else "-" for l in self._labels]
         else:
-            examples = [[_frac_str(v) for v in row] for row in self._values]
+            examples = [[_frac_str(v) for v in row] for row in self.peek_all()]
             labels = [_frac_str(v) for v in self._labels]
         doc = {
             "n_features": self.n_features,
@@ -181,7 +211,15 @@ class CostlyDataset:
 
     @classmethod
     def from_json(cls, text: str) -> "CostlyDataset":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"dataset is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError("dataset JSON must be an object")
+        missing = [k for k in ("examples", "labels", "n_features") if k not in doc]
+        if missing:
+            raise UsageError(f"dataset JSON lacks {', '.join(missing)}")
         kind = doc.get("value_kind")
         examples = doc["examples"]
         if examples and len(examples[0]) != doc["n_features"]:
@@ -196,6 +234,23 @@ class CostlyDataset:
         raise UsageError(f"unknown value kind {kind!r}")
 
 
+def _common_numerators(rows):
+    """Rows of rationals as an int64 numerator matrix over the LCM of their
+    denominators."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    if not rows or not rows[0]:
+        raise UsageError("a rational dataset needs at least one example "
+                         "and one feature")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise UsageError("rational rows differ in length")
+    den = lcm(*{v.denominator for row in rows for v in row})
+    nums = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    try:
+        return np.array(nums, dtype=np.int64), den
+    except OverflowError as exc:
+        raise UsageError("rational numerators overflow int64") from exc
+
+
 def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
@@ -206,39 +261,3 @@ def _parse_frac(text: str) -> Fraction:
         return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational literal {text!r}") from exc
-
-
-@dataclass
-class EvaluationReport:
-    """Aggregate probe accounting over one task sequence."""
-
-    family: str
-    outcomes: list = field(default_factory=list)       # "lfd" | "scratch" per task
-    per_task_probes: list = field(default_factory=list)
-    per_example_max: list = field(default_factory=list)
-    rep_sizes: list = field(default_factory=list)      # |F~| after each task
-    restart_count: int = 0
-
-    @property
-    def scratch_count(self) -> int:
-        return sum(1 for o in self.outcomes if o == "scratch")
-
-    @property
-    def total_probes(self) -> int:
-        return sum(self.per_task_probes)
-
-    def add_task(self, outcome: str, ledger: ProbeLedger, rep_size: int) -> None:
-        self.outcomes.append(outcome)
-        self.per_task_probes.append(ledger.total_probes)
-        self.per_example_max.append(ledger.per_example_max())
-        self.rep_sizes.append(rep_size)
-
-
-def report(family: str, ledgers, outcomes, rep_sizes, restarts: int = 0) -> EvaluationReport:
-    """Build an EvaluationReport from per-task ledgers and outcomes."""
-    if not (len(ledgers) == len(outcomes) == len(rep_sizes)):
-        raise UsageError("ledgers, outcomes and rep_sizes must align")
-    rep = EvaluationReport(family=family, restart_count=restarts)
-    for ledger, outcome, size in zip(ledgers, outcomes, rep_sizes):
-        rep.add_task(outcome, ledger, size)
-    return rep

@@ -1,11 +1,13 @@
 """Product distributions on the rational grid {1 + j/M : 0 <= j <= M}.
 
 Each feature is drawn independently and uniformly from the grid, so the
-distribution lives on [1, 2], every sampled value is an exact Fraction, and
-all power moments E[x^j] are exact rationals computed in closed form (sums of
-j-th powers via the Faulhaber recurrence — no 2^20-term loops).  Log-moments,
-needed only as floating-point constants, are evaluated over the grid with
-numpy and cached.
+distribution lives on [1, 2] and every sampled value is the exact rational
+(M + j) / M.  Generated datasets store it as the integer numerator M + j over
+the shared denominator M (see dataset.py); `value` builds the Fraction for
+callers that want one value at a time.  All power moments E[x^j] are exact
+rationals computed in closed form (sums of j-th powers via the Faulhaber
+recurrence — no 2^20-term loops).  Log-moments, needed only as
+floating-point constants, are evaluated over the grid with numpy and cached.
 """
 
 from __future__ import annotations

@@ -108,8 +108,7 @@ def estimate_power(ds, i: int, dist, mode: str, d: int,
     need = sample_size_bound(d, c, ds.n_features, cfg.n_tasks, cfg.delta, cfg.constant)
     if ds.n_examples < need:
         raise UsageError(f"sampled mode needs at least {need} examples, got {ds.n_examples}")
-    col = ds.probe_column(i)
-    logs = np.log(np.array([float(v) for v in col]))
+    logs = np.log(ds.probe_column(i))
     var = float(logs.var())
     if var < c / 2:
         raise VarianceUnderflowError(f"empirical log-variance {var:.2g} below c/2")

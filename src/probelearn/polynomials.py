@@ -205,6 +205,7 @@ class ExactCorrelation:
         self.target = target
         self.dist = dist
         self.basis = basis
+        self._squares = {}  # partial's terms -> squared residual terms
 
     def _expectation(self, lhs: dict, terms: dict) -> Fraction:
         total = Fraction(0)
@@ -223,7 +224,10 @@ class ExactCorrelation:
 
     def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
-        return self._expectation(lhs, _square_terms(_residual_terms(self.target, partial)))
+        key = frozenset(partial.terms.items())
+        if key not in self._squares:
+            self._squares[key] = _square_terms(_residual_terms(self.target, partial))
+        return self._expectation(lhs, self._squares[key])
 
     def corr_lin(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)]."""
@@ -257,30 +261,31 @@ class SampledCorrelation:
         self.coeff_floor = coeff_floor
         self.denominator_cap = denominator_cap
         self._basis_float = [[float(c) for c in vec] for vec in basis.coeffs]
-
-    def _h_eval(self, k: int, x: float) -> float:
-        total = 0.0
-        for c, coeff in enumerate(self._basis_float[k]):
-            total += coeff * x ** c
-        return total
+        self._residuals = {}  # partial's terms -> residual per example
 
     def _residual_values(self, partial: Polynomial) -> np.ndarray:
+        key = frozenset(partial.terms.items())
+        if key in self._residuals:
+            return self._residuals[key]
         ds = self.ds
         vals = np.zeros(ds.n_examples)
         touched = set()
-        for key in partial.terms:
-            touched.update(i for i, _ in key)
+        for term in partial.terms:
+            touched.update(i for i, _ in term)
         for e in range(ds.n_examples):
             row = {i: ds.probe(e, i) for i in touched}
             vals[e] = float(Fraction(ds.label(e)) - partial.evaluate(row))
+        self._residuals[key] = vals
         return vals
 
     def _lhs_values(self, lhs: dict) -> np.ndarray:
-        ds = self.ds
-        out = np.ones(ds.n_examples)
+        out = np.ones(self.ds.n_examples)
         for var, k in lhs.items():
-            col = ds.probe_column(var)
-            out *= np.array([self._h_eval(k, float(v)) for v in col])
+            x = self.ds.probe_column(var)
+            h = np.zeros_like(x)
+            for c, coeff in enumerate(self._basis_float[k]):
+                h += coeff * x ** c
+            out *= h
         return out
 
     def corr_sq(self, lhs: dict, partial: Polynomial) -> float:

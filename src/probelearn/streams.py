@@ -31,8 +31,8 @@ from .dataset import CostlyDataset
 from .errors import GeneratorExhaustedError, UsageError
 from .griddist import ProductDistribution
 from .exactla import independent_rows
-from .monomials import eval_monomial, monomial_from_json_obj, monomial_to_json_obj
-from .polynomials import Polynomial
+from .monomials import monomial_from_json_obj, monomial_to_json_obj
+from .polynomials import Polynomial, term_key
 from .protocol import Task
 from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree, affix
 
@@ -344,15 +344,35 @@ def _sample_combination(rng, cols, d: int, p_more: float = 0.5):
     return g
 
 
-def _grid_dataset(rng, dist, n_examples: int, n_features: int, label_fn) -> CostlyDataset:
-    idx = rng.integers(0, dist.m_grid + 1, size=(n_examples, n_features))
-    values = np.empty((n_examples, n_features), dtype=object)
-    for e in range(n_examples):
-        for i in range(n_features):
-            values[e, i] = dist.value(int(idx[e, i]))
-    labels = np.array([label_fn(values[e]) for e in range(n_examples)],
-                      dtype=object)
-    return CostlyDataset.from_rational(values, labels)
+def _grid_dataset(rng, dist, n_examples: int, n_features: int, terms) -> CostlyDataset:
+    """Uniform grid examples, stored as numerators M + j over M, labeled by
+    the polynomial `terms` (term_key -> Fraction, as in Polynomial.terms).
+
+    Each label is one exact Fraction: its integer numerator over
+    lcd(coeffs) * M^(max degree) is summed from the example's numerators.
+    """
+    m = dist.m_grid
+    idx = rng.integers(0, m + 1, size=(n_examples, n_features))
+    nums = idx + m
+    lcd = math.lcm(*(coeff.denominator for coeff in terms.values()))
+    top = max((sum(e for _, e in key) for key in terms), default=0)
+    weighted = [(coeff.numerator * (lcd // coeff.denominator)
+                 * m ** (top - sum(e for _, e in key)), key)
+                for key, coeff in terms.items()]
+    den = lcd * m ** top
+    labels = []
+    for row in nums.tolist():
+        total = 0
+        for weight, key in weighted:
+            for i, e in key:
+                weight *= row[i] ** e
+            total += weight
+        labels.append(Fraction(total, den))
+    return CostlyDataset.from_rational(nums, labels, denominator=m)
+
+
+def _monomial_terms(g) -> dict:
+    return {term_key(g): Fraction(1)}
 
 
 def gen_monomial_stream(spec: StreamSpec, trial: int = 0, dist=None):
@@ -365,7 +385,7 @@ def gen_monomial_stream(spec: StreamSpec, trial: int = 0, dist=None):
     for _ in range(spec.m):
         g = _sample_combination(rng, cols, spec.d)
         ds = _grid_dataset(rng, dist, spec.sample_size, spec.n_features,
-                           lambda row, g=g: eval_monomial(g, row))
+                           _monomial_terms(g))
         tasks.append(Task(ds=ds, target=g, good=True))
     return tasks, cols
 
@@ -389,8 +409,7 @@ def gen_poly_stream(spec: StreamSpec, trial: int = 0, dist=None):
                 coeff = COEFF_POOL[int(rng.integers(len(COEFF_POOL)))]
                 target.add_term(g, coeff)
         ds = _grid_dataset(rng, dist, spec.sample_size, spec.n_features,
-                           lambda row, p=target: p.evaluate(
-                               {i: row[i] for i in range(len(row))}))
+                           target.terms)
         tasks.append(Task(ds=ds, target=target, good=True))
     return tasks, cols
 
@@ -461,14 +480,13 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0, dist=None):
             g = np.concatenate([task.target, [0]])
             task.target = g
             task.ds = _grid_dataset(rng, dist, spec.sample_size,
-                                    spec.n_features,
-                                    lambda row, g=g: eval_monomial(g, row))
+                                    spec.n_features, _monomial_terms(g))
         bad_tasks = []
         for _ in range(spec.r):
             g = np.zeros(spec.n_features, dtype=np.int64)
             g[bad_feature] = int(rng.integers(1, spec.d + 1))
             ds = _grid_dataset(rng, dist, spec.sample_size, spec.n_features,
-                               lambda row, g=g: eval_monomial(g, row))
+                               _monomial_terms(g))
             bad_tasks.append(Task(ds=ds, target=g, good=False))
     else:
         raise UsageError(f"agnostic streams not defined for {spec.family!r}")

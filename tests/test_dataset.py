@@ -1,12 +1,12 @@
 """Probe metering: memoized cells, free labels, ledger accounting, JSON."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from probelearn import CostlyDataset, UsageError, report
-from probelearn.dataset import EvaluationReport
+from probelearn import CostlyDataset, UsageError
 
 
 def small_bool(n_examples=2, n_features=3):
@@ -129,33 +129,40 @@ def test_malformed_json_rejected():
         CostlyDataset.from_json(bad)
 
 
-def probed_ledger(n_probes, n_features=10):
-    ds = small_bool(1, n_features)
-    for i in range(n_probes):
-        ds.probe(0, i)
-    return ds.ledger
+def test_rational_reads():
+    values = [[Fraction(3, 2), Fraction(1)], [Fraction(7, 4), Fraction(5, 3)]]
+    ds = CostlyDataset.from_rational(values, [Fraction(1), Fraction(2)])
+    assert ds._values.dtype == np.int64
+    assert ds.probe(1, 1) == Fraction(5, 3)
+    assert type(ds.probe(1, 1).numerator) is int
+    assert (ds.peek_all() == np.array(values, dtype=object)).all()
+    assert list(ds.peek_rows(np.array([1, 0]), 0)) == [Fraction(7, 4),
+                                                       Fraction(3, 2)]
+    # column reads are floats, correctly rounded like float(Fraction)
+    col = ds.probe_column(1)
+    assert col.dtype == np.float64
+    assert col.tolist() == [float(values[0][1]), float(values[1][1])]
+    assert ds.ledger.total_probes == 2  # (1, 1) was already read
 
 
-def test_report_totals():
-    ledgers = [probed_ledger(6), probed_ledger(2), probed_ledger(2)]
-    rep = report("tree", ledgers, ["scratch", "lfd", "lfd"], [1, 1, 1])
-    assert rep.total_probes == 10
-    assert rep.scratch_count == 1
-    assert rep.per_task_probes == [6, 2, 2]
-    assert rep.rep_sizes == [1, 1, 1]
+def _dataset_json(examples, labels=None, kind="rational", n_features=2):
+    doc = {"n_features": n_features, "examples": examples, "value_kind": kind}
+    if labels is not None:
+        doc["labels"] = labels
+    return json.dumps(doc)
 
 
-def test_report_empty_and_mismatch():
-    empty = report("tree", [], [], [])
-    assert empty.total_probes == 0
-    assert empty.scratch_count == 0
+@pytest.mark.parametrize("text", [
+    _dataset_json([[0, 1], [1]], ["+", "-"], kind="bool"),
+    _dataset_json([["1/1", "3/2"], ["1/1"]], ["1/1", "1/1"]),
+    _dataset_json([], []),
+    _dataset_json([["1/1", "3/2"]]),
+    # 2^62 over the common denominator 3 leaves int64
+    _dataset_json([[f"{2 ** 62}/1", "1/3"]], ["1/1"]),
+    '{"examples": [',
+    "[]",
+], ids=["ragged-bool-row", "ragged-rational-row", "no-examples",
+        "no-labels", "int64-overflow", "not-json", "not-an-object"])
+def test_malformed_dataset_raises_usage_error(text):
     with pytest.raises(UsageError):
-        report("tree", [probed_ledger(1)], ["lfd", "lfd"], [0, 0])
-
-
-def test_report_accumulates_per_example_max():
-    rep = EvaluationReport(family="tree")
-    rep.add_task("lfd", probed_ledger(4), 2)
-    rep.add_task("scratch", probed_ledger(9), 3)
-    assert rep.per_example_max == [4, 9]
-    assert rep.outcomes == ["lfd", "scratch"]
+        CostlyDataset.from_json(text)

@@ -274,6 +274,41 @@ def test_sampled_positivity_threshold_and_floor():
     assert oracle.coefficient(vec(1), Polynomial(1)) == 0
 
 
+def test_sampled_lhs_values_match_cellwise_reference():
+    basis = build_orthogonal_basis(DIST, 2)
+    ds = sampled_ds(np.random.default_rng(46), Polynomial(2), 50, 2)
+    lhs = {0: 3, 1: 4}
+    want = np.ones(50)
+    for var, k in lhs.items():
+        coeffs = [float(c) for c in basis.coeffs[k]]
+        want *= [sum(c * float(ds.peek(e, var)) ** p
+                     for p, c in enumerate(coeffs)) for e in range(50)]
+    got = SampledCorrelation(ds, basis)._lhs_values(lhs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+def test_corr_sq_follows_partial_updates(sampled):
+    """The cached squared residual is keyed by the partial's current terms."""
+    basis = build_orthogonal_basis(DIST, 2)
+    target = poly(2, (vec(1, 1), 2), (vec(2, 0), -1))
+    ds = sampled_ds(np.random.default_rng(47), target, 200, 2)
+
+    def oracle():
+        if sampled:
+            return SampledCorrelation(ds, basis)
+        return ExactCorrelation(target, DIST, basis)
+
+    cached = oracle()
+    partial = Polynomial(2)
+    before = cached.corr_sq({0: 2}, partial)
+    partial.add_term(vec(2, 0), -1)
+    after = cached.corr_sq({0: 2}, partial)
+    assert after == oracle().corr_sq({0: 2}, partial)
+    assert after != before
+    assert cached.corr_sq({0: 2}, Polynomial(2)) == before
+
+
 # -- LFD --------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Stream generators: determinism, structural audits, regimes, the game."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from probelearn import (CostlyDataset, GameResult, StreamSpec, Tree,
                         play_single_feature_game, sample_fragment,
                         stream_from_json_obj, stream_to_json_obj, stump,
                         tree_vars)
+from probelearn.griddist import ProductDistribution
+from probelearn.streams import _grid_dataset
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
 
 
@@ -246,6 +249,41 @@ def test_poly_stream_labels_and_sparsity():
         for e in range(task.ds.n_examples):
             values = {i: rows[e][i] for i in range(sp.n_features)}
             assert Fraction(task.ds.label(e)) == p.evaluate(values)
+
+
+@pytest.mark.parametrize("family,kw,gen,digest", [
+    ("monomial", dict(n_features=6, k=2, d=4, m=8, sample_size=5, seed=47),
+     gen_monomial_stream,
+     "ee11f156bb8baff3c9c8c655a3d9ffe3ed58658301ad6c79729b8d9440055860"),
+    ("polynomial", dict(n_features=5, k=2, d=3, t=3, m=8, sample_size=5,
+                        seed=48),
+     gen_poly_stream,
+     "d19e28cd2e40bb46d1261b64d47f1a695bf1dd897b94cf51dfdf33893228b3cf"),
+    ("monomial", dict(n_features=6, k=2, d=4, m=6, r=2, sample_size=5,
+                      seed=49),
+     gen_agnostic_stream,
+     "85a5d92388834b6caaa59f81a112184ba7c0d6b7963d1accfbe02d46909acaa8"),
+], ids=["monomial", "polynomial", "agnostic-monomial"])
+def test_rational_stream_golden_digest(family, kw, gen, digest):
+    """Serialized rational streams are pinned byte for byte: values, exact
+    labels and targets are a fixed function of the seed."""
+    tasks, _ = gen(spec(family=family, **kw))
+    text = json.dumps(stream_to_json_obj(tasks, family), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_grid_dataset_stores_int64_numerators():
+    dist = ProductDistribution()
+    m = dist.m_grid
+    terms = {((0, 2), (2, 1)): Fraction(-3, 4)}
+    ds = _grid_dataset(np.random.default_rng(5), dist, 4, 3, terms)
+    idx = np.random.default_rng(5).integers(0, m + 1, size=(4, 3))
+    assert ds._values.dtype == np.int64
+    for e in range(4):
+        row = [Fraction(m + int(idx[e, i]), m) for i in range(3)]
+        for i in range(3):
+            assert ds.peek(e, i) == row[i]
+        assert ds.label(e) == Fraction(-3, 4) * row[0] ** 2 * row[2]
 
 
 # -- agnostic mixer ----------------------------------------------------------
