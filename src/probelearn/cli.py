@@ -7,7 +7,9 @@ Subcommands:
 
 All randomness flows from the config seed (or --seed-override); reports
 carry no timestamps, so the same config and seed produce byte-identical
-CSV/JSON.  Exit codes: 0 success, 1 strict-mode violation, 2 usage error.
+CSV/JSON.  Exit codes: 0 success; 1 strict-mode violation, or a learner or
+generator failure (realizability, model violation, exhausted generator,
+oracle misuse); 2 usage error.  Internal errors are bugs and stay tracebacks.
 
 Config JSON (run/sweep):
   {
@@ -41,7 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import (GeneratorExhaustedError, ModelViolationError,
+                     OracleMisuseError, RealizabilityError, UsageError)
 from .griddist import ProductDistribution
 from .polynomials import build_orthogonal_basis
 from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
@@ -351,6 +354,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RealizabilityError, ModelViolationError, GeneratorExhaustedError,
+            OracleMisuseError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ rational features (monomials and sparse polynomials, on the grid
 over one integer denominator: generated streams store M + j over M, and
 Fraction input is brought over the least common multiple of its
 denominators.  Exact Fractions exist only where exactness is needed: scalar
-reads (`probe`, `peek*`) and labels.  Column reads (`probe_rows`,
-`probe_column`) return float64 numerator / denominator, the correctly rounded
-value of each cell, for the sampled estimators.
+reads (`probe`, `peek*`) and labels.  Column and block reads (`probe_rows`,
+`probe_column`, `probe_block`) return float64 numerator / denominator, the
+correctly rounded value of each cell, for the sampled estimators.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ class ProbeLedger:
 
     def record_rows(self, rows, feature: int) -> None:
         self._mask[rows, feature] = True
+
+    def record_block(self, rows, features) -> None:
+        """Record every cell of the rows x features block."""
+        self._mask[np.asarray(rows)[:, None], features] = True
 
     def record_all(self) -> None:
         self._mask[:, :] = True
@@ -148,6 +152,20 @@ class CostlyDataset:
         if self.value_kind == BOOL:
             return self._values[rows, feature]
         return self._values[rows, feature] / self._den
+
+    def probe_block(self, rows, features) -> np.ndarray:
+        """Read several features on a set of examples in one metered read:
+        column j of the result holds features[j] (one probe per fresh cell).
+
+        Rational cells come back as float64 numerator / denominator."""
+        for feature in features:
+            self._check(0, feature)
+        cols = np.asarray(features, dtype=np.intp)
+        self.ledger.record_block(rows, cols)
+        block = self._values[np.asarray(rows)[:, None], cols]
+        if self.value_kind == BOOL:
+            return block
+        return block / self._den
 
     def probe_column(self, feature: int) -> np.ndarray:
         return self.probe_rows(np.arange(self.n_examples), feature)

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dataset import _parse_frac
 from .errors import InternalError, ModelViolationError, UsageError
 from .monomials import RepresentationMatrix, degree, support
 
@@ -111,14 +112,35 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "Polynomial":
-        doc = json.loads(text)
-        poly = cls(doc["n_features"])
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"polynomial is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError("polynomial JSON must be an object")
+        missing = [k for k in ("n_features", "terms") if k not in doc]
+        if missing:
+            raise UsageError(f"polynomial JSON lacks {', '.join(missing)}")
+        n = doc["n_features"]
+        if not isinstance(n, int) or n < 1:
+            raise UsageError(f"bad n_features {n!r}")
+        if not isinstance(doc["terms"], list):
+            raise UsageError("polynomial terms must be a list")
+        poly = cls(n)
         for item in doc["terms"]:
-            g = np.zeros(doc["n_features"], dtype=np.int64)
-            for i, e in item["monomial"].items():
-                g[int(i)] = int(e)
-            num, den = item["coeff"].split("/")
-            poly.add_term(g, Fraction(int(num), int(den)))
+            try:
+                powers = [(int(i), int(e)) for i, e in item["monomial"].items()]
+                coeff = item["coeff"]
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise UsageError(f"bad polynomial term {item!r}") from exc
+            if any(not 0 <= i < n or e < 0 for i, e in powers):
+                raise UsageError(f"bad monomial {item['monomial']!r}")
+            if not isinstance(coeff, str):
+                raise UsageError(f"bad coefficient {coeff!r}")
+            g = np.zeros(n, dtype=np.int64)
+            for i, e in powers:
+                g[i] = e
+            poly.add_term(g, _parse_frac(coeff))
         return poly
 
 

@@ -24,7 +24,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .errors import BoundViolationError
+from .errors import BoundViolationError, UsageError
 from .monomials import (EXACT, RepresentationMatrix, improve_rep_monomial,
                         learn_monomial_scratch, lfd_monomial)
 from .polynomials import (ExactCorrelation, Polynomial, SampledCorrelation,
@@ -70,8 +70,10 @@ class TreeFamily:
 
     def __init__(self, d: int, s: int, gain: str = "teacher",
                  improver: str = "tree", anchors=None):
+        if gain not in ("teacher", "info"):
+            raise UsageError(f"unknown gain {gain!r}")
         if improver not in ("tree", "list", "anchor", "overcomplete"):
-            raise ValueError(f"unknown improver {improver!r}")
+            raise UsageError(f"unknown improver {improver!r}")
         self.d = d
         self.s = s
         self.gain = gain

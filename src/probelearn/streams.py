@@ -148,23 +148,26 @@ def fill_labels(rng, tree: Tree) -> Tree:
 def compose_target(rng, metafeatures, d: int, s: int, p_more: float = 0.6,
                    max_tries: int = 64) -> Tree:
     """Compose fragments at empty slots under the (d, s) caps, then label."""
+    shapes = [(tree_vars(f), f.depth(), f.size()) for f in metafeatures]
     for _ in range(max_tries):
-        g = metafeatures[int(rng.integers(len(metafeatures)))].copy()
-        if g.depth() > d or g.size() > s:
+        i = int(rng.integers(len(metafeatures)))
+        g = metafeatures[i].copy()
+        _, depth, size = shapes[i]
+        if depth > d or size > s:
             continue
         while True:
             options = []
-            for path in g.empty_paths():
-                used = set(g.path_vars(path))
-                for f in metafeatures:
-                    if tree_vars(f) & used:
-                        continue
-                    if len(path) + f.depth() <= d and g.size() + f.size() <= s:
-                        options.append((path, f))
+            for path, used in g.empty_slots():
+                depth_left, size_left = d - len(path), s - size
+                for f, (fvars, fdepth, fsize) in zip(metafeatures, shapes):
+                    if (fdepth <= depth_left and fsize <= size_left
+                            and fvars.isdisjoint(used)):
+                        options.append((path, f, fsize))
             if not options or rng.random() > p_more:
                 break
-            path, f = options[int(rng.integers(len(options)))]
+            path, f, fsize = options[int(rng.integers(len(options)))]
             g = affix(g, path, f)
+            size += fsize
         g = fill_labels(rng, g)
         if g.kind == INTERNAL and g.depth() <= d and g.size() <= s:
             return g
@@ -195,18 +198,18 @@ def _compose_list(rng, fragments, d: int, p_more: float = 0.6,
 
 
 def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> CostlyDataset:
-    """One example routed to every leaf of g, padded with uniform examples."""
-    rows = []
-    for path in g.frontier_paths():
-        row = rng.integers(0, 2, n_features).astype(np.uint8)
+    """One example routed to every leaf of g, padded with uniform examples.
+
+    All rows are drawn in one call, which yields the same bits as one draw
+    per row; the first rows then get the path bits of g's frontier."""
+    paths = g.frontier_paths()
+    values = rng.integers(0, 2, (max(len(paths), sample_size), n_features)
+                          ).astype(np.uint8)
+    for row, path in zip(values, paths):
         node = g
         for step in path:
             row[node.var] = step
             node = node.right if step else node.left
-        rows.append(row)
-    while len(rows) < sample_size:
-        rows.append(rng.integers(0, 2, n_features).astype(np.uint8))
-    values = np.stack(rows)
     labels = np.array([g.predict(row) for row in values], dtype=bool)
     return CostlyDataset.from_bool(values, labels)
 

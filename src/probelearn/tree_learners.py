@@ -38,6 +38,26 @@ class LfdResult:
         return self.outcome == LEARNED
 
 
+# -- choosing a split --------------------------------------------------------
+
+
+def _best_split(ds, gain, rows, labels, candidates):
+    """Probe `candidates` on `rows` in one block read and split on the strict
+    gain argmax; ties go to the earliest candidate, and every grower lists
+    its candidates in ascending order.  Returns (feature, its bool column).
+
+    Every candidate is scored with the same `rows` object, which lets a gain
+    do per-node work once (see `TeacherGain`).
+    """
+    block = np.asarray(ds.probe_block(rows, candidates), dtype=bool)
+    best_j, best_gain = None, -math.inf
+    for j, feature in enumerate(candidates):
+        g = gain(ds, rows, feature, block[:, j], labels)
+        if g > best_gain:
+            best_j, best_gain = j, g
+    return candidates[best_j], block[:, best_j]
+
+
 # -- scratch ---------------------------------------------------------------
 
 
@@ -59,15 +79,8 @@ def learn_tree_scratch(ds, gain, d: int, s: int) -> Tree:
         candidates = [i for i in range(ds.n_features) if i not in path_vars]
         if not candidates:
             raise RealizabilityError("all features already used on this path")
-        best_i, best_gain = None, -math.inf
-        values = {}
-        for i in candidates:
-            values[i] = np.asarray(ds.probe_rows(rows, i), dtype=bool)
-            g = gain(ds, rows, i, values[i], labels)
-            if g > best_gain:
-                best_i, best_gain = i, g
+        best_i, col = _best_split(ds, gain, rows, labels, candidates)
         size[0] += 1
-        col = values[best_i]
         left = build(rows[~col], path_vars | {best_i}, depth + 1)
         right = build(rows[col], path_vars | {best_i}, depth + 1)
         return Tree.internal(best_i, left, right)
@@ -115,17 +128,10 @@ def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
         candidates -= root.path_vars(path)
         if not candidates:
             return LfdResult(FAILED, root, failed_path=path, reason="no-candidate")
-        best_i, best_gain = None, -math.inf
-        values = {}
-        for i in sorted(candidates):
-            values[i] = np.asarray(ds.probe_rows(rows, i), dtype=bool)
-            g = gain(ds, rows, i, values[i], labels)
-            if g > best_gain:  # strict: ties break to the lowest index
-                best_i, best_gain = i, g
+        best_i, col = _best_split(ds, gain, rows, labels, sorted(candidates))
         node.kind, node.var = INTERNAL, best_i
         node.left, node.right = Tree.empty(), Tree.empty()
         size += 1
-        col = values[best_i]
         queue.append((node.left, path + (0,), rows[~col]))
         queue.append((node.right, path + (1,), rows[col]))
     return LfdResult(LEARNED, root)
@@ -332,17 +338,10 @@ def naive_lfd_seen_features(ds, seen, gain, d: int, s: int) -> LfdResult:
         candidates = sorted(set(seen) - root.path_vars(path))
         if not candidates:
             return LfdResult(FAILED, root, failed_path=path, reason="no-candidate")
-        best_i, best_gain = None, -math.inf
-        values = {}
-        for i in candidates:
-            values[i] = np.asarray(ds.probe_rows(rows, i), dtype=bool)
-            gn = gain(ds, rows, i, values[i], labels)
-            if gn > best_gain:
-                best_i, best_gain = i, gn
+        best_i, col = _best_split(ds, gain, rows, labels, candidates)
         node.kind, node.var = INTERNAL, best_i
         node.left, node.right = Tree.empty(), Tree.empty()
         size += 1
-        col = values[best_i]
         queue.append((node.left, path + (0,), rows[~col]))
         queue.append((node.right, path + (1,), rows[col]))
     return LfdResult(LEARNED, root)

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import OracleMisuseError, UsageError
 
 INTERNAL = "internal"
 LEAF = "leaf"
@@ -119,18 +119,20 @@ class Tree:
             out.add(node.var)
         return out
 
-    def empty_paths(self) -> list:
-        """Paths (tuples of 0/1) of all empty leaves, left-to-right."""
+    def empty_slots(self) -> list:
+        """(path, variables assigned above it) of every empty leaf,
+        left-to-right; paths are tuples of 0/1."""
         found = []
 
-        def walk(node, path):
+        def walk(node, path, used):
             if node.kind == EMPTY:
-                found.append(path)
+                found.append((path, used))
             elif node.kind == INTERNAL:
-                walk(node.left, path + (0,))
-                walk(node.right, path + (1,))
+                used = used | {node.var}
+                walk(node.left, path + (0,), used)
+                walk(node.right, path + (1,), used)
 
-        walk(self, ())
+        walk(self, (), frozenset())
         return found
 
     def frontier_paths(self) -> list:
@@ -206,6 +208,8 @@ class Tree:
 
     @staticmethod
     def from_json_obj(obj) -> "Tree":
+        if not isinstance(obj, dict):
+            raise UsageError(f"tree node must be an object, got {obj!r}")
         if "empty" in obj:
             return Tree.empty()
         if "leaf" in obj:
@@ -213,16 +217,26 @@ class Tree:
                 raise UsageError(f"bad leaf label {obj['leaf']!r}")
             return Tree.leaf(obj["leaf"] == "+")
         if "var" in obj:
-            return Tree.internal(
-                int(obj["var"]),
-                Tree.from_json_obj(obj["left"]),
-                Tree.from_json_obj(obj["right"]),
-            )
+            missing = [k for k in ("left", "right") if k not in obj]
+            if missing:
+                raise UsageError(f"internal node lacks {', '.join(missing)}")
+            try:
+                var = int(obj["var"])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"bad variable {obj['var']!r}") from exc
+            if var < 0:
+                raise UsageError(f"negative variable {var}")
+            return Tree.internal(var, Tree.from_json_obj(obj["left"]),
+                                 Tree.from_json_obj(obj["right"]))
         raise UsageError(f"bad tree node {obj!r}")
 
     @staticmethod
     def from_json(text: str) -> "Tree":
-        return Tree.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"tree is not valid JSON: {exc}") from exc
+        return Tree.from_json_obj(obj)
 
 
 # -- growth moves ----------------------------------------------------------
@@ -365,16 +379,34 @@ class TeacherGain:
     sample agrees on; the node where agreement first breaks is the designated
     split, which alone scores 1.0.  This realizes, by construction, the
     assumption that greedy top-down splitting reproduces the target.
+
+    The growers score every candidate of a node with the same `rows` array
+    object, so the routing is done once per (ds, rows) pair and reused for
+    the node's other candidates; `rows` must not be mutated between calls.
+    A routing that raises is not cached, and the label check runs on every
+    call.
     """
 
     def __init__(self, target: Tree):
         self.target = target
+        self._ds = self._rows = self._node = None
 
     def __call__(self, ds, rows, feature, values, labels) -> float:
-        from .errors import OracleMisuseError
-
         if len(rows) == 0:
             return 0.0
+        if ds is not self._ds or rows is not self._rows:
+            node = self._route(ds, rows)
+            self._ds, self._rows, self._node = ds, rows, node
+        node = self._node
+        if node.kind == INTERNAL:
+            return 1.0 if feature == node.var else 0.0
+        labs = np.asarray(labels, dtype=bool)
+        if not (labs == node.label).all():
+            raise OracleMisuseError("sample labels inconsistent with the target")
+        return 0.0  # pure sample; the leaf case is handled before gain
+
+    def _route(self, ds, rows) -> Tree:
+        """The designated split node, or the labeled leaf of a pure route."""
         node = self.target
         while node.kind == INTERNAL:
             col = np.asarray(ds.peek_rows(rows, node.var), dtype=bool)
@@ -383,13 +415,10 @@ class TeacherGain:
             elif not col.any():
                 node = node.left
             else:
-                return 1.0 if feature == node.var else 0.0
+                return node
         if node.kind == EMPTY:
             raise OracleMisuseError("teacher gain routed into an empty leaf")
-        labs = np.asarray(labels, dtype=bool)
-        if not (labs == node.label).all():
-            raise OracleMisuseError("sample labels inconsistent with the target")
-        return 0.0  # pure sample; the leaf case is handled before gain
+        return node
 
 
 # -- membership oracle -----------------------------------------------------

@@ -83,11 +83,26 @@ def test_usage_errors_exit_2(tmp_path):
     unknown = dict(TREE_CONFIG, protocol={"kind": "psychic"})
     assert main(["run", "--config", write_config(tmp_path, unknown, "u.json"),
                  "--out", str(tmp_path / "o3")]) == 2
+    typo = dict(TREE_CONFIG, protocol={"kind": "plain", "gain": "teachr"})
+    assert main(["run", "--config", write_config(tmp_path, typo, "t.json"),
+                 "--out", str(tmp_path / "o6")]) == 2
     good = write_config(tmp_path, TREE_CONFIG, "g.json")
     assert main(["sweep", "--config", good, "--out", str(tmp_path / "o4"),
                  "--axis", "q", "--values", "1,2"]) == 2
     assert main(["sweep", "--config", good, "--out", str(tmp_path / "o5"),
                  "--axis", "m", "--values", ""]) == 2
+
+
+def test_learner_failure_exits_1_with_one_error_line(tmp_path, capsys):
+    # greedy info gain outgrows the depth cap d = 4 on a scratch learn here
+    cfg = {"stream": {"family": "tree", "n_features": 40, "k": 4, "d": 4,
+                      "s": 9, "mf_depth": 3, "m": 60, "sample_size": 24,
+                      "seed": 3},
+           "protocol": {"gain": "info"}}
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: RealizabilityError: mixed sample at depth cap 4"]
 
 
 def test_build_spec_rejects_unknown_fields():

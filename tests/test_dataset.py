@@ -67,6 +67,27 @@ def test_probe_rows_meters_fresh_cells_only():
     assert ds.ledger.total_probes == 7
 
 
+def test_probe_block_matches_per_column_probe_rows():
+    rows, features = np.array([3, 0, 2]), [4, 1, 2]
+    block_ds, column_ds = small_bool(5, 6), small_bool(5, 6)
+    block_ds.probe(0, 1)
+    column_ds.probe(0, 1)
+    block = block_ds.probe_block(rows, features)
+    for j, feature in enumerate(features):
+        assert block[:, j].tolist() == column_ds.probe_rows(rows, feature).tolist()
+    assert block.shape == (3, 3)
+    assert (block_ds.ledger._mask == column_ds.ledger._mask).all()
+    assert block_ds.ledger.total_probes == 9  # (0, 1) was already read
+
+
+@pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])
+def test_probe_block_out_of_range_feature(features):
+    ds = small_bool(2, 3)
+    with pytest.raises(UsageError):
+        ds.probe_block(np.array([0, 1]), features)
+    assert ds.ledger.total_probes == 0
+
+
 def test_labels_and_peeks_are_free():
     ds = small_bool(3, 4)
     ds.label(0)
@@ -143,6 +164,11 @@ def test_rational_reads():
     assert col.dtype == np.float64
     assert col.tolist() == [float(values[0][1]), float(values[1][1])]
     assert ds.ledger.total_probes == 2  # (1, 1) was already read
+    block = ds.probe_block(np.array([1, 0]), [1, 0])
+    assert block.dtype == np.float64
+    assert block.tolist() == [[float(values[1][1]), float(values[1][0])],
+                              [float(values[0][1]), float(values[0][0])]]
+    assert ds.ledger.total_probes == 4
 
 
 def _dataset_json(examples, labels=None, kind="rational", n_features=2):

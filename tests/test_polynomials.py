@@ -1,6 +1,7 @@
 """Sparse polynomials: orthogonal bases, correlation oracles, extraction."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from probelearn import (CostlyDataset, ExactCorrelation, ModelViolationError,
                         OrthogonalBasis, Polynomial, ProductDistribution,
-                        RepresentationMatrix, SampledCorrelation,
+                        RepresentationMatrix, SampledCorrelation, UsageError,
                         build_orthogonal_basis, improve_rep_polynomial,
                         learn_polynomial_scratch, lfd_polynomial,
                         naive_lfd_seen_polynomial)
@@ -71,6 +72,35 @@ def test_polynomial_json_round_trip():
 
 
 # -- orthogonal basis -------------------------------------------------------
+
+
+def _poly_json(terms=None, **doc):
+    doc.setdefault("n_features", 3)
+    doc.setdefault("terms", terms if terms is not None
+                   else [{"monomial": {"0": 1}, "coeff": "3/2"}])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n_features": 3, "terms": [',
+    json.dumps({"terms": []}),
+    _poly_json(n_features="3"),
+    _poly_json(terms={"0": 1}),
+    _poly_json([{"monomial": {"0": 1}, "coeff": "3|2"}]),
+    _poly_json([{"monomial": {"0": 1}, "coeff": "3/0"}]),
+    _poly_json([{"monomial": {"0": 1}}]),
+    _poly_json([{"monomial": {"x": 1}, "coeff": "1/1"}]),
+    _poly_json([{"monomial": {"3": 1}, "coeff": "1/1"}]),
+    _poly_json([{"monomial": {"0": -1}, "coeff": "1/1"}]),
+    _poly_json([{"monomial": [0, 1], "coeff": "1/1"}]),
+    "[]",
+], ids=["not-json", "no-n-features", "n-features-not-int", "terms-not-a-list",
+        "coeff-bar", "coeff-zero-denominator", "no-coeff", "var-not-int",
+        "var-out-of-range", "negative-exponent", "monomial-not-an-object",
+        "not-an-object"])
+def test_malformed_polynomial_raises_usage_error(text):
+    with pytest.raises(UsageError):
+        Polynomial.from_json(text)
 
 
 def test_basis_low_degrees_exact():

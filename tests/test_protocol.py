@@ -11,7 +11,8 @@ from probelearn import (ROW_FIELDS, SCHEMA_VERSION, BoundViolationError,
                         build_orthogonal_basis, combined_slack,
                         gen_monomial_stream, gen_poly_stream, gen_tree_stream,
                         run_bootstrap_protocol, run_combined_protocol,
-                        run_protocol, run_restart_protocol, write_rows_csv)
+                        UsageError, run_protocol, run_restart_protocol,
+                        write_rows_csv)
 from probelearn.protocol import (OUTCOME_BOOTSTRAP, OUTCOME_LFD,
                                  OUTCOME_SCRATCH, ProtocolRun)
 
@@ -85,6 +86,13 @@ def stub_task():
 
 
 # -- plain protocol ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kw", [dict(gain="teachr"), dict(improver="tree2")],
+                         ids=["gain", "improver"])
+def test_tree_family_rejects_unknown_options(kw):
+    with pytest.raises(UsageError):
+        TreeFamily(3, 7, **kw)
 
 
 def test_single_task_is_scratched():

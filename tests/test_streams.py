@@ -272,6 +272,40 @@ def test_rational_stream_golden_digest(family, kw, gen, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family,make,digest", [
+    ("tree", lambda: gen_tree_stream(spec(
+        family="tree", n_features=24, k=3, d=4, s=9, mf_depth=3, m=10,
+        sample_size=6, seed=61)),
+     "f529c47502ae2dbff0b3529aa1b9970b293181eef9329b5298ecc64d579310f6"),
+    ("list", lambda: gen_tree_stream(spec(
+        family="list", n_features=20, k=3, d=6, s=9, mf_depth=3, m=10,
+        sample_size=6, seed=62)),
+     "352f1f14f9e4ff8527a932c468a49b4f80cec72b4426a07b7642ec3e9daa36e2"),
+    ("anchor", lambda: gen_tree_stream(spec(
+        family="anchor", n_features=24, k=3, d=4, s=9, mf_depth=3, m=10,
+        sample_size=6, seed=63)),
+     "9cba55eef9ea27420811e8e536ba9d678660373a00a287e285f1eec183502b70"),
+    ("overcomplete", lambda: gen_tree_stream(spec(
+        family="overcomplete", n_features=20, k=4, d=4, s=9, mf_depth=3,
+        k1=2, k2=2, m=10, sample_size=6, seed=64)),
+     "ba5b1cbb0fb4f6afe1114e31bebc1ba8258f533c0e97c97691145fc5095fbeb2"),
+    ("tree", lambda: gen_agnostic_stream(spec(
+        family="tree", n_features=20, k=3, d=3, s=7, mf_depth=2, m=8, r=3,
+        sample_size=6, seed=65)),
+     "72bb0ef6e99125a1b10d5089d805281922e20418ddea8d53288d720ff2bc6a0c"),
+    ("tree", lambda: gen_adversary_stream("large2", 12, 3, 10, 12, seed=66,
+                                          sample_size=5),
+     "d8a09acb24a8288c037dcb7d0df0563cc24a172e64c7be7f78cc048404ac2802"),
+], ids=["tree", "list", "anchor", "overcomplete", "agnostic-tree",
+        "adversary-large2"])
+def test_tree_stream_golden_digest(family, make, digest):
+    """Serialized tree-family streams are pinned byte for byte: targets,
+    leaf-covering examples and labels are a fixed function of the seed."""
+    tasks, _ = make()
+    text = json.dumps(stream_to_json_obj(tasks, family), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_grid_dataset_stores_int64_numerators():
     dist = ProductDistribution()
     m = dist.m_grid

@@ -1,15 +1,19 @@
 """Scratch and dictionary-driven tree learning plus the ImproveRep rules."""
 
+import math
+
 import numpy as np
 import pytest
 
 from probelearn import (CostlyDataset, InfoGain, InternalError,
-                        ModelViolationError, RealizabilityError, TeacherGain,
-                        Tree, bootstrap_count, fill_labels, improve_rep_anchor,
-                        improve_rep_list, improve_rep_overcomplete,
-                        improve_rep_tree, leaf_cover_dataset,
-                        learn_tree_scratch, lfd_tree, naive_lfd_seen_features,
-                        per_example_probe_bound_check, sample_fragment)
+                        ModelViolationError, RealizabilityError, StreamSpec,
+                        TeacherGain, Tree, bootstrap_count, fill_labels,
+                        gen_tree_stream, improve_rep_anchor, improve_rep_list,
+                        improve_rep_overcomplete, improve_rep_tree,
+                        leaf_cover_dataset, learn_tree_scratch, lfd_tree,
+                        naive_lfd_seen_features,
+                        per_example_probe_bound_check, sample_fragment,
+                        tree_learners, tree_vars)
 from probelearn.tree_learners import LfdResult
 
 E = Tree.empty
@@ -247,6 +251,61 @@ def test_improve_variants_do_not_mutate_input_rep():
     rep = [stump(9)]
     out, _ = improve_rep_tree(rep, g, LfdResult("failed", E(), failed_path=()))
     assert rep == [stump(9)] and len(out) == 2
+
+
+# -- one block probe per node ----------------------------------------------
+
+
+def reference_split(ds, gain, rows, labels, candidates):
+    """Per-candidate reference for the block split: probe one column at a
+    time, keep the first strict gain maximum."""
+    best_i, best_gain, values = None, -math.inf, {}
+    for i in candidates:
+        values[i] = np.asarray(ds.probe_rows(rows, i), dtype=bool)
+        g = gain(ds, rows, i, values[i], labels)
+        if g > best_gain:
+            best_i, best_gain = i, g
+    return best_i, values[best_i]
+
+
+def grow(grower, task, gain_kind, rep, seen):
+    """(outcome, probe mask) of one grower on a fresh copy of the task."""
+    ds = CostlyDataset.from_bool(task.ds.peek_all(), task.ds.labels)
+    gain = TeacherGain(task.target) if gain_kind == "teacher" else InfoGain()
+    try:
+        if grower == "scratch":
+            out = learn_tree_scratch(ds, gain, 4, 9).key()
+        elif grower == "lfd":
+            out = lfd_tree(ds, rep, gain, 4, 9)
+        else:
+            out = naive_lfd_seen_features(ds, seen, gain, 4, 9)
+    except RealizabilityError as exc:
+        out = str(exc)
+    if isinstance(out, LfdResult):
+        out = (out.outcome, out.tree.key(), out.failed_path, out.reason)
+    return out, ds.ledger._mask
+
+
+@pytest.mark.parametrize("gain_kind", ["teacher", "info"])
+@pytest.mark.parametrize("grower", ["scratch", "lfd", "naive"])
+def test_block_split_matches_per_candidate_probes(monkeypatch, grower,
+                                                  gain_kind):
+    tasks, dictionary = gen_tree_stream(StreamSpec(
+        family="tree", n_features=20, k=3, d=4, s=9, mf_depth=3, m=16,
+        sample_size=10, seed=71).validate())
+    rep = dictionary[:2]
+    seen = tree_vars(dictionary[0]) | tree_vars(dictionary[1]) | {0, 19}
+    outcomes = set()
+    for task in tasks:
+        block = grow(grower, task, gain_kind, rep, seen)
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_learners, "_best_split", reference_split)
+            reference = grow(grower, task, gain_kind, rep, seen)
+        assert block[0] == reference[0]
+        assert (block[1] == reference[1]).all()
+        outcomes.add(block[0][0] if isinstance(block[0], tuple) else "scratch")
+    if grower != "scratch":
+        assert outcomes == {"learned", "failed"}
 
 
 # -- baseline and bootstrap -------------------------------------------------

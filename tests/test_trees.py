@@ -65,6 +65,21 @@ def test_json_round_trip():
 # -- affix / label ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("text", [
+    '{"var": 1, "left": {"leaf": "+"}',
+    '{"var": 1, "left": {"leaf": "+"}}',
+    '{"var": "x", "left": {"leaf": "+"}, "right": {"leaf": "-"}}',
+    '{"var": -1, "left": {"leaf": "+"}, "right": {"leaf": "-"}}',
+    '{"var": 1, "left": [], "right": {"leaf": "-"}}',
+    '{"leaf": "?"}',
+    "[]",
+], ids=["not-json", "no-right", "var-not-int", "negative-var",
+        "child-not-an-object", "bad-label", "not-an-object"])
+def test_malformed_tree_raises_usage_error(text):
+    with pytest.raises(UsageError):
+        Tree.from_json(text)
+
+
 def test_affix_base_case():
     out = affix(E(), (), stump(1))
     assert out == stump(1)
@@ -274,6 +289,45 @@ def test_teacher_gain_rejects_inconsistent_labels():
     gain = TeacherGain(target)
     with pytest.raises(OracleMisuseError):
         gain(ds, np.array([0, 1]), 0, None, np.array([True, False]))
+
+
+def test_teacher_gain_routes_once_per_rows_object(monkeypatch):
+    target = I(1, I(2, L(False), L(True)), L(True))
+    ds = bool_ds([[0, 0, 0], [0, 0, 1], [0, 1, 0]], [False, True, True])
+    reads = []
+    peek_rows = ds.peek_rows
+    monkeypatch.setattr(ds, "peek_rows",
+                        lambda rows, var: reads.append(var) or peek_rows(rows, var))
+    gain = TeacherGain(target)
+    rows = np.array([0, 1, 2])
+    labels = np.array([False, True, True])
+    assert [gain(ds, rows, i, None, labels) for i in range(3)] == [0.0, 1.0, 0.0]
+    assert reads == [1]  # the root splits the sample: one routing read
+    # a new rows object is a new node and is routed again
+    left = np.array([0, 1])
+    assert [gain(ds, left, i, None, labels[:2]) for i in range(3)] == [0.0, 0.0, 1.0]
+    assert reads == [1, 1, 2]
+
+
+def test_teacher_gain_label_check_runs_on_every_call():
+    target = I(1, L(False), L(True))
+    ds = bool_ds([[0, 1], [0, 1]], [True, False])
+    gain = TeacherGain(target)
+    rows = np.array([0, 1])
+    for feature in (0, 1, 0):
+        with pytest.raises(OracleMisuseError):
+            gain(ds, rows, feature, None, np.array([True, False]))
+    # the routing itself is cached: consistent labels on the same rows pass
+    assert gain(ds, rows, 0, None, np.array([True, True])) == 0.0
+
+
+def test_teacher_gain_empty_leaf_raises_on_every_call():
+    gain = TeacherGain(I(1, E(), L(True)))
+    ds = bool_ds([[0, 0], [1, 0]], [True, True])
+    rows = np.array([0, 1])
+    for feature in (0, 1):
+        with pytest.raises(OracleMisuseError):
+            gain(ds, rows, feature, None, np.array([True, True]))
 
 
 # -- membership oracle ------------------------------------------------------
