@@ -10,8 +10,8 @@ machinery).
 """
 
 from .dataset import CostlyDataset, ProbeLedger
-from .errors import (BoundViolationError, GeneratorExhaustedError,
-                     InternalError, ModelViolationError, OracleMisuseError,
+from .errors import (GeneratorExhaustedError, InternalError,
+                     ModelViolationError, OracleMisuseError,
                      RealizabilityError, UsageError, VarianceUnderflowError)
 from .exactla import independent_rows, invert, mat_vec, solve_square
 from .griddist import DEFAULT_GRID, ProductDistribution
@@ -29,7 +29,7 @@ from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
                        PolynomialFamily, ProtocolRun, Task, TreeFamily,
                        combined_slack, run_bootstrap_protocol,
                        run_combined_protocol, run_protocol,
-                       run_restart_protocol, write_rows_csv)
+                       run_restart_protocol)
 from .streams import (GameResult, StreamSpec, adversary_r_min,
                       compose_target, fill_labels, game_failure_bound,
                       gen_adversary_stream, gen_agnostic_stream,

@@ -48,8 +48,8 @@ from .errors import (GeneratorExhaustedError, ModelViolationError,
 from .griddist import ProductDistribution
 from .polynomials import build_orthogonal_basis
 from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
-                       PolynomialFamily, TreeFamily, run_bootstrap_protocol,
-                       run_combined_protocol, run_protocol,
+                       PolynomialFamily, TreeFamily, combined_slack,
+                       run_bootstrap_protocol, run_protocol,
                        run_restart_protocol)
 from .streams import (StreamSpec, game_failure_bound, gen_adversary_stream,
                       gen_agnostic_stream, gen_monomial_stream,
@@ -119,17 +119,15 @@ def run_trial(config: dict, trial: int) -> dict:
     k_cap = proto.get("k_cap", spec.k)
     if kind == "plain":
         run = run_protocol(family, tasks)
-    elif kind == "restart":
-        run = run_restart_protocol(family, tasks, k_cap,
-                                   slack=int(proto.get("slack", 0)))
-    elif kind == "combined":
+    elif kind in ("restart", "combined"):
         if "slack" in proto:  # explicit slack (the sweep's c axis) wins
-            run = run_restart_protocol(family, tasks, k_cap,
-                                       slack=int(proto["slack"]))
+            slack = int(proto["slack"])
+        elif kind == "combined":
+            slack = combined_slack(proto.get("r", spec.r), k_cap,
+                                   spec.n_features, len(tasks))
         else:
-            run = run_combined_protocol(family, tasks, k_cap,
-                                        proto.get("r", spec.r),
-                                        spec.n_features)
+            slack = 0
+        run = run_restart_protocol(family, tasks, k_cap, slack=slack)
     elif kind == "bootstrap":
         n_boot = proto.get("n_bootstrap")
         if n_boot is None:

@@ -2,7 +2,7 @@
 
 Every error raised on purpose by probelearn is one of these, so callers can
 distinguish "you called it wrong" from "the data broke a model assumption"
-from "a guaranteed bound was exceeded".
+from "probelearn itself is broken".
 """
 
 
@@ -33,7 +33,3 @@ class GeneratorExhaustedError(RuntimeError):
 
 class InternalError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
-
-
-class BoundViolationError(RuntimeError):
-    """A strict-mode run exceeded one of its guaranteed envelopes."""

@@ -57,14 +57,19 @@ def monomial_to_json_obj(g) -> dict:
 
 
 def monomial_from_json_obj(obj, n_features: int) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise UsageError("monomial JSON must be an object")
     g = np.zeros(n_features, dtype=np.int64)
     for key, exp in obj.items():
-        i = int(key)
+        try:
+            i, e = int(key), int(exp)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad monomial entry {key!r}: {exp!r}") from exc
         if not (0 <= i < n_features):
             raise UsageError(f"feature {i} out of range")
-        if int(exp) < 0:
+        if e < 0:
             raise UsageError("exponents must be natural numbers")
-        g[i] = int(exp)
+        g[i] = e
     return g
 
 
@@ -205,6 +210,16 @@ class MonomialResult:
         return self.outcome == LEARNED
 
 
+def _verify(ds, g) -> MonomialResult:
+    """Single-sample identity test: learned iff P_g reproduces the last
+    example's label under exact rational evaluation."""
+    e = ds.n_examples - 1
+    row = {i: ds.probe(e, i) for i in support(g)}
+    if eval_monomial(g, row) != Fraction(ds.label(e)):
+        return MonomialResult(FAILED, reason="verification")
+    return MonomialResult(LEARNED, monomial=g)
+
+
 def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
                  target=None, sampled: SampledConfig = None) -> MonomialResult:
     """Learn through the representation: probe the independent rows only.
@@ -225,13 +240,7 @@ def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
     g = np.array([int(v) for v in lift], dtype=np.int64)
     if degree(g) > d:
         return MonomialResult(FAILED, reason="degree")
-    e = ds.n_examples - 1
-    value = Fraction(1)
-    for i in support(g):
-        value *= Fraction(ds.probe(e, i)) ** int(g[i])
-    if value != Fraction(ds.label(e)):
-        return MonomialResult(FAILED, reason="verification")
-    return MonomialResult(LEARNED, monomial=g)
+    return _verify(ds, g)
 
 
 def improve_rep_monomial(rep: RepresentationMatrix, g) -> int:
@@ -255,10 +264,4 @@ def naive_lfd_seen_monomial(ds, seen, dist, d: int, mode: str,
         g[i] = estimate_power(ds, i, dist, mode, d, target, sampled)
     if (g < 0).any() or degree(g) > d:
         return MonomialResult(FAILED, reason="degree")
-    e = ds.n_examples - 1
-    value = Fraction(1)
-    for i in support(g):
-        value *= Fraction(ds.probe(e, i)) ** int(g[i])
-    if value != Fraction(ds.label(e)):
-        return MonomialResult(FAILED, reason="verification")
-    return MonomialResult(LEARNED, monomial=g)
+    return _verify(ds, g)

@@ -390,6 +390,17 @@ class PolynomialResult:
         return self.outcome == LEARNED
 
 
+def _verify(ds, partial: Polynomial) -> PolynomialResult:
+    """Single-sample identity test: learned iff `partial` reproduces the last
+    example's label under exact rational evaluation."""
+    e = ds.n_examples - 1
+    touched = sorted({i for key in partial.terms for i, _ in key})
+    row = {i: ds.probe(e, i) for i in touched}
+    if partial.evaluate(row) != Fraction(ds.label(e)):
+        return PolynomialResult(FAILED, reason="verification")
+    return PolynomialResult(LEARNED, polynomial=partial)
+
+
 def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> PolynomialResult:
     """Learn through the representation, probing only its independent rows.
 
@@ -422,12 +433,7 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
         if coeff == 0:
             return PolynomialResult(FAILED, reason="zero-coefficient")
         partial.add_term(g, coeff)
-    e = ds.n_examples - 1
-    touched = sorted({i for key in partial.terms for i, _ in key})
-    row = {i: ds.probe(e, i) for i in touched}
-    if partial.evaluate(row) != Fraction(ds.label(e)):
-        return PolynomialResult(FAILED, reason="verification")
-    return PolynomialResult(LEARNED, polynomial=partial)
+    return _verify(ds, partial)
 
 
 def improve_rep_polynomial(rep: RepresentationMatrix, target: Polynomial) -> int:
@@ -457,9 +463,4 @@ def naive_lfd_seen_polynomial(ds, oracle, seen, d: int, t: int) -> PolynomialRes
         if coeff == 0:
             break
         partial.add_term(g, coeff)
-    e = ds.n_examples - 1
-    touched = sorted({i for key in partial.terms for i, _ in key})
-    row = {i: ds.probe(e, i) for i in touched}
-    if partial.evaluate(row) != Fraction(ds.label(e)):
-        return PolynomialResult(FAILED, reason="verification")
-    return PolynomialResult(LEARNED, polynomial=partial)
+    return _verify(ds, partial)

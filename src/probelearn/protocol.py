@@ -4,7 +4,7 @@ back to scratch learning on failure, and fold what scratch found back in.
 The driver is family-agnostic.  A family adapter knows how to attempt a task
 cheaply through the shared representation (learn-from-data), how to learn it
 from scratch after probing everything, and how to improve the representation
-from the scratch result.  Variants:
+from the scratch result.  One loop, `_run`, serves every variant:
 
   * run_protocol          -- the plain loop (realizable streams)
   * run_restart_protocol  -- wipe the representation after k_cap+1 failures
@@ -14,17 +14,17 @@ from the scratch result.  Variants:
   * run_bootstrap_protocol-- scratch-learn the first B tasks unconditionally
                              (semi-adversarial and overcomplete models)
 
-Every run yields one frozen-schema row per task so sweeps can be diffed
-byte-for-byte across reruns.
+The plain loop is the restart loop with an infinite threshold and no
+bootstrap.  Every run yields one frozen-schema row per task so sweeps can be
+diffed byte-for-byte across reruns.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
-from .errors import BoundViolationError, UsageError
+from .errors import UsageError
 from .monomials import (EXACT, RepresentationMatrix, improve_rep_monomial,
                         learn_monomial_scratch, lfd_monomial)
 from .polynomials import (ExactCorrelation, Polynomial, SampledCorrelation,
@@ -100,6 +100,9 @@ class TreeFamily:
     def scratch(self, task):
         return learn_tree_scratch(task.ds, self._gain_for(task), self.d, self.s)
 
+    def _anchors(self, task):
+        return self.anchors if self.anchors is not None else task.meta["anchors"]
+
     def improve(self, rep, learned, result, task):
         if self.improver == "tree":
             out, _ = improve_rep_tree(rep, learned, result)
@@ -108,9 +111,7 @@ class TreeFamily:
         elif self.improver == "anchor":
             out, _ = improve_rep_anchor(rep, learned, result)
         else:
-            anchors = (self.anchors if self.anchors is not None
-                       else task.meta["anchors"])
-            out, _ = improve_rep_overcomplete(rep, learned, anchors)
+            out, _ = improve_rep_overcomplete(rep, learned, self._anchors(task))
         return out
 
     def hypothesis(self, result):
@@ -124,15 +125,31 @@ class TreeFamily:
         the whole scratch-learned target (partitioned in the overcomplete
         model)."""
         if self.improver == "overcomplete":
-            anchors = (self.anchors if self.anchors is not None
-                       else task.meta["anchors"])
-            out, _ = improve_rep_overcomplete(rep, learned, anchors)
-            return out
-        out, _ = _dedup_extend(rep, [learned.copy()])
+            out, _ = improve_rep_overcomplete(rep, learned, self._anchors(task))
+        else:
+            out, _ = _dedup_extend(rep, [learned.copy()])
         return out
 
 
-class MonomialFamily:
+class _MatrixFamily:
+    """Shared by the families whose representation is a matrix of exponent
+    vectors.  Bootstrap absorbs a scratch result exactly as ImproveRep folds
+    one in."""
+
+    def empty_rep(self):
+        return RepresentationMatrix(self.n_features)
+
+    def rep_size(self, rep) -> int:
+        return rep.k
+
+    def rep_snapshot(self, rep):
+        return tuple(tuple(int(v) for v in col) for col in rep.columns)
+
+    def absorb(self, rep, learned, task):
+        return self.improve(rep, learned, None, task)
+
+
+class MonomialFamily(_MatrixFamily):
     """Natural-exponent monomials over the grid product distribution."""
 
     name = "monomial"
@@ -145,17 +162,8 @@ class MonomialFamily:
         self.mode = mode
         self.sampled = sampled
 
-    def empty_rep(self):
-        return RepresentationMatrix(self.n_features)
-
-    def rep_size(self, rep) -> int:
-        return rep.k
-
     def envelope(self, rep) -> int:
         return rep.k + self.d
-
-    def rep_snapshot(self, rep):
-        return tuple(tuple(int(v) for v in col) for col in rep.columns)
 
     def attempt(self, task, rep):
         return lfd_monomial(task.ds, rep, self.dist, self.d, self.mode,
@@ -169,15 +177,11 @@ class MonomialFamily:
         improve_rep_monomial(rep, learned)
         return rep
 
-    def absorb(self, rep, learned, task):
-        improve_rep_monomial(rep, learned)
-        return rep
-
     def hypothesis(self, result):
         return result.monomial
 
 
-class PolynomialFamily:
+class PolynomialFamily(_MatrixFamily):
     """Sparse polynomials learned through correlation oracles."""
 
     name = "polynomial"
@@ -192,12 +196,6 @@ class PolynomialFamily:
         self.mode = mode
         self.tau = tau
 
-    def empty_rep(self):
-        return RepresentationMatrix(self.n_features)
-
-    def rep_size(self, rep) -> int:
-        return rep.k
-
     def envelope(self, rep) -> int:
         return rep.k + self.t * self.d
 
@@ -205,9 +203,6 @@ class PolynomialFamily:
         if self.mode == EXACT:
             return ExactCorrelation(task.target, self.dist, self.basis)
         return SampledCorrelation(task.ds, self.basis, tau=self.tau)
-
-    def rep_snapshot(self, rep):
-        return tuple(tuple(int(v) for v in col) for col in rep.columns)
 
     def attempt(self, task, rep):
         return lfd_polynomial(task.ds, rep, self._oracle(task), self.d, self.t)
@@ -217,10 +212,6 @@ class PolynomialFamily:
                                         self.d, self.t, ds=task.ds)
 
     def improve(self, rep, learned, result, task):
-        improve_rep_polynomial(rep, learned)
-        return rep
-
-    def absorb(self, rep, learned, task):
         improve_rep_polynomial(rep, learned)
         return rep
 
@@ -281,18 +272,11 @@ class ProtocolRun:
         return rows
 
 
-def write_rows_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=ROW_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 # -- protocol drivers ------------------------------------------------------
 
 
 def _record(run: ProtocolRun, family, task, rep, outcome, envelope, hypothesis,
-            snapshot, strict: bool) -> None:
+            snapshot) -> None:
     ledger = task.ds.ledger
     run.outcomes.append(outcome)
     run.rep_snapshots.append(snapshot)
@@ -303,85 +287,17 @@ def _record(run: ProtocolRun, family, task, rep, outcome, envelope, hypothesis,
     run.goods.append(task.good)
     run.restart_marks.append(run.restarts)
     run.hypotheses.append(hypothesis)
-    if strict and outcome == OUTCOME_LFD and ledger.per_example_max() > envelope:
-        raise BoundViolationError(
-            f"task {len(run.outcomes) - 1}: per-example probes "
-            f"{ledger.per_example_max()} exceed envelope {envelope}")
 
 
-def _scratch_and_improve(family, task, rep, result):
-    task.ds.probe_all()
-    learned = family.scratch(task)
-    rep = family.improve(rep, learned, result, task)
-    return learned, rep
-
-
-def run_protocol(family, tasks, strict: bool = False) -> ProtocolRun:
-    """Plain lifelong loop: attempt, and on failure scratch + improve."""
-    rep = family.empty_rep()
-    run = ProtocolRun(family=family.name)
-    for task in tasks:
-        envelope = family.envelope(rep)
-        snap = family.rep_snapshot(rep)
-        result = family.attempt(task, rep)
-        if result.learned:
-            _record(run, family, task, rep, OUTCOME_LFD, envelope,
-                    family.hypothesis(result), snap, strict)
-        else:
-            learned, rep = _scratch_and_improve(family, task, rep, result)
-            _record(run, family, task, rep, OUTCOME_SCRATCH, envelope,
-                    learned, snap, strict)
-    run.final_rep = rep
-    return run
-
-
-def run_restart_protocol(family, tasks, k_cap: int, slack: int = 0,
-                         strict: bool = False) -> ProtocolRun:
-    """Agnostic loop: after k_cap + slack + 1 failures since the last wipe,
-    empty the representation before folding in the triggering scratch."""
-    threshold = k_cap + slack
+def _run(family, tasks, threshold=math.inf, n_bootstrap: int = 0) -> ProtocolRun:
+    """The lifelong loop.  The first n_bootstrap tasks are scratch-learned and
+    absorbed whole; every later task is attempted through the representation,
+    and a failed attempt is scratch-learned and folded in by ImproveRep.  The
+    failure that brings the count since the last wipe past `threshold` first
+    empties the representation."""
     rep = family.empty_rep()
     run = ProtocolRun(family=family.name)
     failures_since = 0
-    for task in tasks:
-        envelope = family.envelope(rep)
-        snap = family.rep_snapshot(rep)
-        result = family.attempt(task, rep)
-        if result.learned:
-            _record(run, family, task, rep, OUTCOME_LFD, envelope,
-                    family.hypothesis(result), snap, strict)
-            continue
-        failures_since += 1
-        if failures_since > threshold:
-            rep = family.empty_rep()
-            run.restarts += 1
-            failures_since = 0
-        learned, rep = _scratch_and_improve(family, task, rep, result)
-        _record(run, family, task, rep, OUTCOME_SCRATCH, envelope, learned,
-                snap, strict)
-    run.final_rep = rep
-    return run
-
-
-def combined_slack(r: int, k_cap: int, n_features: int, m: int) -> int:
-    """Restart slack c = sqrt(r*K*N/m), at least 1."""
-    return max(1, round(math.sqrt(r * k_cap * n_features / m)))
-
-
-def run_combined_protocol(family, tasks, k_cap: int, r: int, n_features: int,
-                          strict: bool = False) -> ProtocolRun:
-    slack = combined_slack(r, k_cap, n_features, len(tasks))
-    return run_restart_protocol(family, tasks, k_cap, slack=slack,
-                                strict=strict)
-
-
-def run_bootstrap_protocol(family, tasks, n_bootstrap: int,
-                           strict: bool = False) -> ProtocolRun:
-    """Scratch-learn the first n_bootstrap tasks unconditionally, then run
-    the plain loop.  Bootstrap tasks are recorded with their own outcome so
-    post-bootstrap failure frequency is easy to read off."""
-    rep = family.empty_rep()
-    run = ProtocolRun(family=family.name)
     for i, task in enumerate(tasks):
         envelope = family.envelope(rep)
         snap = family.rep_snapshot(rep)
@@ -390,15 +306,52 @@ def run_bootstrap_protocol(family, tasks, n_bootstrap: int,
             learned = family.scratch(task)
             rep = family.absorb(rep, learned, task)
             _record(run, family, task, rep, OUTCOME_BOOTSTRAP, envelope,
-                    learned, snap, strict)
+                    learned, snap)
             continue
         result = family.attempt(task, rep)
         if result.learned:
             _record(run, family, task, rep, OUTCOME_LFD, envelope,
-                    family.hypothesis(result), snap, strict)
-        else:
-            learned, rep = _scratch_and_improve(family, task, rep, result)
-            _record(run, family, task, rep, OUTCOME_SCRATCH, envelope,
-                    learned, snap, strict)
+                    family.hypothesis(result), snap)
+            continue
+        failures_since += 1
+        if failures_since > threshold:
+            rep = family.empty_rep()
+            run.restarts += 1
+            failures_since = 0
+        task.ds.probe_all()
+        learned = family.scratch(task)
+        rep = family.improve(rep, learned, result, task)
+        _record(run, family, task, rep, OUTCOME_SCRATCH, envelope, learned,
+                snap)
     run.final_rep = rep
     return run
+
+
+def run_protocol(family, tasks) -> ProtocolRun:
+    """Plain lifelong loop: attempt, and on failure scratch + improve."""
+    return _run(family, tasks)
+
+
+def run_restart_protocol(family, tasks, k_cap: int, slack: int = 0) -> ProtocolRun:
+    """Agnostic loop: after k_cap + slack + 1 failures since the last wipe,
+    empty the representation before folding in the triggering scratch."""
+    return _run(family, tasks, threshold=k_cap + slack)
+
+
+def combined_slack(r: int, k_cap: int, n_features: int, m: int) -> int:
+    """Restart slack c = sqrt(r*K*N/m), at least 1."""
+    return max(1, round(math.sqrt(r * k_cap * n_features / m)))
+
+
+def run_combined_protocol(family, tasks, k_cap: int, r: int,
+                          n_features: int) -> ProtocolRun:
+    """Restart loop with the slack `combined_slack` gives."""
+    return run_restart_protocol(
+        family, tasks, k_cap, combined_slack(r, k_cap, n_features, len(tasks)))
+
+
+def run_bootstrap_protocol(family, tasks, n_bootstrap: int) -> ProtocolRun:
+    """Scratch-learn the first n_bootstrap tasks unconditionally, then run
+    the plain loop.  Bootstrap tasks are recorded with their own outcome so
+    post-bootstrap failure frequency is easy to read off."""
+    return _run(family, tasks, n_bootstrap=n_bootstrap)

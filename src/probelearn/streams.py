@@ -675,9 +675,23 @@ def stream_to_json_obj(tasks, family: str) -> dict:
 
 
 def stream_from_json_obj(obj) -> list:
-    tasks = []
+    if not isinstance(obj, dict):
+        raise UsageError("stream JSON must be an object")
+    missing = [k for k in ("family", "tasks") if k not in obj]
+    if missing:
+        raise UsageError(f"stream JSON lacks {', '.join(missing)}")
     family = obj["family"]
+    if family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r}")
+    if not isinstance(obj["tasks"], list):
+        raise UsageError("stream tasks must be a list")
+    tasks = []
     for item in obj["tasks"]:
+        if not isinstance(item, dict):
+            raise UsageError(f"bad stream task {item!r}")
+        missing = [k for k in ("dataset", "target", "good") if k not in item]
+        if missing:
+            raise UsageError(f"stream task lacks {', '.join(missing)}")
         ds = CostlyDataset.from_json(json.dumps(item["dataset"]))
         if family in ("tree", "list", "anchor", "overcomplete"):
             target = Tree.from_json_obj(item["target"])

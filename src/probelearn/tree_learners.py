@@ -5,9 +5,20 @@ gain.  `lfd_tree` learns through a representation F~ of stored fragments,
 probing only the tiny candidate sets that superimposition induces; on any
 target growable from prunings of F~ (with teacher gain and leaf-covering
 data) it reproduces the target exactly, probing at most 2|F~| + 2d distinct
-features per example.  The ImproveRep variants decide what to add to F~ after
-a failure: path subtrees (general trees), a single suffix (decision lists), a
-single anchored subtree (anchor model), or an anchor partition (overcomplete
+features per example.  `naive_lfd_seen_features` is the baseline that
+offers every previously seen feature at every node.  All three are one
+grower, `_grow`, that differs only in each node's candidate set.
+
+The grower keeps two traversal orders because each decides an output.  LFD
+and the baseline grow breadth-first: they stop at the first node that breaks
+a cap or has no candidate, after probing every node taken before it, so the
+order fixes their probe sets.  Scratch has probed everything already; it
+grows depth-first, so its first failing node, and with it the
+`RealizabilityError` message, is the first in pre-order.
+
+The ImproveRep variants decide what to add to F~ after a failure: path
+subtrees (general trees), a single suffix (decision lists), a single
+anchored subtree (anchor model), or an anchor partition (overcomplete
 model).
 """
 
@@ -58,34 +69,73 @@ def _best_split(ds, gain, rows, labels, candidates):
     return candidates[best_j], block[:, best_j]
 
 
+def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
+    """The one top-down grower: split every mixed node on the best feature of
+    `candidates(root, path)` (ascending indices) until every node is a leaf.
+
+    Caps are checked when a node leaves the frontier: a node deeper than d,
+    or any node once more than s splits exist, stops the grower, so the split
+    that broke a cap has already been probed.  A node no example reaches
+    becomes a PLUS leaf, a pure node a leaf of its label, and a mixed node
+    with no candidate stops the grower.  The frontier is a FIFO queue, or a
+    stack with the left child on top when `depth_first`.
+    """
+    root = Tree.empty()
+    size = 0
+    frontier = deque([(root, (), np.arange(ds.n_examples))])
+    take = frontier.pop if depth_first else frontier.popleft
+    while frontier:
+        node, path, rows = take()
+        if len(path) > d:
+            return LfdResult(FAILED, root, failed_path=path, reason="depth")
+        if size > s:
+            return LfdResult(FAILED, root, failed_path=path, reason="size")
+        if len(rows) == 0:
+            node.kind, node.label = LEAF, PLUS
+            continue
+        labels = np.asarray(ds.labels_at(rows), dtype=bool)
+        if labels.all() or not labels.any():
+            node.kind, node.label = LEAF, bool(labels[0])
+            continue
+        features = candidates(root, path)
+        if not features:
+            return LfdResult(FAILED, root, failed_path=path, reason="no-candidate")
+        best_i, col = _best_split(ds, gain, rows, labels, features)
+        node.kind, node.var = INTERNAL, best_i
+        node.left, node.right = Tree.empty(), Tree.empty()
+        size += 1
+        children = [(node.left, path + (0,), rows[~col]),
+                    (node.right, path + (1,), rows[col])]
+        frontier.extend(reversed(children) if depth_first else children)
+    return LfdResult(LEARNED, root)
+
+
 # -- scratch ---------------------------------------------------------------
 
 
 def learn_tree_scratch(ds, gain, d: int, s: int) -> Tree:
-    """Probe everything, then grow top-down by gain within the (d, s) caps."""
+    """Probe everything, then grow top-down by gain within the (d, s) caps.
+
+    Depth-first, and a mixed node that the caps forbid to split gets no
+    candidates: the grower stops at the first such node in pre-order without
+    scoring a split that could only fail.
+    """
     ds.probe_all()
-    size = [0]
 
-    def build(rows, path_vars, depth):
-        if len(rows) == 0:
-            return Tree.leaf(PLUS)
-        labels = np.asarray(ds.labels_at(rows), dtype=bool)
-        if labels.all() or not labels.any():
-            return Tree.leaf(bool(labels[0]))
-        if depth >= d:
-            raise RealizabilityError(f"mixed sample at depth cap {d}")
-        if size[0] >= s:
-            raise RealizabilityError(f"size cap {s} reached")
-        candidates = [i for i in range(ds.n_features) if i not in path_vars]
-        if not candidates:
-            raise RealizabilityError("all features already used on this path")
-        best_i, col = _best_split(ds, gain, rows, labels, candidates)
-        size[0] += 1
-        left = build(rows[~col], path_vars | {best_i}, depth + 1)
-        right = build(rows[col], path_vars | {best_i}, depth + 1)
-        return Tree.internal(best_i, left, right)
+    def unused(root, path):
+        if len(path) >= d or root.size() >= s:
+            return []
+        used = root.path_vars(path)
+        return [i for i in range(ds.n_features) if i not in used]
 
-    return build(np.arange(ds.n_examples), set(), 0)
+    result = _grow(ds, gain, d, s, unused, depth_first=True)
+    if result.learned:
+        return result.tree
+    if len(result.failed_path) >= d:
+        raise RealizabilityError(f"mixed sample at depth cap {d}")
+    if result.tree.size() >= s:
+        raise RealizabilityError(f"size cap {s} reached")
+    raise RealizabilityError("all features already used on this path")
 
 
 # -- learning from the representation --------------------------------------
@@ -100,23 +150,8 @@ def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
     variables are removed, and only I is probed on the examples reaching u.
     Fails when the depth/size caps break or no candidate remains.
     """
-    root = Tree.empty()
-    size = 0
-    queue = deque([(root, (), np.arange(ds.n_examples))])
-    while queue:
-        node, path, rows = queue.popleft()
-        if len(path) > d:
-            return LfdResult(FAILED, root, failed_path=path, reason="depth")
-        if size > s:
-            return LfdResult(FAILED, root, failed_path=path, reason="size")
-        if len(rows) == 0:
-            node.kind, node.label = LEAF, PLUS
-            continue
-        labels = np.asarray(ds.labels_at(rows), dtype=bool)
-        if labels.all() or not labels.any():
-            node.kind, node.label = LEAF, bool(labels[0])
-            continue
-        candidates = set()
+    def induced(root, path):
+        found = set()
         for f in rep:
             for wlen in range(len(path) + 1):
                 w = path[:wlen]
@@ -124,17 +159,10 @@ def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
                     continue
                 var = induce(root, w, path, f)
                 if var is not None:
-                    candidates.add(var)
-        candidates -= root.path_vars(path)
-        if not candidates:
-            return LfdResult(FAILED, root, failed_path=path, reason="no-candidate")
-        best_i, col = _best_split(ds, gain, rows, labels, sorted(candidates))
-        node.kind, node.var = INTERNAL, best_i
-        node.left, node.right = Tree.empty(), Tree.empty()
-        size += 1
-        queue.append((node.left, path + (0,), rows[~col]))
-        queue.append((node.right, path + (1,), rows[col]))
-    return LfdResult(LEARNED, root)
+                    found.add(var)
+        return sorted(found - root.path_vars(path))
+
+    return _grow(ds, gain, d, s, induced, depth_first=False)
 
 
 def per_example_probe_bound_check(ledger, rep_size: int, d: int):
@@ -319,32 +347,10 @@ def naive_lfd_seen_features(ds, seen, gain, d: int, s: int) -> LfdResult:
     No superimposition — every seen feature is a candidate at every node, so
     each example pays up to |seen| probes instead of O(|F~| + d).
     """
-    root = Tree.empty()
-    size = 0
-    queue = deque([(root, (), np.arange(ds.n_examples))])
-    while queue:
-        node, path, rows = queue.popleft()
-        if len(path) > d:
-            return LfdResult(FAILED, root, failed_path=path, reason="depth")
-        if size > s:
-            return LfdResult(FAILED, root, failed_path=path, reason="size")
-        if len(rows) == 0:
-            node.kind, node.label = LEAF, PLUS
-            continue
-        labels = np.asarray(ds.labels_at(rows), dtype=bool)
-        if labels.all() or not labels.any():
-            node.kind, node.label = LEAF, bool(labels[0])
-            continue
-        candidates = sorted(set(seen) - root.path_vars(path))
-        if not candidates:
-            return LfdResult(FAILED, root, failed_path=path, reason="no-candidate")
-        best_i, col = _best_split(ds, gain, rows, labels, candidates)
-        node.kind, node.var = INTERNAL, best_i
-        node.left, node.right = Tree.empty(), Tree.empty()
-        size += 1
-        queue.append((node.left, path + (0,), rows[~col]))
-        queue.append((node.right, path + (1,), rows[col]))
-    return LfdResult(LEARNED, root)
+    seen = set(seen)
+    return _grow(ds, gain, d, s,
+                 lambda root, path: sorted(seen - root.path_vars(path)),
+                 depth_first=False)
 
 
 def bootstrap_count(p_min: float, k: int, delta: float) -> int:

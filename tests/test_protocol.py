@@ -5,14 +5,14 @@ import csv
 import numpy as np
 import pytest
 
-from probelearn import (ROW_FIELDS, SCHEMA_VERSION, BoundViolationError,
-                        CostlyDataset, MonomialFamily, PolynomialFamily,
-                        ProductDistribution, StreamSpec, Task, TreeFamily,
+from probelearn import (ROW_FIELDS, SCHEMA_VERSION, CostlyDataset,
+                        MonomialFamily, PolynomialFamily, ProductDistribution,
+                        StreamSpec, Task, TreeFamily, UsageError,
                         build_orthogonal_basis, combined_slack,
                         gen_monomial_stream, gen_poly_stream, gen_tree_stream,
                         run_bootstrap_protocol, run_combined_protocol,
-                        UsageError, run_protocol, run_restart_protocol,
-                        write_rows_csv)
+                        run_protocol, run_restart_protocol)
+from probelearn.cli import _write_csv
 from probelearn.protocol import (OUTCOME_BOOTSTRAP, OUTCOME_LFD,
                                  OUTCOME_SCRATCH, ProtocolRun)
 
@@ -85,6 +85,13 @@ def stub_task():
     return Task(ds=CostlyDataset.from_bool([[0, 1]], [1]), target=None)
 
 
+def assert_lfd_within_envelope(run):
+    for outcome, probes, envelope in zip(run.outcomes, run.per_example_max,
+                                         run.envelopes):
+        if outcome == OUTCOME_LFD:
+            assert probes <= envelope
+
+
 # -- plain protocol ---------------------------------------------------------
 
 
@@ -112,12 +119,10 @@ def test_repeat_monomial_is_learned_from_rep():
                      sample_size=5, seed=9)
     tasks, _ = gen_monomial_stream(spec)
     family = MonomialFamily(spec.n_features, spec.d, DIST)
-    run = run_protocol(family, tasks, strict=True)
+    run = run_protocol(family, tasks)
     assert run.outcomes[0] == OUTCOME_SCRATCH
     assert run.scratch_count <= spec.k
-    for i, outcome in enumerate(run.outcomes):
-        if outcome == OUTCOME_LFD:
-            assert run.per_example_max[i] <= run.envelopes[i]
+    assert_lfd_within_envelope(run)
     assert run.final_rep.k <= spec.k
 
 
@@ -125,7 +130,8 @@ def test_tree_stream_scratch_and_rep_bounds():
     spec = tree_spec(n_features=12, k=3, d=3, s=7, m=50, sample_size=10,
                      mf_depth=2, seed=17)
     tasks, _ = gen_tree_stream(spec)
-    run = run_protocol(TreeFamily(spec.d, spec.s), tasks, strict=True)
+    run = run_protocol(TreeFamily(spec.d, spec.s), tasks)
+    assert_lfd_within_envelope(run)
     assert run.scratch_count <= spec.k
     assert len(run.final_rep) <= spec.k * spec.d
     assert len(run.outcomes) == spec.m
@@ -140,7 +146,8 @@ def test_polynomial_stream_through_protocol():
     tasks, _ = gen_poly_stream(spec)
     basis = build_orthogonal_basis(DIST, spec.d)
     family = PolynomialFamily(spec.n_features, spec.d, spec.t, DIST, basis)
-    run = run_protocol(family, tasks, strict=True)
+    run = run_protocol(family, tasks)
+    assert_lfd_within_envelope(run)
     assert run.scratch_count <= spec.k
     assert run.outcomes[-1] == OUTCOME_LFD
 
@@ -210,13 +217,7 @@ def test_failure_frequency_skips_prefix():
     assert ProtocolRun(family="stub").failure_frequency() == 0.0
 
 
-# -- strict envelope enforcement --------------------------------------------
-
-
-def test_strict_mode_raises_on_envelope_violation():
-    with pytest.raises(BoundViolationError):
-        run_protocol(ProbingFamily(envelope_value=0), [stub_task()],
-                     strict=True)
+# -- envelope violations ----------------------------------------------------
 
 
 def test_non_strict_mode_records_the_violation():
@@ -244,7 +245,7 @@ def test_rows_match_frozen_schema(tmp_path):
     assert [r["task_index"] for r in rows] == list(range(6))
 
     path = tmp_path / "rows.csv"
-    write_rows_csv(path, rows)
+    _write_csv(path, ROW_FIELDS, rows)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == list(ROW_FIELDS)

@@ -503,3 +503,48 @@ def test_rational_stream_round_trips():
     for a, b in zip(tasks2, back2):
         assert a.target == b.target
         assert (a.ds.peek_all() == b.ds.peek_all()).all()
+
+
+
+def _good_task(drop=None):
+    """One serialized tree task, without the key `drop`."""
+    tasks, _ = gen_tree_stream(spec(n_features=6, k=1, d=2, s=3, m=1,
+                                    sample_size=4, seed=89))
+    task = stream_to_json_obj(tasks, "tree")["tasks"][0]
+    task.pop(drop, None)
+    return task
+
+
+def _monomial_stream(target):
+    """A serialized one-task monomial stream whose target is `target`."""
+    tasks, _ = gen_monomial_stream(spec(family="monomial", n_features=4, k=1,
+                                        d=2, m=1, sample_size=3, seed=97))
+    obj = stream_to_json_obj(tasks, "monomial")
+    obj["tasks"][0]["target"] = target
+    return obj
+
+
+@pytest.mark.parametrize("make", [
+    lambda: [],
+    lambda: "tree",
+    lambda: {},
+    lambda: {"family": "tree"},
+    lambda: {"tasks": [_good_task()]},
+    lambda: {"family": "forest", "tasks": [_good_task()]},
+    lambda: {"family": "tree", "tasks": {}},
+    lambda: {"family": "tree", "tasks": [[]]},
+    lambda: {"family": "tree", "tasks": [_good_task(drop="dataset")]},
+    lambda: {"family": "tree", "tasks": [_good_task(drop="target")]},
+    lambda: {"family": "tree", "tasks": [_good_task(drop="good")]},
+    lambda: _monomial_stream([1, 2]),
+    lambda: _monomial_stream({"a": 1}),
+    lambda: _monomial_stream({"0": "x"}),
+    lambda: _monomial_stream({"9": 1}),
+], ids=["list", "string", "empty", "no-tasks", "no-family", "unknown-family",
+        "tasks-not-list", "task-not-object", "no-dataset", "no-target",
+        "no-good", "monomial-not-object", "monomial-bad-feature",
+        "monomial-bad-exponent", "monomial-feature-out-of-range"])
+def test_malformed_stream_raises_usage_error(make):
+    with pytest.raises(UsageError):
+        stream_from_json_obj(make())
+    assert stream_from_json_obj({"family": "tree", "tasks": [_good_task()]})
