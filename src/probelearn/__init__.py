@@ -13,7 +13,7 @@ from .dataset import CostlyDataset, ProbeLedger
 from .errors import (GeneratorExhaustedError, InternalError,
                      ModelViolationError, OracleMisuseError,
                      RealizabilityError, UsageError, VarianceUnderflowError)
-from .exactla import independent_rows, invert, mat_vec, solve_square
+from .exactla import independent_rows, invert, mat_vec
 from .griddist import DEFAULT_GRID, ProductDistribution
 from .monomials import (MonomialResult, RepresentationMatrix,
                         SampledConfig, degree, estimate_power, eval_monomial,

@@ -9,7 +9,8 @@ All randomness flows from the config seed (or --seed-override); reports
 carry no timestamps, so the same config and seed produce byte-identical
 CSV/JSON.  Exit codes: 0 success; 1 strict-mode violation, or a learner or
 generator failure (realizability, model violation, exhausted generator,
-oracle misuse); 2 usage error.  Internal errors are bugs and stay tracebacks.
+oracle misuse); 2 usage error, an unknown key in any config block included.
+Internal errors are bugs and stay tracebacks.
 
 Config JSON (run/sweep):
   {
@@ -20,7 +21,7 @@ Config JSON (run/sweep):
                  "k_cap": int, "r": int, "n_bootstrap": int,
                  "p_min": float, "delta": float,
                  "strict_envelope_scale": float},
-    "trials": int, "strict": bool
+    "trials": int, "strict": bool, "seed": int (written by --seed-override)
   }
 
 Adversary config:
@@ -51,9 +52,9 @@ from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
                        PolynomialFamily, TreeFamily, combined_slack,
                        run_bootstrap_protocol, run_protocol,
                        run_restart_protocol)
-from .streams import (StreamSpec, game_failure_bound, gen_adversary_stream,
-                      gen_agnostic_stream, gen_monomial_stream,
-                      gen_poly_stream, gen_tree_stream,
+from .streams import (TREE_FAMILIES, StreamSpec, game_failure_bound,
+                      gen_adversary_stream, gen_agnostic_stream,
+                      gen_monomial_stream, gen_poly_stream, gen_tree_stream,
                       play_single_feature_game)
 from .tree_learners import bootstrap_count
 
@@ -66,24 +67,43 @@ REGIME_FIELDS = ["schema_version", "regime", "n_features", "k", "m", "r",
                  "stream_len", "good_count", "total_probes", "good_probes",
                  "scratch_count", "restarts", "envelope"]
 
-TREE_FAMILIES = ("tree", "list", "anchor", "overcomplete")
+# The keys each config block accepts (stream keys are StreamSpec's fields).
+RUN_KEYS = ("stream", "protocol", "trials", "strict", "seed")
+PROTOCOL_KEYS = ("kind", "gain", "improver", "k_cap", "r", "slack",
+                 "n_bootstrap", "p_min", "delta", "strict_envelope_scale")
+ADVERSARY_KEYS = ("seed", "game", "regime")
+GAME_KEYS = ("n_prime", "budgets", "trials", "s", "learners")
+REGIME_KEYS = ("name", "n_features", "k", "m", "r", "sample_size")
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed config {path}: line {exc.lineno}: {exc.msg}")
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} must be a JSON object")
+    return config
+
+
+def _reject_unknown(block, allowed, what: str) -> None:
+    if not isinstance(block, dict):
+        raise UsageError(f"{what} block must be an object")
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise UsageError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _check_run_config(config: dict) -> None:
+    _reject_unknown(config, RUN_KEYS, "config")
+    _reject_unknown(config.get("protocol", {}), PROTOCOL_KEYS, "protocol")
 
 
 def build_spec(cfg: dict) -> StreamSpec:
-    allowed = set(StreamSpec.__dataclass_fields__)
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise UsageError(f"unknown stream fields: {sorted(unknown)}")
+    _reject_unknown(cfg, StreamSpec.__dataclass_fields__, "stream")
     return StreamSpec(**cfg).validate()
 
 
@@ -179,6 +199,7 @@ def _write_json(path: Path, doc) -> None:
 
 
 def cmd_run(config: dict, out: Path, jobs: int, strict: bool) -> int:
+    _check_run_config(config)
     trials = int(config.get("trials", 1))
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -212,6 +233,7 @@ def sweep_envelope(kind: str, spec: StreamSpec, r: int) -> float:
 
 def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool,
               axis: str, values) -> int:
+    _check_run_config(config)
     if axis not in ("m", "N", "K", "r", "c"):
         raise UsageError(f"unknown sweep axis {axis!r}")
     if not values:
@@ -254,8 +276,13 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool,
 
 
 def cmd_adversary(config: dict, out: Path, jobs: int, strict: bool) -> int:
+    _reject_unknown(config, ADVERSARY_KEYS, "adversary config")
     seed = int(config.get("seed", 0))
     game = config.get("game", {})
+    _reject_unknown(game, GAME_KEYS, "game")
+    regime = config.get("regime")
+    if regime:
+        _reject_unknown(regime, REGIME_KEYS, "regime")
     n_prime = int(game.get("n_prime", 100))
     budgets = game.get("budgets", [0, n_prime // 4, n_prime // 2, n_prime])
     trials = int(game.get("trials", 1000))
@@ -281,7 +308,6 @@ def cmd_adversary(config: dict, out: Path, jobs: int, strict: bool) -> int:
     _write_csv(out / "adversary.csv", GAME_FIELDS, rows)
 
     regime_rows = []
-    regime = config.get("regime")
     if regime:
         name = regime.get("name", "realizable")
         n = int(regime.get("n_features", 20))

@@ -12,9 +12,10 @@ rational features (monomials and sparse polynomials, on the grid
 over one integer denominator: generated streams store M + j over M, and
 Fraction input is brought over the least common multiple of its
 denominators.  Exact Fractions exist only where exactness is needed: scalar
-reads (`probe`, `peek*`) and labels.  Column and block reads (`probe_rows`,
-`probe_column`, `probe_block`) return float64 numerator / denominator, the
-correctly rounded value of each cell, for the sampled estimators.
+reads (`probe`, `peek*`) and labels.  Every metered column read goes
+through `probe_block` (`probe_rows` and `probe_column` are one-column block
+reads), which returns float64 numerator / denominator, the correctly rounded
+value of each cell, for the sampled estimators.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class ProbeLedger:
 
     def record(self, example: int, feature: int) -> None:
         self._mask[example, feature] = True
-
-    def record_rows(self, rows, feature: int) -> None:
-        self._mask[rows, feature] = True
 
     def record_block(self, rows, features) -> None:
         """Record every cell of the rows x features block."""
@@ -144,18 +142,14 @@ class CostlyDataset:
         return self.peek(example, feature)
 
     def probe_rows(self, rows, feature: int) -> np.ndarray:
-        """Read one feature on a set of examples (one probe per fresh cell).
-
-        Rational cells come back as float64 numerator / denominator."""
-        self._check(0, feature)
-        self.ledger.record_rows(rows, feature)
-        if self.value_kind == BOOL:
-            return self._values[rows, feature]
-        return self._values[rows, feature] / self._den
+        """Read one feature on a set of examples (one probe per fresh cell):
+        the one-column block read `probe_block(rows, [feature])`."""
+        return self.probe_block(rows, [feature])[:, 0]
 
     def probe_block(self, rows, features) -> np.ndarray:
-        """Read several features on a set of examples in one metered read:
-        column j of the result holds features[j] (one probe per fresh cell).
+        """Read several features on the examples `rows` (integer indices) in
+        one metered read: column j of the result holds features[j] (one probe
+        per fresh cell).
 
         Rational cells come back as float64 numerator / denominator."""
         for feature in features:

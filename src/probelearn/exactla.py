@@ -4,6 +4,7 @@ Small dense systems only (dictionary sizes are single digits), so plain
 row-echelon over Python Fractions is both exact and fast.  Pivoting is by
 lowest row index — the conventions here fix which feature rows the learners
 probe, so they are part of the observable behavior, not a numerical detail.
+A square system A x = b is solved as `mat_vec(invert(A), b)`.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ def invert(matrix) -> list:
 
 
 def mat_vec(matrix, vec) -> list:
-    return [sum((Fraction(a) * Fraction(b) for a, b in zip(row, vec)), Fraction(0))
-            for row in matrix]
-
-
-def solve_square(matrix, rhs) -> list:
-    """Solve A x = b exactly for square invertible A."""
-    return mat_vec(invert(matrix), rhs)
+    """A v, entries multiplied as given (not re-wrapped in Fraction): exact
+    whenever every product has a Fraction or Python int factor."""
+    return [sum(a * b for a, b in zip(row, vec)) for row in matrix]

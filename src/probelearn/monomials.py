@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InternalError, OracleMisuseError, UsageError,
-                     VarianceUnderflowError)
+from .errors import (InternalError, OracleMisuseError, RealizabilityError,
+                     UsageError, VarianceUnderflowError)
 from .exactla import independent_rows, invert, mat_vec
 
 EXACT = "exact"
@@ -125,8 +125,6 @@ def estimate_power(ds, i: int, dist, mode: str, d: int,
 def learn_monomial_scratch(ds, dist, d: int, mode: str,
                            target=None, sampled: SampledConfig = None) -> np.ndarray:
     """Probe everything and estimate every exponent independently."""
-    from .errors import RealizabilityError
-
     ds.probe_all()
     g = np.array([estimate_power(ds, i, dist, mode, d, target, sampled)
                   for i in range(ds.n_features)], dtype=np.int64)
@@ -169,7 +167,7 @@ class RepresentationMatrix:
 
     def solve(self, g_restricted) -> list:
         """w with F[I] w = g[I], exact Fractions."""
-        return mat_vec(self._inverse(), [Fraction(v) for v in g_restricted])
+        return mat_vec(self._inverse(), [int(v) for v in g_restricted])
 
     def combine(self, w) -> list:
         """F w as a length-N Fraction vector."""
@@ -178,15 +176,24 @@ class RepresentationMatrix:
             if weight:
                 for r in range(self.n_features):
                     if col[r]:
-                        out[r] += Fraction(weight) * int(col[r])
+                        out[r] += weight * int(col[r])
         return out
+
+    def lift(self, g_restricted, d: int):
+        """F w for the w that matches `g_restricted` on the row set I, as
+        (g, None) when natural of degree <= d, else (None, reason) with reason
+        "non-natural-combination" or "degree"."""
+        full = self.combine(self.solve(g_restricted))
+        if any(v.denominator != 1 or v < 0 for v in full):
+            return None, "non-natural-combination"
+        g = np.array([int(v) for v in full], dtype=np.int64)
+        return (g, None) if degree(g) <= d else (None, "degree")
 
     def contains(self, g) -> bool:
         if self.k == 0:
             return not np.any(np.asarray(g))
-        w = self.solve([g[r] for r in self.rows()])
-        lift = self.combine(w)
-        return all(lift[r] == int(g[r]) for r in range(self.n_features))
+        full = self.combine(self.solve([g[r] for r in self.rows()]))
+        return all(full[r] == int(g[r]) for r in range(self.n_features))
 
     def insert(self, g) -> None:
         g = np.asarray(g, dtype=np.int64)
@@ -233,13 +240,9 @@ def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
         return MonomialResult(FAILED, reason="empty-representation")
     idx = rep.rows()
     g_restricted = [estimate_power(ds, i, dist, mode, d, target, sampled) for i in idx]
-    w = rep.solve(g_restricted)
-    lift = rep.combine(w)
-    if any(v.denominator != 1 or v < 0 for v in lift):
-        return MonomialResult(FAILED, reason="non-natural-combination")
-    g = np.array([int(v) for v in lift], dtype=np.int64)
-    if degree(g) > d:
-        return MonomialResult(FAILED, reason="degree")
+    g, reason = rep.lift(g_restricted, d)
+    if g is None:
+        return MonomialResult(FAILED, reason=reason)
     return _verify(ds, g)
 
 

@@ -30,10 +30,12 @@ import numpy as np
 
 from .dataset import _parse_frac
 from .errors import InternalError, ModelViolationError, UsageError
-from .monomials import RepresentationMatrix, degree, support
+from .monomials import RepresentationMatrix, support
 
 LEARNED = "learned"
 FAILED = "failed"
+COEFF_FLOOR = 1e-3  # sampled coefficients below this in magnitude read as 0
+DENOMINATOR_CAP = 64  # the others snap to a rational with this denominator cap
 
 
 # -- sparse polynomials ----------------------------------------------------
@@ -275,13 +277,10 @@ class SampledCorrelation:
 
     sampled = True
 
-    def __init__(self, ds, basis: OrthogonalBasis, tau: float = 1e-6,
-                 coeff_floor: float = 1e-3, denominator_cap: int = 64):
+    def __init__(self, ds, basis: OrthogonalBasis, tau: float = 1e-6):
         self.ds = ds
         self.basis = basis
         self.tau = tau
-        self.coeff_floor = coeff_floor
-        self.denominator_cap = denominator_cap
         self._basis_float = [[float(c) for c in vec] for vec in basis.coeffs]
         self._residuals = {}  # partial's terms -> residual per example
 
@@ -324,9 +323,9 @@ class SampledCorrelation:
         value = self.corr_lin({i: int(g[i]) for i in support(g)}, partial)
         for i in support(g):
             value /= float(self.basis.norms[int(g[i])])
-        if abs(value) < self.coeff_floor:
+        if abs(value) < COEFF_FLOOR:
             return Fraction(0)
-        return Fraction(value).limit_denominator(self.denominator_cap)
+        return Fraction(value).limit_denominator(DENOMINATOR_CAP)
 
 
 # -- learners --------------------------------------------------------------
@@ -405,7 +404,7 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
     """Learn through the representation, probing only its independent rows.
 
     The lexicographic search runs restricted to the row set I; each
-    restricted pattern is lifted through the exact solve to a full monomial.
+    restricted pattern is lifted to a full monomial by `rep.lift`.
     Per example this costs at most k probes for I plus t*d for evaluating the
     partial hypothesis, and a final single-sample rational verification
     rejects any off-span lift.
@@ -420,13 +419,9 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
         if not oracle.positive(oracle.corr_sq({}, partial)):
             break
         exps = _extract_largest(oracle, sorted(idx), d, partial)
-        w = rep.solve([exps[i] for i in idx])
-        lift = rep.combine(w)
-        if any(v.denominator != 1 or v < 0 for v in lift):
-            return PolynomialResult(FAILED, reason="non-natural-combination")
-        g = np.array([int(v) for v in lift], dtype=np.int64)
-        if degree(g) > d:
-            return PolynomialResult(FAILED, reason="degree")
+        g, reason = rep.lift([exps[i] for i in idx], d)
+        if g is None:
+            return PolynomialResult(FAILED, reason=reason)
         for i in support(g):
             ds.probe_column(i)  # partial-hypothesis evaluations touch these
         coeff = oracle.coefficient(g, partial)

@@ -69,7 +69,7 @@ class TreeFamily:
     name = "tree"
 
     def __init__(self, d: int, s: int, gain: str = "teacher",
-                 improver: str = "tree", anchors=None):
+                 improver: str = "tree"):
         if gain not in ("teacher", "info"):
             raise UsageError(f"unknown gain {gain!r}")
         if improver not in ("tree", "list", "anchor", "overcomplete"):
@@ -78,7 +78,6 @@ class TreeFamily:
         self.s = s
         self.gain = gain
         self.improver = improver
-        self.anchors = anchors
 
     def empty_rep(self):
         return []
@@ -100,9 +99,6 @@ class TreeFamily:
     def scratch(self, task):
         return learn_tree_scratch(task.ds, self._gain_for(task), self.d, self.s)
 
-    def _anchors(self, task):
-        return self.anchors if self.anchors is not None else task.meta["anchors"]
-
     def improve(self, rep, learned, result, task):
         if self.improver == "tree":
             out, _ = improve_rep_tree(rep, learned, result)
@@ -111,7 +107,7 @@ class TreeFamily:
         elif self.improver == "anchor":
             out, _ = improve_rep_anchor(rep, learned, result)
         else:
-            out, _ = improve_rep_overcomplete(rep, learned, self._anchors(task))
+            out, _ = improve_rep_overcomplete(rep, learned, task.meta["anchors"])
         return out
 
     def hypothesis(self, result):
@@ -125,10 +121,8 @@ class TreeFamily:
         the whole scratch-learned target (partitioned in the overcomplete
         model)."""
         if self.improver == "overcomplete":
-            out, _ = improve_rep_overcomplete(rep, learned, self._anchors(task))
-        else:
-            out, _ = _dedup_extend(rep, [learned.copy()])
-        return out
+            return self.improve(rep, learned, None, task)
+        return _dedup_extend(rep, [learned.copy()])[0]
 
 
 class _MatrixFamily:

@@ -29,14 +29,15 @@ import numpy as np
 
 from .dataset import CostlyDataset
 from .errors import GeneratorExhaustedError, UsageError
-from .griddist import ProductDistribution
+from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
 from .monomials import monomial_from_json_obj, monomial_to_json_obj
 from .polynomials import Polynomial, term_key
 from .protocol import Task
 from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree, affix
 
-FAMILIES = ("tree", "list", "anchor", "overcomplete", "monomial", "polynomial")
+TREE_FAMILIES = ("tree", "list", "anchor", "overcomplete")
+FAMILIES = TREE_FAMILIES + ("monomial", "polynomial")
 PLACEMENTS = ("random", "adversarial-first", "adversarial-interleaved")
 REGIMES = ("realizable", "intermediate", "large1", "large2")
 
@@ -86,6 +87,10 @@ class StreamSpec:
 
 # -- tree fragments and composition ----------------------------------------
 
+P_EXTEND = 0.6  # chance that a fragment node below the root splits
+P_MORE = 0.6  # chance that a target takes one more fragment or list segment
+MAX_TRIES = 64  # draws before a tree generator gives up
+
 
 def tree_vars(tree: Tree) -> set:
     out = set()
@@ -98,12 +103,12 @@ def tree_vars(tree: Tree) -> set:
     return out
 
 
-def sample_fragment(rng, pool, max_depth: int, p_extend: float = 0.6) -> Tree:
+def sample_fragment(rng, pool, max_depth: int) -> Tree:
     """Random all-empty decided tree over `pool`, at least one internal node."""
     def build(depth, avail):
         if depth >= max_depth or not avail:
             return Tree.empty()
-        if depth > 0 and rng.random() > p_extend:
+        if depth > 0 and rng.random() > P_EXTEND:
             return Tree.empty()
         var = int(avail[int(rng.integers(len(avail)))])
         rest = [v for v in avail if v != var]
@@ -145,11 +150,10 @@ def fill_labels(rng, tree: Tree) -> Tree:
     return fill(tree, None)
 
 
-def compose_target(rng, metafeatures, d: int, s: int, p_more: float = 0.6,
-                   max_tries: int = 64) -> Tree:
+def compose_target(rng, metafeatures, d: int, s: int) -> Tree:
     """Compose fragments at empty slots under the (d, s) caps, then label."""
     shapes = [(tree_vars(f), f.depth(), f.size()) for f in metafeatures]
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         i = int(rng.integers(len(metafeatures)))
         g = metafeatures[i].copy()
         _, depth, size = shapes[i]
@@ -163,7 +167,7 @@ def compose_target(rng, metafeatures, d: int, s: int, p_more: float = 0.6,
                     if (fdepth <= depth_left and fsize <= size_left
                             and fvars.isdisjoint(used)):
                         options.append((path, f, fsize))
-            if not options or rng.random() > p_more:
+            if not options or rng.random() > P_MORE:
                 break
             path, f, fsize = options[int(rng.integers(len(options)))]
             g = affix(g, path, f)
@@ -175,13 +179,12 @@ def compose_target(rng, metafeatures, d: int, s: int, p_more: float = 0.6,
         "could not compose a target within the depth/size caps")
 
 
-def _compose_list(rng, fragments, d: int, p_more: float = 0.6,
-                  max_tries: int = 64) -> Tree:
+def _compose_list(rng, fragments, d: int) -> Tree:
     """Chain list segments at the spine end, then label side slots."""
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         i = int(rng.integers(len(fragments)))
         g, end = fragments[i][0].copy(), fragments[i][1]
-        while rng.random() < p_more:
+        while rng.random() < P_MORE:
             fits = [(f, e) for f, e in fragments
                     if not (tree_vars(f) & set(g.path_vars(end)))
                     and len(end) + f.depth() <= d]
@@ -224,7 +227,7 @@ def _var_pools(rng, n_features: int, count: int, size: int):
     return [perm[i * size:(i + 1) * size].tolist() for i in range(count)]
 
 
-def _sample_dictionary(rng, spec: StreamSpec, max_tries: int = 64):
+def _sample_dictionary(rng, spec: StreamSpec):
     """The hidden fragment dictionary for the plain/anchor/list sub-models."""
     pool_size = min(spec.n_features // spec.k, 2 ** spec.mf_depth - 1)
     if pool_size < 1 or pool_size < spec.mf_depth and spec.family == "list":
@@ -233,7 +236,7 @@ def _sample_dictionary(rng, spec: StreamSpec, max_tries: int = 64):
     frags = []
     seen = set()
     for pool in pools:
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             if spec.family == "list":
                 frag = _sample_list_fragment(rng, pool, spec.mf_depth)
                 key = frag[0].key()
@@ -266,7 +269,7 @@ def _overcomplete_dictionary(rng, spec: StreamSpec):
     return composites, anchors
 
 
-def gen_tree_stream(spec: StreamSpec, trial: int = 0, metafeatures=None):
+def gen_tree_stream(spec: StreamSpec, trial: int = 0):
     """Task stream for the tree sub-models; returns (tasks, dictionary).
 
     With p_min > 0 the stream is semi-adversarial: each metafeature is posed
@@ -276,9 +279,7 @@ def gen_tree_stream(spec: StreamSpec, trial: int = 0, metafeatures=None):
     spec.validate()
     rng = np.random.default_rng((spec.seed, trial))
     anchors = None
-    if metafeatures is not None:
-        dictionary = metafeatures
-    elif spec.family == "overcomplete":
+    if spec.family == "overcomplete":
         dictionary, anchors = _overcomplete_dictionary(rng, spec)
     else:
         dictionary = _sample_dictionary(rng, spec)
@@ -307,15 +308,16 @@ def gen_tree_stream(spec: StreamSpec, trial: int = 0, metafeatures=None):
 # -- monomial and polynomial streams ---------------------------------------
 
 COEFF_POOL = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 4)]
-A_MIN = Fraction(1, 4)
+P_MORE_COLUMNS = 0.5  # chance that a combination takes one more column
+MATRIX_TRIES = 200  # draws of a rank-K exponent matrix before giving up
 
 
-def _sample_exponent_matrix(rng, spec: StreamSpec, max_tries: int = 200):
+def _sample_exponent_matrix(rng, spec: StreamSpec):
     """N x K natural matrix of rank K with column degrees fitting d."""
     max_deg = min(2, spec.d)
     if max_deg < 1:
         raise GeneratorExhaustedError("degree budget d < 1 admits no targets")
-    for _ in range(max_tries):
+    for _ in range(MATRIX_TRIES):
         cols = []
         for _ in range(spec.k):
             col = np.zeros(spec.n_features, dtype=np.int64)
@@ -328,13 +330,13 @@ def _sample_exponent_matrix(rng, spec: StreamSpec, max_tries: int = 200):
     raise GeneratorExhaustedError("could not sample a rank-K exponent matrix")
 
 
-def _sample_combination(rng, cols, d: int, p_more: float = 0.5):
+def _sample_combination(rng, cols, d: int):
     degs = [int(c.sum()) for c in cols]
     w = np.zeros(len(cols), dtype=np.int64)
     budget = d
     while True:
         afford = [j for j, dj in enumerate(degs) if dj <= budget]
-        if not afford or (w.any() and rng.random() > p_more):
+        if not afford or (w.any() and rng.random() > P_MORE_COLUMNS):
             break
         j = afford[int(rng.integers(len(afford)))]
         w[j] += 1
@@ -347,14 +349,14 @@ def _sample_combination(rng, cols, d: int, p_more: float = 0.5):
     return g
 
 
-def _grid_dataset(rng, dist, n_examples: int, n_features: int, terms) -> CostlyDataset:
-    """Uniform grid examples, stored as numerators M + j over M, labeled by
-    the polynomial `terms` (term_key -> Fraction, as in Polynomial.terms).
+def _grid_dataset(rng, n_examples: int, n_features: int, terms) -> CostlyDataset:
+    """Uniform examples on the default grid, numerators M + j over M, labeled
+    by the polynomial `terms` (term_key -> Fraction, as in Polynomial.terms).
 
     Each label is one exact Fraction: its integer numerator over
     lcd(coeffs) * M^(max degree) is summed from the example's numerators.
     """
-    m = dist.m_grid
+    m = DEFAULT_GRID
     idx = rng.integers(0, m + 1, size=(n_examples, n_features))
     nums = idx + m
     lcd = math.lcm(*(coeff.denominator for coeff in terms.values()))
@@ -378,27 +380,25 @@ def _monomial_terms(g) -> dict:
     return {term_key(g): Fraction(1)}
 
 
-def gen_monomial_stream(spec: StreamSpec, trial: int = 0, dist=None):
+def gen_monomial_stream(spec: StreamSpec, trial: int = 0):
     """Monomial tasks g = F.w with natural w and total degree <= d."""
     spec.validate()
     rng = np.random.default_rng((spec.seed, trial))
-    dist = dist or ProductDistribution()
     cols = _sample_exponent_matrix(rng, spec)
     tasks = []
     for _ in range(spec.m):
         g = _sample_combination(rng, cols, spec.d)
-        ds = _grid_dataset(rng, dist, spec.sample_size, spec.n_features,
+        ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
                            _monomial_terms(g))
         tasks.append(Task(ds=ds, target=g, good=True))
     return tasks, cols
 
 
-def gen_poly_stream(spec: StreamSpec, trial: int = 0, dist=None):
+def gen_poly_stream(spec: StreamSpec, trial: int = 0):
     """Polynomial tasks: <= t distinct in-span monomials, coefficients drawn
     from a fixed rational pool with magnitude >= 1/4."""
     spec.validate()
     rng = np.random.default_rng((spec.seed, trial))
-    dist = dist or ProductDistribution()
     cols = _sample_exponent_matrix(rng, spec)
     tasks = []
     for _ in range(spec.m):
@@ -411,7 +411,7 @@ def gen_poly_stream(spec: StreamSpec, trial: int = 0, dist=None):
             if target.coefficient(g) == 0:
                 coeff = COEFF_POOL[int(rng.integers(len(COEFF_POOL)))]
                 target.add_term(g, coeff)
-        ds = _grid_dataset(rng, dist, spec.sample_size, spec.n_features,
+        ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
                            target.terms)
         tasks.append(Task(ds=ds, target=target, good=True))
     return tasks, cols
@@ -430,16 +430,16 @@ def _bad_positions(rng, m: int, r: int, placement: str):
     return set(int(p) for p in rng.choice(total, size=r, replace=False))
 
 
-def gen_agnostic_stream(spec: StreamSpec, trial: int = 0, dist=None):
+def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
     """m good tasks plus r bad ones over features disjoint from the
     dictionary, placed per spec.placement; flags are for reporting only."""
     spec.validate()
     if spec.r == 0:
-        if spec.family in ("tree", "list", "anchor", "overcomplete"):
+        if spec.family in TREE_FAMILIES:
             return gen_tree_stream(spec, trial)
         if spec.family == "monomial":
-            return gen_monomial_stream(spec, trial, dist)
-        return gen_poly_stream(spec, trial, dist)
+            return gen_monomial_stream(spec, trial)
+        return gen_poly_stream(spec, trial)
     rng = np.random.default_rng((spec.seed, trial, 1))
 
     if spec.family in ("tree", "anchor"):
@@ -453,16 +453,14 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0, dist=None):
         tasks, dictionary = gen_tree_stream(sub, trial)
         bad_pool = list(range(spec.n_features - reserve, spec.n_features))
         for task in tasks:
-            # re-host the good datasets in the full feature space
+            # re-host in the full feature space (the target never reads the pad)
             vals = task.ds.peek_all()
             pad = rng.integers(0, 2, (vals.shape[0], reserve)).astype(np.uint8)
             full = np.concatenate([vals, pad], axis=1)
-            labels = np.array([task.target.predict(row) for row in full],
-                              dtype=bool)
-            task.ds = CostlyDataset.from_bool(full, labels)
+            task.ds = CostlyDataset.from_bool(full, task.ds.labels)
         bad_tasks = []
         for _ in range(spec.r):
-            for _ in range(64):
+            for _ in range(MAX_TRIES):
                 shape = sample_fragment(rng, bad_pool, min(spec.d, len(bad_pool)))
                 if shape.depth() <= spec.d and shape.size() <= spec.s:
                     break
@@ -475,20 +473,19 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0, dist=None):
     elif spec.family == "monomial":
         sub = StreamSpec(**{**spec.__dict__, "n_features": spec.n_features - 1,
                             "r": 0})
-        tasks, dictionary = gen_monomial_stream(sub, trial, dist)
-        dist = dist or ProductDistribution()
+        tasks, dictionary = gen_monomial_stream(sub, trial)
         dictionary = [np.concatenate([c, [0]]) for c in dictionary]
         bad_feature = spec.n_features - 1
         for task in tasks:
             g = np.concatenate([task.target, [0]])
             task.target = g
-            task.ds = _grid_dataset(rng, dist, spec.sample_size,
-                                    spec.n_features, _monomial_terms(g))
+            task.ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
+                                    _monomial_terms(g))
         bad_tasks = []
         for _ in range(spec.r):
             g = np.zeros(spec.n_features, dtype=np.int64)
             g[bad_feature] = int(rng.integers(1, spec.d + 1))
-            ds = _grid_dataset(rng, dist, spec.sample_size, spec.n_features,
+            ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
                                _monomial_terms(g))
             bad_tasks.append(Task(ds=ds, target=g, good=False))
     else:
@@ -663,7 +660,7 @@ def game_failure_bound(n_prime: int, budget: int) -> float:
 def stream_to_json_obj(tasks, family: str) -> dict:
     out = []
     for task in tasks:
-        if family in ("tree", "list", "anchor", "overcomplete"):
+        if family in TREE_FAMILIES:
             target = task.target.to_json_obj()
         elif family == "monomial":
             target = monomial_to_json_obj(task.target)
@@ -693,7 +690,7 @@ def stream_from_json_obj(obj) -> list:
         if missing:
             raise UsageError(f"stream task lacks {', '.join(missing)}")
         ds = CostlyDataset.from_json(json.dumps(item["dataset"]))
-        if family in ("tree", "list", "anchor", "overcomplete"):
+        if family in TREE_FAMILIES:
             target = Tree.from_json_obj(item["target"])
         elif family == "monomial":
             target = monomial_from_json_obj(item["target"], ds.n_features)

@@ -9,8 +9,9 @@ The heart of representation reuse is superimposition: place the root of a
 stored fragment f at a node w of a partially grown tree and slide it down the
 path toward the node u being grown.  `conflict` says whether any variable
 already assigned on that path disagrees with f; `induce` reads off which
-variable f predicts at u.  Together they produce the small candidate sets
-that make dictionary-based learning probe-cheap.
+variable f predicts at u; both read one walk down g, `_slide`.  Together
+they produce the small candidate sets that make dictionary-based learning
+probe-cheap.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ class Tree:
         return Tree(EMPTY)
 
     # -- predicates --------------------------------------------------------
-
-    def is_internal(self) -> bool:
-        return self.kind == INTERNAL
-
-    def is_leaf(self) -> bool:
-        return self.kind == LEAF
 
     def is_empty(self) -> bool:
         return self.kind == EMPTY
@@ -289,10 +284,31 @@ def path_repeats_var(tree: Tree) -> bool:
 # -- superimposition -------------------------------------------------------
 
 
-def _validate_span(g: Tree, w, u) -> None:
-    if tuple(u[: len(w)]) != tuple(w):
+def _slide(g: Tree, w, u, f: Tree):
+    """One walk of g from the root down u; from depth len(w) on, f slides
+    along until it reaches u or runs off onto a leaf/empty node.  Returns
+    (`conflict`'s answer, the node of f where the slide stopped)."""
+    w, u = tuple(w), tuple(u)
+    if u[:len(w)] != w:
         raise UsageError(f"w={w} is not an ancestor of u={u}")
-    g.node_at(u)  # raises if u not in g
+    gnode = g
+    for step in w:
+        if gnode.kind != INTERNAL:
+            raise UsageError(f"path {u} leaves the tree")
+        gnode = gnode.right if step else gnode.left
+    clash, fnode = False, f
+    for step in u[len(w):]:
+        if gnode.kind != INTERNAL:
+            raise UsageError(f"path {u} leaves the tree")
+        if fnode.kind == INTERNAL:
+            if gnode.var != fnode.var:
+                clash = True
+            fnode = fnode.right if step else fnode.left
+        gnode = gnode.right if step else gnode.left
+    if (len(u) > len(w) and fnode.kind == INTERNAL and gnode.kind == INTERNAL
+            and gnode.var != fnode.var):
+        clash = True
+    return clash, fnode
 
 
 def conflict(g: Tree, w, u, f: Tree) -> bool:
@@ -303,25 +319,7 @@ def conflict(g: Tree, w, u, f: Tree) -> bool:
     must agree.  With w == u nothing is compared.  If the mapping runs off f
     (f is shallower than the path) the unreachable part imposes nothing.
     """
-    w, u = tuple(w), tuple(u)
-    _validate_span(g, w, u)
-    if w == u:
-        return False
-    gnode = g.node_at(w)
-    fnode = f
-    rel = u[len(w):]
-    idx = 0
-    while True:
-        if fnode.kind != INTERNAL:
-            return False  # ran off f; nothing further is constrained
-        if gnode.kind == INTERNAL and gnode.var != fnode.var:
-            return True
-        if idx == len(rel) or gnode.kind != INTERNAL:
-            return False
-        step = rel[idx]
-        gnode = gnode.right if step else gnode.left
-        fnode = fnode.right if step else fnode.left
-        idx += 1
+    return _slide(g, w, u, f)[0]
 
 
 def induce(g: Tree, w, u, f: Tree):
@@ -330,13 +328,7 @@ def induce(g: Tree, w, u, f: Tree):
     None means the superimposition says nothing at u: the mapping ran off f,
     or landed on a leaf/empty node of f.
     """
-    w, u = tuple(w), tuple(u)
-    _validate_span(g, w, u)
-    fnode = f
-    for step in u[len(w):]:
-        if fnode.kind != INTERNAL:
-            return None
-        fnode = fnode.right if step else fnode.left
+    fnode = _slide(g, w, u, f)[1]
     return fnode.var if fnode.kind == INTERNAL else None
 
 

@@ -93,6 +93,52 @@ def test_usage_errors_exit_2(tmp_path):
                  "--axis", "m", "--values", ""]) == 2
 
 
+GAME = {"n_prime": 10, "budgets": [5], "trials": 5, "s": 1,
+        "learners": ["scan"]}
+REGIME = {"name": "realizable", "n_features": 10, "k": 2, "m": 8, "r": 0,
+          "sample_size": 4}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("run", dict(TREE_CONFIG, trial=3), "trial"),
+    ("run", dict(TREE_CONFIG, protocol={"kind": "plain", "gian": "info",
+                                        "k_cp": 1}), "gian"),
+    ("run", dict(TREE_CONFIG, stream=dict(TREE_CONFIG["stream"],
+                                          n_feature=8)), "n_feature"),
+    ("sweep", dict(TREE_CONFIG, trial=3), "trial"),
+    ("sweep", dict(TREE_CONFIG, protocol={"kind": "restart", "slak": 1}),
+     "slak"),
+    ("adversary", {"seed": 1, "game": GAME, "learner": "scan",
+                   "regim": REGIME}, "learner"),
+    ("adversary", {"game": dict(GAME, budget=[5])}, "budget"),
+    ("adversary", {"game": GAME, "regime": dict(REGIME, n_feature=10)},
+     "n_feature"),
+])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, cfg, key):
+    out = tmp_path / "o"
+    args = [command, "--config", write_config(tmp_path, cfg),
+            "--out", str(out)]
+    if command == "sweep":
+        args += ["--axis", "m", "--values", "4"]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown ")
+    assert repr(key) in err[0]
+    assert not list(out.iterdir())  # no report written
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("run", [TREE_CONFIG]),
+    ("run", dict(TREE_CONFIG, protocol="plain")),
+    ("adversary", {"game": ["scan"]}),
+])
+def test_non_object_config_blocks_exit_2(tmp_path, capsys, command, cfg):
+    args = [command, "--config", write_config(tmp_path, cfg),
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_learner_failure_exits_1_with_one_error_line(tmp_path, capsys):
     # greedy info gain outgrows the depth cap d = 4 on a scratch learn here
     cfg = {"stream": {"family": "tree", "n_features": 40, "k": 4, "d": 4,

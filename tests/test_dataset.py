@@ -67,17 +67,30 @@ def test_probe_rows_meters_fresh_cells_only():
     assert ds.ledger.total_probes == 7
 
 
+def small_rational(n_examples, n_features):
+    rng = np.random.default_rng(8)
+    values = [[Fraction(int(n), int(d)) for n, d in zip(row_n, row_d)]
+              for row_n, row_d in zip(rng.integers(1, 9, (n_examples, n_features)),
+                                      rng.integers(1, 5, (n_examples, n_features)))]
+    return CostlyDataset.from_rational(values, [Fraction(1)] * n_examples)
+
+
 def test_probe_block_matches_per_column_probe_rows():
+    # reference: one metered probe(e, f) per cell, on bool and rational data
     rows, features = np.array([3, 0, 2]), [4, 1, 2]
-    block_ds, column_ds = small_bool(5, 6), small_bool(5, 6)
-    block_ds.probe(0, 1)
-    column_ds.probe(0, 1)
-    block = block_ds.probe_block(rows, features)
-    for j, feature in enumerate(features):
-        assert block[:, j].tolist() == column_ds.probe_rows(rows, feature).tolist()
-    assert block.shape == (3, 3)
-    assert (block_ds.ledger._mask == column_ds.ledger._mask).all()
-    assert block_ds.ledger.total_probes == 9  # (0, 1) was already read
+    for make in (small_bool, small_rational):
+        block_ds, column_ds, cell_ds = make(5, 6), make(5, 6), make(5, 6)
+        for ds in (block_ds, column_ds, cell_ds):
+            ds.probe(0, 1)
+        block = block_ds.probe_block(rows, features)
+        assert block.shape == (3, 3)
+        for j, feature in enumerate(features):
+            cells = [float(cell_ds.probe(int(e), feature)) for e in rows]
+            assert block[:, j].tolist() == cells
+            assert column_ds.probe_rows(rows, feature).tolist() == cells
+        assert (block_ds.ledger._mask == cell_ds.ledger._mask).all()
+        assert (column_ds.ledger._mask == cell_ds.ledger._mask).all()
+        assert block_ds.ledger.total_probes == 9  # (0, 1) was already read
 
 
 @pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])

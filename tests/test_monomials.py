@@ -193,6 +193,23 @@ def test_rep_solve_and_combine():
     assert not rep.contains(vec(0, 0, 5))
 
 
+def test_rep_lift():
+    rep = RepresentationMatrix(3)
+    rep.insert(vec(2, 1, 0))
+    rep.insert(vec(0, 1, 1))
+    assert rep.rows() == [0, 1]
+    # natural: f1 + 2 f2, degree 7; numpy ints on the row set are accepted
+    g, reason = rep.lift([np.int64(2), np.int64(3)], 7)
+    assert reason is None
+    assert g.dtype == np.int64 and g.tolist() == [2, 3, 2]
+    # non-natural: w = (1/2, 1/2) lifts to (1, 1, 1/2)
+    assert rep.lift([1, 1], 7) == (None, "non-natural-combination")
+    # negative: w = (1, -1) lifts to (2, 0, -1)
+    assert rep.lift([2, 0], 7) == (None, "non-natural-combination")
+    # over degree: the natural lift (2, 3, 2) has degree 7 > 6
+    assert rep.lift([2, 3], 6) == (None, "degree")
+
+
 def test_rep_contains_on_empty():
     rep = RepresentationMatrix(3)
     assert rep.contains(vec(0, 0, 0))

@@ -296,7 +296,7 @@ def test_sampled_oracle_tracks_exact():
 def test_sampled_positivity_threshold_and_floor():
     basis = build_orthogonal_basis(DIST, 1)
     ds = sampled_ds(np.random.default_rng(42), Polynomial(1), 10, 1)
-    oracle = SampledCorrelation(ds, basis, tau=1e-6, coeff_floor=1e-3)
+    oracle = SampledCorrelation(ds, basis, tau=1e-6)
     assert oracle.positive(1e-5)
     assert not oracle.positive(5e-7)
     assert not oracle.positive(-1.0)

@@ -310,7 +310,7 @@ def test_grid_dataset_stores_int64_numerators():
     dist = ProductDistribution()
     m = dist.m_grid
     terms = {((0, 2), (2, 1)): Fraction(-3, 4)}
-    ds = _grid_dataset(np.random.default_rng(5), dist, 4, 3, terms)
+    ds = _grid_dataset(np.random.default_rng(5), 4, 3, terms)
     idx = np.random.default_rng(5).integers(0, m + 1, size=(4, 3))
     assert ds._values.dtype == np.int64
     for e in range(4):

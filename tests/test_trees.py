@@ -173,8 +173,11 @@ def test_induce_exhausted_mapping():
 
 def test_conflict_agrees_with_direct_comparison():
     # conflict(g,w,u,f) must equal "some internal position on w->u where the
-    # superimposed f is internal too and the variables differ" -- checked here
-    # by sliding f down g by hand.
+    # superimposed f is internal too and the variables differ" (with w == u
+    # nothing is compared), and induce(g,w,u,f) must be the variable of f's
+    # node at u, or None when the slide runs off f or lands on a leaf/empty
+    # node -- checked here by sliding f down g by hand, for frontier and
+    # internal u alike.
     rng = np.random.default_rng(0)
 
     def random_tree(depth, pool):
@@ -185,30 +188,45 @@ def test_conflict_agrees_with_direct_comparison():
         rest = [v for v in pool if v != var]
         return I(var, random_tree(depth - 1, rest), random_tree(depth - 1, rest))
 
-    checked = 0
-    for _ in range(300):
+    def node_paths(tree, path=()):
+        yield path
+        if tree.kind == "internal":
+            yield from node_paths(tree.left, path + (0,))
+            yield from node_paths(tree.right, path + (1,))
+
+    seen = {"w == u": 0, "internal u": 0, "clash": 0, "induced": 0,
+            "ran off": 0, "clash then ran off": 0}
+    for _ in range(600):
         g = random_tree(3, list(range(6)))
         f = random_tree(3, list(range(6)))
-        leaves = g.frontier_paths()
-        if g.kind != "internal" or not leaves:
+        if g.kind != "internal":
             continue
-        u = leaves[int(rng.integers(len(leaves)))]
+        paths = list(node_paths(g))
+        u = paths[int(rng.integers(len(paths)))]
         w = u[: int(rng.integers(len(u) + 1))]
-        expected = False
+        rel = u[len(w):]
+        clash, var, ran_off = False, None, False
         gnode, fnode = g.node_at(w), f
-        for step in u[len(w):] + (None,):
+        for j in range(len(rel) + 1):
             if fnode.kind != "internal":
+                ran_off = j < len(rel)
                 break
-            if gnode.kind == "internal" and gnode.var != fnode.var:
-                expected = True
+            if rel and gnode.kind == "internal" and gnode.var != fnode.var:
+                clash = True
+            if j == len(rel):
+                var = fnode.var
                 break
-            if step is None or gnode.kind != "internal":
-                break
-            gnode = gnode.right if step else gnode.left
-            fnode = fnode.right if step else fnode.left
-        assert conflict(g, w, u, f) == expected
-        checked += 1
-    assert checked > 100
+            gnode = gnode.right if rel[j] else gnode.left
+            fnode = fnode.right if rel[j] else fnode.left
+        assert conflict(g, w, u, f) is clash
+        assert induce(g, w, u, f) == var
+        seen["w == u"] += w == u
+        seen["internal u"] += g.node_at(u).kind == "internal"
+        seen["clash"] += clash
+        seen["induced"] += var is not None
+        seen["ran off"] += ran_off
+        seen["clash then ran off"] += clash and ran_off
+    assert all(n > 10 for n in seen.values()), seen
 
 
 # -- gain functions ---------------------------------------------------------
