@@ -40,8 +40,7 @@ from .streams import (GameResult, StreamSpec, adversary_r_min,
 from .tree_learners import (LfdResult, bootstrap_count, improve_rep_anchor,
                             improve_rep_list, improve_rep_overcomplete,
                             improve_rep_tree, learn_tree_scratch, lfd_tree,
-                            naive_lfd_seen_features,
-                            per_example_probe_bound_check)
+                            naive_lfd_seen_features)
 from .trees import (InfoGain, TeacherGain, Tree, affix, binary_entropy,
                     conflict, induce, info_gain, label_leaf, member_of_dt,
                     path_repeats_var)

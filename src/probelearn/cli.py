@@ -9,7 +9,8 @@ All randomness flows from the config seed (or --seed-override); reports
 carry no timestamps, so the same config and seed produce byte-identical
 CSV/JSON.  Exit codes: 0 success; 1 strict-mode violation, or a learner or
 generator failure (realizability, model violation, exhausted generator,
-oracle misuse); 2 usage error, an unknown key in any config block included.
+oracle misuse); 2 usage error, such as an unknown key in any config block,
+--jobs below 1, or a "trials" that is not an integer >= 1.
 Internal errors are bugs and stay tracebacks.
 
 Config JSON (run/sweep):
@@ -100,6 +101,13 @@ def _reject_unknown(block, allowed, what: str) -> None:
 def _check_run_config(config: dict) -> None:
     _reject_unknown(config, RUN_KEYS, "config")
     _reject_unknown(config.get("protocol", {}), PROTOCOL_KEYS, "protocol")
+
+
+def _trial_count(block: dict, default: int) -> int:
+    trials = block.get("trials", default)
+    if type(trials) is not int or trials < 1:
+        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
+    return trials
 
 
 def build_spec(cfg: dict) -> StreamSpec:
@@ -200,10 +208,7 @@ def _write_json(path: Path, doc) -> None:
 
 def cmd_run(config: dict, out: Path, jobs: int, strict: bool) -> int:
     _check_run_config(config)
-    trials = int(config.get("trials", 1))
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    results = _execute_trials(config, trials, jobs)
+    results = _execute_trials(config, _trial_count(config, 1), jobs)
     rows = [row for res in results for row in res["rows"]]
     _write_csv(out / "report.csv", ROW_FIELDS, rows)
     summaries = [res["summary"] for res in results]
@@ -253,7 +258,7 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool,
             cfg["protocol"]["slack"] = value
         spec = build_spec(cfg["stream"])
         kind = cfg["protocol"].get("kind", "plain")
-        results = _execute_trials(cfg, int(cfg.get("trials", 1)), jobs)
+        results = _execute_trials(cfg, _trial_count(cfg, 1), jobs)
         env = sweep_envelope(kind, spec, cfg["protocol"].get("r", spec.r))
         for res in results:
             s = res["summary"]
@@ -285,7 +290,7 @@ def cmd_adversary(config: dict, out: Path, jobs: int, strict: bool) -> int:
         _reject_unknown(regime, REGIME_KEYS, "regime")
     n_prime = int(game.get("n_prime", 100))
     budgets = game.get("budgets", [0, n_prime // 4, n_prime // 2, n_prime])
-    trials = int(game.get("trials", 1000))
+    trials = _trial_count(game, 1000)
     s = int(game.get("s", 1))
     learners = game.get("learners", ["scan", "uniform"])
     rows = []
@@ -361,6 +366,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         config = load_config(args.config)
         if args.seed_override is not None:
             if "stream" in config or args.command in ("run", "sweep"):

@@ -152,8 +152,10 @@ class CostlyDataset:
         per fresh cell).
 
         Rational cells come back as float64 numerator / denominator."""
-        for feature in features:
-            self._check(0, feature)
+        if len(features) and (min(features) < 0
+                              or max(features) >= self.n_features):
+            for feature in features:
+                self._check(0, feature)
         cols = np.asarray(features, dtype=np.intp)
         self.ledger.record_block(rows, cols)
         block = self._values[np.asarray(rows)[:, None], cols]

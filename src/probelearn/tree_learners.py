@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, ModelViolationError, RealizabilityError
-from .trees import EMPTY, INTERNAL, LEAF, PLUS, Tree, conflict, induce
+from .trees import INTERNAL, LEAF, PLUS, Tree
+# Not called here: perfbench/tracing.py wraps these names in this module.
+from .trees import conflict, induce  # noqa: F401
 
 LEARNED = "learned"
 FAILED = "failed"
@@ -145,34 +147,35 @@ def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
     """Grow a tree using only features the stored fragments can induce.
 
     At each mixed node u, every fragment f in rep is superimposed at every
-    node w on the root path (including u itself); conflict-free placements
-    contribute their induced variable to the candidate set I, ancestors'
-    variables are removed, and only I is probed on the examples reaching u.
-    Fails when the depth/size caps break or no candidate remains.
+    node w on the root path (including u itself); every placement that
+    `conflict` passes and `induce` maps onto an internal node of f adds that
+    node's variable to the candidate set I, ancestors' variables are
+    removed, and only I is probed on the examples reaching u.  Fails when
+    the depth/size caps break or no candidate remains.
+
+    The placements are advanced, not recomputed: `live[path]` holds the
+    internal f-nodes that the placements alive at that node land on.  A
+    child keeps those of its parent whose variable is the parent's split,
+    steps each one toward itself, drops the ones that run off f, and adds
+    every internal fragment root (the placements at w = u).  The node being
+    grown is still empty, so nothing at u itself can clash.
     """
+    roots = [f for f in rep if f.kind == INTERNAL]
+    live = {}
+
     def induced(root, path):
-        found = set()
-        for f in rep:
-            for wlen in range(len(path) + 1):
-                w = path[:wlen]
-                if conflict(root, w, path, f):
-                    continue
-                var = induce(root, w, path, f)
-                if var is not None:
-                    found.add(var)
-        return sorted(found - root.path_vars(path))
+        here = list(roots)
+        if path:
+            var, step = root.node_at(path[:-1]).var, path[-1]
+            for fnode in live[path[:-1]]:
+                if fnode.var == var:
+                    child = fnode.right if step else fnode.left
+                    if child.kind == INTERNAL:
+                        here.append(child)
+        live[path] = here
+        return sorted({fnode.var for fnode in here} - root.path_vars(path))
 
     return _grow(ds, gain, d, s, induced, depth_first=False)
-
-
-def per_example_probe_bound_check(ledger, rep_size: int, d: int):
-    """Check the per-example probe bound 2|F~| + 2d for one LFD task.
-
-    Returns (ok, observed_max, bound).
-    """
-    bound = 2 * rep_size + 2 * d
-    observed = ledger.per_example_max()
-    return observed <= bound, observed, bound
 
 
 # -- failure analysis shared by the ImproveRep variants ---------------------

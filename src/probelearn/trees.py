@@ -10,8 +10,10 @@ stored fragment f at a node w of a partially grown tree and slide it down the
 path toward the node u being grown.  `conflict` says whether any variable
 already assigned on that path disagrees with f; `induce` reads off which
 variable f predicts at u; both read one walk down g, `_slide`.  Together
-they produce the small candidate sets that make dictionary-based learning
-probe-cheap.
+they define one placement and the small candidate sets that make
+dictionary-based learning probe-cheap.  `lfd_tree` does not call them per
+placement: it keeps the placements still alive at each grown node and
+advances them from parent to child, which yields the same sets.
 """
 
 from __future__ import annotations

@@ -91,6 +91,26 @@ def test_usage_errors_exit_2(tmp_path):
                  "--axis", "q", "--values", "1,2"]) == 2
     assert main(["sweep", "--config", good, "--out", str(tmp_path / "o5"),
                  "--axis", "m", "--values", ""]) == 2
+    game = {"game": {"n_prime": 10, "budgets": [5], "trials": 5,
+                     "learners": ["scan"]}}
+    adversary = write_config(tmp_path, game, "a.json")
+    for jobs in ("0", "-2"):
+        for args in (["run", "--config", good],
+                     ["sweep", "--config", good, "--axis", "m",
+                      "--values", "4"],
+                     ["adversary", "--config", adversary]):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([*args, "--out", str(out), "--jobs", jobs]) == 2
+            assert not out.exists()
+    for trials in (1.5, True, "2", 0):
+        bad = write_config(tmp_path, dict(TREE_CONFIG, trials=trials), "n.json")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "o7")]) == 2
+        assert main(["sweep", "--config", bad, "--out", str(tmp_path / "o8"),
+                     "--axis", "m", "--values", "4"]) == 2
+        bad_game = {"game": dict(game["game"], trials=trials)}
+        assert main(["adversary", "--config",
+                     write_config(tmp_path, bad_game, "n.json"),
+                     "--out", str(tmp_path / "o9")]) == 2
 
 
 GAME = {"n_prime": 10, "budgets": [5], "trials": 5, "s": 1,

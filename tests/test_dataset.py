@@ -101,6 +101,17 @@ def test_probe_block_out_of_range_feature(features):
     assert ds.ledger.total_probes == 0
 
 
+@pytest.mark.parametrize("features, offender", [
+    ([1, 5, -1], 5), ([0, -2, 9], -2), (np.array([2, 0, 4]), 4)])
+def test_probe_block_names_first_offending_feature(features, offender):
+    ds = small_bool(2, 3)
+    with pytest.raises(UsageError, match=rf"^feature {offender} out of range$"):
+        ds.probe_block(np.array([0, 1]), features)
+    assert ds.ledger.total_probes == 0
+    assert ds.probe_block(np.array([0, 1]), np.array([2, 0])).shape == (2, 2)
+    assert ds.probe_block(np.array([0, 1]), []).shape == (2, 0)
+
+
 def test_labels_and_peeks_are_free():
     ds = small_bool(3, 4)
     ds.label(0)

@@ -7,13 +7,12 @@ import pytest
 
 from probelearn import (CostlyDataset, InfoGain, InternalError,
                         ModelViolationError, RealizabilityError, StreamSpec,
-                        TeacherGain, Tree, bootstrap_count, fill_labels,
-                        gen_tree_stream, improve_rep_anchor, improve_rep_list,
-                        improve_rep_overcomplete, improve_rep_tree,
-                        leaf_cover_dataset, learn_tree_scratch, lfd_tree,
-                        naive_lfd_seen_features,
-                        per_example_probe_bound_check, sample_fragment,
-                        tree_learners, tree_vars)
+                        TeacherGain, Tree, bootstrap_count, conflict,
+                        fill_labels, gen_tree_stream, improve_rep_anchor,
+                        improve_rep_list, improve_rep_overcomplete,
+                        improve_rep_tree, induce, leaf_cover_dataset,
+                        learn_tree_scratch, lfd_tree, naive_lfd_seen_features,
+                        sample_fragment, tree_learners, tree_vars)
 from probelearn.tree_learners import LfdResult
 
 E = Tree.empty
@@ -27,6 +26,16 @@ def stump(var):
 
 def covering_ds(rng, target, n_features, sample_size=8):
     return leaf_cover_dataset(rng, target, n_features, sample_size)
+
+
+def per_example_probe_bound_check(ledger, rep_size: int, d: int):
+    """Check the per-example probe bound 2|F~| + 2d for one LFD task.
+
+    Returns (ok, observed_max, bound).
+    """
+    bound = 2 * rep_size + 2 * d
+    observed = ledger.per_example_max()
+    return observed <= bound, observed, bound
 
 
 # -- scratch ---------------------------------------------------------------
@@ -306,6 +315,106 @@ def test_block_split_matches_per_candidate_probes(monkeypatch, grower,
         outcomes.add(block[0][0] if isinstance(block[0], tuple) else "scratch")
     if grower != "scratch":
         assert outcomes == {"learned", "failed"}
+
+
+# -- incremental superimposition --------------------------------------------
+
+
+def reference_candidates(rep):
+    """The placement-by-placement candidate sets `lfd_tree` advances node to
+    node: every fragment at every node w on u's root path, through
+    `conflict` and `induce`."""
+    def induced(root, path):
+        found = set()
+        for f in rep:
+            for wlen in range(len(path) + 1):
+                w = path[:wlen]
+                if not conflict(root, w, path, f):
+                    var = induce(root, w, path, f)
+                    if var is not None:
+                        found.add(var)
+        return sorted(found - root.path_vars(path))
+    return induced
+
+
+def scrambled(rng, tree, pool):
+    """A copy of `tree` with every variable redrawn from `pool`: variables
+    may repeat on a path and reuse the ones above a placement."""
+    if tree.kind != "internal":
+        return tree.copy()
+    return I(int(rng.choice(pool)), scrambled(rng, tree.left, pool),
+             scrambled(rng, tree.right, pool))
+
+
+def superimposition_reps(rng, task, dictionary):
+    """Representations for one task: part of the dictionary, labelled
+    subtrees of the target (fragments with leaves), mirrored copies, bare
+    leaf/empty fragments, and fragments over the target's own variables."""
+    pool = sorted(tree_vars(task.target) or {0})
+    subtrees, stack = [], [task.target]
+    while stack:
+        node = stack.pop()
+        if node.kind == "internal":
+            subtrees.append(node)
+            stack.extend((node.left, node.right))
+
+    def mirror(t):
+        return I(t.var, mirror(t.right), mirror(t.left)) \
+            if t.kind == "internal" else t.copy()
+
+    part = [dictionary[i] for i in sorted(rng.choice(
+        len(dictionary), size=max(1, len(dictionary) // 2), replace=False))]
+    picked = [subtrees[i].copy() for i in rng.permutation(len(subtrees))[:3]]
+    return [
+        list(dictionary),
+        part,
+        part + picked + [L(True), E()],
+        [mirror(t) for t in picked] + [scrambled(rng, t, pool) for t in part],
+        [scrambled(rng, task.target, pool) for _ in range(3)],
+    ]
+
+
+SUPERIMPOSITION_STREAMS = [
+    dict(family="tree", n_features=14, k=3, mf_depth=3),
+    dict(family="list", n_features=14, k=3, mf_depth=3),
+    dict(family="anchor", n_features=14, k=3, mf_depth=2),
+    dict(family="overcomplete", n_features=14, k=4, mf_depth=2, k1=2, k2=2),
+]
+
+
+@pytest.mark.parametrize("kw", SUPERIMPOSITION_STREAMS,
+                         ids=lambda kw: kw["family"])
+def test_lfd_candidates_match_placement_reference(kw):
+    outcomes = set()
+    for seed in range(3):
+        spec = StreamSpec(d=5, s=11, m=6, sample_size=8, seed=seed,
+                          **kw).validate()
+        tasks, dictionary = gen_tree_stream(spec)
+        rng = np.random.default_rng(seed)
+        for task in tasks:
+            for rep in superimposition_reps(rng, task, dictionary):
+                for d, s in ((2, 2), (3, 4), (5, 11)):
+                    for gain_kind in ("teacher", "info"):
+                        runs = []
+                        for grower in ("lfd", "reference"):
+                            ds = CostlyDataset.from_bool(task.ds.peek_all(),
+                                                         task.ds.labels)
+                            gain = (TeacherGain(task.target)
+                                    if gain_kind == "teacher" else InfoGain())
+                            if grower == "lfd":
+                                res = lfd_tree(ds, rep, gain, d, s)
+                            else:
+                                res = tree_learners._grow(
+                                    ds, gain, d, s, reference_candidates(rep),
+                                    depth_first=False)
+                            runs.append(((res.outcome, res.tree.key(),
+                                          res.failed_path, res.reason),
+                                         ds.ledger._mask))
+                        (got, got_mask), (want, want_mask) = runs
+                        assert got == want, (rep, d, s, gain_kind)
+                        assert (got_mask == want_mask).all()
+                        outcomes.add(got[0] if got[0] == "learned" else got[3])
+    assert outcomes == {"learned", "depth", "size", "no-candidate"}
 
 
 # -- baseline and bootstrap -------------------------------------------------
