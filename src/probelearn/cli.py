@@ -10,8 +10,11 @@ carry no timestamps, so the same config and seed produce byte-identical
 CSV/JSON.  Exit codes: 0 success; 1 strict-mode violation, or a learner or
 generator failure (realizability, model violation, exhausted generator,
 oracle misuse); 2 usage error, such as an unknown key in any config block,
---jobs below 1, or a "trials" that is not an integer >= 1.
-Internal errors are bugs and stay tracebacks.
+--jobs below 1, a "trials" that is not an integer >= 1, a --values entry
+or an integer field ("slack", the adversary seed, game and regime numbers)
+that is not an integer in range.  Internal errors are bugs and stay
+tracebacks.  --jobs N spreads trials (run, sweep) or (learner, budget) game
+cells (adversary) over N processes; reports do not depend on N.
 
 Config JSON (run/sweep):
   {
@@ -41,6 +44,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,10 @@ PROTOCOL_KEYS = ("kind", "gain", "improver", "k_cap", "r", "slack",
 ADVERSARY_KEYS = ("seed", "game", "regime")
 GAME_KEYS = ("n_prime", "budgets", "trials", "s", "learners")
 REGIME_KEYS = ("name", "n_features", "k", "m", "r", "sample_size")
+# (key, default, least value) of the adversary blocks' integer fields
+GAME_INTS = (("n_prime", 100, 1), ("s", 1, 1))
+REGIME_INTS = (("n_features", 20, 1), ("k", 3, 1), ("m", 30, 0), ("r", 0, 0),
+               ("sample_size", 4, 1))
 
 
 def load_config(path: str) -> dict:
@@ -103,11 +111,50 @@ def _check_run_config(config: dict) -> None:
     _reject_unknown(config.get("protocol", {}), PROTOCOL_KEYS, "protocol")
 
 
+def _int_field(block: dict, key: str, default: int, low: int) -> int:
+    value = block.get(key, default)
+    if type(value) is not int or value < low:
+        raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _trial_count(block: dict, default: int) -> int:
-    trials = block.get("trials", default)
-    if type(trials) is not int or trials < 1:
-        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
-    return trials
+    return _int_field(block, "trials", default, 1)
+
+
+def _object(block) -> dict:
+    """`block` if it is a JSON object, else {} (its shape is reported later,
+    with the unknown-key checks)."""
+    return block if isinstance(block, dict) else {}
+
+
+def _check_numbers(command: str, config: dict) -> None:
+    """Type-check the integer config fields that are read without a check
+    later, before any output is written."""
+    if command != "adversary":
+        _int_field(_object(config.get("protocol", {})), "slack", 0, 0)
+        return
+    _int_field(config, "seed", 0, 0)
+    game = _object(config.get("game", {}))
+    for key, default, low in GAME_INTS:
+        _int_field(game, key, default, low)
+    budgets = game.get("budgets", [])
+    if not isinstance(budgets, list):
+        raise UsageError(f"budgets must be a list, got {budgets!r}")
+    for budget in budgets:
+        if type(budget) is not int or budget < 0:
+            raise UsageError(f"budgets must be integers >= 0, got {budget!r}")
+    regime = _object(config.get("regime") or {})
+    for key, default, low in REGIME_INTS:
+        _int_field(regime, key, default, low)
+
+
+def _sweep_values(text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise UsageError(f"sweep values must be comma-separated integers, "
+                         f"got {text!r}") from exc
 
 
 def build_spec(cfg: dict) -> StreamSpec:
@@ -149,7 +196,7 @@ def run_trial(config: dict, trial: int) -> dict:
         run = run_protocol(family, tasks)
     elif kind in ("restart", "combined"):
         if "slack" in proto:  # explicit slack (the sweep's c axis) wins
-            slack = int(proto["slack"])
+            slack = proto["slack"]
         elif kind == "combined":
             slack = combined_slack(proto.get("r", spec.r), k_cap,
                                    spec.n_features, len(tasks))
@@ -185,12 +232,19 @@ def len_dictionary(spec: StreamSpec) -> int:
     return spec.k
 
 
-def _execute_trials(config: dict, trials: int, jobs: int):
+def _call_all(fn, calls, jobs: int) -> list:
+    """[fn(*args) for args in calls], in `jobs` worker processes when
+    jobs > 1; results come back in call order either way."""
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_trial, config, t) for t in range(trials)]
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=get_context("spawn")) as pool:
+            futures = [pool.submit(fn, *args) for args in calls]
             return [f.result() for f in futures]  # deterministic fold order
-    return [run_trial(config, t) for t in range(trials)]
+    return [fn(*args) for args in calls]
+
+
+def _execute_trials(config: dict, trials: int, jobs: int):
+    return _call_all(run_trial, [(config, t) for t in range(trials)], jobs)
 
 
 def _write_csv(path: Path, fields, rows) -> None:
@@ -280,46 +334,51 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool,
     return 1 if strict and bad else 0
 
 
+def _game_failures(seed: int, n_prime: int, budget: int, trials: int,
+                   s: int, learner: str) -> int:
+    """Lost games of one (learner, budget) cell; game t seeds its own RNG
+    with (seed, t, budget)."""
+    failures = 0
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t, budget))
+        if not play_single_feature_game(rng, n_prime, budget,
+                                        s=s, learner=learner).win:
+            failures += 1
+    return failures
+
+
 def cmd_adversary(config: dict, out: Path, jobs: int, strict: bool) -> int:
     _reject_unknown(config, ADVERSARY_KEYS, "adversary config")
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
     game = config.get("game", {})
     _reject_unknown(game, GAME_KEYS, "game")
     regime = config.get("regime")
     if regime:
         _reject_unknown(regime, REGIME_KEYS, "regime")
-    n_prime = int(game.get("n_prime", 100))
+    n_prime, s = (game.get(key, default) for key, default, _ in GAME_INTS)
     budgets = game.get("budgets", [0, n_prime // 4, n_prime // 2, n_prime])
     trials = _trial_count(game, 1000)
-    s = int(game.get("s", 1))
     learners = game.get("learners", ["scan", "uniform"])
+    cells = [(seed, n_prime, budget, trials, s, learner)
+             for learner in learners for budget in budgets]
+    failures = _call_all(_game_failures, cells, jobs)
     rows = []
-    for learner in learners:
-        for budget in budgets:
-            failures = 0
-            for t in range(trials):
-                rng = np.random.default_rng((seed, t, budget))
-                if not play_single_feature_game(rng, n_prime, int(budget),
-                                                s=s, learner=learner).win:
-                    failures += 1
-            rate = failures / trials
-            ci = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
-            rows.append({
-                "schema_version": SCHEMA_VERSION, "n_prime": n_prime,
-                "budget": int(budget), "learner": learner, "trials": trials,
-                "failures": failures, "failure_rate": rate,
-                "bound": game_failure_bound(n_prime, int(budget)), "ci95": ci,
-            })
+    for (_, _, budget, _, _, learner), lost in zip(cells, failures):
+        rate = lost / trials
+        ci = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
+        rows.append({
+            "schema_version": SCHEMA_VERSION, "n_prime": n_prime,
+            "budget": budget, "learner": learner, "trials": trials,
+            "failures": lost, "failure_rate": rate,
+            "bound": game_failure_bound(n_prime, budget), "ci95": ci,
+        })
     _write_csv(out / "adversary.csv", GAME_FIELDS, rows)
 
     regime_rows = []
     if regime:
         name = regime.get("name", "realizable")
-        n = int(regime.get("n_features", 20))
-        k = int(regime.get("k", 3))
-        m = int(regime.get("m", 30))
-        r = int(regime.get("r", 0))
-        size = int(regime.get("sample_size", 4))
+        n, k, m, r, size = (regime.get(key, default)
+                            for key, default, _ in REGIME_INTS)
         tasks, _ = gen_adversary_stream(name, n, k, m, r, seed,
                                         sample_size=size)
         family = TreeFamily(d=1, s=1, gain="teacher", improver="tree")
@@ -354,7 +413,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="probelearn-out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel trials")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (trials, or game cells)")
         p.add_argument("--strict", action="store_true",
                        help="exit 1 on any per-example bound violation")
         p.add_argument("--seed-override", type=int, default=None,
@@ -373,12 +433,14 @@ def main(argv=None) -> int:
             if "stream" in config or args.command in ("run", "sweep"):
                 config.setdefault("stream", {})["seed"] = args.seed_override
             config["seed"] = args.seed_override
+        _check_numbers(args.command, config)
+        if args.command == "sweep":
+            values = _sweep_values(args.values)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             return cmd_run(config, out, args.jobs, args.strict)
         if args.command == "sweep":
-            values = [int(v) for v in args.values.split(",") if v != ""]
             return cmd_sweep(config, out, args.jobs, args.strict,
                              args.axis, values)
         return cmd_adversary(config, out, args.jobs, args.strict)

@@ -113,7 +113,8 @@ class CostlyDataset:
             values = np.asarray(values, dtype=np.int64)
         if not 0 < denominator <= _INT64_MAX:
             raise UsageError("rational denominator must lie in [1, 2^63)")
-        ds = cls(RATIONAL, values, [Fraction(v) for v in labels])
+        labels = [v if isinstance(v, Fraction) else Fraction(v) for v in labels]
+        ds = cls(RATIONAL, values, labels)
         ds._den = denominator
         return ds
 

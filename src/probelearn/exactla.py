@@ -4,7 +4,10 @@ Small dense systems only (dictionary sizes are single digits), so plain
 row-echelon over Python Fractions is both exact and fast.  Pivoting is by
 lowest row index — the conventions here fix which feature rows the learners
 probe, so they are part of the observable behavior, not a numerical detail.
-A square system A x = b is solved as `mat_vec(invert(A), b)`.
+A square system A x = b is solved as `mat_vec(invert(A), b)`.  The learners'
+hot path does not call `mat_vec`: `RepresentationMatrix` turns `invert`'s
+result into integer rows over one denominator once per representation
+change, and lifts with Python-int mat-vecs (see monomials.py).
 """
 
 from __future__ import annotations

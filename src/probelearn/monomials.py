@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -139,15 +140,25 @@ def learn_monomial_scratch(ds, dist, d: int, mode: str,
 class RepresentationMatrix:
     """Past targets as columns; always kept linearly independent.
 
-    Caches the greedy lowest-index independent row set I and the exact
-    inverse of the square submatrix on I, which is what LFD probes & solves.
+    Caches, once per change of the columns, the greedy lowest-index
+    independent row set I, the exact inverse of the square submatrix F[I]
+    (Fractions, for `solve`), and the integer forms that `lift` and
+    `contains` run on: the inverse as integer rows `adj` over one positive
+    denominator `den` (the LCM of its entries' denominators, so F[I]^-1 =
+    adj / den), and F itself as integer rows.  A lift is then two Python-int
+    mat-vecs, den * F w = F (adj g[I]), whose entries are natural iff each is
+    >= 0 and divisible by den.
     """
 
     def __init__(self, n_features: int):
         self.n_features = n_features
         self.columns = []  # np.int64 exponent vectors
+        self._reset()
+
+    def _reset(self) -> None:
         self._rows = None
         self._inv = None
+        self._snapshot = None
 
     @property
     def k(self) -> int:
@@ -160,10 +171,22 @@ class RepresentationMatrix:
 
     def _inverse(self) -> list:
         if self._inv is None:
-            idx = self.rows()
-            square = [[int(col[r]) for col in self.columns] for r in idx]
-            self._inv = invert(square)
+            f_rows = [[int(col[r]) for col in self.columns]
+                      for r in range(self.n_features)]
+            inv = invert([f_rows[r] for r in self.rows()])
+            self._den = math.lcm(*(v.denominator for row in inv for v in row))
+            self._adj = [[v.numerator * (self._den // v.denominator) for v in row]
+                         for row in inv]
+            self._f_rows = f_rows
+            self._inv = inv
         return self._inv
+
+    def _scaled_lift(self, g_restricted) -> list:
+        """den * F w for the w with F[I] w = g[I], in Python ints."""
+        self._inverse()
+        g_i = [int(v) for v in g_restricted]
+        w = [sum(map(mul, row, g_i)) for row in self._adj]
+        return [sum(map(mul, row, w)) for row in self._f_rows]
 
     def solve(self, g_restricted) -> list:
         """w with F[I] w = g[I], exact Fractions."""
@@ -183,17 +206,19 @@ class RepresentationMatrix:
         """F w for the w that matches `g_restricted` on the row set I, as
         (g, None) when natural of degree <= d, else (None, reason) with reason
         "non-natural-combination" or "degree"."""
-        full = self.combine(self.solve(g_restricted))
-        if any(v.denominator != 1 or v < 0 for v in full):
+        scaled = self._scaled_lift(g_restricted)
+        den = self._den
+        if any(v < 0 or v % den for v in scaled):
             return None, "non-natural-combination"
-        g = np.array([int(v) for v in full], dtype=np.int64)
+        g = np.array([v // den for v in scaled], dtype=np.int64)
         return (g, None) if degree(g) <= d else (None, "degree")
 
     def contains(self, g) -> bool:
         if self.k == 0:
             return not np.any(np.asarray(g))
-        full = self.combine(self.solve([g[r] for r in self.rows()]))
-        return all(full[r] == int(g[r]) for r in range(self.n_features))
+        scaled = self._scaled_lift([g[r] for r in self.rows()])
+        den = self._den
+        return all(v == int(x) * den for v, x in zip(scaled, g))
 
     def insert(self, g) -> None:
         g = np.asarray(g, dtype=np.int64)
@@ -202,8 +227,14 @@ class RepresentationMatrix:
         if self.contains(g):
             raise InternalError("column already spanned: verification false-pass")
         self.columns.append(g.copy())
-        self._rows = None
-        self._inv = None
+        self._reset()
+
+    def snapshot(self) -> tuple:
+        """The columns as a tuple of int tuples, cached until the next insert."""
+        if self._snapshot is None:
+            self._snapshot = tuple(tuple(int(v) for v in col)
+                                   for col in self.columns)
+        return self._snapshot
 
 
 @dataclass
@@ -258,13 +289,3 @@ def improve_rep_monomial(rep: RepresentationMatrix, g) -> int:
     rep.insert(g)
     return 1
 
-
-def naive_lfd_seen_monomial(ds, seen, dist, d: int, mode: str,
-                            target=None, sampled: SampledConfig = None) -> MonomialResult:
-    """Baseline: estimate only previously seen features, assume 0 elsewhere."""
-    g = np.zeros(ds.n_features, dtype=np.int64)
-    for i in sorted(seen):
-        g[i] = estimate_power(ds, i, dist, mode, d, target, sampled)
-    if (g < 0).any() or degree(g) > d:
-        return MonomialResult(FAILED, reason="degree")
-    return _verify(ds, g)

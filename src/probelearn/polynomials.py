@@ -23,6 +23,7 @@ and every quantity stays rational.  Detection-test signs are unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,7 +176,13 @@ def _square_terms(terms: dict) -> dict:
 
 
 class OrthogonalBasis:
-    """Monic orthogonal polynomials H_0..H_{max_degree} for one marginal."""
+    """Monic orthogonal polynomials H_0..H_{max_degree} for one marginal.
+
+    `power_table` holds every E[H_k(x) x^e] (row k = 0: the moments E[x^e])
+    as Python ints over one common scale, the LCM of their denominators.  It
+    is built once per basis, not once per correlation oracle, and rebuilt
+    wider only when a power e beyond the table is asked for.
+    """
 
     def __init__(self, dist, max_degree: int):
         self.dist = dist
@@ -183,6 +190,7 @@ class OrthogonalBasis:
         self.coeffs = []  # coeffs[k][j]: coefficient of x^j in H_k, monic
         self.norms = []   # E[H_k^2]
         self._cross = {}
+        self._table = None
         for k in range(max_degree + 1):
             vec = [Fraction(0)] * (k + 1)
             vec[k] = Fraction(1)
@@ -207,6 +215,18 @@ class OrthogonalBasis:
             self._cross[(k, e)] = self._power_inner(e, k)
         return self._cross[(k, e)]
 
+    def power_table(self, top: int):
+        """(scale, rows) with rows[k][e] = scale * E[H_k(x) x^e], an int, for
+        k <= max_degree and e <= max(top, max_degree)."""
+        if self._table is None or len(self._table[1][0]) <= top:
+            powers = range(max(top, self.max_degree) + 1)
+            values = [[self.inner_with_power(k, e) for e in powers]
+                      for k in range(self.max_degree + 1)]
+            scale = math.lcm(*(v.denominator for row in values for v in row))
+            self._table = (scale, [[v.numerator * (scale // v.denominator)
+                                    for v in row] for row in values])
+        return self._table
+
     def evaluate(self, k: int, value) -> Fraction:
         x = Fraction(value)
         return sum(coeff * x ** c for c, coeff in enumerate(self.coeffs[k]))
@@ -220,42 +240,74 @@ def build_orthogonal_basis(dist, d: int) -> OrthogonalBasis:
 # -- correlation oracles ---------------------------------------------------
 
 
+def _integer_terms(terms: dict):
+    """Rational terms as integers over their LCM: (lcm, width, top, rows),
+    rows[j] = (lcm * coeff, {var: exp}); width is the most variables in one
+    term and top the largest exponent."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    rows = [(c.numerator * (scale // c.denominator), dict(key))
+            for key, c in terms.items()]
+    width = max((len(key) for key in terms), default=0)
+    top = max((e for key in terms for _, e in key), default=0)
+    return scale, width, top, rows
+
+
 class ExactCorrelation:
-    """Population correlations computed symbolically through the target."""
+    """Population correlations computed symbolically through the target.
+
+    Each expectation is a sum over residual terms of products of per-variable
+    factors E[H_k(x_v) x_v^e], read as ints from the basis's `power_table`
+    over its scale D.  Residual coefficients are ints over their LCM L, and
+    a product with fewer than len(lhs) + width factors is padded by powers
+    of D, so every term is over L * D^(len(lhs) + width) and only the one
+    returned Fraction is reduced.
+    """
 
     sampled = False
 
     def __init__(self, target: Polynomial, dist, basis: OrthogonalBasis):
+        # every moment is read from the basis's table, so it must be dist's
+        if dist.m_grid != basis.dist.m_grid:
+            raise UsageError("the basis belongs to another distribution")
         self.target = target
-        self.dist = dist
         self.basis = basis
-        self._squares = {}  # partial's terms -> squared residual terms
+        self._squares = {}  # partial's terms -> integer squared residual
 
-    def _expectation(self, lhs: dict, terms: dict) -> Fraction:
-        total = Fraction(0)
-        for key, coeff in terms.items():
-            prod = coeff
-            exps = dict(key)
-            for var, k in lhs.items():
-                prod *= self.basis.inner_with_power(k, exps.pop(var, 0))
-                if prod == 0:
+    def _expectation(self, lhs: dict, terms) -> Fraction:
+        """E[prod_v H_{lhs[v]}(x_v) * sum(terms)], `terms` from _integer_terms."""
+        den, width, top, rows = terms
+        scale, table = self.basis.power_table(top)
+        moments = table[0]
+        factors = [(var, table[k]) for var, k in lhs.items()]
+        total = 0
+        for prod, exps in rows:
+            for var, row in factors:
+                factor = row[exps.get(var, 0)]
+                if not factor:
                     break
+                prod *= factor
             else:
-                for e in exps.values():
-                    prod *= self.dist.moment(e)
-                total += prod
-        return total
+                pad = width
+                for var, e in exps.items():
+                    if var in lhs:
+                        continue
+                    prod *= moments[e]
+                    pad -= 1
+                total += prod * scale ** pad
+        return Fraction(total, den * scale ** (len(lhs) + width))
 
     def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
         key = frozenset(partial.terms.items())
         if key not in self._squares:
-            self._squares[key] = _square_terms(_residual_terms(self.target, partial))
+            self._squares[key] = _integer_terms(
+                _square_terms(_residual_terms(self.target, partial)))
         return self._expectation(lhs, self._squares[key])
 
     def corr_lin(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)]."""
-        return self._expectation(lhs, _residual_terms(self.target, partial))
+        return self._expectation(
+            lhs, _integer_terms(_residual_terms(self.target, partial)))
 
     def positive(self, value) -> bool:
         return value > 0
@@ -440,22 +492,3 @@ def improve_rep_polynomial(rep: RepresentationMatrix, target: Polynomial) -> int
             added += 1
     return added
 
-
-def naive_lfd_seen_polynomial(ds, oracle, seen, d: int, t: int) -> PolynomialResult:
-    """Baseline: run the full extraction but only over seen variables."""
-    variables = sorted(seen)
-    for i in variables:
-        ds.probe_column(i)
-    partial = Polynomial(ds.n_features)
-    for _ in range(t):
-        if not oracle.positive(oracle.corr_sq({}, partial)):
-            break
-        exps = _extract_largest(oracle, variables, d, partial)
-        g = np.zeros(ds.n_features, dtype=np.int64)
-        for i, e in exps.items():
-            g[i] = e
-        coeff = oracle.coefficient(g, partial)
-        if coeff == 0:
-            break
-        partial.add_term(g, coeff)
-    return _verify(ds, partial)

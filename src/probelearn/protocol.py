@@ -137,7 +137,7 @@ class _MatrixFamily:
         return rep.k
 
     def rep_snapshot(self, rep):
-        return tuple(tuple(int(v) for v in col) for col in rep.columns)
+        return rep.snapshot()
 
     def absorb(self, rep, learned, task):
         return self.improve(rep, learned, None, task)

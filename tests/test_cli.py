@@ -117,6 +117,53 @@ GAME = {"n_prime": 10, "budgets": [5], "trials": 5, "s": 1,
         "learners": ["scan"]}
 REGIME = {"name": "realizable", "n_features": 10, "k": 2, "m": 8, "r": 0,
           "sample_size": 4}
+RESTART_CONFIG = dict(TREE_CONFIG, protocol={"kind": "restart", "k_cap": 2})
+NUMERIC_CASES = {
+    "budget-float": ("adversary", {"game": dict(GAME, budgets=[5.9])}, []),
+    "budget-negative": ("adversary", {"game": dict(GAME, budgets=[-1])}, []),
+    "budgets-not-a-list": ("adversary", {"game": dict(GAME, budgets=5)}, []),
+    "n_prime-float": ("adversary", {"game": dict(GAME, n_prime=10.7)}, []),
+    "n_prime-zero": ("adversary", {"game": dict(GAME, n_prime=0)}, []),
+    "s-float": ("adversary", {"game": dict(GAME, s=1.5)}, []),
+    "seed-string": ("adversary", {"seed": "3", "game": GAME}, []),
+    "regime-n_features-float": (
+        "adversary", {"game": GAME, "regime": dict(REGIME, n_features=10.5)},
+        []),
+    "regime-k-bool": ("adversary",
+                      {"game": GAME, "regime": dict(REGIME, k=True)}, []),
+    "regime-m-string": ("adversary",
+                        {"game": GAME, "regime": dict(REGIME, m="8")}, []),
+    "regime-r-negative": ("adversary",
+                          {"game": GAME, "regime": dict(REGIME, r=-1)}, []),
+    "regime-sample_size-float": (
+        "adversary", {"game": GAME, "regime": dict(REGIME, sample_size=4.0)},
+        []),
+    "run-slack-float": (
+        "run", dict(RESTART_CONFIG, protocol=dict(RESTART_CONFIG["protocol"],
+                                                  slack=1.5)), []),
+    "sweep-slack-string": (
+        "sweep", dict(RESTART_CONFIG, protocol=dict(RESTART_CONFIG["protocol"],
+                                                    slack="2")),
+        ["--axis", "m", "--values", "4"]),
+    "sweep-values-letter": ("sweep", TREE_CONFIG,
+                            ["--axis", "m", "--values", "3,x"]),
+    "sweep-values-float": ("sweep", TREE_CONFIG,
+                           ["--axis", "c", "--values", "1.5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_CASES))
+def test_numeric_fields_exit_2(tmp_path, capsys, case):
+    """Integer fields that are not integers in range are usage errors,
+    reported before the output dir is made."""
+    command, cfg, extra = NUMERIC_CASES[case]
+    out = tmp_path / "o"
+    args = [command, "--config", write_config(tmp_path, cfg),
+            "--out", str(out), *extra]
+    assert main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -263,3 +310,19 @@ def test_adversary_is_deterministic(tmp_path):
     assert main(["adversary", "--config", path, "--out", str(a)]) == 0
     assert main(["adversary", "--config", path, "--out", str(b)]) == 0
     assert (a / "adversary.csv").read_bytes() == (b / "adversary.csv").read_bytes()
+
+
+def test_adversary_reports_do_not_depend_on_jobs(tmp_path):
+    cfg = {"seed": 4,
+           "game": {"n_prime": 12, "budgets": [0, 3, 6, 12], "trials": 30,
+                    "s": 1, "learners": ["scan", "uniform", "exhaustive"]},
+           "regime": REGIME}
+    path = write_config(tmp_path, cfg)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["adversary", "--config", path, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        outs.append(out)
+    for name in ("adversary.csv", "regime.csv", "adversary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

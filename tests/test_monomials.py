@@ -12,7 +12,7 @@ from probelearn import (CostlyDataset, InternalError, OracleMisuseError,
                         VarianceUnderflowError, degree, estimate_power,
                         eval_monomial, improve_rep_monomial,
                         learn_monomial_scratch, lfd_monomial,
-                        naive_lfd_seen_monomial, sample_size_bound, support)
+                        sample_size_bound, support)
 from probelearn.monomials import monomial_from_json_obj, monomial_to_json_obj
 
 SAMPLED_CONSTANT = 2e-4  # calibrated: zero empirical rounding errors at d<=2
@@ -210,6 +210,77 @@ def test_rep_lift():
     assert rep.lift([2, 3], 6) == (None, "degree")
 
 
+def reference_lift(rep, g_restricted, d):
+    """`lift` recomputed through the exact-Fraction solve and combine."""
+    full = rep.combine(rep.solve(g_restricted))
+    if any(v.denominator != 1 or v < 0 for v in full):
+        return None, "non-natural-combination"
+    g = [int(v) for v in full]
+    return (g, None) if sum(g) <= d else (None, "degree")
+
+
+def reference_contains(rep, g):
+    full = rep.combine(rep.solve([g[r] for r in rep.rows()]))
+    return all(full[r] == int(g[r]) for r in range(rep.n_features))
+
+
+def random_rep(rng, n_features, k):
+    """A rank-k representation whose columns have entries 0..3, so that the
+    inverse of F[I] usually has denominators > 1."""
+    rep = RepresentationMatrix(n_features)
+    while rep.k < k:
+        col = np.zeros(n_features, dtype=np.int64)
+        size = int(rng.integers(1, min(3, n_features) + 1))
+        rows = rng.choice(n_features, size=size, replace=False)
+        col[rows] = rng.integers(1, 4, size=len(rows))
+        if not rep.contains(col):
+            rep.insert(col)
+    return rep
+
+
+def test_rep_integer_lift_and_contains_match_fraction_reference():
+    rng = np.random.default_rng(50)
+    seen = {"natural": 0, "degree": 0, "fractional": 0, "negative": 0,
+            "in-span": 0, "off-span": 0}
+    den_above_one = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(k, 33))
+        rep = random_rep(rng, n, k)
+        idx = rep.rows()
+        units = [[int(r == c) for c in range(k)] for r in range(k)]
+        den_above_one += max(v.denominator for u in units
+                             for v in rep.solve(u)) > 1
+        for _ in range(8):
+            w = rng.integers(-1, 3, size=k)
+            g = sum(int(wj) * col for wj, col in zip(w, rep.columns))
+            probes = [
+                [g[r] for r in idx],                          # numpy ints
+                [int(v) for v in rng.integers(-2, 7, size=k)],  # usually fractional
+            ]
+            for g_restricted in probes:
+                for d in (int(np.abs(g).sum()), int(np.abs(g).sum()) - 1):
+                    want = reference_lift(rep, g_restricted, d)
+                    got, reason = rep.lift(g_restricted, d)
+                    assert (None if got is None else got.tolist(), reason) == want
+                    if reason is None:
+                        seen["natural"] += 1
+                    elif reason == "degree":
+                        seen["degree"] += 1
+                    elif any(v.denominator != 1 for v in rep.solve(g_restricted)):
+                        seen["fractional"] += 1
+                    else:
+                        seen["negative"] += 1
+            bumped = g.copy()
+            bumped[int(rng.integers(n))] += 1
+            for cand in (g, bumped, rng.integers(0, 3, size=n)):
+                want = reference_contains(rep, cand)
+                assert rep.contains(cand) == want
+                seen["in-span" if want else "off-span"] += 1
+    assert den_above_one >= 20
+    assert min(seen.values()) >= 20, seen
+
+
 def test_rep_contains_on_empty():
     rep = RepresentationMatrix(3)
     assert rep.contains(vec(0, 0, 0))
@@ -314,7 +385,7 @@ def test_lfd_rejects_over_degree_lift():
     assert result.reason == "degree"
 
 
-# -- improvement and baseline -----------------------------------------------
+# -- improvement -----------------------------------------------------------
 
 
 def test_improve_rep_counts():
@@ -326,17 +397,3 @@ def test_improve_rep_counts():
     assert improve_rep_monomial(rep, vec(2, 3, 0)) == 0
     assert rep.k == 2
 
-
-def test_naive_seen_monomial():
-    rng = np.random.default_rng(33)
-    dist = ProductDistribution()
-    g = vec(0, 2, 1)
-    ds = grid_ds(rng, dist, g, 4, 3)
-    result = naive_lfd_seen_monomial(ds, {1, 2}, dist, 3, "exact", target=g)
-    assert result.learned and (result.monomial == g).all()
-    assert ds.ledger.per_example_max() <= 2
-
-    ds2 = grid_ds(rng, dist, g, 4, 3)
-    assert ds2.peek(3, 1) != 1
-    result2 = naive_lfd_seen_monomial(ds2, {2}, dist, 3, "exact", target=g)
-    assert not result2.learned

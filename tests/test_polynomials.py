@@ -11,8 +11,7 @@ from probelearn import (CostlyDataset, ExactCorrelation, ModelViolationError,
                         OrthogonalBasis, Polynomial, ProductDistribution,
                         RepresentationMatrix, SampledCorrelation, UsageError,
                         build_orthogonal_basis, improve_rep_polynomial,
-                        learn_polynomial_scratch, lfd_polynomial,
-                        naive_lfd_seen_polynomial)
+                        learn_polynomial_scratch, lfd_polynomial)
 from probelearn.polynomials import _extract_largest, key_to_vector, term_key
 
 DIST = ProductDistribution()  # module-level: moment/basis caches are shared
@@ -180,6 +179,67 @@ def test_exact_oracle_matches_tiny_grid_enumeration():
 
             assert oracle.corr_lin(lhs, partial) == brute_expect(tiny, 2, lin)
             assert oracle.corr_sq(lhs, partial) == brute_expect(tiny, 2, sq)
+
+
+def random_terms(rng, n_vars, n_terms, pool):
+    out = Polynomial(n_vars)
+    for _ in range(n_terms):
+        g = rng.integers(0, 3, size=n_vars)
+        out.add_term(g, pool[int(rng.integers(len(pool)))])
+    return out
+
+
+def test_exact_oracle_matches_enumeration_on_random_partials():
+    """corr_lin/corr_sq against full-grid enumeration, for partials that
+    leave a zero residual, flip signs, cancel target terms or add new ones.
+    Two grids share the basis degrees (a table keyed by degree alone would go
+    stale), one basis is lower than the squared residual's powers (its table
+    must widen), and each oracle is reused across partials."""
+    rng = np.random.default_rng(51)
+    pool = [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)]
+    # x0^2 + 2 x0 x1 - 2 x1^2: the x0^2 x1^2 terms of its square cancel
+    cancelling = poly(2, (vec(2, 0), 1), (vec(1, 1), 2), (vec(0, 2), -2))
+    checked = 0
+    for m_grid in (4, 5):
+        dist = ProductDistribution(m_grid)
+        points = [[dist.value(a), dist.value(b)]
+                  for a in range(m_grid + 1) for b in range(m_grid + 1)]
+        for half in (1, 2):
+            basis = build_orthogonal_basis(dist, half)
+            targets = [cancelling] + [random_terms(rng, 2, int(rng.integers(1, 4)),
+                                                   pool) for _ in range(3)]
+            for target in targets:
+                oracle = ExactCorrelation(target, dist, basis)
+                flipped = Polynomial(2)
+                for key, coeff in target.terms.items():
+                    flipped.add_term(key_to_vector(key, 2), -coeff)
+                partials = [Polynomial(2), target, flipped,
+                            random_terms(rng, 2, 2, pool)]
+                swapped = Polynomial(2)  # cancels one target term, adds one
+                key, coeff = sorted(target.terms.items())[0]
+                swapped.add_term(key_to_vector(key, 2), coeff)
+                swapped.add_term(vec(1, 2), Fraction(-1, 2))
+                swapped.add_term(vec(0, 1), 0)
+                partials.append(swapped)
+                for partial in partials:
+                    res = [target.evaluate(x) - partial.evaluate(x) for x in points]
+                    for lhs in ({}, {0: 2 * half}, {1: 1}, {0: 1, 1: 2 * half}):
+                        weight = [Fraction(1)] * len(points)
+                        for var, k in lhs.items():
+                            weight = [w * basis.evaluate(k, x[var])
+                                      for w, x in zip(weight, points)]
+                        lin = sum(w * r for w, r in zip(weight, res))
+                        sq = sum(w * r * r for w, r in zip(weight, res))
+                        assert oracle.corr_lin(lhs, partial) == lin / len(points)
+                        assert oracle.corr_sq(lhs, partial) == sq / len(points)
+                        checked += 1
+    assert checked == 2 * 2 * 4 * 5 * 4
+
+
+def test_exact_oracle_rejects_a_basis_of_another_distribution():
+    basis = build_orthogonal_basis(ProductDistribution(4), 1)
+    with pytest.raises(UsageError):
+        ExactCorrelation(Polynomial(2), DIST, basis)
 
 
 def test_zero_residual_correlates_to_zero():
@@ -392,7 +452,7 @@ def test_lfd_non_natural_lift():
     assert result.reason == "non-natural-combination"
 
 
-# -- improvement and baseline -----------------------------------------------
+# -- improvement -----------------------------------------------------------
 
 
 def test_improve_rep_adds_only_off_span_monomials():
@@ -406,16 +466,3 @@ def test_improve_rep_adds_only_off_span_monomials():
                                             (vec(0, 0, 2), 1))) == 1
     assert rep.k == 3
 
-
-def test_naive_seen_polynomial():
-    basis = build_orthogonal_basis(DIST, 2)
-    target = poly(3, (vec(1, 1, 0), 2))
-    oracle = ExactCorrelation(target, DIST, basis)
-    ds = sampled_ds(np.random.default_rng(47), target, 4, 3)
-    result = naive_lfd_seen_polynomial(ds, oracle, {0, 1}, 2, 1)
-    assert result.learned and result.polynomial == target
-
-    ds2 = sampled_ds(np.random.default_rng(48), target, 4, 3)
-    assert ds2.peek(3, 1) != Fraction(3, 2)
-    result2 = naive_lfd_seen_polynomial(ds2, oracle, {0}, 2, 1)
-    assert not result2.learned
