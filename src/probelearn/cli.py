@@ -7,33 +7,37 @@ Subcommands:
 
 All randomness flows from the config seed (or --seed-override); reports
 carry no timestamps, so the same config and seed produce byte-identical
-CSV/JSON.  Exit codes: 0 success; 1 strict-mode violation, or a learner or
-generator failure (realizability, model violation, exhausted generator,
-oracle misuse); 2 usage error, such as an unknown key in any config block,
---jobs below 1, a "trials" that is not an integer >= 1, a --values entry
-or an integer field ("slack", the adversary seed, game and regime numbers)
-that is not an integer in range.  Internal errors are bugs and stay
-tracebacks.  --jobs N spreads trials (run, sweep) or (learner, budget) game
-cells (adversary) over N processes; reports do not depend on N.
+CSV/JSON.  --jobs N spreads trials (run, sweep) or (learner, budget) game
+cells (adversary) over N processes; reports do not depend on N.  Exit codes:
+0 success; 1 strict-mode violation, or a learner or generator failure
+(realizability, model violation, exhausted generator, oracle misuse); 2
+usage error: a config key that is unknown, of the wrong type (a bool is not
+an int, an int is a float) or out of range, --jobs below 1, a bad --axis or
+--values, an --out that is not a directory.  These checks run before any
+trial or game, and each command computes all its rows before it makes
+--out, so a failing command writes no output dir.
 
-Config JSON (run/sweep):
-  {
-    "stream":   {StreamSpec fields: family, n_features, k, d, s, t, m, r,
-                 sample_size, mf_depth, placement, p_min, k1, k2, seed},
-    "protocol": {"kind": "plain" | "restart" | "combined" | "bootstrap",
-                 "gain": "teacher" | "info", "improver": tree-variant,
-                 "k_cap": int, "r": int, "n_bootstrap": int,
-                 "p_min": float, "delta": float,
-                 "strict_envelope_scale": float},
-    "trials": int, "strict": bool, "seed": int (written by --seed-override)
-  }
-
-Adversary config:
-  {"seed": int,
-   "game":   {"n_prime": int, "budgets": [...], "trials": int, "s": int,
-              "learners": ["scan", ...]},
-   "regime": {"name": regime, "n_features": int, "k": int, "m": int,
-              "r": int, "sample_size": int}}        # regime block optional
+Every block and key is optional; defaults in parentheses.  Run/sweep:
+  stream    family (tree): tree|list|anchor|overcomplete|monomial|polynomial;
+            placement (random): random|adversarial-first|adversarial-
+            interleaved; p_min float >= 0 (0.0); ints >= 1: k (3), d (3),
+            t (1), m (50), sample_size (12); ints >= 0: n_features (16),
+            s (7), r (0), mf_depth (2), k1 (0), k2 (0), seed (0); and
+            StreamSpec.validate's cross-field checks (k <= n_features, ...)
+  protocol  kind (plain): plain|restart|combined|bootstrap; gain (teacher):
+            teacher|info; improver (the family): tree|list|anchor|overcomplete;
+            ints >= 0: k_cap (stream k), r (stream r), slack (0; combined:
+            sqrt(rKN/m)), n_bootstrap (from p_min, delta); floats > 0: p_min
+            (stream p_min or 0.25), delta (0.1); strict_envelope_scale float
+            >= 0 (1.0)
+  trials int >= 1 (1), strict bool (false), seed int >= 0 (--seed-override)
+Adversary: seed int >= 0 (0)
+  game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
+            budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
+            n_prime]), learners [scan|uniform|exhaustive] ([scan, uniform])
+  regime    (none: no regime stream) name (realizable): realizable|
+            intermediate|large1|large2; ints >= 1: n_features (20), k (3),
+            sample_size (4); ints >= 0: m (30), r (0)
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
                        PolynomialFamily, TreeFamily, combined_slack,
                        run_bootstrap_protocol, run_protocol,
                        run_restart_protocol)
-from .streams import (TREE_FAMILIES, StreamSpec, game_failure_bound,
-                      gen_adversary_stream, gen_agnostic_stream,
-                      gen_monomial_stream, gen_poly_stream, gen_tree_stream,
+from .streams import (GAME_LEARNERS, REGIMES, TREE_FAMILIES, StreamSpec,
+                      game_failure_bound, gen_adversary_stream,
+                      gen_agnostic_stream, gen_monomial_stream,
+                      gen_poly_stream, gen_tree_stream,
                       play_single_feature_game)
 from .tree_learners import bootstrap_count
 
@@ -72,17 +77,26 @@ REGIME_FIELDS = ["schema_version", "regime", "n_features", "k", "m", "r",
                  "stream_len", "good_count", "total_probes", "good_probes",
                  "scratch_count", "restarts", "envelope"]
 
-# The keys each config block accepts (stream keys are StreamSpec's fields).
-RUN_KEYS = ("stream", "protocol", "trials", "strict", "seed")
-PROTOCOL_KEYS = ("kind", "gain", "improver", "k_cap", "r", "slack",
-                 "n_bootstrap", "p_min", "delta", "strict_envelope_scale")
-ADVERSARY_KEYS = ("seed", "game", "regime")
-GAME_KEYS = ("n_prime", "budgets", "trials", "s", "learners")
-REGIME_KEYS = ("name", "n_features", "k", "m", "r", "sample_size")
-# (key, default, least value) of the adversary blocks' integer fields
-GAME_INTS = (("n_prime", 100, 1), ("s", 1, 1))
-REGIME_INTS = (("n_features", 20, 1), ("k", 3, 1), ("m", 30, 0), ("r", 0, 0),
-               ("sample_size", 4, 1))
+# Each config block's table: key -> a nested block's table, or (type, least
+# value | allowed values | None); a type [t] is a list of t.  StreamSpec's
+# defaults give the stream types; StreamSpec.validate checks the rest.
+POSITIVE = math.ulp(0.0)  # the least float > 0
+STREAM_KEYS = {name: (type(f.default),
+                      None if isinstance(f.default, str) else 0)
+               for name, f in StreamSpec.__dataclass_fields__.items()}
+PROTOCOL_KEYS = {
+    "kind": (str, ("plain", "restart", "combined", "bootstrap")),
+    "gain": (str, ("teacher", "info")), "improver": (str, TREE_FAMILIES),
+    "k_cap": (int, 0), "r": (int, 0), "slack": (int, 0),
+    "n_bootstrap": (int, 0), "p_min": (float, POSITIVE),
+    "delta": (float, POSITIVE), "strict_envelope_scale": (float, 0)}
+RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
+            "trials": (int, 1), "strict": (bool, None), "seed": (int, 0)}
+GAME_KEYS = {"n_prime": (int, 1), "budgets": ([int], 0), "trials": (int, 1),
+             "s": (int, 1), "learners": ([str], tuple(GAME_LEARNERS))}
+REGIME_KEYS = {"name": (str, REGIMES), "n_features": (int, 1), "k": (int, 1),
+               "m": (int, 0), "r": (int, 0), "sample_size": (int, 1)}
+ADVERSARY_KEYS = {"seed": (int, 0), "game": GAME_KEYS, "regime": REGIME_KEYS}
 
 
 def load_config(path: str) -> dict:
@@ -98,67 +112,40 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _reject_unknown(block, allowed, what: str) -> None:
+def _fits(value, kind, bound) -> bool:
+    """A bool is not an int; an int is a float."""
+    return ((type(value) is kind or kind is float and type(value) is int)
+            and (bound is None or (value in bound if isinstance(bound, tuple)
+                                   else value >= bound)))
+
+
+def check_block(block, keys: dict, what: str) -> None:
+    """UsageError unless `block` is an object whose every key is in `keys`
+    and whose every value has its key's type and lies in its range."""
     if not isinstance(block, dict):
         raise UsageError(f"{what} block must be an object")
-    unknown = set(block) - set(allowed)
+    unknown = set(block) - set(keys)
     if unknown:
         raise UsageError(f"unknown {what} fields: {sorted(unknown)}")
-
-
-def _check_run_config(config: dict) -> None:
-    _reject_unknown(config, RUN_KEYS, "config")
-    _reject_unknown(config.get("protocol", {}), PROTOCOL_KEYS, "protocol")
-
-
-def _int_field(block: dict, key: str, default: int, low: int) -> int:
-    value = block.get(key, default)
-    if type(value) is not int or value < low:
-        raise UsageError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _trial_count(block: dict, default: int) -> int:
-    return _int_field(block, "trials", default, 1)
-
-
-def _object(block) -> dict:
-    """`block` if it is a JSON object, else {} (its shape is reported later,
-    with the unknown-key checks)."""
-    return block if isinstance(block, dict) else {}
-
-
-def _check_numbers(command: str, config: dict) -> None:
-    """Type-check the integer config fields that are read without a check
-    later, before any output is written."""
-    if command != "adversary":
-        _int_field(_object(config.get("protocol", {})), "slack", 0, 0)
-        return
-    _int_field(config, "seed", 0, 0)
-    game = _object(config.get("game", {}))
-    for key, default, low in GAME_INTS:
-        _int_field(game, key, default, low)
-    budgets = game.get("budgets", [])
-    if not isinstance(budgets, list):
-        raise UsageError(f"budgets must be a list, got {budgets!r}")
-    for budget in budgets:
-        if type(budget) is not int or budget < 0:
-            raise UsageError(f"budgets must be integers >= 0, got {budget!r}")
-    regime = _object(config.get("regime") or {})
-    for key, default, low in REGIME_INTS:
-        _int_field(regime, key, default, low)
-
-
-def _sweep_values(text: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise UsageError(f"sweep values must be comma-separated integers, "
-                         f"got {text!r}") from exc
+    for key, value in block.items():
+        if isinstance(keys[key], dict):
+            check_block(value, keys[key], key)
+            continue
+        kind, bound = keys[key]
+        many = isinstance(kind, list)
+        kind = kind[0] if many else kind
+        if many and not isinstance(value, list) or not all(
+                _fits(v, kind, bound) for v in (value if many else [value])):
+            need = kind.__name__ if bound is None else (
+                "one of " + ", ".join(bound) if isinstance(bound, tuple) else
+                f"{kind.__name__} {'> 0' if bound == POSITIVE else f'>= {bound}'}")
+            raise UsageError(f"{what}.{key} must be "
+                             f"{'a list, each ' if many else ''}{need}, "
+                             f"got {value!r}")
 
 
 def build_spec(cfg: dict) -> StreamSpec:
-    _reject_unknown(cfg, StreamSpec.__dataclass_fields__, "stream")
+    check_block(cfg, STREAM_KEYS, "stream")
     return StreamSpec(**cfg).validate()
 
 
@@ -172,6 +159,14 @@ def build_family(spec: StreamSpec, proto: dict):
         return MonomialFamily(spec.n_features, spec.d, dist)
     basis = build_orthogonal_basis(dist, spec.d)
     return PolynomialFamily(spec.n_features, spec.d, spec.t, dist, basis)
+
+
+def _checked_spec(config: dict) -> StreamSpec:
+    """Check a run config whole, as each trial will build it; -> its spec."""
+    check_block(config, RUN_KEYS, "config")
+    spec = build_spec(config.get("stream", {}))
+    build_family(spec, config.get("protocol", {}))
+    return spec
 
 
 def generate_stream(spec: StreamSpec, trial: int):
@@ -203,15 +198,13 @@ def run_trial(config: dict, trial: int) -> dict:
         else:
             slack = 0
         run = run_restart_protocol(family, tasks, k_cap, slack=slack)
-    elif kind == "bootstrap":
+    else:  # bootstrap
         n_boot = proto.get("n_bootstrap")
         if n_boot is None:
+            k = spec.k1 * spec.k2 if spec.family == "overcomplete" else spec.k
             n_boot = bootstrap_count(proto.get("p_min", spec.p_min or 0.25),
-                                     max(len_dictionary(spec), 1),
-                                     proto.get("delta", 0.1))
+                                     max(k, 1), proto.get("delta", 0.1))
         run = run_bootstrap_protocol(family, tasks, n_boot)
-    else:
-        raise UsageError(f"unknown protocol kind {kind!r}")
 
     scale = proto.get("strict_envelope_scale", 1.0)
     violations = sum(
@@ -226,12 +219,6 @@ def run_trial(config: dict, trial: int) -> dict:
     }
 
 
-def len_dictionary(spec: StreamSpec) -> int:
-    if spec.family == "overcomplete":
-        return spec.k1 * spec.k2
-    return spec.k
-
-
 def _call_all(fn, calls, jobs: int) -> list:
     """[fn(*args) for args in calls], in `jobs` worker processes when
     jobs > 1; results come back in call order either way."""
@@ -241,10 +228,6 @@ def _call_all(fn, calls, jobs: int) -> list:
             futures = [pool.submit(fn, *args) for args in calls]
             return [f.result() for f in futures]  # deterministic fold order
     return [fn(*args) for args in calls]
-
-
-def _execute_trials(config: dict, trials: int, jobs: int):
-    return _call_all(run_trial, [(config, t) for t in range(trials)], jobs)
 
 
 def _write_csv(path: Path, fields, rows) -> None:
@@ -261,19 +244,19 @@ def _write_json(path: Path, doc) -> None:
 
 
 def cmd_run(config: dict, out: Path, jobs: int, strict: bool) -> int:
-    _check_run_config(config)
-    results = _execute_trials(config, _trial_count(config, 1), jobs)
+    results = _call_all(run_trial, [(config, t) for t in
+                                    range(config.get("trials", 1))], jobs)
     rows = [row for res in results for row in res["rows"]]
-    _write_csv(out / "report.csv", ROW_FIELDS, rows)
     summaries = [res["summary"] for res in results]
     total_violations = sum(s["violations"] for s in summaries)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "report.csv", ROW_FIELDS, rows)
     _write_json(out / "report.json", {
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "per_trial": summaries,
         "violations_total": total_violations,
     })
-    strict = strict or bool(config.get("strict", False))
     if strict and total_violations:
         print(f"strict: {total_violations} per-example bound violations",
               file=sys.stderr)
@@ -290,29 +273,42 @@ def sweep_envelope(kind: str, spec: StreamSpec, r: int) -> float:
     return s * (k * n + m * k * d)
 
 
-def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool,
-              axis: str, values) -> int:
-    _check_run_config(config)
+def sweep_plan(config: dict, axis: str, text: str) -> list:
+    """[(value, checked config with `axis` set to value, its spec)] for
+    each value of the comma-separated `text`."""
+    check_block(config, RUN_KEYS, "config")
+    try:
+        values = [int(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise UsageError(f"sweep values must be comma-separated integers, "
+                         f"got {text!r}") from exc
     if axis not in ("m", "N", "K", "r", "c"):
         raise UsageError(f"unknown sweep axis {axis!r}")
     if not values:
         raise UsageError("empty sweep values")
     stream_key = {"m": "m", "N": "n_features", "K": "k", "r": "r"}.get(axis)
-    rows = []
-    bad = 0
+    plan = []
     for value in values:
         cfg = json.loads(json.dumps(config))  # deep copy
-        cfg.setdefault("stream", {})
-        cfg.setdefault("protocol", {})
-        if stream_key is not None:
-            cfg["stream"][stream_key] = value
-            if axis == "r":
-                cfg["protocol"]["r"] = value
+        proto = cfg.setdefault("protocol", {})
+        if stream_key is None:
+            proto["slack"] = value
         else:
-            cfg["protocol"]["slack"] = value
-        spec = build_spec(cfg["stream"])
+            cfg.setdefault("stream", {})[stream_key] = value
+        if axis == "r":
+            proto["r"] = value
+        plan.append((value, cfg, _checked_spec(cfg)))
+    return plan
+
+
+def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool, axis: str,
+              plan) -> int:
+    rows = []
+    bad = 0
+    for value, cfg, spec in plan:
         kind = cfg["protocol"].get("kind", "plain")
-        results = _execute_trials(cfg, _trial_count(cfg, 1), jobs)
+        results = _call_all(run_trial, [(cfg, t) for t in
+                                        range(cfg.get("trials", 1))], jobs)
         env = sweep_envelope(kind, spec, cfg["protocol"].get("r", spec.r))
         for res in results:
             s = res["summary"]
@@ -325,12 +321,12 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool,
                 "scratch_count": s["scratch_count"],
                 "restarts": s["restarts"], "envelope": env,
             })
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", SWEEP_FIELDS, rows)
     _write_json(out / "sweep.json", {
         "schema_version": SCHEMA_VERSION, "config": config, "axis": axis,
-        "values": list(values), "rows": rows,
+        "values": [value for value, _, _ in plan], "rows": rows,
     })
-    strict = strict or bool(config.get("strict", False))
     return 1 if strict and bad else 0
 
 
@@ -347,38 +343,24 @@ def _game_failures(seed: int, n_prime: int, budget: int, trials: int,
     return failures
 
 
-def cmd_adversary(config: dict, out: Path, jobs: int, strict: bool) -> int:
-    _reject_unknown(config, ADVERSARY_KEYS, "adversary config")
+def cmd_adversary(config: dict, out: Path, jobs: int) -> int:
     seed = config.get("seed", 0)
     game = config.get("game", {})
-    _reject_unknown(game, GAME_KEYS, "game")
-    regime = config.get("regime")
-    if regime:
-        _reject_unknown(regime, REGIME_KEYS, "regime")
-    n_prime, s = (game.get(key, default) for key, default, _ in GAME_INTS)
+    n_prime, s = game.get("n_prime", 100), game.get("s", 1)
     budgets = game.get("budgets", [0, n_prime // 4, n_prime // 2, n_prime])
-    trials = _trial_count(game, 1000)
+    if any(budget > s * n_prime for budget in budgets):
+        raise UsageError(f"game.budgets must lie in [0, s*n_prime], "
+                         f"got {budgets!r}")
+    trials = game.get("trials", 1000)
     learners = game.get("learners", ["scan", "uniform"])
-    cells = [(seed, n_prime, budget, trials, s, learner)
-             for learner in learners for budget in budgets]
-    failures = _call_all(_game_failures, cells, jobs)
-    rows = []
-    for (_, _, budget, _, _, learner), lost in zip(cells, failures):
-        rate = lost / trials
-        ci = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
-        rows.append({
-            "schema_version": SCHEMA_VERSION, "n_prime": n_prime,
-            "budget": budget, "learner": learner, "trials": trials,
-            "failures": lost, "failure_rate": rate,
-            "bound": game_failure_bound(n_prime, budget), "ci95": ci,
-        })
-    _write_csv(out / "adversary.csv", GAME_FIELDS, rows)
 
+    regime = config.get("regime")
     regime_rows = []
-    if regime:
+    if regime:  # before the games, which seed their own RNGs
         name = regime.get("name", "realizable")
-        n, k, m, r, size = (regime.get(key, default)
-                            for key, default, _ in REGIME_INTS)
+        n, k, m, r, size = (regime.get("n_features", 20), regime.get("k", 3),
+                            regime.get("m", 30), regime.get("r", 0),
+                            regime.get("sample_size", 4))
         tasks, _ = gen_adversary_stream(name, n, k, m, r, seed,
                                         sample_size=size)
         family = TreeFamily(d=1, s=1, gain="teacher", improver="tree")
@@ -392,11 +374,26 @@ def cmd_adversary(config: dict, out: Path, jobs: int, strict: bool) -> int:
             "k": k, "m": m, "r": r, "stream_len": len(tasks),
             "good_count": sum(run.goods), "total_probes": run.total_probes,
             "good_probes": good_probes, "scratch_count": run.scratch_count,
-            "restarts": run.restarts,
-            "envelope": size * (k * n + m * k),
+            "restarts": run.restarts, "envelope": size * (k * n + m * k),
         })
-        _write_csv(out / "regime.csv", REGIME_FIELDS, regime_rows)
 
+    cells = [(seed, n_prime, budget, trials, s, learner)
+             for learner in learners for budget in budgets]
+    failures = _call_all(_game_failures, cells, jobs)
+    rows = []
+    for (_, _, budget, _, _, learner), lost in zip(cells, failures):
+        rate = lost / trials
+        ci = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
+        rows.append({
+            "schema_version": SCHEMA_VERSION, "n_prime": n_prime,
+            "budget": budget, "learner": learner, "trials": trials,
+            "failures": lost, "failure_rate": rate,
+            "bound": game_failure_bound(n_prime, budget), "ci95": ci,
+        })
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(out / "adversary.csv", GAME_FIELDS, rows)
+    if regime_rows:
+        _write_csv(out / "regime.csv", REGIME_FIELDS, regime_rows)
     _write_json(out / "adversary.json", {
         "schema_version": SCHEMA_VERSION, "config": config, "game": rows,
         "regime": regime_rows,
@@ -428,22 +425,25 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        out = Path(args.out)
+        for path in (out, *out.parents):
+            if path.exists() and not path.is_dir():
+                raise UsageError(f"--out {out}: {path} is not a directory")
         config = load_config(args.config)
         if args.seed_override is not None:
-            if "stream" in config or args.command in ("run", "sweep"):
-                config.setdefault("stream", {})["seed"] = args.seed_override
             config["seed"] = args.seed_override
-        _check_numbers(args.command, config)
-        if args.command == "sweep":
-            values = _sweep_values(args.values)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+            if args.command != "adversary" and isinstance(
+                    config.setdefault("stream", {}), dict):
+                config["stream"]["seed"] = args.seed_override
+        if args.command == "adversary":
+            check_block(config, ADVERSARY_KEYS, "adversary config")
+            return cmd_adversary(config, out, args.jobs)
+        strict = args.strict or config.get("strict", False)
         if args.command == "run":
-            return cmd_run(config, out, args.jobs, args.strict)
-        if args.command == "sweep":
-            return cmd_sweep(config, out, args.jobs, args.strict,
-                             args.axis, values)
-        return cmd_adversary(config, out, args.jobs, args.strict)
+            _checked_spec(config)
+            return cmd_run(config, out, args.jobs, strict)
+        plan = sweep_plan(config, args.axis, args.values)
+        return cmd_sweep(config, out, args.jobs, strict, args.axis, plan)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

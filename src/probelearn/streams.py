@@ -71,8 +71,10 @@ class StreamSpec:
             raise UsageError("K exceeds the number of features")
         if self.d > self.s:
             raise UsageError("depth cap d exceeds size cap s")
-        if self.m < 1 or self.r < 0 or self.sample_size < 1:
-            raise UsageError("m >= 1, r >= 0, sample_size >= 1 required")
+        if min(self.k, self.d, self.t, self.m, self.sample_size) < 1:
+            raise UsageError("k, d, t, m and sample_size must be >= 1")
+        if self.r < 0:
+            raise UsageError("r must be >= 0")
         if self.p_min < 0 or self.k * max(self.p_min, 0) > 1:
             raise UsageError("need 0 <= K * p_min <= 1")
         if self.family == "overcomplete":
@@ -578,40 +580,41 @@ class GameResult:
     probes_used: int
 
 
+def _probe_in_order(probe, order, s, budget):
+    """Probe the features of `order` in turn, each on all S examples, while
+    the budget covers S more probes; -> (the feature that hit or None, the
+    number of features probed)."""
+    for k, i in enumerate(order):
+        if (k + 1) * s > budget:
+            return None, k
+        if all(probe(e, i) == 1 for e in range(s)):
+            return i, k + 1
+    return None, len(order)
+
+
 def _scan_learner(rng, probe, n_prime, s, budget):
     """Probe features in order until the budget runs out, then guess."""
-    seen = []
-    for i in range(n_prime):
-        if (len(seen) + 1) * s > budget:
-            break
-        hit = all(probe(e, i) == 1 for e in range(s))
-        if hit:
-            return i
-        seen.append(i)
-    rest = [i for i in range(n_prime) if i not in seen]
-    return int(rest[int(rng.integers(len(rest)))]) if rest else 0
+    hit, k = _probe_in_order(probe, range(n_prime), s, budget)
+    if hit is not None:
+        return hit
+    rest = range(k, n_prime)  # the unprobed features
+    return rest[int(rng.integers(len(rest)))] if rest else 0
 
 
 def _uniform_learner(rng, probe, n_prime, s, budget):
     """Probe uniformly random features without replacement, then guess."""
     order = [int(v) for v in rng.permutation(n_prime)]
-    seen = []
-    for i in order:
-        if (len(seen) + 1) * s > budget:
-            break
-        if all(probe(e, i) == 1 for e in range(s)):
-            return i
-        seen.append(i)
-    rest = [i for i in order if i not in seen]
+    hit, k = _probe_in_order(probe, order, s, budget)
+    if hit is not None:
+        return hit
+    rest = order[k:]  # the unprobed features
     return rest[0] if rest else 0
 
 
 def _exhaustive_learner(rng, probe, n_prime, s, budget):
     """Ignores the budget: probes everything (forfeits unless B = S*N')."""
-    for i in range(n_prime):
-        if all(probe(e, i) == 1 for e in range(s)):
-            return i
-    return 0
+    hit, _ = _probe_in_order(probe, range(n_prime), s, math.inf)
+    return 0 if hit is None else hit
 
 
 GAME_LEARNERS = {

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from probelearn import ROW_FIELDS, SCHEMA_VERSION
+from probelearn import ROW_FIELDS, SCHEMA_VERSION, cli
 from probelearn.cli import (GAME_FIELDS, REGIME_FIELDS, SWEEP_FIELDS,
                             build_spec, main)
 from probelearn.errors import UsageError
@@ -78,19 +78,29 @@ def test_usage_errors_exit_2(tmp_path):
     bad = dict(TREE_CONFIG, stream=dict(TREE_CONFIG["stream"], d=9))
     assert main(["run", "--config", write_config(tmp_path, bad),
                  "--out", str(tmp_path / "o1")]) == 2
+    assert not (tmp_path / "o1").exists()
     assert main(["run", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o2")]) == 2
+    assert not (tmp_path / "o2").exists()
     unknown = dict(TREE_CONFIG, protocol={"kind": "psychic"})
     assert main(["run", "--config", write_config(tmp_path, unknown, "u.json"),
                  "--out", str(tmp_path / "o3")]) == 2
+    assert not (tmp_path / "o3").exists()
     typo = dict(TREE_CONFIG, protocol={"kind": "plain", "gain": "teachr"})
     assert main(["run", "--config", write_config(tmp_path, typo, "t.json"),
                  "--out", str(tmp_path / "o6")]) == 2
+    assert not (tmp_path / "o6").exists()
     good = write_config(tmp_path, TREE_CONFIG, "g.json")
     assert main(["sweep", "--config", good, "--out", str(tmp_path / "o4"),
                  "--axis", "q", "--values", "1,2"]) == 2
+    assert not (tmp_path / "o4").exists()
     assert main(["sweep", "--config", good, "--out", str(tmp_path / "o5"),
                  "--axis", "m", "--values", ""]) == 2
+    assert not (tmp_path / "o5").exists()
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    assert main(["run", "--config", good, "--out", str(taken)]) == 2
+    assert taken.read_text() == "keep me"
     game = {"game": {"n_prime": 10, "budgets": [5], "trials": 5,
                      "learners": ["scan"]}}
     adversary = write_config(tmp_path, game, "a.json")
@@ -111,6 +121,8 @@ def test_usage_errors_exit_2(tmp_path):
         assert main(["adversary", "--config",
                      write_config(tmp_path, bad_game, "n.json"),
                      "--out", str(tmp_path / "o9")]) == 2
+        for name in ("o7", "o8", "o9"):
+            assert not (tmp_path / name).exists()
 
 
 GAME = {"n_prime": 10, "budgets": [5], "trials": 5, "s": 1,
@@ -118,6 +130,17 @@ GAME = {"n_prime": 10, "budgets": [5], "trials": 5, "s": 1,
 REGIME = {"name": "realizable", "n_features": 10, "k": 2, "m": 8, "r": 0,
           "sample_size": 4}
 RESTART_CONFIG = dict(TREE_CONFIG, protocol={"kind": "restart", "k_cap": 2})
+BOOTSTRAP_CONFIG = dict(TREE_CONFIG, protocol={"kind": "bootstrap"})
+
+
+def with_stream(**kw):
+    return dict(TREE_CONFIG, stream=dict(TREE_CONFIG["stream"], **kw))
+
+
+def with_protocol(base, **kw):
+    return dict(base, protocol=dict(base["protocol"], **kw))
+
+
 NUMERIC_CASES = {
     "budget-float": ("adversary", {"game": dict(GAME, budgets=[5.9])}, []),
     "budget-negative": ("adversary", {"game": dict(GAME, budgets=[-1])}, []),
@@ -149,13 +172,46 @@ NUMERIC_CASES = {
                             ["--axis", "m", "--values", "3,x"]),
     "sweep-values-float": ("sweep", TREE_CONFIG,
                            ["--axis", "c", "--values", "1.5"]),
+    "stream-n_features-string": ("run", with_stream(n_features="10"), []),
+    "stream-m-float": ("run", with_stream(m=8.5), []),
+    "k_cap-string": ("run", with_protocol(RESTART_CONFIG, k_cap="2"), []),
+    "protocol-r-float": (
+        "run", with_protocol(TREE_CONFIG, kind="combined", r=1.5), []),
+    "n_bootstrap-string": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, n_bootstrap="3"), []),
+    "bootstrap-p_min-zero": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, p_min=0), []),
+    "bootstrap-delta-zero": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, delta=0), []),
+    "strict_envelope_scale-string": (
+        "run", with_protocol(TREE_CONFIG, strict_envelope_scale="1"), []),
+    "strict-string": ("run", dict(TREE_CONFIG, strict="no"), []),
+    "kind-unknown": ("run", with_protocol(TREE_CONFIG, kind="psychic"), []),
+    "learners-string": ("adversary", {"game": dict(GAME, learners="scan")},
+                        []),
+    "learners-unknown": (
+        "adversary", {"game": dict(GAME, learners=["psychic"])}, []),
+    "regime-name-unknown": (
+        "adversary", {"game": GAME, "regime": dict(REGIME, name="large3")},
+        []),
+    "regime-large2-r-too-small": (
+        "adversary", {"game": GAME, "regime": dict(REGIME, name="large2")},
+        []),
+    "sweep-K-second-value-too-large": ("sweep", TREE_CONFIG,
+                                       ["--axis", "K", "--values", "2,99"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NUMERIC_CASES))
-def test_numeric_fields_exit_2(tmp_path, capsys, case):
-    """Integer fields that are not integers in range are usage errors,
-    reported before the output dir is made."""
+def test_numeric_fields_exit_2(tmp_path, capsys, monkeypatch, case):
+    """Config values of the wrong type or out of range are usage errors,
+    reported before any trial or game runs and before the output dir is
+    made."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a trial or game ran before the config check")
+
+    monkeypatch.setattr(cli, "run_trial", no_work)
+    monkeypatch.setattr(cli, "play_single_feature_game", no_work)
     command, cfg, extra = NUMERIC_CASES[case]
     out = tmp_path / "o"
     args = [command, "--config", write_config(tmp_path, cfg),
@@ -191,7 +247,7 @@ def test_unknown_config_keys_exit_2(tmp_path, capsys, command, cfg, key):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: unknown ")
     assert repr(key) in err[0]
-    assert not list(out.iterdir())  # no report written
+    assert not out.exists()  # no output dir, let alone a report
 
 
 @pytest.mark.parametrize("command, cfg", [

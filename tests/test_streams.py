@@ -457,6 +457,29 @@ def test_scan_learner_respects_budget():
         assert result.probes_used <= 10
 
 
+def test_game_results_golden_digest():
+    """Every learner's games are pinned over a grid of (N', S, budget,
+    seed): outcome, named feature, probes used, and the RNG state the game
+    leaves (so each learner draws exactly as before)."""
+    rows = []
+    for learner in ("scan", "uniform", "exhaustive"):
+        for n_prime in (1, 3, 8, 17):
+            for s in (1, 2, 3):
+                top = s * n_prime
+                for budget in sorted({0, 1, s, top // 2, top - 1, top}):
+                    for seed in range(4):
+                        rng = np.random.default_rng((seed, n_prime, budget))
+                        r = play_single_feature_game(rng, n_prime, budget,
+                                                     s=s, learner=learner)
+                        rows.append([learner, n_prime, budget, s, seed, r.win,
+                                     r.forfeited, r.i_star, r.named,
+                                     r.probes_used,
+                                     int(rng.integers(1 << 30))])
+    assert len(rows) == 708
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "e1abfa63d5854c8227aeedfeb1b8b5eadc8ffd30e571806639bc3a8590743cce")
+
+
 def test_game_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(UsageError):
