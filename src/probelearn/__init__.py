@@ -33,14 +33,13 @@ from .streams import (GameResult, StreamSpec, adversary_r_min,
                       gen_adversary_stream, gen_agnostic_stream,
                       gen_monomial_stream, gen_poly_stream, gen_tree_stream,
                       leaf_cover_dataset, play_single_feature_game,
-                      sample_fragment, stream_from_json_obj,
-                      stream_to_json_obj, stump, tree_vars)
+                      sample_fragment, stream_to_json_obj, stump, tree_vars)
 from .tree_learners import (LfdResult, bootstrap_count, improve_rep_anchor,
                             improve_rep_list, improve_rep_overcomplete,
                             improve_rep_tree, learn_tree_scratch, lfd_tree,
                             naive_lfd_seen_features)
 from .trees import (InfoGain, TeacherGain, Tree, affix, binary_entropy,
-                    conflict, induce, info_gain, label_leaf, member_of_dt,
+                    conflict, induce, info_gain, member_of_dt,
                     path_repeats_var)
 
 __version__ = "0.1.0"

@@ -27,9 +27,9 @@ Every block and key is optional; defaults in parentheses.  Run/sweep:
   protocol  kind (plain): plain|restart|combined|bootstrap; gain (teacher):
             teacher|info; improver (the family): tree|list|anchor|overcomplete;
             ints >= 0: k_cap (stream k), r (stream r), slack (0; combined:
-            sqrt(rKN/m)), n_bootstrap (from p_min, delta); floats > 0: p_min
-            (stream p_min or 0.25), delta (0.1); strict_envelope_scale float
-            >= 0 (1.0)
+            sqrt(rKN/m)), n_bootstrap (from p_min, delta); floats: p_min in
+            (0, 1] (stream p_min or 0.25), delta in (0, 1) (0.1);
+            strict_envelope_scale float >= 0 (1.0)
   trials int >= 1 (1), strict bool (false), seed int >= 0 (--seed-override)
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
@@ -79,8 +79,8 @@ REGIME_FIELDS = ["schema_version", "regime", "n_features", "k", "m", "r",
 
 # Each config block's table: key -> a nested block's table, or (type, least
 # value | allowed values | None); a type [t] is a list of t.  StreamSpec's
-# defaults give the stream types; StreamSpec.validate checks the rest.
-POSITIVE = math.ulp(0.0)  # the least float > 0
+# defaults give the stream types; StreamSpec.validate and _bootstrap_tasks
+# check the rest.
 STREAM_KEYS = {name: (type(f.default),
                       None if isinstance(f.default, str) else 0)
                for name, f in StreamSpec.__dataclass_fields__.items()}
@@ -88,8 +88,8 @@ PROTOCOL_KEYS = {
     "kind": (str, ("plain", "restart", "combined", "bootstrap")),
     "gain": (str, ("teacher", "info")), "improver": (str, TREE_FAMILIES),
     "k_cap": (int, 0), "r": (int, 0), "slack": (int, 0),
-    "n_bootstrap": (int, 0), "p_min": (float, POSITIVE),
-    "delta": (float, POSITIVE), "strict_envelope_scale": (float, 0)}
+    "n_bootstrap": (int, 0), "p_min": (float, None), "delta": (float, None),
+    "strict_envelope_scale": (float, 0)}
 RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
             "trials": (int, 1), "strict": (bool, None), "seed": (int, 0)}
 GAME_KEYS = {"n_prime": (int, 1), "budgets": ([int], 0), "trials": (int, 1),
@@ -138,7 +138,7 @@ def check_block(block, keys: dict, what: str) -> None:
                 _fits(v, kind, bound) for v in (value if many else [value])):
             need = kind.__name__ if bound is None else (
                 "one of " + ", ".join(bound) if isinstance(bound, tuple) else
-                f"{kind.__name__} {'> 0' if bound == POSITIVE else f'>= {bound}'}")
+                f"{kind.__name__} >= {bound}")
             raise UsageError(f"{what}.{key} must be "
                              f"{'a list, each ' if many else ''}{need}, "
                              f"got {value!r}")
@@ -161,11 +161,27 @@ def build_family(spec: StreamSpec, proto: dict):
     return PolynomialFamily(spec.n_features, spec.d, spec.t, dist, basis)
 
 
+def _bootstrap_tasks(spec: StreamSpec, proto: dict) -> int:
+    """Tasks the bootstrap protocol learns whole: n_bootstrap, or the count
+    p_min and delta give.  UsageError unless both are probabilities."""
+    p_min = proto.get("p_min", spec.p_min or 0.25)
+    delta = proto.get("delta", 0.1)
+    if not (0 < p_min <= 1 and 0 < delta < 1):
+        raise UsageError(f"protocol needs 0 < p_min <= 1 and 0 < delta < 1, "
+                         f"got p_min={p_min!r}, delta={delta!r}")
+    if "n_bootstrap" in proto:
+        return proto["n_bootstrap"]
+    k = spec.k1 * spec.k2 if spec.family == "overcomplete" else spec.k
+    return bootstrap_count(p_min, max(k, 1), delta)
+
+
 def _checked_spec(config: dict) -> StreamSpec:
     """Check a run config whole, as each trial will build it; -> its spec."""
     check_block(config, RUN_KEYS, "config")
     spec = build_spec(config.get("stream", {}))
-    build_family(spec, config.get("protocol", {}))
+    proto = config.get("protocol", {})
+    build_family(spec, proto)
+    _bootstrap_tasks(spec, proto)  # checks p_min and delta for every kind
     return spec
 
 
@@ -199,11 +215,7 @@ def run_trial(config: dict, trial: int) -> dict:
             slack = 0
         run = run_restart_protocol(family, tasks, k_cap, slack=slack)
     else:  # bootstrap
-        n_boot = proto.get("n_bootstrap")
-        if n_boot is None:
-            k = spec.k1 * spec.k2 if spec.family == "overcomplete" else spec.k
-            n_boot = bootstrap_count(proto.get("p_min", spec.p_min or 0.25),
-                                     max(k, 1), proto.get("delta", 0.1))
+        n_boot = _bootstrap_tasks(spec, proto)
         run = run_bootstrap_protocol(family, tasks, n_boot)
 
     scale = proto.get("strict_envelope_scale", 1.0)

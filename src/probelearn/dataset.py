@@ -20,7 +20,6 @@ value of each cell, for the sampled estimators.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -209,44 +208,15 @@ class CostlyDataset:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_json_obj(self) -> dict:
         if self.value_kind == BOOL:
             examples = self._values.astype(int).tolist()
             labels = ["+" if l else "-" for l in self._labels]
         else:
             examples = [[_frac_str(v) for v in row] for row in self.peek_all()]
             labels = [_frac_str(v) for v in self._labels]
-        doc = {
-            "n_features": self.n_features,
-            "examples": examples,
-            "labels": labels,
-            "value_kind": self.value_kind,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CostlyDataset":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"dataset is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise UsageError("dataset JSON must be an object")
-        missing = [k for k in ("examples", "labels", "n_features") if k not in doc]
-        if missing:
-            raise UsageError(f"dataset JSON lacks {', '.join(missing)}")
-        kind = doc.get("value_kind")
-        examples = doc["examples"]
-        if examples and len(examples[0]) != doc["n_features"]:
-            raise UsageError("n_features does not match example width")
-        if kind == BOOL:
-            labels = [lab == "+" for lab in doc["labels"]]
-            return cls.from_bool(examples, labels)
-        if kind == RATIONAL:
-            values = [[_parse_frac(v) for v in row] for row in examples]
-            labels = [_parse_frac(v) for v in doc["labels"]]
-            return cls.from_rational(values, labels)
-        raise UsageError(f"unknown value kind {kind!r}")
+        return {"examples": examples, "labels": labels,
+                "n_features": self.n_features, "value_kind": self.value_kind}
 
 
 def _common_numerators(rows):
@@ -269,10 +239,3 @@ def _common_numerators(rows):
 def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
-
-def _parse_frac(text: str) -> Fraction:
-    try:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational literal {text!r}") from exc

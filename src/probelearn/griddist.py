@@ -56,9 +56,6 @@ class ProductDistribution:
             raise UsageError(f"grid index {j} out of range")
         return Fraction(self.m_grid + j, self.m_grid)
 
-    def sample_indices(self, rng: np.random.Generator, shape):
-        return rng.integers(0, self.m_grid + 1, size=shape)
-
     # -- moments -----------------------------------------------------------
 
     def moment(self, j: int) -> Fraction:
@@ -72,18 +69,11 @@ class ProductDistribution:
         return self._moments[j]
 
     def _log_moments(self):
+        """(E[ln x], E[ln^2 x]) over the grid, computed once."""
         if self._log_stats is None:
             pts = np.log1p(np.arange(self.m_grid + 1) / self.m_grid)
             self._log_stats = (float(pts.mean()), float((pts * pts).mean()))
         return self._log_stats
-
-    def log_mean(self) -> float:
-        """E[ln x] over the grid."""
-        return self._log_moments()[0]
-
-    def log_second_moment(self) -> float:
-        """E[ln^2 x] over the grid."""
-        return self._log_moments()[1]
 
     def log_var(self) -> float:
         """Var(ln x); the variance floor c of this distribution."""

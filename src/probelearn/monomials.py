@@ -57,23 +57,6 @@ def monomial_to_json_obj(g) -> dict:
     return {str(i): int(g[i]) for i in support(g)}
 
 
-def monomial_from_json_obj(obj, n_features: int) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise UsageError("monomial JSON must be an object")
-    g = np.zeros(n_features, dtype=np.int64)
-    for key, exp in obj.items():
-        try:
-            i, e = int(key), int(exp)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad monomial entry {key!r}: {exp!r}") from exc
-        if not (0 <= i < n_features):
-            raise UsageError(f"feature {i} out of range")
-        if e < 0:
-            raise UsageError("exponents must be natural numbers")
-        g[i] = e
-    return g
-
-
 # -- power estimation ------------------------------------------------------
 
 

@@ -22,14 +22,12 @@ and every quantity stays rational.  Detection-test signs are unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dataset import _parse_frac
 from .errors import InternalError, ModelViolationError, UsageError
 from .monomials import RepresentationMatrix, support
 
@@ -78,9 +76,6 @@ class Polynomial:
     def sparsity(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in key) for key in self.terms), default=0)
-
     def evaluate(self, values) -> Fraction:
         total = Fraction(0)
         for key, coeff in self.terms.items():
@@ -102,49 +97,11 @@ class Polynomial:
             bits.append(f"{self.terms[key]}*{mono}")
         return " + ".join(bits)
 
-    def to_json(self) -> str:
-        terms = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            terms.append({
-                "monomial": {str(i): e for i, e in key},
-                "coeff": f"{coeff.numerator}/{coeff.denominator}",
-            })
-        return json.dumps({"n_features": self.n_features, "terms": terms},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"polynomial is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise UsageError("polynomial JSON must be an object")
-        missing = [k for k in ("n_features", "terms") if k not in doc]
-        if missing:
-            raise UsageError(f"polynomial JSON lacks {', '.join(missing)}")
-        n = doc["n_features"]
-        if not isinstance(n, int) or n < 1:
-            raise UsageError(f"bad n_features {n!r}")
-        if not isinstance(doc["terms"], list):
-            raise UsageError("polynomial terms must be a list")
-        poly = cls(n)
-        for item in doc["terms"]:
-            try:
-                powers = [(int(i), int(e)) for i, e in item["monomial"].items()]
-                coeff = item["coeff"]
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise UsageError(f"bad polynomial term {item!r}") from exc
-            if any(not 0 <= i < n or e < 0 for i, e in powers):
-                raise UsageError(f"bad monomial {item['monomial']!r}")
-            if not isinstance(coeff, str):
-                raise UsageError(f"bad coefficient {coeff!r}")
-            g = np.zeros(n, dtype=np.int64)
-            for i, e in powers:
-                g[i] = e
-            poly.add_term(g, _parse_frac(coeff))
-        return poly
+    def to_json_obj(self) -> dict:
+        terms = [{"coeff": f"{coeff.numerator}/{coeff.denominator}",
+                  "monomial": {str(i): e for i, e in key}}
+                 for key, coeff in sorted(self.terms.items())]
+        return {"n_features": self.n_features, "terms": terms}
 
 
 def _residual_terms(target: Polynomial, partial: Polynomial) -> dict:
@@ -189,7 +146,6 @@ class OrthogonalBasis:
         self.max_degree = max_degree
         self.coeffs = []  # coeffs[k][j]: coefficient of x^j in H_k, monic
         self.norms = []   # E[H_k^2]
-        self._cross = {}
         self._table = None
         for k in range(max_degree + 1):
             vec = [Fraction(0)] * (k + 1)
@@ -209,18 +165,12 @@ class OrthogonalBasis:
         return sum(coeff * self.dist.moment(c + power)
                    for c, coeff in enumerate(self.coeffs[k]))
 
-    def inner_with_power(self, k: int, e: int) -> Fraction:
-        """E[H_k(x) * x^e], cached."""
-        if (k, e) not in self._cross:
-            self._cross[(k, e)] = self._power_inner(e, k)
-        return self._cross[(k, e)]
-
     def power_table(self, top: int):
         """(scale, rows) with rows[k][e] = scale * E[H_k(x) x^e], an int, for
         k <= max_degree and e <= max(top, max_degree)."""
         if self._table is None or len(self._table[1][0]) <= top:
             powers = range(max(top, self.max_degree) + 1)
-            values = [[self.inner_with_power(k, e) for e in powers]
+            values = [[self._power_inner(e, k) for e in powers]
                       for k in range(self.max_degree + 1)]
             scale = math.lcm(*(v.denominator for row in values for v in row))
             self._table = (scale, [[v.numerator * (scale // v.denominator)

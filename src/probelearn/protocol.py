@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .errors import UsageError
 from .monomials import (EXACT, RepresentationMatrix, improve_rep_monomial,
                         learn_monomial_scratch, lfd_monomial)
-from .polynomials import (ExactCorrelation, Polynomial, SampledCorrelation,
+from .polynomials import (ExactCorrelation, SampledCorrelation,
                           improve_rep_polynomial, learn_polynomial_scratch,
                           lfd_polynomial)
 from .tree_learners import (_dedup_extend, improve_rep_anchor,

@@ -20,9 +20,8 @@ realizes the needle-in-a-haystack adversary with budgeted adaptive probing.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +30,7 @@ from .dataset import CostlyDataset
 from .errors import GeneratorExhaustedError, UsageError
 from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
-from .monomials import monomial_from_json_obj, monomial_to_json_obj
+from .monomials import monomial_to_json_obj
 from .polynomials import Polynomial, term_key
 from .protocol import Task
 from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree, affix
@@ -75,6 +74,11 @@ class StreamSpec:
             raise UsageError("k, d, t, m and sample_size must be >= 1")
         if self.r < 0:
             raise UsageError("r must be >= 0")
+        if self.r > 0 and self.family not in ("tree", "anchor", "monomial"):
+            raise UsageError(f"agnostic streams not defined for {self.family!r}")
+        if self.r > 0 and self.family == "monomial" and self.k >= self.n_features:
+            raise UsageError("K exceeds the features left beside the "
+                             "bad-target feature")
         if self.p_min < 0 or self.k * max(self.p_min, 0) > 1:
             raise UsageError("need 0 <= K * p_min <= 1")
         if self.family == "overcomplete":
@@ -84,6 +88,13 @@ class StreamSpec:
             if self.k2 + self.k1 * max(self.mf_depth - 1, 1) > self.n_features:
                 raise UsageError("not enough features for disjoint anchors "
                                  "and bodies")
+        elif self.family in ("tree", "list", "anchor"):
+            # with r > 0, d features stay apart for the bad targets
+            size = _pool_size(self, self.n_features - (self.d if self.r else 0))
+            if size < 1 or size < self.mf_depth and self.family == "list":
+                raise UsageError("not enough features for the requested "
+                                 "dictionary" + (" beside a bad-target pool"
+                                                 if self.r else ""))
         return self
 
 
@@ -222,19 +233,19 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
 # -- tree streams ----------------------------------------------------------
 
 
-def _var_pools(rng, n_features: int, count: int, size: int):
-    if count * size > n_features:
-        raise UsageError("not enough features for disjoint variable pools")
-    perm = rng.permutation(n_features)
-    return [perm[i * size:(i + 1) * size].tolist() for i in range(count)]
+def _pool_size(spec: StreamSpec, n_features: int) -> int:
+    """Variables per fragment of the plain/anchor/list dictionary.  The cap
+    2^mf_depth - 1 stops binding at the bit length of n_features, so a huge
+    mf_depth builds no huge int."""
+    depth = min(spec.mf_depth, n_features.bit_length())
+    return min(n_features // spec.k, 2 ** depth - 1)
 
 
 def _sample_dictionary(rng, spec: StreamSpec):
     """The hidden fragment dictionary for the plain/anchor/list sub-models."""
-    pool_size = min(spec.n_features // spec.k, 2 ** spec.mf_depth - 1)
-    if pool_size < 1 or pool_size < spec.mf_depth and spec.family == "list":
-        raise UsageError("not enough features for the requested dictionary")
-    pools = _var_pools(rng, spec.n_features, spec.k, pool_size)
+    size = _pool_size(spec, spec.n_features)
+    perm = rng.permutation(spec.n_features)
+    pools = [perm[i * size:(i + 1) * size].tolist() for i in range(spec.k)]
     frags = []
     seen = set()
     for pool in pools:
@@ -317,8 +328,6 @@ MATRIX_TRIES = 200  # draws of a rank-K exponent matrix before giving up
 def _sample_exponent_matrix(rng, spec: StreamSpec):
     """N x K natural matrix of rank K with column degrees fitting d."""
     max_deg = min(2, spec.d)
-    if max_deg < 1:
-        raise GeneratorExhaustedError("degree budget d < 1 admits no targets")
     for _ in range(MATRIX_TRIES):
         cols = []
         for _ in range(spec.k):
@@ -445,11 +454,7 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
     rng = np.random.default_rng((spec.seed, trial, 1))
 
     if spec.family in ("tree", "anchor"):
-        reserve = max(spec.d, 1)
-        pool_size = min((spec.n_features - reserve) // spec.k,
-                        2 ** spec.mf_depth - 1)
-        if pool_size < 1:
-            raise UsageError("not enough features to reserve a bad-target pool")
+        reserve = spec.d  # validate checked that a dictionary fits beside it
         sub = StreamSpec(**{**spec.__dict__, "n_features": spec.n_features - reserve,
                             "r": 0})
         tasks, dictionary = gen_tree_stream(sub, trial)
@@ -472,7 +477,7 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
             size = max(spec.sample_size, target.n_leaves())
             ds = leaf_cover_dataset(rng, target, spec.n_features, size)
             bad_tasks.append(Task(ds=ds, target=target, good=False))
-    elif spec.family == "monomial":
+    else:  # monomial, the other family validate allows with r > 0
         sub = StreamSpec(**{**spec.__dict__, "n_features": spec.n_features - 1,
                             "r": 0})
         tasks, dictionary = gen_monomial_stream(sub, trial)
@@ -490,8 +495,6 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
             ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
                                _monomial_terms(g))
             bad_tasks.append(Task(ds=ds, target=g, good=False))
-    else:
-        raise UsageError(f"agnostic streams not defined for {spec.family!r}")
 
     positions = _bad_positions(rng, spec.m, spec.r, spec.placement)
     out = []
@@ -657,47 +660,13 @@ def game_failure_bound(n_prime: int, budget: int) -> float:
     return max((n_prime - budget - 1) / n_prime, 0.0)
 
 
-# -- stream serialization ---------------------------------------------------
+# -- stream writing ---------------------------------------------------------
 
 
 def stream_to_json_obj(tasks, family: str) -> dict:
-    out = []
-    for task in tasks:
-        if family in TREE_FAMILIES:
-            target = task.target.to_json_obj()
-        elif family == "monomial":
-            target = monomial_to_json_obj(task.target)
-        else:
-            target = json.loads(task.target.to_json())
-        out.append({"dataset": json.loads(task.ds.to_json()),
-                    "target": target, "good": task.good})
+    """The stream as one JSON-ready dict of datasets, targets and flags."""
+    out = [{"dataset": task.ds.to_json_obj(),
+            "target": (monomial_to_json_obj(task.target) if family == "monomial"
+                       else task.target.to_json_obj()),
+            "good": task.good} for task in tasks]
     return {"family": family, "tasks": out}
-
-
-def stream_from_json_obj(obj) -> list:
-    if not isinstance(obj, dict):
-        raise UsageError("stream JSON must be an object")
-    missing = [k for k in ("family", "tasks") if k not in obj]
-    if missing:
-        raise UsageError(f"stream JSON lacks {', '.join(missing)}")
-    family = obj["family"]
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}")
-    if not isinstance(obj["tasks"], list):
-        raise UsageError("stream tasks must be a list")
-    tasks = []
-    for item in obj["tasks"]:
-        if not isinstance(item, dict):
-            raise UsageError(f"bad stream task {item!r}")
-        missing = [k for k in ("dataset", "target", "good") if k not in item]
-        if missing:
-            raise UsageError(f"stream task lacks {', '.join(missing)}")
-        ds = CostlyDataset.from_json(json.dumps(item["dataset"]))
-        if family in TREE_FAMILIES:
-            target = Tree.from_json_obj(item["target"])
-        elif family == "monomial":
-            target = monomial_from_json_obj(item["target"], ds.n_features)
-        else:
-            target = Polynomial.from_json(json.dumps(item["target"]))
-        tasks.append(Task(ds=ds, target=target, good=item["good"]))
-    return tasks

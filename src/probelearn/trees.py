@@ -18,7 +18,6 @@ advances them from parent to child, which yields the same sets.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -65,13 +64,6 @@ class Tree:
 
     def is_empty(self) -> bool:
         return self.kind == EMPTY
-
-    def is_complete(self) -> bool:
-        if self.kind == EMPTY:
-            return False
-        if self.kind == LEAF:
-            return True
-        return self.left.is_complete() and self.right.is_complete()
 
     # -- shape -------------------------------------------------------------
 
@@ -200,50 +192,16 @@ class Tree:
             "right": self.right.to_json_obj(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @staticmethod
-    def from_json_obj(obj) -> "Tree":
-        if not isinstance(obj, dict):
-            raise UsageError(f"tree node must be an object, got {obj!r}")
-        if "empty" in obj:
-            return Tree.empty()
-        if "leaf" in obj:
-            if obj["leaf"] not in ("+", "-"):
-                raise UsageError(f"bad leaf label {obj['leaf']!r}")
-            return Tree.leaf(obj["leaf"] == "+")
-        if "var" in obj:
-            missing = [k for k in ("left", "right") if k not in obj]
-            if missing:
-                raise UsageError(f"internal node lacks {', '.join(missing)}")
-            try:
-                var = int(obj["var"])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad variable {obj['var']!r}") from exc
-            if var < 0:
-                raise UsageError(f"negative variable {var}")
-            return Tree.internal(var, Tree.from_json_obj(obj["left"]),
-                                 Tree.from_json_obj(obj["right"]))
-        raise UsageError(f"bad tree node {obj!r}")
-
-    @staticmethod
-    def from_json(text: str) -> "Tree":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"tree is not valid JSON: {exc}") from exc
-        return Tree.from_json_obj(obj)
-
 
 # -- growth moves ----------------------------------------------------------
 
 
-def affix(f: Tree, path, f2: Tree, strict: bool = False) -> Tree:
+def affix(f: Tree, path, f2: Tree) -> Tree:
     """Return a copy of f with a copy of f2 grafted at the empty leaf `path`.
 
-    With strict=True, refuse grafts that repeat a variable on any root-to-leaf
-    path (legal targets never do; generators rely on their own disjointness).
+    Grafts that repeat a variable on a root-to-leaf path are not refused:
+    legal targets never hold one, and the generators rely on their own
+    disjointness.
     """
     target = f.node_at(path)
     if not target.is_empty():
@@ -253,19 +211,6 @@ def affix(f: Tree, path, f2: Tree, strict: bool = False) -> Tree:
     graft = f2.copy()
     node.kind, node.var, node.label = graft.kind, graft.var, graft.label
     node.left, node.right = graft.left, graft.right
-    if strict and path_repeats_var(out):
-        raise UsageError("affix would repeat a variable on a path")
-    return out
-
-
-def label_leaf(f: Tree, path, label: bool) -> Tree:
-    """Return a copy of f with the empty leaf at `path` labeled."""
-    target = f.node_at(path)
-    if not target.is_empty():
-        raise UsageError(f"label target {path} is not an empty leaf")
-    out = f.copy()
-    node = out.node_at(path)
-    node.kind, node.label = LEAF, bool(label)
     return out
 
 

@@ -183,6 +183,30 @@ NUMERIC_CASES = {
         "run", with_protocol(BOOTSTRAP_CONFIG, p_min=0), []),
     "bootstrap-delta-zero": (
         "run", with_protocol(BOOTSTRAP_CONFIG, delta=0), []),
+    "bootstrap-delta-ten": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, delta=10), []),
+    "bootstrap-delta-one": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, delta=1), []),
+    "bootstrap-p_min-five": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, p_min=5), []),
+    # stream errors that depend only on the spec
+    "list-pools-no-room": ("run", {"stream": {
+        "family": "list", "n_features": 6, "k": 3, "mf_depth": 3, "d": 4}},
+        []),
+    "mf_depth-zero-tree": ("run", with_stream(mf_depth=0), []),
+    "mf_depth-zero-list": ("run", with_stream(family="list", mf_depth=0), []),
+    "mf_depth-zero-anchor": (
+        "run", with_stream(family="anchor", mf_depth=0), []),
+    "r-on-list": ("run", with_stream(family="list", r=1), []),
+    "r-on-overcomplete": (
+        "run", with_stream(family="overcomplete", k1=2, k2=2, r=1), []),
+    "r-on-polynomial": ("run", with_stream(family="polynomial", r=1), []),
+    "tree-no-bad-target-pool": (
+        "run", with_stream(n_features=4, d=3, r=1), []),
+    "anchor-no-bad-target-pool": (
+        "run", with_stream(family="anchor", n_features=4, d=3, r=1), []),
+    "monomial-r-k-too-large": ("run", {"stream": {
+        "family": "monomial", "n_features": 3, "k": 3, "r": 1}}, []),
     "strict_envelope_scale-string": (
         "run", with_protocol(TREE_CONFIG, strict_envelope_scale="1"), []),
     "strict-string": ("run", dict(TREE_CONFIG, strict="no"), []),

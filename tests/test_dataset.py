@@ -1,6 +1,5 @@
-"""Probe metering: memoized cells, free labels, ledger accounting, JSON."""
+"""Probe metering: memoized cells, free labels, ledger accounting."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -140,40 +139,6 @@ def test_constructor_validation():
         CostlyDataset.from_bool(np.zeros((2, 2)), [True])  # label mismatch
 
 
-def test_bool_json_round_trip():
-    ds = small_bool(3, 4)
-    text = ds.to_json()
-    back = CostlyDataset.from_json(text)
-    assert back.value_kind == "bool"
-    assert (back.peek_all() == ds.peek_all()).all()
-    assert list(back.labels) == list(ds.labels)
-    assert back.ledger.total_probes == 0  # fresh ledger, probes don't travel
-    assert back.to_json() == text
-
-
-def test_rational_json_round_trip():
-    values = [[Fraction(3, 2), Fraction(1)], [Fraction(7, 4), Fraction(5, 3)]]
-    labels = [Fraction(21, 8), Fraction(35, 12)]
-    ds = CostlyDataset.from_rational(values, labels)
-    back = CostlyDataset.from_json(ds.to_json())
-    assert back.peek(0, 0) == Fraction(3, 2)
-    assert back.peek(1, 1) == Fraction(5, 3)
-    assert back.label(1) == Fraction(35, 12)
-    assert back.to_json() == ds.to_json()
-
-
-def test_malformed_json_rejected():
-    good = small_bool(2, 2).to_json()
-    with pytest.raises(UsageError):
-        CostlyDataset.from_json(good.replace('"bool"', '"octonion"'))
-    with pytest.raises(UsageError):
-        CostlyDataset.from_json(good.replace('"n_features": 2', '"n_features": 5'))
-    rational = CostlyDataset.from_rational([[Fraction(3, 2)]], [Fraction(3, 2)])
-    bad = rational.to_json().replace("3/2", "3|2")
-    with pytest.raises(UsageError):
-        CostlyDataset.from_json(bad)
-
-
 def test_rational_reads():
     values = [[Fraction(3, 2), Fraction(1)], [Fraction(7, 4), Fraction(5, 3)]]
     ds = CostlyDataset.from_rational(values, [Fraction(1), Fraction(2)])
@@ -195,24 +160,16 @@ def test_rational_reads():
     assert ds.ledger.total_probes == 4
 
 
-def _dataset_json(examples, labels=None, kind="rational", n_features=2):
-    doc = {"n_features": n_features, "examples": examples, "value_kind": kind}
-    if labels is not None:
-        doc["labels"] = labels
-    return json.dumps(doc)
-
-
-@pytest.mark.parametrize("text", [
-    _dataset_json([[0, 1], [1]], ["+", "-"], kind="bool"),
-    _dataset_json([["1/1", "3/2"], ["1/1"]], ["1/1", "1/1"]),
-    _dataset_json([], []),
-    _dataset_json([["1/1", "3/2"]]),
+@pytest.mark.parametrize("make", [
+    lambda: CostlyDataset.from_bool([[0, 1], [1]], [True, False]),
+    lambda: CostlyDataset.from_rational(
+        [[Fraction(1), Fraction(3, 2)], [Fraction(1)]], [1, 1]),
+    lambda: CostlyDataset.from_rational([], []),
     # 2^62 over the common denominator 3 leaves int64
-    _dataset_json([[f"{2 ** 62}/1", "1/3"]], ["1/1"]),
-    '{"examples": [',
-    "[]",
+    lambda: CostlyDataset.from_rational([[Fraction(2 ** 62), Fraction(1, 3)]],
+                                        [1]),
 ], ids=["ragged-bool-row", "ragged-rational-row", "no-examples",
-        "no-labels", "int64-overflow", "not-json", "not-an-object"])
-def test_malformed_dataset_raises_usage_error(text):
+        "int64-overflow"])
+def test_malformed_dataset_raises_usage_error(make):
     with pytest.raises(UsageError):
-        CostlyDataset.from_json(text)
+        make()

@@ -13,7 +13,7 @@ from probelearn import (CostlyDataset, InternalError, OracleMisuseError,
                         eval_monomial, improve_rep_monomial,
                         learn_monomial_scratch, lfd_monomial,
                         sample_size_bound, support)
-from probelearn.monomials import monomial_from_json_obj, monomial_to_json_obj
+from probelearn.monomials import monomial_to_json_obj
 
 SAMPLED_CONSTANT = 2e-4  # calibrated: zero empirical rounding errors at d<=2
 
@@ -46,11 +46,6 @@ def test_monomial_json():
     g = vec(2, 0, 1)
     obj = monomial_to_json_obj(g)
     assert obj == {"0": 2, "2": 1}
-    assert (monomial_from_json_obj(obj, 3) == g).all()
-    with pytest.raises(UsageError):
-        monomial_from_json_obj({"5": 1}, 3)
-    with pytest.raises(UsageError):
-        monomial_from_json_obj({"0": -1}, 3)
 
 
 # -- estimation -------------------------------------------------------------

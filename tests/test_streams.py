@@ -7,15 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from probelearn import (CostlyDataset, GameResult, StreamSpec, Tree,
+from probelearn import (GameResult, StreamSpec, Tree,
                         UsageError, adversary_r_min, compose_target,
                         eval_monomial, fill_labels, game_failure_bound,
                         gen_adversary_stream, gen_agnostic_stream,
                         gen_monomial_stream, gen_poly_stream, gen_tree_stream,
                         leaf_cover_dataset, member_of_dt,
                         play_single_feature_game, sample_fragment,
-                        stream_from_json_obj, stream_to_json_obj, stump,
-                        tree_vars)
+                        stream_to_json_obj, stump, tree_vars)
 from probelearn.griddist import ProductDistribution
 from probelearn.streams import _grid_dataset
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
@@ -86,6 +85,18 @@ def test_spec_validation_errors():
         spec(family="overcomplete", k1=0, k2=2)
     with pytest.raises(UsageError):
         spec(family="overcomplete", n_features=4, k1=3, k2=3, mf_depth=2)
+    # checks that depend only on the spec, not on the stream drawn from it
+    for bad in (dict(family="list", n_features=6, k=3, mf_depth=3, d=4),
+                dict(family="tree", mf_depth=0),
+                dict(family="list", mf_depth=0),
+                dict(family="anchor", mf_depth=0),
+                dict(family="list", r=1),
+                dict(family="overcomplete", k1=2, k2=2, r=1),
+                dict(family="polynomial", r=1),
+                dict(family="tree", n_features=4, k=2, d=3, r=1),
+                dict(family="monomial", n_features=3, k=3, r=1)):
+        with pytest.raises(UsageError):
+            spec(**bad)
 
 
 # -- primitive builders -----------------------------------------------------
@@ -171,10 +182,17 @@ def test_list_stream_targets_are_decision_lists():
         assert not path_repeats_var(task.target)
 
 
+def test_huge_mf_depth_builds_no_huge_int():
+    # the pool cap 2^mf_depth - 1 is taken at most at n_features' bit length
+    sp = spec(n_features=8, k=2, d=3, s=7, m=2, sample_size=4,
+              mf_depth=10 ** 12)
+    tasks, dictionary = gen_tree_stream(sp)
+    assert len(tasks) == 2 and len(dictionary) == 2
+
+
 def test_list_stream_needs_room_for_spines():
-    sp = spec(family="list", n_features=4, k=3, d=4, s=15, mf_depth=2, m=2)
     with pytest.raises(UsageError):
-        gen_tree_stream(sp)
+        spec(family="list", n_features=4, k=3, d=4, s=15, mf_depth=2, m=2)
 
 
 def test_overcomplete_stream_anchored_dictionary():
@@ -242,7 +260,7 @@ def test_poly_stream_labels_and_sparsity():
     for task in tasks:
         p = task.target
         assert 1 <= p.sparsity() <= sp.t
-        assert p.total_degree() <= sp.d
+        assert max(sum(e for _, e in key) for key in p.terms) <= sp.d
         for coeff in (p.coefficient(g) for g in p.monomials()):
             assert abs(coeff) >= Fraction(1, 4)
         rows = task.ds.peek_all()
@@ -494,80 +512,3 @@ def test_game_failure_bound_values():
     assert game_failure_bound(100, 25) == 0.74
     assert game_failure_bound(100, 99) == 0.0
     assert game_failure_bound(10, 20) == 0.0  # clipped
-
-
-# -- serialization round trips ----------------------------------------------
-
-def test_tree_stream_round_trip():
-    sp = spec(n_features=8, k=2, d=3, s=7, m=5, sample_size=6, seed=73)
-    tasks, _ = gen_tree_stream(sp)
-    back = stream_from_json_obj(stream_to_json_obj(tasks, "tree"))
-    assert len(back) == len(tasks)
-    for a, b in zip(tasks, back):
-        assert a.target == b.target
-        assert a.good == b.good
-        assert (a.ds.peek_all() == b.ds.peek_all()).all()
-        assert b.ds.ledger.total_probes == 0  # fresh meter after the trip
-
-
-def test_rational_stream_round_trips():
-    sp = spec(family="monomial", n_features=5, k=2, d=3, m=4, sample_size=4,
-              seed=79)
-    tasks, _ = gen_monomial_stream(sp)
-    back = stream_from_json_obj(stream_to_json_obj(tasks, "monomial"))
-    for a, b in zip(tasks, back):
-        assert (a.target == b.target).all()
-        assert (a.ds.peek_all() == b.ds.peek_all()).all()
-
-    sp2 = spec(family="polynomial", n_features=4, k=2, d=3, t=2, m=4,
-               sample_size=4, seed=83)
-    tasks2, _ = gen_poly_stream(sp2)
-    back2 = stream_from_json_obj(stream_to_json_obj(tasks2, "polynomial"))
-    for a, b in zip(tasks2, back2):
-        assert a.target == b.target
-        assert (a.ds.peek_all() == b.ds.peek_all()).all()
-
-
-
-def _good_task(drop=None):
-    """One serialized tree task, without the key `drop`."""
-    tasks, _ = gen_tree_stream(spec(n_features=6, k=1, d=2, s=3, m=1,
-                                    sample_size=4, seed=89))
-    task = stream_to_json_obj(tasks, "tree")["tasks"][0]
-    task.pop(drop, None)
-    return task
-
-
-def _monomial_stream(target):
-    """A serialized one-task monomial stream whose target is `target`."""
-    tasks, _ = gen_monomial_stream(spec(family="monomial", n_features=4, k=1,
-                                        d=2, m=1, sample_size=3, seed=97))
-    obj = stream_to_json_obj(tasks, "monomial")
-    obj["tasks"][0]["target"] = target
-    return obj
-
-
-@pytest.mark.parametrize("make", [
-    lambda: [],
-    lambda: "tree",
-    lambda: {},
-    lambda: {"family": "tree"},
-    lambda: {"tasks": [_good_task()]},
-    lambda: {"family": "forest", "tasks": [_good_task()]},
-    lambda: {"family": "tree", "tasks": {}},
-    lambda: {"family": "tree", "tasks": [[]]},
-    lambda: {"family": "tree", "tasks": [_good_task(drop="dataset")]},
-    lambda: {"family": "tree", "tasks": [_good_task(drop="target")]},
-    lambda: {"family": "tree", "tasks": [_good_task(drop="good")]},
-    lambda: _monomial_stream([1, 2]),
-    lambda: _monomial_stream({"a": 1}),
-    lambda: _monomial_stream({"0": "x"}),
-    lambda: _monomial_stream({"9": 1}),
-], ids=["list", "string", "empty", "no-tasks", "no-family", "unknown-family",
-        "tasks-not-list", "task-not-object", "no-dataset", "no-target",
-        "no-good", "monomial-not-object", "monomial-bad-feature",
-        "monomial-bad-exponent", "monomial-feature-out-of-range"])
-def test_malformed_stream_raises_usage_error(make):
-    with pytest.raises(UsageError):
-        stream_from_json_obj(make())
-    assert stream_from_json_obj({"family": "tree", "tasks": [_good_task()]})

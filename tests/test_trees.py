@@ -5,7 +5,7 @@ import pytest
 
 from probelearn import (CostlyDataset, OracleMisuseError, TeacherGain, Tree,
                         UsageError, affix, binary_entropy, conflict, induce,
-                        info_gain, label_leaf, member_of_dt, path_repeats_var)
+                        info_gain, member_of_dt, path_repeats_var)
 
 E = Tree.empty
 L = Tree.leaf
@@ -38,8 +38,6 @@ def test_shape_counters():
     assert t.size() == 2
     assert t.n_leaves() == 3
     assert L(True).depth() == 0 and L(True).size() == 0
-    assert not stump(0).is_complete()
-    assert t.is_complete()
 
 
 def test_structural_equality_and_copy():
@@ -53,31 +51,7 @@ def test_structural_equality_and_copy():
     assert a.left.label is True  # deep copy
 
 
-def test_json_round_trip():
-    t = I(3, I(1, L(True), E()), L(False))
-    assert Tree.from_json(t.to_json()) == t
-    with pytest.raises(UsageError):
-        Tree.from_json('{"leaf": "?"}')
-    with pytest.raises(UsageError):
-        Tree.from_json('{"nonsense": 1}')
-
-
-# -- affix / label ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("text", [
-    '{"var": 1, "left": {"leaf": "+"}',
-    '{"var": 1, "left": {"leaf": "+"}}',
-    '{"var": "x", "left": {"leaf": "+"}, "right": {"leaf": "-"}}',
-    '{"var": -1, "left": {"leaf": "+"}, "right": {"leaf": "-"}}',
-    '{"var": 1, "left": [], "right": {"leaf": "-"}}',
-    '{"leaf": "?"}',
-    "[]",
-], ids=["not-json", "no-right", "var-not-int", "negative-var",
-        "child-not-an-object", "bad-label", "not-an-object"])
-def test_malformed_tree_raises_usage_error(text):
-    with pytest.raises(UsageError):
-        Tree.from_json(text)
+# -- affix ----------------------------------------------------------
 
 
 def test_affix_base_case():
@@ -101,21 +75,10 @@ def test_affix_rejects_non_empty_target():
 
 
 def test_affix_strict_repetition():
-    with pytest.raises(UsageError):
-        affix(stump(1), (0,), stump(1), strict=True)
-    # non-strict leaves the check to the caller
+    # affix does not refuse a repeated variable; path_repeats_var finds it
     bad = affix(stump(1), (0,), stump(1))
     assert path_repeats_var(bad)
-    assert not path_repeats_var(affix(stump(1), (0,), stump(2), strict=True))
-
-
-def test_label_leaf():
-    assert label_leaf(E(), (), True) == L(True)
-    done = label_leaf(label_leaf(stump(1), (0,), True), (1,), False)
-    assert done == I(1, L(True), L(False))
-    assert done.is_complete()
-    with pytest.raises(UsageError):
-        label_leaf(stump(1), (), True)
+    assert not path_repeats_var(affix(stump(1), (0,), stump(2)))
 
 
 # -- superimposition --------------------------------------------------------
