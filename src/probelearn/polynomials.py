@@ -22,6 +22,7 @@ and every quantity stays rational.  Detection-test signs are unchanged.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,6 +103,36 @@ class Polynomial:
                   "monomial": {str(i): e for i, e in key}}
                  for key, coeff in sorted(self.terms.items())]
         return {"n_features": self.n_features, "terms": terms}
+
+    @classmethod
+    def from_json(cls, text: str) -> "Polynomial":
+        """Parse the JSON text of `to_json_obj`; any malformed input is a
+        UsageError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"polynomial is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
+            raise UsageError("polynomial JSON must be an object with a terms list")
+        n = doc.get("n_features")
+        if not isinstance(n, int) or n < 1:
+            raise UsageError(f"bad n_features {n!r}")
+        poly = cls(n)
+        for item in doc["terms"]:
+            try:
+                powers = [(int(i), int(e)) for i, e in item["monomial"].items()]
+                num, den = item["coeff"].split("/")
+                coeff = Fraction(int(num), int(den))
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    ZeroDivisionError) as exc:
+                raise UsageError(f"bad polynomial term {item!r}") from exc
+            if any(not 0 <= i < n or e < 0 for i, e in powers):
+                raise UsageError(f"bad monomial {item['monomial']!r}")
+            g = np.zeros(n, dtype=np.int64)
+            for i, e in powers:
+                g[i] = e
+            poly.add_term(g, coeff)
+        return poly
 
 
 def _residual_terms(target: Polynomial, partial: Polynomial) -> dict:

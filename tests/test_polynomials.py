@@ -1,6 +1,7 @@
 """Sparse polynomials: orthogonal bases, correlation oracles, extraction."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,42 @@ def test_polynomial_accessors():
     assert p.coefficient(vec(0, 0, 1)) == 0
     row = [Fraction(3, 2), Fraction(2), Fraction(1)]
     assert p.evaluate(row) == 3 * Fraction(9, 4) - Fraction(5, 2) * 3
+
+
+def test_polynomial_json_round_trip():
+    p = poly(3, (vec(2, 0, 0), 3), (vec(1, 1, 0), Fraction(-5, 2)))
+    assert Polynomial.from_json(json.dumps(p.to_json_obj())) == p
+    empty = Polynomial(3)
+    assert Polynomial.from_json(json.dumps(empty.to_json_obj())) == empty
+
+
+def _poly_json(terms=None, **doc):
+    doc.setdefault("n_features", 3)
+    doc.setdefault("terms", terms if terms is not None
+                   else [{"monomial": {"0": 1}, "coeff": "3/2"}])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n_features": 3, "terms": [',
+    json.dumps({"terms": []}),
+    _poly_json(n_features="3"),
+    _poly_json(terms={"0": 1}),
+    _poly_json([{"monomial": {"0": 1}, "coeff": "3|2"}]),
+    _poly_json([{"monomial": {"0": 1}, "coeff": "3/0"}]),
+    _poly_json([{"monomial": {"0": 1}}]),
+    _poly_json([{"monomial": {"x": 1}, "coeff": "1/1"}]),
+    _poly_json([{"monomial": {"3": 1}, "coeff": "1/1"}]),
+    _poly_json([{"monomial": {"0": -1}, "coeff": "1/1"}]),
+    _poly_json([{"monomial": [0, 1], "coeff": "1/1"}]),
+    "[]",
+], ids=["not-json", "no-n-features", "n-features-not-int", "terms-not-a-list",
+        "coeff-bar", "coeff-zero-denominator", "no-coeff", "var-not-int",
+        "var-out-of-range", "negative-exponent", "monomial-not-an-object",
+        "not-an-object"])
+def test_malformed_polynomial_raises_usage_error(text):
+    with pytest.raises(UsageError):
+        Polynomial.from_json(text)
 
 
 # -- orthogonal basis -------------------------------------------------------
