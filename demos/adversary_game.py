@@ -12,9 +12,9 @@ the same needle inside full task streams.
 
 import numpy as np
 
-from probelearn import (StreamSpec, TreeFamily, adversary_r_min,
-                        game_failure_bound, gen_adversary_stream,
-                        play_single_feature_game, run_protocol)
+from probelearn import (TreeFamily, adversary_r_min, game_failure_bound,
+                        gen_adversary_stream, play_single_feature_game,
+                        run_protocol)
 
 N_PRIME = 100
 TRIALS = 500

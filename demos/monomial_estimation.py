@@ -9,8 +9,6 @@ an integer matrix of previously learned exponent vectors: a new target
 inside its natural span needs only K columns plus one verification sample.
 """
 
-from fractions import Fraction
-
 import numpy as np
 
 from probelearn import (CostlyDataset, ProductDistribution,

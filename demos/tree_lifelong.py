@@ -9,8 +9,6 @@ from scratch, and folds new fragments into the representation.  After K
 scratches the stream is essentially free.
 """
 
-import numpy as np
-
 from probelearn import (StreamSpec, TreeFamily, gen_tree_stream,
                         naive_lfd_seen_features, run_protocol, tree_vars)
 from probelearn.trees import TeacherGain

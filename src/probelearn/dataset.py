@@ -16,6 +16,14 @@ reads (`probe`, `peek*`) and labels.  Every metered column read goes
 through `probe_block` (`probe_rows` and `probe_column` are one-column block
 reads), which returns float64 numerator / denominator, the correctly rounded
 value of each cell, for the sampled estimators.
+
+Labels are built on read when a rational dataset is labeled by a
+polynomial (`from_rational(..., terms=...)`, as every generated stream is):
+the dataset keeps the polynomial as integer weights over one label
+denominator and builds an example's exact label from its integer row the
+first time any read path (`label`, `labels_at`, `labels`, `to_json_obj`)
+asks for it, then memoizes it.  Labels are free, so this changes nothing
+the ledger sees.
 """
 
 from __future__ import annotations
@@ -71,7 +79,8 @@ class CostlyDataset:
     `probe*` methods meter reads through the ledger; `peek*` methods are the
     unmetered oracle channel, reserved for teacher gain, exact-mode oracles
     and test assertions.  Rational values are int64 numerators over
-    `self._den`, which `from_rational` sets.
+    `self._den`, which `from_rational` sets, as are the integer label
+    weights `self._weights` of a dataset whose labels are built on read.
     """
 
     def __init__(self, value_kind: str, values: np.ndarray, labels):
@@ -87,6 +96,7 @@ class CostlyDataset:
         self._values = values
         self._labels = labels
         self._den = 1
+        self._weights = None  # (label denominator, [(weight, term key)])
         self.ledger = ProbeLedger(*values.shape)
 
     # -- construction ------------------------------------------------------
@@ -101,20 +111,32 @@ class CostlyDataset:
         return cls(BOOL, vals, labs)
 
     @classmethod
-    def from_rational(cls, values, labels, denominator=None) -> "CostlyDataset":
+    def from_rational(cls, values, labels=None, denominator=None,
+                      terms=None) -> "CostlyDataset":
         """values: rows of Fractions (nested lists or an object array), stored
         as numerators over the LCM of their denominators; or, given
         `denominator`, an integer matrix of numerators over it.
-        labels: Fractions."""
+        labels: Fractions; or, given `terms` instead (term_key -> rational,
+        as in Polynomial.terms), each example is labeled by that polynomial
+        at its row, built on read."""
         if denominator is None:
             values, denominator = _common_numerators(values)
         else:
             values = np.asarray(values, dtype=np.int64)
         if not 0 < denominator <= _INT64_MAX:
             raise UsageError("rational denominator must lie in [1, 2^63)")
-        labels = [v if isinstance(v, Fraction) else Fraction(v) for v in labels]
+        if (labels is None) == (terms is None):
+            raise UsageError("give exactly one of labels and terms")
+        weights = None
+        if terms is None:
+            labels = [v if isinstance(v, Fraction) else Fraction(v)
+                      for v in labels]
+        else:
+            labels = [None] * values.shape[0]
+            weights = _integer_weights(terms, denominator)
         ds = cls(RATIONAL, values, labels)
         ds._den = denominator
+        ds._weights = weights
         return ds
 
     # -- shape -------------------------------------------------------------
@@ -173,16 +195,32 @@ class CostlyDataset:
     # -- free reads --------------------------------------------------------
 
     def label(self, example: int):
-        return self._labels[example]
+        lab = self._labels[example]
+        return self._build_label(example) if lab is None else lab
 
     def labels_at(self, rows):
         if self.value_kind == BOOL:
             return self._labels[rows]
-        return [self._labels[int(e)] for e in rows]
+        return [self.label(int(e)) for e in rows]
 
     @property
     def labels(self):
+        if self._weights is not None:
+            for e in range(self.n_examples):
+                self.label(e)
         return self._labels
+
+    def _build_label(self, example: int) -> Fraction:
+        """The polynomial label of one example, from its integer row."""
+        den, weighted = self._weights
+        row = self._values[example].tolist()
+        total = 0
+        for weight, key in weighted:
+            for i, e in key:
+                weight *= row[i] ** e
+            total += weight
+        lab = self._labels[example] = Fraction(total, den)
+        return lab
 
     def peek(self, example: int, feature: int):
         """Unmetered read — oracle/audit channel only."""
@@ -214,7 +252,7 @@ class CostlyDataset:
             labels = ["+" if l else "-" for l in self._labels]
         else:
             examples = [[_frac_str(v) for v in row] for row in self.peek_all()]
-            labels = [_frac_str(v) for v in self._labels]
+            labels = [_frac_str(v) for v in self.labels]
         return {"examples": examples, "labels": labels,
                 "n_features": self.n_features, "value_kind": self.value_kind}
 
@@ -234,6 +272,19 @@ def _common_numerators(rows):
         return np.array(nums, dtype=np.int64), den
     except OverflowError as exc:
         raise UsageError("rational numerators overflow int64") from exc
+
+
+def _integer_weights(terms: dict, den: int):
+    """A polynomial over variables x_i = n_i / den as integer weights over one
+    label denominator: P(x) = sum(weight * prod n_i^e) / (lcd * den^top),
+    where lcd is the LCM of the coefficients' denominators, top the largest
+    term degree and weight = lcd * coeff * den^(top - term degree)."""
+    lcd = lcm(*(c.denominator for c in terms.values()))
+    degrees = [sum(e for _, e in key) for key in terms]
+    top = max(degrees, default=0)
+    weighted = [(c.numerator * (lcd // c.denominator) * den ** (top - deg),
+                 key) for (key, c), deg in zip(terms.items(), degrees)]
+    return lcd * den ** top, weighted
 
 
 def _frac_str(v: Fraction) -> str:

@@ -221,6 +221,16 @@ def build_orthogonal_basis(dist, d: int) -> OrthogonalBasis:
 # -- correlation oracles ---------------------------------------------------
 
 
+_ZERO = Fraction(0)  # the one result of every vanishing expectation
+
+
+def _terms_key(partial: Polynomial) -> frozenset:
+    """Hashable key of a polynomial's terms from ints only: (term key,
+    numerator, denominator) per term, so no Fraction is hashed."""
+    return frozenset((key, c.numerator, c.denominator)
+                     for key, c in partial.terms.items())
+
+
 def _integer_terms(terms: dict):
     """Rational terms as integers over their LCM: (lcm, width, top, rows),
     rows[j] = (lcm * coeff, {var: exp}); width is the most variables in one
@@ -241,7 +251,9 @@ class ExactCorrelation:
     over its scale D.  Residual coefficients are ints over their LCM L, and
     a product with fewer than len(lhs) + width factors is padded by powers
     of D, so every term is over L * D^(len(lhs) + width) and only the one
-    returned Fraction is reduced.
+    returned Fraction is reduced; a vanishing one is a shared Fraction(0).
+    The squared residuals are cached per partial on an integer key of its
+    terms, and `positive` reads the sign of a result's numerator.
     """
 
     sampled = False
@@ -275,11 +287,13 @@ class ExactCorrelation:
                     prod *= moments[e]
                     pad -= 1
                 total += prod * scale ** pad
+        if not total:
+            return _ZERO
         return Fraction(total, den * scale ** (len(lhs) + width))
 
     def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
-        key = frozenset(partial.terms.items())
+        key = _terms_key(partial)
         if key not in self._squares:
             self._squares[key] = _integer_terms(
                 _square_terms(_residual_terms(self.target, partial)))
@@ -291,7 +305,7 @@ class ExactCorrelation:
             lhs, _integer_terms(_residual_terms(self.target, partial)))
 
     def positive(self, value) -> bool:
-        return value > 0
+        return value.numerator > 0
 
     def coefficient(self, g, partial: Polynomial) -> Fraction:
         lhs = {i: int(g[i]) for i in support(g)}
@@ -318,7 +332,7 @@ class SampledCorrelation:
         self._residuals = {}  # partial's terms -> residual per example
 
     def _residual_values(self, partial: Polynomial) -> np.ndarray:
-        key = frozenset(partial.terms.items())
+        key = _terms_key(partial)
         if key in self._residuals:
             return self._residuals[key]
         ds = self.ds
@@ -445,8 +459,8 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
     if rep.k == 0:
         return PolynomialResult(FAILED, reason="empty-representation")
     idx = rep.rows()
-    for i in idx:
-        ds.probe_column(i)
+    examples = np.arange(ds.n_examples)
+    ds.probe_block(examples, idx)
     partial = Polynomial(ds.n_features)
     for _ in range(t):
         if not oracle.positive(oracle.corr_sq({}, partial)):
@@ -455,8 +469,7 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
         g, reason = rep.lift([exps[i] for i in idx], d)
         if g is None:
             return PolynomialResult(FAILED, reason=reason)
-        for i in support(g):
-            ds.probe_column(i)  # partial-hypothesis evaluations touch these
+        ds.probe_block(examples, support(g))  # the partial's evaluations read g
         coeff = oracle.coefficient(g, partial)
         if coeff == 0:
             return PolynomialResult(FAILED, reason="zero-coefficient")

@@ -341,8 +341,9 @@ def _sample_exponent_matrix(rng, spec: StreamSpec):
     raise GeneratorExhaustedError("could not sample a rank-K exponent matrix")
 
 
-def _sample_combination(rng, cols, d: int):
-    degs = [int(c.sum()) for c in cols]
+def _sample_combination(rng, cols, degs, d: int):
+    """A natural combination g = F.w of total degree <= d; `degs` are the
+    columns' degrees."""
     w = np.zeros(len(cols), dtype=np.int64)
     budget = d
     while True:
@@ -364,27 +365,12 @@ def _grid_dataset(rng, n_examples: int, n_features: int, terms) -> CostlyDataset
     """Uniform examples on the default grid, numerators M + j over M, labeled
     by the polynomial `terms` (term_key -> Fraction, as in Polynomial.terms).
 
-    Each label is one exact Fraction: its integer numerator over
-    lcd(coeffs) * M^(max degree) is summed from the example's numerators.
+    No label is computed here: the dataset keeps `terms` as integer weights
+    and builds each exact label from its row the first time it is read.
     """
     m = DEFAULT_GRID
     idx = rng.integers(0, m + 1, size=(n_examples, n_features))
-    nums = idx + m
-    lcd = math.lcm(*(coeff.denominator for coeff in terms.values()))
-    top = max((sum(e for _, e in key) for key in terms), default=0)
-    weighted = [(coeff.numerator * (lcd // coeff.denominator)
-                 * m ** (top - sum(e for _, e in key)), key)
-                for key, coeff in terms.items()]
-    den = lcd * m ** top
-    labels = []
-    for row in nums.tolist():
-        total = 0
-        for weight, key in weighted:
-            for i, e in key:
-                weight *= row[i] ** e
-            total += weight
-        labels.append(Fraction(total, den))
-    return CostlyDataset.from_rational(nums, labels, denominator=m)
+    return CostlyDataset.from_rational(idx + m, denominator=m, terms=terms)
 
 
 def _monomial_terms(g) -> dict:
@@ -396,9 +382,10 @@ def gen_monomial_stream(spec: StreamSpec, trial: int = 0):
     spec.validate()
     rng = np.random.default_rng((spec.seed, trial))
     cols = _sample_exponent_matrix(rng, spec)
+    degs = [int(c.sum()) for c in cols]
     tasks = []
     for _ in range(spec.m):
-        g = _sample_combination(rng, cols, spec.d)
+        g = _sample_combination(rng, cols, degs, spec.d)
         ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
                            _monomial_terms(g))
         tasks.append(Task(ds=ds, target=g, good=True))
@@ -411,6 +398,7 @@ def gen_poly_stream(spec: StreamSpec, trial: int = 0):
     spec.validate()
     rng = np.random.default_rng((spec.seed, trial))
     cols = _sample_exponent_matrix(rng, spec)
+    degs = [int(c.sum()) for c in cols]
     tasks = []
     for _ in range(spec.m):
         target = Polynomial(spec.n_features)
@@ -418,7 +406,7 @@ def gen_poly_stream(spec: StreamSpec, trial: int = 0):
         for _ in range(8 * want):
             if target.sparsity() >= want:
                 break
-            g = _sample_combination(rng, cols, spec.d)
+            g = _sample_combination(rng, cols, degs, spec.d)
             if target.coefficient(g) == 0:
                 coeff = COEFF_POOL[int(rng.integers(len(COEFF_POOL)))]
                 target.add_term(g, coeff)

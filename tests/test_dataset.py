@@ -1,5 +1,6 @@
 """Probe metering: memoized cells, free labels, ledger accounting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -173,3 +174,88 @@ def test_rational_reads():
 def test_malformed_dataset_raises_usage_error(make):
     with pytest.raises(UsageError):
         make()
+
+
+# -- labels built on read ---------------------------------------------------
+
+
+def random_terms(rng, n_features):
+    """A random term dict: up to four terms of degree <= 4 with signed,
+    often fractional coefficients."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 5))):
+        exps = {}
+        for _ in range(int(rng.integers(0, 5))):
+            i = int(rng.integers(n_features))
+            exps[i] = exps.get(i, 0) + 1
+        coeff = Fraction(int(rng.choice([-5, -3, -1, 1, 2, 7])),
+                         int(rng.integers(1, 7)))
+        terms[tuple(sorted(exps.items()))] = coeff
+    return terms
+
+
+LABEL_TERMS = [
+    {},  # the zero polynomial
+    {(): Fraction(5, 3)},  # a constant
+    {((0, 1),): Fraction(-7, 2), ((1, 2), (2, 1)): Fraction(3, 4),
+     (): Fraction(-2)},
+    {((0, 4),): Fraction(1), ((1, 1), (3, 3)): Fraction(-1, 6)},  # degree 4
+] + [random_terms(np.random.default_rng(seed), 4) for seed in range(12)]
+
+
+def eager_labels(values, den, terms):
+    rows = [[Fraction(int(v), den) for v in row] for row in values]
+    return [sum((math.prod((row[i] ** e for i, e in key), start=c)
+                 for key, c in terms.items()), Fraction(0)) for row in rows]
+
+
+def test_label_terms_cover_the_required_cases():
+    coeffs = [c for terms in LABEL_TERMS for c in terms.values()]
+    assert {} in LABEL_TERMS
+    assert any(() in terms for terms in LABEL_TERMS)
+    assert any(c < 0 for c in coeffs) and any(c.denominator > 1 for c in coeffs)
+    assert any(sum(e for _, e in key) == 4
+               for terms in LABEL_TERMS for key in terms)
+
+
+@pytest.mark.parametrize("terms", LABEL_TERMS)
+def test_labels_built_on_read_match_eager_fractions(terms):
+    den = 7
+    values = np.random.default_rng(9).integers(den, 2 * den + 1, (6, 4))
+    want = eager_labels(values, den, terms)
+    eager = CostlyDataset.from_rational(values, want, denominator=den)
+
+    def lazy():
+        return CostlyDataset.from_rational(values, denominator=den,
+                                           terms=terms)
+
+    # each read path on a fresh dataset, so each one builds its own labels
+    ds = lazy()
+    assert [ds.label(e) for e in range(6)] == want
+    assert lazy().label(-1) == want[-1]
+    rows = np.array([4, 0, 4, 2])
+    assert lazy().labels_at(rows) == [want[int(e)] for e in rows]
+    assert list(lazy().labels) == want
+    assert lazy().to_json_obj() == eager.to_json_obj()
+    ds = lazy()
+    ds.label(3)
+    assert list(ds.labels) == want  # a memoized label among built ones
+    assert ds.ledger.total_probes == 0
+
+
+def test_labels_are_built_once_and_only_when_read():
+    terms = {((0, 2), (1, 1)): Fraction(-3, 4)}
+    ds = CostlyDataset.from_rational(np.full((3, 2), 5), denominator=4,
+                                     terms=terms)
+    assert ds._labels == [None] * 3
+    first = ds.label(1)
+    assert first == Fraction(-3, 4) * Fraction(5, 4) ** 3
+    assert ds.label(1) is first
+    assert ds._labels.count(None) == 2
+
+
+@pytest.mark.parametrize("kw", [{}, {"labels": [Fraction(1)], "terms": {}}],
+                         ids=["neither", "both"])
+def test_from_rational_needs_labels_or_terms(kw):
+    with pytest.raises(UsageError):
+        CostlyDataset.from_rational([[Fraction(1)]], **kw)

@@ -9,9 +9,10 @@ import pytest
 
 from probelearn import (CostlyDataset, ExactCorrelation, ModelViolationError,
                         Polynomial, ProductDistribution, RepresentationMatrix,
-                        SampledCorrelation, UsageError,
-                        build_orthogonal_basis, improve_rep_polynomial,
-                        learn_polynomial_scratch, lfd_polynomial)
+                        SampledCorrelation, StreamSpec, UsageError,
+                        build_orthogonal_basis, gen_poly_stream,
+                        improve_rep_polynomial, learn_polynomial_scratch,
+                        lfd_polynomial, support)
 from probelearn.polynomials import _extract_largest, key_to_vector, term_key
 
 DIST = ProductDistribution()  # module-level: moment/basis caches are shared
@@ -325,6 +326,29 @@ def test_scratch_random_targets_exact():
         assert learn_polynomial_scratch(oracle, n, 3, t) == target
 
 
+@pytest.mark.parametrize("value", [
+    Fraction(-3, 7), Fraction(-1, 10 ** 30), Fraction(0), Fraction(0, 5),
+    Fraction(1, 10 ** 30), Fraction(22, 7)])
+def test_exact_positive_agrees_with_greater_than_zero(value):
+    basis = build_orthogonal_basis(DIST, 1)
+    oracle = ExactCorrelation(Polynomial(1), DIST, basis)
+    assert oracle.positive(value) is (value > 0)
+
+
+def test_exact_positive_on_oracle_results():
+    basis = build_orthogonal_basis(DIST, 2)
+    target = poly(2, (vec(1, 1), 2), (vec(2, 0), -1))
+    oracle = ExactCorrelation(target, DIST, basis)
+    seen = set()
+    for lhs in ({}, {0: 2}, {1: 2}, {0: 4}, {0: 2, 1: 2}, {0: 1}, {1: 3}):
+        for partial in (Polynomial(2), poly(2, (vec(2, 0), -1)), target):
+            for value in (oracle.corr_sq(lhs, partial),
+                          oracle.corr_lin(lhs, partial)):
+                assert oracle.positive(value) is (value > 0)
+                seen.add((value > 0) - (value < 0))
+    assert seen == {-1, 0, 1}
+
+
 # -- sampled oracle ---------------------------------------------------------
 
 
@@ -415,6 +439,32 @@ def test_lfd_in_span_exact_with_probe_cap():
     assert result.learned
     assert result.polynomial == target
     assert ds.ledger.per_example_max() <= rep.k + 2 * 4  # k + t*d
+
+
+def test_lfd_probes_rows_and_lift_supports_as_whole_columns():
+    """The mask after each attempt equals the per-column reference: every
+    row of I and every feature of each learned monomial, on all examples."""
+    sp = StreamSpec(family="polynomial", n_features=8, k=3, d=3, t=3, m=12,
+                    sample_size=6, seed=5).validate()
+    tasks, _ = gen_poly_stream(sp)
+    basis = build_orthogonal_basis(DIST, sp.d)
+    rep = RepresentationMatrix(sp.n_features)
+    learned = 0
+    for task in tasks:
+        oracle = ExactCorrelation(task.target, DIST, basis)
+        result = lfd_polynomial(task.ds, rep, oracle, sp.d, sp.t)
+        if result.learned:
+            learned += 1
+            ref = CostlyDataset.from_rational(task.ds.peek_all(),
+                                              task.ds.labels)
+            for i in rep.rows():
+                ref.probe_column(i)
+            for g in result.polynomial.monomials():
+                for i in support(g):
+                    ref.probe_column(i)
+            assert (task.ds.ledger._mask == ref.ledger._mask).all()
+        improve_rep_polynomial(rep, task.target)
+    assert learned >= 6
 
 
 def test_lfd_empty_rep():

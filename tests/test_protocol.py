@@ -2,7 +2,6 @@
 
 import csv
 
-import numpy as np
 import pytest
 
 from probelearn import (ROW_FIELDS, SCHEMA_VERSION, CostlyDataset,
