@@ -15,14 +15,14 @@ from .errors import (GeneratorExhaustedError, InternalError,
                      RealizabilityError, UsageError, VarianceUnderflowError)
 from .exactla import independent_rows, invert, mat_vec
 from .griddist import DEFAULT_GRID, ProductDistribution
-from .monomials import (MonomialResult, RepresentationMatrix,
-                        SampledConfig, degree, estimate_power, eval_monomial,
-                        improve_rep_monomial, learn_monomial_scratch,
-                        lfd_monomial, sample_size_bound, support)
+from .monomials import (RepresentationMatrix, Result, SampledConfig, degree,
+                        estimate_power, eval_monomial, improve_rep_monomial,
+                        learn_monomial_scratch, lfd_monomial,
+                        sample_size_bound, support)
 from .polynomials import (ExactCorrelation, OrthogonalBasis, Polynomial,
-                          PolynomialResult, SampledCorrelation,
-                          build_orthogonal_basis, improve_rep_polynomial,
-                          learn_polynomial_scratch, lfd_polynomial)
+                          SampledCorrelation, build_orthogonal_basis,
+                          improve_rep_polynomial, learn_polynomial_scratch,
+                          lfd_polynomial)
 from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
                        PolynomialFamily, ProtocolRun, Task, TreeFamily,
                        combined_slack, run_bootstrap_protocol,

@@ -2,12 +2,14 @@
 
 Subcommands:
   run        -- execute a configured protocol over generated streams
-  sweep      -- re-run a config across one axis (m | N | K | r | c)
+  sweep      -- re-run a config across one axis (m | N | K | r | c; c, the
+                restart slack, only for a restart or combined protocol)
   adversary  -- single-feature game failure rates and regime-stream totals
 
-All randomness flows from the config seed (or --seed-override); reports
-carry no timestamps, so the same config and seed produce byte-identical
-CSV/JSON.  --jobs N spreads trials (run, sweep) or (learner, budget) game
+All randomness flows from the config seed (stream.seed for run and sweep,
+seed for adversary), which --seed-override replaces; reports carry no
+timestamps, so the same config and seed produce byte-identical CSV/JSON.
+--jobs N spreads trials (run, sweep) or (learner, budget) game
 cells (adversary) over N processes; reports do not depend on N.  Exit codes:
 0 success; 1 strict-mode violation, or a learner or generator failure
 (realizability, model violation, exhausted generator, oracle misuse); 2
@@ -25,12 +27,13 @@ Every block and key is optional; defaults in parentheses.  Run/sweep:
             s (7), r (0), mf_depth (2), k1 (0), k2 (0), seed (0); and
             StreamSpec.validate's cross-field checks (k <= n_features, ...)
   protocol  kind (plain): plain|restart|combined|bootstrap; gain (teacher):
-            teacher|info; improver (the family): tree|list|anchor|overcomplete;
+            teacher|info; improver (the family): tree|list|anchor|overcomplete
+            (overcomplete only on an overcomplete stream);
             ints >= 0: k_cap (stream k), r (stream r), slack (0; combined:
             sqrt(rKN/m)), n_bootstrap (from p_min, delta); floats: p_min in
             (0, 1] (stream p_min or 0.25), delta in (0, 1) (0.1);
             strict_envelope_scale float >= 0 (1.0)
-  trials int >= 1 (1), strict bool (false), seed int >= 0 (--seed-override)
+  trials int >= 1 (1), strict bool (false)
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
             budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
@@ -91,7 +94,7 @@ PROTOCOL_KEYS = {
     "n_bootstrap": (int, 0), "p_min": (float, None), "delta": (float, None),
     "strict_envelope_scale": (float, 0)}
 RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
-            "trials": (int, 1), "strict": (bool, None), "seed": (int, 0)}
+            "trials": (int, 1), "strict": (bool, None)}
 GAME_KEYS = {"n_prime": (int, 1), "budgets": ([int], 0), "trials": (int, 1),
              "s": (int, 1), "learners": ([str], tuple(GAME_LEARNERS))}
 REGIME_KEYS = {"name": (str, REGIMES), "n_features": (int, 1), "k": (int, 1),
@@ -152,6 +155,9 @@ def build_spec(cfg: dict) -> StreamSpec:
 def build_family(spec: StreamSpec, proto: dict):
     if spec.family in TREE_FAMILIES:
         improver = proto.get("improver", spec.family)
+        if improver == "overcomplete" and spec.family != "overcomplete":
+            raise UsageError(f"the overcomplete improver needs an overcomplete "
+                             f"stream, got family {spec.family!r}")
         return TreeFamily(d=spec.d, s=spec.s,
                           gain=proto.get("gain", "teacher"), improver=improver)
     dist = ProductDistribution()
@@ -298,6 +304,10 @@ def sweep_plan(config: dict, axis: str, text: str) -> list:
         raise UsageError(f"unknown sweep axis {axis!r}")
     if not values:
         raise UsageError("empty sweep values")
+    kind = config.get("protocol", {}).get("kind", "plain")
+    if axis == "c" and kind not in ("restart", "combined"):
+        raise UsageError(f"sweep axis c sets the restart slack, which a "
+                         f"{kind} protocol does not read")
     stream_key = {"m": "m", "N": "n_features", "K": "k", "r": "r"}.get(axis)
     plan = []
     for value in values:
@@ -443,9 +453,9 @@ def main(argv=None) -> int:
                 raise UsageError(f"--out {out}: {path} is not a directory")
         config = load_config(args.config)
         if args.seed_override is not None:
-            config["seed"] = args.seed_override
-            if args.command != "adversary" and isinstance(
-                    config.setdefault("stream", {}), dict):
+            if args.command == "adversary":
+                config["seed"] = args.seed_override
+            elif isinstance(config.setdefault("stream", {}), dict):
                 config["stream"]["seed"] = args.seed_override
         if args.command == "adversary":
             check_block(config, ADVERSARY_KEYS, "adversary config")

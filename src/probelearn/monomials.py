@@ -221,9 +221,12 @@ class RepresentationMatrix:
 
 
 @dataclass
-class MonomialResult:
+class Result:
+    """An attempt through the representation: the verified hypothesis when
+    learned, else the reason it failed."""
+
     outcome: str
-    monomial: np.ndarray = None
+    hypothesis: object = None
     reason: str = None
 
     @property
@@ -231,18 +234,19 @@ class MonomialResult:
         return self.outcome == LEARNED
 
 
-def _verify(ds, g) -> MonomialResult:
-    """Single-sample identity test: learned iff P_g reproduces the last
-    example's label under exact rational evaluation."""
+def _verify(ds, hypothesis, features, value) -> Result:
+    """Single-sample identity test: probe the last example's `features`;
+    learned iff `value(row)` reproduces its label under exact rational
+    evaluation."""
     e = ds.n_examples - 1
-    row = {i: ds.probe(e, i) for i in support(g)}
-    if eval_monomial(g, row) != Fraction(ds.label(e)):
-        return MonomialResult(FAILED, reason="verification")
-    return MonomialResult(LEARNED, monomial=g)
+    row = {i: ds.probe(e, i) for i in features}
+    if value(row) != Fraction(ds.label(e)):
+        return Result(FAILED, reason="verification")
+    return Result(LEARNED, hypothesis=hypothesis)
 
 
 def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
-                 target=None, sampled: SampledConfig = None) -> MonomialResult:
+                 target=None, sampled: SampledConfig = None) -> Result:
     """Learn through the representation: probe the independent rows only.
 
     Estimates the target's exponents on rep's row set I, solves for the
@@ -251,13 +255,13 @@ def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
     sample by exact rational evaluation.
     """
     if rep.k == 0:
-        return MonomialResult(FAILED, reason="empty-representation")
+        return Result(FAILED, reason="empty-representation")
     idx = rep.rows()
     g_restricted = [estimate_power(ds, i, dist, mode, d, target, sampled) for i in idx]
     g, reason = rep.lift(g_restricted, d)
     if g is None:
-        return MonomialResult(FAILED, reason=reason)
-    return _verify(ds, g)
+        return Result(FAILED, reason=reason)
+    return _verify(ds, g, support(g), lambda row: eval_monomial(g, row))
 
 
 def improve_rep_monomial(rep: RepresentationMatrix, g) -> int:

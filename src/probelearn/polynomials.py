@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InternalError, ModelViolationError, UsageError
-from .monomials import RepresentationMatrix, support
+from .monomials import (FAILED, RepresentationMatrix, Result, _verify,
+                        improve_rep_monomial, support)
 
-LEARNED = "learned"
-FAILED = "failed"
 COEFF_FLOOR = 1e-3  # sampled coefficients below this in magnitude read as 0
 DENOMINATOR_CAP = 64  # the others snap to a rational with this denominator cap
 
@@ -425,29 +423,7 @@ def learn_polynomial_scratch(oracle, n_features: int, d: int, t: int,
     return out
 
 
-@dataclass
-class PolynomialResult:
-    outcome: str
-    polynomial: Polynomial = None
-    reason: str = None
-
-    @property
-    def learned(self) -> bool:
-        return self.outcome == LEARNED
-
-
-def _verify(ds, partial: Polynomial) -> PolynomialResult:
-    """Single-sample identity test: learned iff `partial` reproduces the last
-    example's label under exact rational evaluation."""
-    e = ds.n_examples - 1
-    touched = sorted({i for key in partial.terms for i, _ in key})
-    row = {i: ds.probe(e, i) for i in touched}
-    if partial.evaluate(row) != Fraction(ds.label(e)):
-        return PolynomialResult(FAILED, reason="verification")
-    return PolynomialResult(LEARNED, polynomial=partial)
-
-
-def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> PolynomialResult:
+def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Result:
     """Learn through the representation, probing only its independent rows.
 
     The lexicographic search runs restricted to the row set I; each
@@ -457,7 +433,7 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
     rejects any off-span lift.
     """
     if rep.k == 0:
-        return PolynomialResult(FAILED, reason="empty-representation")
+        return Result(FAILED, reason="empty-representation")
     idx = rep.rows()
     examples = np.arange(ds.n_examples)
     ds.probe_block(examples, idx)
@@ -468,21 +444,16 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Pol
         exps = _extract_largest(oracle, sorted(idx), d, partial)
         g, reason = rep.lift([exps[i] for i in idx], d)
         if g is None:
-            return PolynomialResult(FAILED, reason=reason)
+            return Result(FAILED, reason=reason)
         ds.probe_block(examples, support(g))  # the partial's evaluations read g
         coeff = oracle.coefficient(g, partial)
         if coeff == 0:
-            return PolynomialResult(FAILED, reason="zero-coefficient")
+            return Result(FAILED, reason="zero-coefficient")
         partial.add_term(g, coeff)
-    return _verify(ds, partial)
+    touched = sorted({i for key in partial.terms for i, _ in key})
+    return _verify(ds, partial, touched, partial.evaluate)
 
 
 def improve_rep_polynomial(rep: RepresentationMatrix, target: Polynomial) -> int:
     """Add the target's monomials that fall outside the current span."""
-    added = 0
-    for g in target.monomials():
-        if not rep.contains(g):
-            rep.insert(g)
-            added += 1
-    return added
-
+    return sum(improve_rep_monomial(rep, g) for g in target.monomials())

@@ -142,6 +142,9 @@ class _MatrixFamily:
     def absorb(self, rep, learned, task):
         return self.improve(rep, learned, None, task)
 
+    def hypothesis(self, result):
+        return result.hypothesis
+
 
 class MonomialFamily(_MatrixFamily):
     """Natural-exponent monomials over the grid product distribution."""
@@ -170,9 +173,6 @@ class MonomialFamily(_MatrixFamily):
     def improve(self, rep, learned, result, task):
         improve_rep_monomial(rep, learned)
         return rep
-
-    def hypothesis(self, result):
-        return result.monomial
 
 
 class PolynomialFamily(_MatrixFamily):
@@ -208,9 +208,6 @@ class PolynomialFamily(_MatrixFamily):
     def improve(self, rep, learned, result, task):
         improve_rep_polynomial(rep, learned)
         return rep
-
-    def hypothesis(self, result):
-        return result.polynomial
 
 
 # -- run records -----------------------------------------------------------

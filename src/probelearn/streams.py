@@ -344,21 +344,18 @@ def _sample_exponent_matrix(rng, spec: StreamSpec):
 def _sample_combination(rng, cols, degs, d: int):
     """A natural combination g = F.w of total degree <= d; `degs` are the
     columns' degrees."""
-    w = np.zeros(len(cols), dtype=np.int64)
+    picks = []
     budget = d
     while True:
         afford = [j for j, dj in enumerate(degs) if dj <= budget]
-        if not afford or (w.any() and rng.random() > P_MORE_COLUMNS):
+        if not afford or (picks and rng.random() > P_MORE_COLUMNS):
             break
         j = afford[int(rng.integers(len(afford)))]
-        w[j] += 1
+        picks.append(j)
         budget -= degs[j]
-    if not w.any():
+    if not picks:
         raise GeneratorExhaustedError("no affordable dictionary column")
-    g = np.zeros(len(cols[0]), dtype=np.int64)
-    for j, wj in enumerate(w):
-        g += wj * cols[j]
-    return g
+    return sum(cols[j] for j in picks)
 
 
 def _grid_dataset(rng, n_examples: int, n_features: int, terms) -> CostlyDataset:
@@ -433,12 +430,8 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
     """m good tasks plus r bad ones over features disjoint from the
     dictionary, placed per spec.placement; flags are for reporting only."""
     spec.validate()
-    if spec.r == 0:
-        if spec.family in TREE_FAMILIES:
-            return gen_tree_stream(spec, trial)
-        if spec.family == "monomial":
-            return gen_monomial_stream(spec, trial)
-        return gen_poly_stream(spec, trial)
+    if spec.r < 1:
+        raise UsageError(f"an agnostic stream needs r >= 1, got r={spec.r}")
     rng = np.random.default_rng((spec.seed, trial, 1))
 
     if spec.family in ("tree", "anchor"):

@@ -70,6 +70,7 @@ def test_seed_override_changes_the_stream(tmp_path):
                  "--seed-override", "99"]) == 0
     doc = json.loads((other / "report.json").read_text())
     assert doc["config"]["stream"]["seed"] == 99
+    assert "seed" not in doc["config"]  # the seed lives in the stream block
     assert ((base / "report.csv").read_bytes()
             != (other / "report.csv").read_bytes())
 
@@ -223,6 +224,19 @@ NUMERIC_CASES = {
         []),
     "sweep-K-second-value-too-large": ("sweep", TREE_CONFIG,
                                        ["--axis", "K", "--values", "2,99"]),
+    # the overcomplete improver reads the anchors only its own stream makes
+    "overcomplete-improver-on-tree": (
+        "run", with_protocol(TREE_CONFIG, improver="overcomplete"), []),
+    "overcomplete-improver-on-list": (
+        "run", dict(with_stream(family="list"),
+                    protocol={"improver": "overcomplete"}), []),
+    "overcomplete-improver-on-anchor": (
+        "run", dict(with_stream(family="anchor"),
+                    protocol={"improver": "overcomplete"}), []),
+    # only the restart and combined protocols read the slack axis c sets
+    "sweep-c-plain": ("sweep", TREE_CONFIG, ["--axis", "c", "--values", "1"]),
+    "sweep-c-bootstrap": ("sweep", BOOTSTRAP_CONFIG,
+                          ["--axis", "c", "--values", "0,5"]),
 }
 
 
@@ -260,6 +274,7 @@ def test_numeric_fields_exit_2(tmp_path, capsys, monkeypatch, case):
     ("adversary", {"game": dict(GAME, budget=[5])}, "budget"),
     ("adversary", {"game": GAME, "regime": dict(REGIME, n_feature=10)},
      "n_feature"),
+    ("run", dict(TREE_CONFIG, seed=5), "seed"),  # the seed is stream.seed
 ])
 def test_unknown_config_keys_exit_2(tmp_path, capsys, command, cfg, key):
     out = tmp_path / "o"

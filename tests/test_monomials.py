@@ -303,7 +303,7 @@ def test_lfd_single_metafeature():
     ds = grid_ds(rng, dist, g, 4, 3)
     result = lfd_monomial(ds, rep, dist, 3, "exact", target=g)
     assert result.learned
-    assert (result.monomial == g).all()
+    assert (result.hypothesis == g).all()
     assert ds.ledger.per_example_max() <= rep.k + 3
 
 
@@ -317,7 +317,7 @@ def test_lfd_combination():
     ds = grid_ds(rng, dist, g, 4, 3)
     result = lfd_monomial(ds, rep, dist, 4, "exact", target=g)
     assert result.learned
-    assert (result.monomial == g).all()
+    assert (result.hypothesis == g).all()
 
 
 def test_lfd_empty_rep():

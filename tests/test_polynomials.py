@@ -437,7 +437,7 @@ def test_lfd_in_span_exact_with_probe_cap():
     ds = sampled_ds(rng, target, 5, 3)
     result = lfd_polynomial(ds, rep, oracle, d=4, t=2)
     assert result.learned
-    assert result.polynomial == target
+    assert result.hypothesis == target
     assert ds.ledger.per_example_max() <= rep.k + 2 * 4  # k + t*d
 
 
@@ -459,7 +459,7 @@ def test_lfd_probes_rows_and_lift_supports_as_whole_columns():
                                               task.ds.labels)
             for i in rep.rows():
                 ref.probe_column(i)
-            for g in result.polynomial.monomials():
+            for g in result.hypothesis.monomials():
                 for i in support(g):
                     ref.probe_column(i)
             assert (task.ds.ledger._mask == ref.ledger._mask).all()

@@ -374,11 +374,10 @@ def test_agnostic_placements():
     assert sum(not t.good for t in rand) == 3
 
 
-def test_agnostic_passthrough_when_r_zero():
+def test_agnostic_stream_needs_r_at_least_one():
     sp = spec(n_features=10, k=2, d=3, s=7, m=6, r=0, sample_size=6, seed=67)
-    a, _ = gen_agnostic_stream(sp)
-    b, _ = gen_tree_stream(sp)
-    assert serialized(a, "tree") == serialized(b, "tree")
+    with pytest.raises(UsageError, match="r >= 1"):
+        gen_agnostic_stream(sp)
 
 
 def test_agnostic_monomial_bad_feature():
