@@ -2,8 +2,8 @@
 
 Subcommands:
   run        -- execute a configured protocol over generated streams
-  sweep      -- re-run a config across one axis (m | N | K | r | c; c, the
-                restart slack, only for a restart or combined protocol)
+  sweep      -- re-run a config across one axis (m | N | K | r | c; c sets
+                protocol.slack)
   adversary  -- single-feature game failure rates and regime-stream totals
 
 All randomness flows from the config seed (stream.seed for run and sweep,
@@ -13,27 +13,17 @@ timestamps, so the same config and seed produce byte-identical CSV/JSON.
 cells (adversary) over N processes; reports do not depend on N.  Exit codes:
 0 success; 1 strict-mode violation, or a learner or generator failure
 (realizability, model violation, exhausted generator, oracle misuse); 2
-usage error: a config key that is unknown, of the wrong type (a bool is not
-an int, an int is a float) or out of range, --jobs below 1, a bad --axis or
---values, an --out that is not a directory.  These checks run before any
+usage error: a config key that is unknown, that its stream family or
+protocol kind does not read, of the wrong type (a bool is not an int, an int
+is a float) or out of range, --jobs below 1, a bad --axis or --values, an
+--out that is not a directory.  These checks run before any
 trial or game, and each command computes all its rows before it makes
 --out, so a failing command writes no output dir.
 
-Every block and key is optional; defaults in parentheses.  Run/sweep:
-  stream    family (tree): tree|list|anchor|overcomplete|monomial|polynomial;
-            placement (random): random|adversarial-first|adversarial-
-            interleaved; p_min float >= 0 (0.0); ints >= 1: k (3), d (3),
-            t (1), m (50), sample_size (12); ints >= 0: n_features (16),
-            s (7), r (0), mf_depth (2), k1 (0), k2 (0), seed (0); and
-            StreamSpec.validate's cross-field checks (k <= n_features, ...)
-  protocol  kind (plain): plain|restart|combined|bootstrap; gain (teacher):
-            teacher|info; improver (the family): tree|list|anchor|overcomplete
-            (overcomplete only on an overcomplete stream);
-            ints >= 0: k_cap (stream k), r (stream r), slack (0; combined:
-            sqrt(rKN/m)), n_bootstrap (from p_min, delta); floats: p_min in
-            (0, 1] (stream p_min or 0.25), delta in (0, 1) (0.1);
-            strict_envelope_scale float >= 0 (1.0)
-  trials int >= 1 (1), strict bool (false)
+Every block and key is optional; defaults in parentheses.  Run/sweep: stream
+(StreamSpec's fields), protocol and trials int >= 1 (1); STREAM_READS and
+PROTOCOL_READS name the keys each stream family and protocol kind reads, and
+README's run-config table gives every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
             budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
@@ -64,10 +54,10 @@ from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
                        PolynomialFamily, TreeFamily, combined_slack,
                        run_bootstrap_protocol, run_protocol,
                        run_restart_protocol)
-from .streams import (GAME_LEARNERS, REGIMES, TREE_FAMILIES, StreamSpec,
-                      game_failure_bound, gen_adversary_stream,
-                      gen_agnostic_stream, gen_monomial_stream,
-                      gen_poly_stream, gen_tree_stream,
+from .streams import (FAMILIES, GAME_LEARNERS, REGIMES, STREAM_READS,
+                      TREE_FAMILIES, StreamSpec, game_failure_bound,
+                      gen_adversary_stream, gen_agnostic_stream,
+                      gen_monomial_stream, gen_poly_stream, gen_tree_stream,
                       play_single_feature_game)
 from .tree_learners import bootstrap_count
 
@@ -87,14 +77,20 @@ REGIME_FIELDS = ["schema_version", "regime", "n_features", "k", "m", "r",
 STREAM_KEYS = {name: (type(f.default),
                       None if isinstance(f.default, str) else 0)
                for name, f in StreamSpec.__dataclass_fields__.items()}
+STREAM_KEYS["family"] = (str, FAMILIES)  # checked before its STREAM_READS row
+# The protocol keys each kind reads beside kind and strict_envelope_scale;
+# on a tree-family stream every kind also reads gain and improver.
+PROTOCOL_READS = {"plain": (), "restart": ("k_cap", "slack"),
+                  "combined": ("k_cap", "slack", "r"),
+                  "bootstrap": ("n_bootstrap", "p_min", "delta")}
 PROTOCOL_KEYS = {
-    "kind": (str, ("plain", "restart", "combined", "bootstrap")),
+    "kind": (str, tuple(PROTOCOL_READS)),
     "gain": (str, ("teacher", "info")), "improver": (str, TREE_FAMILIES),
     "k_cap": (int, 0), "r": (int, 0), "slack": (int, 0),
     "n_bootstrap": (int, 0), "p_min": (float, None), "delta": (float, None),
     "strict_envelope_scale": (float, 0)}
 RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
-            "trials": (int, 1), "strict": (bool, None)}
+            "trials": (int, 1)}
 GAME_KEYS = {"n_prime": (int, 1), "budgets": ([int], 0), "trials": (int, 1),
              "s": (int, 1), "learners": ([str], tuple(GAME_LEARNERS))}
 REGIME_KEYS = {"name": (str, REGIMES), "n_features": (int, 1), "k": (int, 1),
@@ -177,17 +173,26 @@ def _bootstrap_tasks(spec: StreamSpec, proto: dict) -> int:
                          f"got p_min={p_min!r}, delta={delta!r}")
     if "n_bootstrap" in proto:
         return proto["n_bootstrap"]
-    k = spec.k1 * spec.k2 if spec.family == "overcomplete" else spec.k
-    return bootstrap_count(p_min, max(k, 1), delta)
+    return bootstrap_count(p_min, max(spec.dictionary_size, 1), delta)
 
 
 def _checked_spec(config: dict) -> StreamSpec:
-    """Check a run config whole, as each trial will build it; -> its spec."""
+    """Check a run config whole, as each trial will build it; -> its spec.
+    A key that its stream family or protocol kind does not read is an error."""
     check_block(config, RUN_KEYS, "config")
-    spec = build_spec(config.get("stream", {}))
-    proto = config.get("protocol", {})
+    stream, proto = config.get("stream", {}), config.get("protocol", {})
+    family, kind = stream.get("family", "tree"), proto.get("kind", "plain")
+    tree_reads = ("gain", "improver") if family in TREE_FAMILIES else ()
+    for what, block, reads in (
+            (f"{family} stream", stream, STREAM_READS[family]),
+            (f"{kind} protocol", proto, ("kind", "strict_envelope_scale",
+                                         *tree_reads, *PROTOCOL_READS[kind]))):
+        if unread := sorted(set(block) - set(reads)):
+            raise UsageError(f"the {what} does not read {unread}")
+    spec = build_spec(stream)
     build_family(spec, proto)
-    _bootstrap_tasks(spec, proto)  # checks p_min and delta for every kind
+    if kind == "bootstrap":
+        _bootstrap_tasks(spec, proto)
     return spec
 
 
@@ -304,10 +309,6 @@ def sweep_plan(config: dict, axis: str, text: str) -> list:
         raise UsageError(f"unknown sweep axis {axis!r}")
     if not values:
         raise UsageError("empty sweep values")
-    kind = config.get("protocol", {}).get("kind", "plain")
-    if axis == "c" and kind not in ("restart", "combined"):
-        raise UsageError(f"sweep axis c sets the restart slack, which a "
-                         f"{kind} protocol does not read")
     stream_key = {"m": "m", "N": "n_features", "K": "k", "r": "r"}.get(axis)
     plan = []
     for value in values:
@@ -317,7 +318,7 @@ def sweep_plan(config: dict, axis: str, text: str) -> list:
             proto["slack"] = value
         else:
             cfg.setdefault("stream", {})[stream_key] = value
-        if axis == "r":
+        if axis == "r" and "r" in proto:  # combined's r defaults to stream r
             proto["r"] = value
         plan.append((value, cfg, _checked_spec(cfg)))
     return plan
@@ -460,12 +461,11 @@ def main(argv=None) -> int:
         if args.command == "adversary":
             check_block(config, ADVERSARY_KEYS, "adversary config")
             return cmd_adversary(config, out, args.jobs)
-        strict = args.strict or config.get("strict", False)
         if args.command == "run":
             _checked_spec(config)
-            return cmd_run(config, out, args.jobs, strict)
+            return cmd_run(config, out, args.jobs, args.strict)
         plan = sweep_plan(config, args.axis, args.values)
-        return cmd_sweep(config, out, args.jobs, strict, args.axis, plan)
+        return cmd_sweep(config, out, args.jobs, args.strict, args.axis, plan)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,15 @@ TREE_FAMILIES = ("tree", "list", "anchor", "overcomplete")
 FAMILIES = TREE_FAMILIES + ("monomial", "polynomial")
 PLACEMENTS = ("random", "adversarial-first", "adversarial-interleaved")
 REGIMES = ("realizable", "intermediate", "large1", "large2")
+# The StreamSpec fields each family's generator and learner read.
+_COMMON_READS = ("family", "n_features", "k", "d", "m", "sample_size", "seed")
+_TREE_READS = _COMMON_READS + ("s", "mf_depth", "p_min", "r", "placement")
+STREAM_READS = {
+    "tree": _TREE_READS, "anchor": _TREE_READS,
+    "list": _COMMON_READS + ("s", "mf_depth"),
+    "overcomplete": _COMMON_READS + ("s", "mf_depth", "p_min", "k1", "k2"),
+    "monomial": _COMMON_READS + ("r", "placement"),
+    "polynomial": _COMMON_READS + ("t",)}
 
 
 @dataclass
@@ -61,6 +70,10 @@ class StreamSpec:
     k2: int = 0
     seed: int = 0
 
+    @property
+    def dictionary_size(self) -> int:  # K1 x K2 composites when overcomplete
+        return self.k1 * self.k2 if self.family == "overcomplete" else self.k
+
     def validate(self) -> "StreamSpec":
         if self.family not in FAMILIES:
             raise UsageError(f"unknown family {self.family!r}")
@@ -68,19 +81,19 @@ class StreamSpec:
             raise UsageError(f"unknown placement {self.placement!r}")
         if self.k > self.n_features:
             raise UsageError("K exceeds the number of features")
-        if self.d > self.s:
+        if self.d > self.s and self.family in TREE_FAMILIES:
             raise UsageError("depth cap d exceeds size cap s")
         if min(self.k, self.d, self.t, self.m, self.sample_size) < 1:
             raise UsageError("k, d, t, m and sample_size must be >= 1")
         if self.r < 0:
             raise UsageError("r must be >= 0")
-        if self.r > 0 and self.family not in ("tree", "anchor", "monomial"):
+        if self.r > 0 and "r" not in STREAM_READS[self.family]:
             raise UsageError(f"agnostic streams not defined for {self.family!r}")
         if self.r > 0 and self.family == "monomial" and self.k >= self.n_features:
             raise UsageError("K exceeds the features left beside the "
                              "bad-target feature")
-        if self.p_min < 0 or self.k * max(self.p_min, 0) > 1:
-            raise UsageError("need 0 <= K * p_min <= 1")
+        if self.p_min < 0 or self.dictionary_size * self.p_min > 1:
+            raise UsageError(f"need 0 <= {self.dictionary_size} * p_min <= 1")
         if self.family == "overcomplete":
             if self.k1 < 1 or self.k2 < 1:
                 raise UsageError("overcomplete model needs k1 >= 1 variants "

@@ -2,13 +2,18 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from probelearn import ROW_FIELDS, SCHEMA_VERSION, cli
-from probelearn.cli import (GAME_FIELDS, REGIME_FIELDS, SWEEP_FIELDS,
-                            build_spec, main)
+from probelearn.cli import (GAME_FIELDS, PROTOCOL_KEYS, PROTOCOL_READS,
+                            REGIME_FIELDS, RUN_KEYS, STREAM_KEYS,
+                            SWEEP_FIELDS, _checked_spec, build_spec, main,
+                            sweep_plan)
 from probelearn.errors import UsageError
+from probelearn.streams import FAMILIES, STREAM_READS, TREE_FAMILIES
 
 TREE_CONFIG = {
     "stream": {"family": "tree", "n_features": 10, "k": 2, "d": 2, "s": 5,
@@ -240,17 +245,15 @@ NUMERIC_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(NUMERIC_CASES))
-def test_numeric_fields_exit_2(tmp_path, capsys, monkeypatch, case):
-    """Config values of the wrong type or out of range are usage errors,
-    reported before any trial or game runs and before the output dir is
-    made."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("a trial or game ran before the config check")
+def no_work(*args, **kwargs):
+    raise AssertionError("a trial or game ran before the config check")
 
+
+def usage_error(tmp_path, capsys, monkeypatch, command, cfg, extra=()):
+    """Run `command` on `cfg` with trials and games stubbed out; -> its one
+    `error:` line, after checking exit 2 and that no output dir was made."""
     monkeypatch.setattr(cli, "run_trial", no_work)
     monkeypatch.setattr(cli, "play_single_feature_game", no_work)
-    command, cfg, extra = NUMERIC_CASES[case]
     out = tmp_path / "o"
     args = [command, "--config", write_config(tmp_path, cfg),
             "--out", str(out), *extra]
@@ -258,6 +261,157 @@ def test_numeric_fields_exit_2(tmp_path, capsys, monkeypatch, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_CASES))
+def test_numeric_fields_exit_2(tmp_path, capsys, monkeypatch, case):
+    """Config values of the wrong type or out of range are usage errors,
+    reported before any trial or game runs and before the output dir is
+    made."""
+    usage_error(tmp_path, capsys, monkeypatch, *NUMERIC_CASES[case])
+
+
+# -- every accepted key is one the run reads --------------------------------
+
+# a value of the right type and range for every run key; the full config of
+# a (family, kind) sets each key it reads, and these values fit together
+STREAM_VALUES = {"n_features": 16, "k": 2, "d": 2, "s": 5, "t": 2, "m": 6,
+                 "r": 1, "sample_size": 6, "mf_depth": 2,
+                 "placement": "random", "p_min": 0.25, "k1": 2, "k2": 2,
+                 "seed": 0}
+PROTOCOL_VALUES = {"gain": "teacher", "improver": "tree", "k_cap": 2,
+                   "r": 1, "slack": 1, "n_bootstrap": 2, "p_min": 0.5,
+                   "delta": 0.1, "strict_envelope_scale": 1.0}
+KINDS = PROTOCOL_KEYS["kind"][1]
+FAMILY_KINDS = [(family, kind) for family in FAMILIES for kind in KINDS]
+
+
+def protocol_reads(family, kind):
+    tree = ("gain", "improver") if family in TREE_FAMILIES else ()
+    return {"kind", "strict_envelope_scale", *tree, *PROTOCOL_READS[kind]}
+
+
+def full_config(family, kind):
+    stream = dict(STREAM_VALUES, family=family)
+    proto = dict(PROTOCOL_VALUES, kind=kind, improver=family)
+    return {"stream": {key: stream[key] for key in STREAM_READS[family]},
+            "protocol": {key: proto[key]
+                         for key in protocol_reads(family, kind)},
+            "trials": 1}
+
+
+def test_read_tables_are_total():
+    assert set(STREAM_READS) == set(FAMILIES)
+    assert set(PROTOCOL_READS) == set(KINDS)
+    assert set().union(*STREAM_READS.values()) == set(STREAM_KEYS)
+    assert set().union(*(protocol_reads(f, k) for f, k in FAMILY_KINDS)) \
+        == set(PROTOCOL_KEYS)
+    assert set(STREAM_VALUES) | {"family"} == set(STREAM_KEYS)
+    assert set(PROTOCOL_VALUES) | {"kind"} == set(PROTOCOL_KEYS)
+    for family, kind, keys in (("monomial", "plain", 12),
+                               ("tree", "plain", 17)):
+        assert sum(len(block) if isinstance(block, dict) else 1
+                   for block in full_config(family, kind).values()) == keys
+
+
+@pytest.mark.parametrize("family, kind", FAMILY_KINDS)
+def test_full_config_passes_the_check(family, kind):
+    cfg = full_config(family, kind)
+    assert _checked_spec(cfg).family == family
+
+
+@pytest.mark.parametrize("family, kind", FAMILY_KINDS)
+def test_unread_keys_exit_2(tmp_path, capsys, monkeypatch, family, kind):
+    """Each stream or protocol key that the (family, kind) does not read is a
+    usage error naming the family or kind and the key."""
+    base = full_config(family, kind)
+    unread = [("stream", key, STREAM_VALUES[key], family)
+              for key in sorted(set(STREAM_KEYS) - set(STREAM_READS[family]))]
+    unread += [("protocol", key, PROTOCOL_VALUES[key], kind)
+               for key in sorted(set(PROTOCOL_KEYS)
+                                 - protocol_reads(family, kind))]
+    assert unread
+    for block, key, value, owner in unread:
+        cfg = dict(base, **{block: dict(base[block], **{key: value})})
+        err = usage_error(tmp_path, capsys, monkeypatch, "run", cfg)
+        assert err == f"error: the {owner} {block} does not read {[key]}"
+
+
+UNREAD_CASES = {
+    # each of these two once ran to the report of the run without its keys
+    "gain-improver-on-monomial": ("run", {
+        "stream": {"family": "monomial", "m": 10, "n_features": 6},
+        "protocol": {"gain": "info", "improver": "list"}}, [],
+        "the plain protocol does not read ['gain', 'improver']"),
+    "slack-k_cap-on-plain": (
+        "run", with_protocol(TREE_CONFIG, slack=7, k_cap=1), [],
+        "the plain protocol does not read ['k_cap', 'slack']"),
+    "s-on-monomial": ("run", {"stream": {"family": "monomial", "s": 8}}, [],
+                      "the monomial stream does not read ['s']"),
+    "r-zero-on-polynomial": (
+        "run", {"stream": {"family": "polynomial", "r": 0}}, [],
+        "the polynomial stream does not read ['r']"),
+    "p_min-on-list": ("run", with_stream(family="list", p_min=0.1), [],
+                      "the list stream does not read ['p_min']"),
+    "delta-on-restart": ("run", with_protocol(RESTART_CONFIG, delta=0.5), [],
+                         "the restart protocol does not read ['delta']"),
+    "r-on-restart": ("run", with_protocol(RESTART_CONFIG, r=1), [],
+                     "the restart protocol does not read ['r']"),
+    "sweep-r-polynomial": (
+        "sweep", {"stream": {"family": "polynomial"}},
+        ["--axis", "r", "--values", "0"],
+        "the polynomial stream does not read ['r']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_CASES))
+def test_named_unread_keys_exit_2(tmp_path, capsys, monkeypatch, case):
+    command, cfg, extra, message = UNREAD_CASES[case]
+    err = usage_error(tmp_path, capsys, monkeypatch, command, cfg, extra)
+    assert err == f"error: {message}"
+
+
+def test_d_above_s_binds_only_tree_families(tmp_path):
+    cfg = {"stream": {"family": "monomial", "m": 5, "n_features": 12, "d": 8}}
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_sweep_axis_r_sets_protocol_r_only_where_the_config_does():
+    restart = with_stream(r=1)
+    restart["protocol"] = {"kind": "restart", "k_cap": 2}
+    plan = sweep_plan(restart, "r", "0,1")
+    assert [cfg["protocol"] for _, cfg, _ in plan] == [restart["protocol"]] * 2
+    combined = with_protocol(restart, kind="combined", r=5)
+    plan = sweep_plan(combined, "r", "0,1")
+    assert [cfg["protocol"]["r"] for _, cfg, _ in plan] == [0, 1]
+
+
+def test_readme_config_table_matches_the_key_tables():
+    """README's run-config table lists exactly the stream, protocol and
+    top-level keys, and each key's readers."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text[text.index("Config for `run`/`sweep`"):
+                 text.index("Config for `adversary`")]
+    listed = {"`stream`": {}, "`protocol`": {}, "top level": {}}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[0] in listed:
+            names = set(re.findall(r"`(\w+)`", cells[4]))
+            for key in re.findall(r"`(\w+)`", cells[1]):
+                assert key not in listed[cells[0]], key
+                listed[cells[0]][key] = names
+    assert set(listed["`stream`"]) == set(STREAM_KEYS)
+    assert set(listed["`protocol`"]) == set(PROTOCOL_KEYS)
+    assert set(listed["top level"]) == {
+        key for key, value in RUN_KEYS.items() if not isinstance(value, dict)}
+    for key, names in listed["`stream`"].items():
+        readers = {f for f in FAMILIES if key in STREAM_READS[f]}
+        assert (names & set(FAMILIES) or set(FAMILIES)) == readers, key
+    for key, names in listed["`protocol`"].items():
+        readers = {k for k in KINDS if key in protocol_reads("tree", k)}
+        assert (names & set(KINDS) or set(KINDS)) == readers, key
 
 
 @pytest.mark.parametrize("command, cfg, key", [

@@ -99,6 +99,29 @@ def test_spec_validation_errors():
             spec(**bad)
 
 
+@pytest.mark.parametrize("kw, error", [
+    # K1 x K2 = 4 composites: at p_min = 0.3 the fourth gets 10% of the draws
+    (dict(family="overcomplete", k1=2, k2=2, p_min=0.3), "4 \\* p_min"),
+    # 2 composites fit p_min = 0.4, whatever the unread K says
+    (dict(family="overcomplete", k1=1, k2=2, p_min=0.4), None),
+    # d <= s binds the tree families only: no other family reads s
+    (dict(family="monomial", n_features=12, d=8), None),
+    (dict(family="polynomial", n_features=12, d=8), None),
+    (dict(family="tree", d=8), "size cap"),
+    (dict(family="list", d=8), "size cap"),
+    (dict(family="anchor", d=8), "size cap"),
+    (dict(family="overcomplete", k1=1, k2=2, d=8), "size cap"),
+], ids=["overcomplete-4-composites", "overcomplete-2-composites",
+        "monomial-d-above-s", "polynomial-d-above-s", "tree-d-above-s",
+        "list-d-above-s", "anchor-d-above-s", "overcomplete-d-above-s"])
+def test_spec_validation_applies_each_cap_where_it_is_read(kw, error):
+    if error is None:
+        spec(**kw)
+    else:
+        with pytest.raises(UsageError, match=error):
+            spec(**kw)
+
+
 # -- primitive builders -----------------------------------------------------
 
 def test_fill_labels_places_both_signs():
