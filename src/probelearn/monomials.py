@@ -76,20 +76,21 @@ def sample_size_bound(d: int, c: float, n_features: int, n_tasks: int,
     return math.ceil(constant * (d / scale ** 2) * math.log(n_features * n_tasks / delta))
 
 
-def estimate_power(ds, i: int, dist, mode: str, d: int,
-                   target=None, sampled: SampledConfig = None) -> int:
-    """Estimate the exponent of feature i from labels Q_g = ln P_g.
+def estimate_powers(ds, features, dist, mode: str, d: int,
+                    target=None, sampled: SampledConfig = None) -> list:
+    """Estimate the exponents of `features` from labels Q_g = ln P_g.
 
-    Exact mode charges the same probes the estimator would and resolves the
-    population identity through the hidden target — the estimate is g_i
-    exactly.  Sampled mode computes the empirical centered cross-moment over
-    the analytic-variance denominator and rounds.
+    Exact mode charges the probes the estimator would, as one block read of
+    the features on every example, and resolves the population identity
+    through the hidden target: each estimate is g_i exactly.  Sampled mode
+    computes, per feature, the empirical centered cross-moment over the
+    analytic-variance denominator and rounds.
     """
     if mode == EXACT:
         if target is None:
             raise OracleMisuseError("exact-mode estimation needs the hidden target")
-        ds.probe_column(i)
-        return int(target[i])
+        ds.probe_block(np.arange(ds.n_examples), features)
+        return [int(target[i]) for i in features]
     if mode != SAMPLED:
         raise UsageError(f"unknown mode {mode!r}")
     cfg = sampled or SampledConfig()
@@ -97,21 +98,30 @@ def estimate_power(ds, i: int, dist, mode: str, d: int,
     need = sample_size_bound(d, c, ds.n_features, cfg.n_tasks, cfg.delta, cfg.constant)
     if ds.n_examples < need:
         raise UsageError(f"sampled mode needs at least {need} examples, got {ds.n_examples}")
-    logs = np.log(ds.probe_column(i))
-    var = float(logs.var())
-    if var < c / 2:
-        raise VarianceUnderflowError(f"empirical log-variance {var:.2g} below c/2")
     q = np.log(np.array([float(lab) for lab in ds.labels]))
-    num = float(np.mean(q * (logs - logs.mean())))
-    return int(round(num / var))
+    out = []
+    for i in features:
+        logs = np.log(ds.probe_column(i))
+        var = float(logs.var())
+        if var < c / 2:
+            raise VarianceUnderflowError(f"empirical log-variance {var:.2g} below c/2")
+        num = float(np.mean(q * (logs - logs.mean())))
+        out.append(int(round(num / var)))
+    return out
+
+
+def estimate_power(ds, i: int, dist, mode: str, d: int,
+                   target=None, sampled: SampledConfig = None) -> int:
+    """The exponent of feature i: `estimate_powers` of that one feature."""
+    return estimate_powers(ds, [i], dist, mode, d, target, sampled)[0]
 
 
 def learn_monomial_scratch(ds, dist, d: int, mode: str,
                            target=None, sampled: SampledConfig = None) -> np.ndarray:
     """Probe everything and estimate every exponent independently."""
     ds.probe_all()
-    g = np.array([estimate_power(ds, i, dist, mode, d, target, sampled)
-                  for i in range(ds.n_features)], dtype=np.int64)
+    g = np.array(estimate_powers(ds, range(ds.n_features), dist, mode, d,
+                                 target, sampled), dtype=np.int64)
     if (g < 0).any() or degree(g) > d:
         raise RealizabilityError("estimated exponents leave the degree-d simplex")
     return g
@@ -257,7 +267,7 @@ def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
     if rep.k == 0:
         return Result(FAILED, reason="empty-representation")
     idx = rep.rows()
-    g_restricted = [estimate_power(ds, i, dist, mode, d, target, sampled) for i in idx]
+    g_restricted = estimate_powers(ds, idx, dist, mode, d, target, sampled)
     g, reason = rep.lift(g_restricted, d)
     if g is None:
         return Result(FAILED, reason=reason)

@@ -12,7 +12,8 @@ fires first at the true maximal power, and the coefficient drops out of a
 single linear correlation divided by the basis norms.  The exact oracle
 computes these expectations symbolically through the hidden target; the
 sampled oracle estimates them on the probe-metered sample with a positivity
-threshold.
+threshold.  Detection reads only the sign of each test, never its value, so
+the exact oracle runs a scan as integer sign tests (`_ExactScan`).
 
 Monic basis note: the orthonormal family is H_k / sqrt(n_k) with n_k =
 E[H_k^2]; the leading coefficient of the orthonormal version is 1/sqrt(n_k),
@@ -144,20 +145,6 @@ def _residual_terms(target: Polynomial, partial: Polynomial) -> dict:
     return out
 
 
-def _square_terms(terms: dict) -> dict:
-    out = {}
-    items = list(terms.items())
-    for a, (ka, ca) in enumerate(items):
-        for kb, cb in items[a:]:
-            coeff = ca * cb if ka == kb else 2 * ca * cb
-            merged = dict(ka)
-            for i, e in kb:
-                merged[i] = merged.get(i, 0) + e
-            key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
-
-
 # -- orthogonal basis ------------------------------------------------------
 
 
@@ -241,17 +228,43 @@ def _integer_terms(terms: dict):
     return scale, width, top, rows
 
 
+def _square_terms(terms):
+    """The square of integer terms from `_integer_terms`, in the same form:
+    products of the rows' integer coefficients over the square of their
+    scale, with cancelled terms dropped."""
+    scale, _, _, rows = terms
+    out = {}
+    for a, (ca, ea) in enumerate(rows):
+        for b, (cb, eb) in enumerate(rows[a:]):
+            merged = dict(ea)
+            for i, e in eb.items():
+                merged[i] = merged.get(i, 0) + e
+            key = tuple(sorted(merged.items()))
+            out[key] = out.get(key, 0) + (ca * cb if b == 0 else 2 * ca * cb)
+    squared = [(c, dict(key)) for key, c in out.items() if c]
+    width = max((len(exps) for _, exps in squared), default=0)
+    top = max((e for _, exps in squared for e in exps.values()), default=0)
+    return scale * scale, width, top, squared
+
+
 class ExactCorrelation:
     """Population correlations computed symbolically through the target.
 
     Each expectation is a sum over residual terms of products of per-variable
     factors E[H_k(x_v) x_v^e], read as ints from the basis's `power_table`
     over its scale D.  Residual coefficients are ints over their LCM L, and
-    a product with fewer than len(lhs) + width factors is padded by powers
-    of D, so every term is over L * D^(len(lhs) + width) and only the one
-    returned Fraction is reduced; a vanishing one is a shared Fraction(0).
-    The squared residuals are cached per partial on an integer key of its
-    terms, and `positive` reads the sign of a result's numerator.
+    the squared residual, squared in ints, is over L^2; each is cached per
+    partial on an integer key of its terms.
+
+    Detection reads signs only.  `detection` keys the partial once per scan
+    and hands the scan an `_ExactScan` over its squared residual, whose every
+    test is the sign of a Python-int sum: no Fraction is built and no
+    denominator is formed.  `corr_sq` and `corr_lin` stay the exact values
+    (for coefficients and as the tests' reference): they pad a product with
+    fewer than len(lhs) + width factors by powers of D, so every term is over
+    L * D^(len(lhs) + width), and return one reduced Fraction (a vanishing
+    one is a shared Fraction(0)) whose sign `positive` reads off its
+    numerator.
     """
 
     sampled = False
@@ -289,13 +302,16 @@ class ExactCorrelation:
             return _ZERO
         return Fraction(total, den * scale ** (len(lhs) + width))
 
-    def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
-        """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
+    def _square(self, partial: Polynomial):
         key = _terms_key(partial)
         if key not in self._squares:
-            self._squares[key] = _integer_terms(
-                _square_terms(_residual_terms(self.target, partial)))
-        return self._expectation(lhs, self._squares[key])
+            self._squares[key] = _square_terms(
+                _integer_terms(_residual_terms(self.target, partial)))
+        return self._squares[key]
+
+    def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
+        """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
+        return self._expectation(lhs, self._square(partial))
 
     def corr_lin(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)]."""
@@ -305,12 +321,113 @@ class ExactCorrelation:
     def positive(self, value) -> bool:
         return value.numerator > 0
 
+    def detection(self, partial: Polynomial, variables) -> _ExactScan:
+        """The detection test of one scan over `variables` for `partial`."""
+        square = self._square(partial)
+        scale, table = self.basis.power_table(square[2])
+        return _ExactScan(square, scale, table, variables)
+
     def coefficient(self, g, partial: Polynomial) -> Fraction:
         lhs = {i: int(g[i]) for i in support(g)}
         value = self.corr_lin(lhs, partial)
         for i in support(g):
             value /= self.basis.norms[int(g[i])]
         return value
+
+
+class _ExactScan:
+    """The exact detection test of one scan, over `variables` in order.
+
+    `residual_left()` is positive(corr_sq({}, partial)).  With lhs the
+    variables fixed so far, `fires(i, k)` is positive(corr_sq(lhs + {i: k},
+    partial)) for k >= 1, and `fix(i, k)` fixes i at k (k = 0: no factor);
+    it is called once for every variable, in order.
+
+    A row c * prod_v x_v^{e_v} of the squared residual adds
+    c * prod_v f_v(e_v) to a test, f_v being the table row of v's fixed k,
+    else the moment row.  Padding c by D^(width - its variable count) puts
+    every row over one positive scale, so a verdict is the sign of an int
+    sum.  A live row keeps `pre`, c times the factors of the variables the
+    scan has passed and of those it never visits; `holders` keeps, for each
+    visited variable, the rows holding it with their exponent there and the
+    product of moments over their later visited variables.  A row that lacks
+    a variable fixed at k >= 1 is dropped, since E[H_k] = 0.  So a test
+    (i, k) costs one multiply per live row holding i, summed per exponent.
+    """
+
+    def __init__(self, square, scale: int, table, variables):
+        _, width, _, rows = square
+        moments = table[0]
+        order = {v: p for p, v in enumerate(variables)}
+        self.table = table
+        self.pre = {}      # live row -> c * factors of passed, unvisited vars
+        self.holders = {}  # visited var -> [(row, exponent, later moments)]
+        total = 0
+        pads = [scale ** j for j in range(width + 1)]
+        for r, (coeff, exps) in enumerate(rows):
+            prod = coeff * pads[width - len(exps)]
+            visited = []
+            for v, e in exps.items():
+                if v in order:
+                    visited.append((order[v], v, e))
+                else:
+                    prod *= moments[e]
+            later = 1
+            for _, v, e in sorted(visited, reverse=True):
+                self.holders.setdefault(v, []).append((r, e, later))
+                later *= moments[e]
+            self.pre[r] = prod
+            total += prod * later
+        self._left = total > 0
+        self._weights = None  # (var, {exponent: sum of pre * later moments})
+
+    def residual_left(self) -> bool:
+        return self._left
+
+    def fires(self, i, k: int) -> bool:
+        if self._weights is None or self._weights[0] != i:
+            pre = self.pre
+            weights = {}
+            for r, e, later in self.holders.get(i, ()):
+                if r in pre:
+                    weights[e] = weights.get(e, 0) + pre[r] * later
+            self._weights = (i, weights)
+        row = self.table[k]
+        return sum(w * row[e] for e, w in self._weights[1].items()) > 0
+
+    def fix(self, i, k: int) -> None:
+        pre = self.pre
+        row = self.table[k]
+        if k:
+            self.pre = {r: pre[r] * row[e] for r, e, _ in self.holders.get(i, ())
+                        if r in pre and row[e]}
+        else:
+            for r, e, _ in self.holders.get(i, ()):
+                if r in pre:
+                    pre[r] *= row[e]
+        self._weights = None
+
+
+class _CorrScan:
+    """A detection test that asks the oracle's `corr_sq` once per test (the
+    sampled oracle's); same interface as `_ExactScan`."""
+
+    def __init__(self, oracle, partial: Polynomial):
+        self.oracle = oracle
+        self.partial = partial
+        self.lhs = {}
+
+    def residual_left(self) -> bool:
+        return self.oracle.positive(self.oracle.corr_sq({}, self.partial))
+
+    def fires(self, i, k: int) -> bool:
+        test = dict(self.lhs)
+        test[i] = k
+        return self.oracle.positive(self.oracle.corr_sq(test, self.partial))
+
+    def fix(self, i, k: int) -> None:
+        if k:
+            self.lhs[i] = k
 
 
 class SampledCorrelation:
@@ -335,11 +452,10 @@ class SampledCorrelation:
             return self._residuals[key]
         ds = self.ds
         vals = np.zeros(ds.n_examples)
-        touched = set()
-        for term in partial.terms:
-            touched.update(i for i, _ in term)
+        touched = sorted({i for term in partial.terms for i, _ in term})
+        ds.probe_block(np.arange(ds.n_examples), touched)
         for e in range(ds.n_examples):
-            row = {i: ds.probe(e, i) for i in touched}
+            row = {i: ds.peek(e, i) for i in touched}
             vals[e] = float(Fraction(ds.label(e)) - partial.evaluate(row))
         self._residuals[key] = vals
         return vals
@@ -364,6 +480,9 @@ class SampledCorrelation:
     def positive(self, value) -> bool:
         return value > self.tau
 
+    def detection(self, partial: Polynomial, variables) -> _CorrScan:
+        return _CorrScan(self, partial)
+
     def coefficient(self, g, partial: Polynomial) -> Fraction:
         value = self.corr_lin({i: int(g[i]) for i in support(g)}, partial)
         for i in support(g):
@@ -376,28 +495,24 @@ class SampledCorrelation:
 # -- learners --------------------------------------------------------------
 
 
-def _extract_largest(oracle, variables, budget: int, partial: Polynomial) -> dict:
+def _extract_largest(oracle, variables, budget: int, partial: Polynomial):
     """Exponents of the lexicographically largest residual monomial w.r.t.
-    `variables` (ascending order), found power-by-power, highest first."""
-    lhs = {}
+    `variables` (ascending order), found power-by-power, highest first, by
+    the oracle's detection test for this scan; None when no residual is left
+    to extract, i.e. when positive(corr_sq({}, partial)) fails."""
+    scan = oracle.detection(partial, variables)
+    if not scan.residual_left():
+        return None
     exponents = {}
     remaining = budget
     for i in variables:
-        for dp in range(remaining, -1, -1):
-            test = dict(lhs)
-            if dp:
-                test[i] = 2 * dp
-            if oracle.positive(oracle.corr_sq(test, partial)):
-                if dp:
-                    lhs[i] = 2 * dp
-                exponents[i] = dp
-                remaining -= dp
-                break
-        else:
-            if oracle.sampled:
-                exponents[i] = 0  # below threshold; settle for zero
-            else:
-                raise InternalError("detection scan found no power, not even 0")
+        # d' = 0 needs no test: with no new factor it repeats the last test
+        # that fired (at the first variable, the residual check)
+        dp = next((dp for dp in range(remaining, 0, -1)
+                   if scan.fires(i, 2 * dp)), 0)
+        scan.fix(i, 2 * dp)
+        exponents[i] = dp
+        remaining -= dp
     return exponents
 
 
@@ -408,9 +523,9 @@ def learn_polynomial_scratch(oracle, n_features: int, d: int, t: int,
         ds.probe_all()
     out = Polynomial(n_features)
     for _ in range(t):
-        if not oracle.positive(oracle.corr_sq({}, out)):
-            return out
         exps = _extract_largest(oracle, range(n_features), d, out)
+        if exps is None:
+            return out
         g = np.array([exps[i] for i in range(n_features)], dtype=np.int64)
         coeff = oracle.coefficient(g, out)
         if coeff == 0:
@@ -418,7 +533,7 @@ def learn_polynomial_scratch(oracle, n_features: int, d: int, t: int,
                 return out
             raise InternalError("detected monomial has zero coefficient")
         out.add_term(g, coeff)
-    if oracle.positive(oracle.corr_sq({}, out)):
+    if oracle.detection(out, ()).residual_left():
         raise ModelViolationError(f"target has more than {t} monomials")
     return out
 
@@ -439,9 +554,9 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Res
     ds.probe_block(examples, idx)
     partial = Polynomial(ds.n_features)
     for _ in range(t):
-        if not oracle.positive(oracle.corr_sq({}, partial)):
-            break
         exps = _extract_largest(oracle, sorted(idx), d, partial)
+        if exps is None:
+            break
         g, reason = rep.lift([exps[i] for i in idx], d)
         if g is None:
             return Result(FAILED, reason=reason)

@@ -8,11 +8,11 @@ import pytest
 
 from probelearn import (CostlyDataset, InternalError, OracleMisuseError,
                         ProductDistribution, RealizabilityError,
-                        RepresentationMatrix, SampledConfig, UsageError,
-                        VarianceUnderflowError, degree, estimate_power,
-                        eval_monomial, improve_rep_monomial,
-                        learn_monomial_scratch, lfd_monomial,
-                        sample_size_bound, support)
+                        RepresentationMatrix, SampledConfig, StreamSpec,
+                        UsageError, VarianceUnderflowError, degree,
+                        estimate_power, eval_monomial, gen_monomial_stream,
+                        improve_rep_monomial, learn_monomial_scratch,
+                        lfd_monomial, sample_size_bound, support)
 from probelearn.monomials import monomial_to_json_obj
 
 SAMPLED_CONSTANT = 2e-4  # calibrated: zero empirical rounding errors at d<=2
@@ -378,6 +378,43 @@ def test_lfd_rejects_over_degree_lift():
     result = lfd_monomial(ds, rep, dist, 3, "exact", target=g)
     assert not result.learned
     assert result.reason == "degree"
+
+
+def test_lfd_reads_its_row_set_in_one_block():
+    """On a seeded stream, each exact attempt makes one block read, of its
+    row set, and leaves the ledger the per-column reference leaves: every
+    row of I on all examples, plus the verified lift's support on the last
+    example."""
+    spec = StreamSpec(family="monomial", n_features=10, k=4, d=4, m=30,
+                      sample_size=6, seed=3).validate()
+    tasks, _ = gen_monomial_stream(spec)
+    dist = ProductDistribution()
+    rep = RepresentationMatrix(spec.n_features)
+    outcomes = set()
+    for task in tasks:
+        ds = task.ds
+        ref = CostlyDataset.from_rational(ds.peek_all(), ds.labels)
+        reads = []
+        block = ds.probe_block
+        ds.probe_block = lambda rows, features: (
+            reads.append(list(features)) or block(rows, features))
+        result = lfd_monomial(ds, rep, dist, spec.d, "exact", target=task.target)
+        outcomes.add(result.reason)
+        if rep.k:
+            idx = rep.rows()
+            assert reads == [idx]
+            for i in idx:
+                ref.probe_column(i)
+            g, _ = rep.lift([task.target[i] for i in idx], spec.d)
+            if g is not None:
+                for i in support(g):
+                    ref.probe(ds.n_examples - 1, i)
+        assert ds.ledger.total_probes == ref.ledger.total_probes
+        assert (ds.ledger.per_example_probes()
+                == ref.ledger.per_example_probes()).all()
+        if not result.learned:
+            improve_rep_monomial(rep, task.target)
+    assert {None, "empty-representation", "verification"} <= outcomes
 
 
 # -- improvement -----------------------------------------------------------

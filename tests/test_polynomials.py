@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from probelearn import (CostlyDataset, ExactCorrelation, ModelViolationError,
-                        Polynomial, ProductDistribution, RepresentationMatrix,
-                        SampledCorrelation, StreamSpec, UsageError,
-                        build_orthogonal_basis, gen_poly_stream,
+from probelearn import (CostlyDataset, ExactCorrelation, InternalError,
+                        ModelViolationError, Polynomial, ProductDistribution,
+                        RepresentationMatrix, SampledCorrelation, StreamSpec,
+                        UsageError, build_orthogonal_basis, gen_poly_stream,
                         improve_rep_polynomial, learn_polynomial_scratch,
                         lfd_polynomial, support)
 from probelearn.polynomials import _extract_largest, key_to_vector, term_key
@@ -271,6 +271,163 @@ def test_detection_fires_at_the_top_power():
     assert _extract_largest(oracle, range(2), 2, empty) == {0: 2, 1: 0}
 
 
+# -- the exact detection scan against corr_sq --------------------------------
+
+
+def per_call_extract(oracle, variables, budget, partial):
+    """The residual check and the detection loop as one `corr_sq` per test:
+    the reference that the per-scan integer test must reproduce."""
+    if not oracle.positive(oracle.corr_sq({}, partial)):
+        return None
+    lhs = {}
+    exponents = {}
+    remaining = budget
+    for i in variables:
+        for dp in range(remaining, -1, -1):
+            test = dict(lhs)
+            if dp:
+                test[i] = 2 * dp
+            if oracle.positive(oracle.corr_sq(test, partial)):
+                if dp:
+                    lhs[i] = 2 * dp
+                exponents[i] = dp
+                remaining -= dp
+                break
+        else:
+            if oracle.sampled:
+                exponents[i] = 0  # below threshold; settle for zero
+            else:
+                raise InternalError("detection scan found no power, not even 0")
+    return exponents
+
+
+class CheckedScan:
+    """Wraps one scan's detection test and compares every verdict with
+    positive(corr_sq(test, partial)) for the lhs fixed so far."""
+
+    def __init__(self, oracle, partial, variables, visited):
+        self.scan = ExactCorrelation.detection(oracle, partial, variables)
+        self.oracle = oracle
+        self.partial = partial
+        self.lhs = {}
+        self.visited = visited
+
+    def residual_left(self):
+        got = self.scan.residual_left()
+        assert got is self.oracle.positive(self.oracle.corr_sq({}, self.partial))
+        return got
+
+    def fires(self, i, k):
+        test = dict(self.lhs)
+        test[i] = k
+        got = self.scan.fires(i, k)
+        want = self.oracle.positive(self.oracle.corr_sq(test, self.partial))
+        assert got is want, (test, self.partial)
+        self.visited.append((tuple(sorted(self.lhs.items())), i, k))
+        return got
+
+    def fix(self, i, k):
+        self.scan.fix(i, k)
+        if k:
+            self.lhs[i] = k
+
+
+def check_scans(target, partials, variables, d):
+    """Every verdict of each scan equals corr_sq's and the scan's result
+    equals the per-call loop's; returns the (prefix, i, k) tests visited."""
+    basis = build_orthogonal_basis(DIST, d)
+    oracle = ExactCorrelation(target, DIST, basis)
+    visited = []
+    oracle.detection = lambda partial, scanned: CheckedScan(
+        oracle, partial, scanned, visited)
+    for partial in partials:
+        assert _extract_largest(oracle, variables, d, partial) == \
+            per_call_extract(oracle, variables, d, partial)
+    return visited
+
+
+def test_detection_drops_rows_without_a_fixed_variable():
+    """x0^2 + x1^3 squared holds the row x1^6, which lacks x0: once x0 is
+    fixed at H_4 it adds nothing, so x1 must not fire at H_2."""
+    target = poly(2, (vec(2, 0), 1), (vec(0, 3), 1))
+    visited = check_scans(target, [Polynomial(2)], range(2), 3)
+    assert (((0, 4),), 1, 2) in visited
+    assert _extract_largest(ExactCorrelation(
+        target, DIST, build_orthogonal_basis(DIST, 3)), range(2), 3,
+        Polynomial(2)) == {0: 2, 1: 0}
+
+
+def test_detection_weighs_rows_by_their_later_moments():
+    """(x0 x1 - x0 x1^2)^2 = x0^2 (x1^2 - 2 x1^3 + x1^4): its rows cancel
+    unless each is weighed by its moments over x1, a variable the scan
+    visits after x0."""
+    target = poly(2, (vec(1, 1), 1))
+    partial = poly(2, (vec(1, 2), 1))
+    visited = check_scans(target, [partial], range(2), 3)
+    assert ((), 0, 2) in visited
+
+
+def test_detection_scan_matches_corr_sq_on_random_targets():
+    """Seeded random targets (N <= 5, d <= 3, t <= 3) and partials: empty,
+    one true term, a wrong coefficient, a term outside the target and the
+    full target; each scanned over all variables and over a row subset
+    with partial terms on variables outside it."""
+    rng = np.random.default_rng(52)
+    pool = [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)]
+
+    def monomial(n, d):
+        g = np.zeros(n, dtype=np.int64)
+        for _ in range(int(rng.integers(1, d + 1))):
+            g[int(rng.integers(n))] += 1
+        return g
+
+    visited = 0
+    for _ in range(60):
+        n, d, t = (int(rng.integers(2, 6)), int(rng.integers(1, 4)),
+                   int(rng.integers(1, 4)))
+        target = Polynomial(n)
+        for _ in range(8 * t):
+            if target.sparsity() < t:
+                target.add_term(monomial(n, d),
+                                pool[int(rng.integers(len(pool)))])
+        (key, coeff), *_ = sorted(target.terms.items())
+        true_term = poly(n, (key_to_vector(key, n), coeff))
+        wrong = poly(n, (key_to_vector(key, n), coeff + 1))
+        outside = poly(n, (np.zeros(n, dtype=np.int64), Fraction(-1, 3)))
+        for _ in range(8):
+            g = monomial(n, d)
+            if term_key(g) not in target.terms:
+                outside = poly(n, (g, pool[int(rng.integers(len(pool)))]))
+                break
+        partials = [Polynomial(n), true_term, wrong, outside, target]
+        visited += len(check_scans(target, partials, range(n), d))
+
+        subset = sorted(int(i) for i in rng.choice(n, int(rng.integers(1, n)),
+                                                   replace=False))
+        off = [i for i in range(n) if i not in subset]
+        beside = Polynomial(n)
+        beside.add_term(key_to_vector(((off[0], 1),), n), Fraction(1, 2))
+        for partial in partials[1:4]:
+            for key, coeff in partial.terms.items():
+                beside.add_term(key_to_vector(key, n), coeff)
+        visited += len(check_scans(target, partials + [beside], subset, d))
+    assert visited > 1000
+
+
+def test_sampled_detection_scan_matches_the_per_call_loop():
+    """The sampled oracle's scan asks corr_sq per test, as the loop did,
+    and finds nothing once no residual clears the threshold."""
+    basis = build_orthogonal_basis(DIST, 2)
+    target = poly(3, (vec(1, 1, 0), 2), (vec(2, 0, 1), -1))
+    ds = sampled_ds(np.random.default_rng(49), target, 400, 3)
+    oracle = SampledCorrelation(ds, basis)
+    for partial in (Polynomial(3), poly(3, (vec(2, 0, 1), -1)), target):
+        for variables in (range(3), [0, 2]):
+            assert _extract_largest(oracle, variables, 2, partial) == \
+                per_call_extract(oracle, variables, 2, partial)
+    assert _extract_largest(oracle, range(3), 2, target) is None
+
+
 # -- scratch learning -------------------------------------------------------
 
 
@@ -399,6 +556,26 @@ def test_sampled_lhs_values_match_cellwise_reference():
                      for p, c in enumerate(coeffs)) for e in range(50)]
     got = SampledCorrelation(ds, basis)._lhs_values(lhs)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_sampled_residual_values_match_cellwise_reference():
+    """One block read per new partial leaves the ledger and the residual
+    vector that probing each touched cell would."""
+    basis = build_orthogonal_basis(DIST, 2)
+    target = poly(4, (vec(1, 1, 0, 0), 2), (vec(0, 2, 0, 1), Fraction(-1, 3)))
+    ds = sampled_ds(np.random.default_rng(48), target, 30, 4)
+    ref = CostlyDataset.from_rational(ds.peek_all(), ds.labels)
+    oracle = SampledCorrelation(ds, basis)
+    for partial in (Polynomial(4), poly(4, (vec(1, 1, 0, 0), 2)),
+                    poly(4, (vec(0, 2, 0, 1), 1), (vec(0, 0, 0, 0), 3))):
+        got = oracle._residual_values(partial)
+        touched = {i for term in partial.terms for i, _ in term}
+        want = np.zeros(ref.n_examples)
+        for e in range(ref.n_examples):
+            row = {i: ref.probe(e, i) for i in touched}
+            want[e] = float(Fraction(ref.label(e)) - partial.evaluate(row))
+        assert np.array_equal(got, want)
+        assert (ds.ledger._mask == ref.ledger._mask).all()
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
