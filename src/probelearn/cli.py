@@ -22,8 +22,9 @@ trial or game, and each command computes all its rows before it makes
 
 Every block and key is optional; defaults in parentheses.  Run/sweep: stream
 (StreamSpec's fields), protocol and trials int >= 1 (1); STREAM_READS and
-PROTOCOL_READS name the keys each stream family and protocol kind reads, and
-README's run-config table gives every key's type, default and readers.
+PROTOCOL_READS name the keys each stream family and protocol kind reads (a
+stream reads placement only when r >= 1), and README's run-config table
+gives every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
             budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
@@ -183,8 +184,11 @@ def _checked_spec(config: dict) -> StreamSpec:
     stream, proto = config.get("stream", {}), config.get("protocol", {})
     family, kind = stream.get("family", "tree"), proto.get("kind", "plain")
     tree_reads = ("gain", "improver") if family in TREE_FAMILIES else ()
+    stream_reads = STREAM_READS[family]
+    if stream.get("r", 0) == 0:  # placement places the r bad tasks only
+        stream_reads = tuple(key for key in stream_reads if key != "placement")
     for what, block, reads in (
-            (f"{family} stream", stream, STREAM_READS[family]),
+            (f"{family} stream", stream, stream_reads),
             (f"{kind} protocol", proto, ("kind", "strict_envelope_scale",
                                          *tree_reads, *PROTOCOL_READS[kind]))):
         if unread := sorted(set(block) - set(reads)):

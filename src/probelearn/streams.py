@@ -10,7 +10,13 @@ Tree targets are compositions of a hidden dictionary of K incomplete
 "metafeature" trees: fragments are affixed at empty slots (path variables
 never repeat), remaining slots become leaves such that every internal node
 keeps both a + and a - leaf beneath it — the reduced-tree property the
-teacher gain needs for exact reconstruction on leaf-covering data.
+teacher gain needs for exact reconstruction on leaf-covering data.  As in
+the paper the dictionary is fixed per stream, and so is the work on it: a
+stream reads each fragment's variables, depth, size and empty slots once,
+and a composition grafts fragment copies into one working tree in place,
+keeping its empty slots up to date rather than rescanning them.  Each
+task's leaf-covering examples are labeled in bulk, by routing row-index
+masks down the target.
 
 The agnostic mixer plants r bad targets over features disjoint from the
 dictionary; the lower-bound regime generators emit single-feature stumps
@@ -20,6 +26,7 @@ realizes the needle-in-a-haystack adversary with budgeted adaptive probing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,13 +40,14 @@ from .exactla import independent_rows
 from .monomials import monomial_to_json_obj
 from .polynomials import Polynomial, term_key
 from .protocol import Task
-from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree, affix
+from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree
 
 TREE_FAMILIES = ("tree", "list", "anchor", "overcomplete")
 FAMILIES = TREE_FAMILIES + ("monomial", "polynomial")
 PLACEMENTS = ("random", "adversarial-first", "adversarial-interleaved")
 REGIMES = ("realizable", "intermediate", "large1", "large2")
-# The StreamSpec fields each family's generator and learner read.
+# The StreamSpec fields each family's generator and learner read; placement
+# is read only when r >= 1.
 _COMMON_READS = ("family", "n_features", "k", "d", "m", "sample_size", "seed")
 _TREE_READS = _COMMON_READS + ("s", "mf_depth", "p_min", "r", "placement")
 STREAM_READS = {
@@ -163,64 +171,114 @@ def _sample_list_fragment(rng, pool, max_len: int):
 def fill_labels(rng, tree: Tree) -> Tree:
     """Replace empties with leaves so every internal node has both a + and a
     - leaf beneath it (labels at pre-existing leaves are kept)."""
-    def fill(node, need):
-        if node.kind == EMPTY:
-            if need is None:
-                return Tree.leaf(bool(rng.integers(2)))
-            return Tree.leaf(need)
-        if node.kind == LEAF:
-            return node.copy()
+    out = tree.copy()
+    _fill(rng, out, None)
+    return out
+
+
+def _fill(rng, node: Tree, need) -> None:
+    """`fill_labels` in place: one draw per internal node, in pre-order,
+    picks which side needs which label; a lone empty root draws its own."""
+    if node.kind == EMPTY:
+        node.kind = LEAF
+        node.label = bool(rng.integers(2)) if need is None else need
+    elif node.kind == INTERNAL:
         needs = (PLUS, MINUS) if rng.integers(2) else (MINUS, PLUS)
-        return Tree.internal(node.var, fill(node.left, needs[0]),
-                             fill(node.right, needs[1]))
-    return fill(tree, None)
+        _fill(rng, node.left, needs[0])
+        _fill(rng, node.right, needs[1])
+
+
+class _Composer:
+    """Draws targets composed from one dictionary under the (d, s) caps.
+
+    Each fragment's shape, that is its variables, depth, size and empty
+    slots, is read once, when the composer is built.  A draw keeps the
+    target's empty slots left to right, each as (path, variables above it,
+    the fragments that fit it by depth and disjointness); a round only
+    filters those fits by the size left.  A graft writes a copy of the
+    fragment into the working tree and puts the fragment's own slots in
+    place of the one it fills.
+    """
+
+    def __init__(self, metafeatures, d: int, s: int):
+        self.fragments = list(metafeatures)
+        self.d, self.s = d, s
+        self.vars = [tree_vars(f) for f in self.fragments]
+        self.depths = [f.depth() for f in self.fragments]
+        self.sizes = [f.size() for f in self.fragments]
+        self.slots = [f.empty_slots() for f in self.fragments]
+        self.roots = [[self._slot(path, used) for path, used in slots]
+                      for slots in self.slots]
+
+    def _slot(self, path, used):
+        depth_left = self.d - len(path)
+        return path, used, [j for j, (fvars, fdepth)
+                            in enumerate(zip(self.vars, self.depths))
+                            if fdepth <= depth_left and fvars.isdisjoint(used)]
+
+    def __call__(self, rng) -> Tree:
+        for _ in range(MAX_TRIES):
+            i = int(rng.integers(len(self.fragments)))
+            size = self.sizes[i]
+            if self.depths[i] > self.d or size > self.s:
+                continue
+            g = self.fragments[i].copy()
+            slots = list(self.roots[i])
+            while True:
+                size_left = self.s - size
+                options = [(k, j) for k, (_, _, fits) in enumerate(slots)
+                           for j in fits if self.sizes[j] <= size_left]
+                if not options or rng.random() > P_MORE:
+                    break
+                k, j = options[int(rng.integers(len(options)))]
+                path, used, _ = slots[k]
+                g.node_at(path).graft(self.fragments[j])
+                slots[k:k + 1] = [self._slot(path + fpath, used | fused)
+                                  for fpath, fused in self.slots[j]]
+                size += self.sizes[j]
+            _fill(rng, g, None)
+            if g.kind == INTERNAL:  # every graft kept the depth and size caps
+                return g
+        raise GeneratorExhaustedError(
+            "could not compose a target within the depth/size caps")
 
 
 def compose_target(rng, metafeatures, d: int, s: int) -> Tree:
-    """Compose fragments at empty slots under the (d, s) caps, then label."""
-    shapes = [(tree_vars(f), f.depth(), f.size()) for f in metafeatures]
-    for _ in range(MAX_TRIES):
-        i = int(rng.integers(len(metafeatures)))
-        g = metafeatures[i].copy()
-        _, depth, size = shapes[i]
-        if depth > d or size > s:
-            continue
-        while True:
-            options = []
-            for path, used in g.empty_slots():
-                depth_left, size_left = d - len(path), s - size
-                for f, (fvars, fdepth, fsize) in zip(metafeatures, shapes):
-                    if (fdepth <= depth_left and fsize <= size_left
-                            and fvars.isdisjoint(used)):
-                        options.append((path, f, fsize))
-            if not options or rng.random() > P_MORE:
-                break
-            path, f, fsize = options[int(rng.integers(len(options)))]
-            g = affix(g, path, f)
-            size += fsize
-        g = fill_labels(rng, g)
-        if g.kind == INTERNAL and g.depth() <= d and g.size() <= s:
-            return g
-    raise GeneratorExhaustedError(
-        "could not compose a target within the depth/size caps")
+    """Compose fragments at empty slots under the (d, s) caps, then label.
+
+    While some (empty slot, fitting fragment) pair is left, a round goes on
+    with probability P_MORE and grafts a uniform pair; the pairs are listed
+    slots left to right, fragments in dictionary order.  This builds the
+    composer that `gen_tree_stream` builds once per stream (fragment shapes
+    read once, grafts made in place in one working copy) and draws one
+    target from it."""
+    return _Composer(metafeatures, d, s)(rng)
 
 
-def _compose_list(rng, fragments, d: int) -> Tree:
-    """Chain list segments at the spine end, then label side slots."""
+def _compose_list(rng, segments, d: int) -> Tree:
+    """Chain list segments at the spine end, then label side slots.
+
+    `segments` holds each segment's (tree, spine end, variables, depth),
+    read once per stream.  Every internal node of a segment lies on its
+    spine, so the variables on the spine are those of the chained
+    segments."""
     for _ in range(MAX_TRIES):
-        i = int(rng.integers(len(fragments)))
-        g, end = fragments[i][0].copy(), fragments[i][1]
+        i = int(rng.integers(len(segments)))
+        frag, end, spine, depth = segments[i]
+        g = frag.copy()
         while rng.random() < P_MORE:
-            fits = [(f, e) for f, e in fragments
-                    if not (tree_vars(f) & set(g.path_vars(end)))
-                    and len(end) + f.depth() <= d]
+            fits = [(f, fend, fvars, fdepth)
+                    for f, fend, fvars, fdepth in segments
+                    if fvars.isdisjoint(spine) and len(end) + fdepth <= d]
             if not fits:
                 break
-            f, fend = fits[int(rng.integers(len(fits)))]
-            g = affix(g, end, f)
+            f, fend, fvars, fdepth = fits[int(rng.integers(len(fits)))]
+            g.node_at(end).graft(f)
+            spine = spine | fvars
+            depth = max(depth, len(end) + fdepth)
             end = end + fend
-        g = fill_labels(rng, g)
-        if g.kind == INTERNAL and g.depth() <= d:
+        _fill(rng, g, None)
+        if g.kind == INTERNAL and depth <= d:
             return g
     raise GeneratorExhaustedError(
         "could not compose a decision list within the depth cap")
@@ -230,16 +288,38 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
     """One example routed to every leaf of g, padded with uniform examples.
 
     All rows are drawn in one call, which yields the same bits as one draw
-    per row; the first rows then get the path bits of g's frontier."""
-    paths = g.frontier_paths()
-    values = rng.integers(0, 2, (max(len(paths), sample_size), n_features)
+    per row.  Row i then takes the path bits of g's i-th frontier node
+    (left to right), all in one assignment.  The labels come from routing
+    the row indices down g: each internal node splits its rows by their
+    bit.  A row that reaches an empty leaf raises UsageError."""
+    frontier = []  # ((var, bit), ...) of each frontier path, left to right
+
+    def walk(node, above):
+        if node.kind == INTERNAL:
+            walk(node.left, above + ((node.var, 0),))
+            walk(node.right, above + ((node.var, 1),))
+        else:
+            frontier.append(above)
+
+    walk(g, ())
+    values = rng.integers(0, 2, (max(len(frontier), sample_size), n_features)
                           ).astype(np.uint8)
-    for row, path in zip(values, paths):
-        node = g
-        for step in path:
-            row[node.var] = step
-            node = node.right if step else node.left
-    labels = np.array([g.predict(row) for row in values], dtype=bool)
+    cells = [(row, var, bit) for row, path in enumerate(frontier)
+             for var, bit in path]
+    if cells:
+        rows, cols, bits = zip(*cells)
+        values[rows, cols] = bits
+    labels = np.empty(len(values), dtype=bool)
+    stack = [(g, np.arange(len(values)))]
+    while stack:
+        node, rows = stack.pop()
+        if node.kind == INTERNAL:
+            one = values[rows, node.var].astype(bool)
+            stack += ((node.left, rows[~one]), (node.right, rows[one]))
+        elif node.kind == LEAF:
+            labels[rows] = node.label
+        elif len(rows):
+            raise UsageError("predict called on an incomplete tree")
     return CostlyDataset.from_bool(values, labels)
 
 
@@ -309,25 +389,23 @@ def gen_tree_stream(spec: StreamSpec, trial: int = 0):
         dictionary, anchors = _overcomplete_dictionary(rng, spec)
     else:
         dictionary = _sample_dictionary(rng, spec)
+    if spec.family == "list":
+        segments = [(f, end, tree_vars(f), f.depth()) for f, end in dictionary]
+        dictionary = [f for f, _ in dictionary]
+        compose = functools.partial(_compose_list, segments=segments, d=spec.d)
+    else:
+        compose = _Composer(dictionary, spec.d, spec.s)
+    posed = spec.p_min > 0 and spec.family != "list"
     tasks = []
     for _ in range(spec.m):
-        if spec.family == "list":
-            target = _compose_list(rng, dictionary, spec.d)
-        elif spec.p_min > 0:
-            u = rng.random()
-            slot = int(u / spec.p_min)
-            if slot < len(dictionary):
-                target = fill_labels(rng, dictionary[slot])
-            else:
-                target = compose_target(rng, dictionary, spec.d, spec.s)
+        slot = int(rng.random() / spec.p_min) if posed else len(dictionary)
+        if slot < len(dictionary):
+            target = fill_labels(rng, dictionary[slot])
         else:
-            target = compose_target(rng, dictionary, spec.d, spec.s)
-        size = max(spec.sample_size, target.n_leaves())
-        ds = leaf_cover_dataset(rng, target, spec.n_features, size)
+            target = compose(rng)
+        ds = leaf_cover_dataset(rng, target, spec.n_features, spec.sample_size)
         meta = {"anchors": anchors} if anchors is not None else {}
         tasks.append(Task(ds=ds, target=target, good=True, meta=meta))
-    if spec.family == "list":
-        dictionary = [f for f, _ in dictionary]
     return tasks, dictionary
 
 
@@ -468,8 +546,8 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
             else:
                 raise GeneratorExhaustedError("no bad target fits the caps")
             target = fill_labels(rng, shape)
-            size = max(spec.sample_size, target.n_leaves())
-            ds = leaf_cover_dataset(rng, target, spec.n_features, size)
+            ds = leaf_cover_dataset(rng, target, spec.n_features,
+                                    spec.sample_size)
             bad_tasks.append(Task(ds=ds, target=target, good=False))
     else:  # monomial, the other family validate allows with r > 0
         sub = StreamSpec(**{**spec.__dict__, "n_features": spec.n_features - 1,

@@ -96,8 +96,9 @@ def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
             node.kind, node.label = LEAF, PLUS
             continue
         labels = np.asarray(ds.labels_at(rows), dtype=bool)
-        if labels.all() or not labels.any():
-            node.kind, node.label = LEAF, bool(labels[0])
+        plus = np.count_nonzero(labels)
+        if plus == 0 or plus == len(labels):
+            node.kind, node.label = LEAF, plus > 0
             continue
         features = candidates(root, path)
         if not features:

@@ -138,6 +138,14 @@ class Tree:
         walk(self, ())
         return found
 
+    def graft(self, f2: "Tree") -> None:
+        """Turn this empty leaf into a copy of f2, in place."""
+        if self.kind != EMPTY:
+            raise UsageError("graft target is not an empty leaf")
+        new = f2.copy()
+        self.kind, self.var, self.label = new.kind, new.var, new.label
+        self.left, self.right = new.left, new.right
+
     # -- structural identity ----------------------------------------------
 
     def key(self):
@@ -207,10 +215,7 @@ def affix(f: Tree, path, f2: Tree) -> Tree:
     if not target.is_empty():
         raise UsageError(f"affix target {path} is not an empty leaf")
     out = f.copy()
-    node = out.node_at(path)
-    graft = f2.copy()
-    node.kind, node.var, node.label = graft.kind, graft.var, graft.label
-    node.left, node.right = graft.left, graft.right
+    out.node_at(path).graft(f2)
     return out
 
 
@@ -348,10 +353,11 @@ class TeacherGain:
         """The designated split node, or the labeled leaf of a pure route."""
         node = self.target
         while node.kind == INTERNAL:
-            col = np.asarray(ds.peek_rows(rows, node.var), dtype=bool)
-            if col.all():
+            col = ds.peek_rows(rows, node.var)
+            ones = np.count_nonzero(col)
+            if ones == len(col):
                 node = node.right
-            elif not col.any():
+            elif ones == 0:
                 node = node.left
             else:
                 return node

@@ -362,6 +362,19 @@ UNREAD_CASES = {
         "sweep", {"stream": {"family": "polynomial"}},
         ["--axis", "r", "--values", "0"],
         "the polynomial stream does not read ['r']"),
+    # placement only places the r bad tasks; these ran to the report of the
+    # config without it
+    "placement-without-r": (
+        "run", with_stream(placement="adversarial-first"), [],
+        "the tree stream does not read ['placement']"),
+    "placement-at-r-zero-monomial": (
+        "run", {"stream": {"family": "monomial", "r": 0,
+                           "placement": "random"}}, [],
+        "the monomial stream does not read ['placement']"),
+    "sweep-r-zero-placement": (
+        "sweep", with_stream(r=1, placement="random"),
+        ["--axis", "r", "--values", "1,0"],
+        "the tree stream does not read ['placement']"),
 }
 
 

@@ -16,8 +16,10 @@ from probelearn import (GameResult, StreamSpec, Tree,
                         play_single_feature_game, sample_fragment,
                         stream_to_json_obj, stump, tree_vars)
 from probelearn.griddist import ProductDistribution
-from probelearn.streams import _grid_dataset
-from probelearn.trees import INTERNAL, LEAF, path_repeats_var
+from probelearn.errors import GeneratorExhaustedError
+from probelearn.streams import (MAX_TRIES, P_MORE, _Composer, _grid_dataset,
+                                _overcomplete_dictionary, _sample_dictionary)
+from probelearn.trees import INTERNAL, LEAF, affix, path_repeats_var
 
 
 def spec(**kw):
@@ -156,6 +158,115 @@ def test_leaf_cover_dataset_reaches_every_leaf():
     assert reached == set(g.frontier_paths())
     for e in range(ds.n_examples):
         assert ds.label(e) == g.predict(rows[e])
+
+
+# -- the bulk paths against the per-slot, per-row references ---------------
+
+def reference_compose(rng, metafeatures, d, s):
+    """compose_target as one scan of every empty slot per round, each graft
+    copying the whole tree."""
+    shapes = [(tree_vars(f), f.depth(), f.size()) for f in metafeatures]
+    for _ in range(MAX_TRIES):
+        i = int(rng.integers(len(metafeatures)))
+        g = metafeatures[i].copy()
+        _, depth, size = shapes[i]
+        if depth > d or size > s:
+            continue
+        while True:
+            options = [(path, f, fsize) for path, used in g.empty_slots()
+                       for f, (fvars, fdepth, fsize) in zip(metafeatures, shapes)
+                       if fdepth <= d - len(path) and fsize <= s - size
+                       and fvars.isdisjoint(used)]
+            if not options or rng.random() > P_MORE:
+                break
+            path, f, fsize = options[int(rng.integers(len(options)))]
+            g = affix(g, path, f)
+            size += fsize
+        g = fill_labels(rng, g)
+        if g.kind == INTERNAL and g.depth() <= d and g.size() <= s:
+            return g
+    raise GeneratorExhaustedError("no target within the caps")
+
+
+def reference_leaf_cover(rng, g, n_features, sample_size):
+    """leaf_cover_dataset's rows and labels as a per-row walk: path bits set
+    one row at a time, every row labeled by g.predict."""
+    paths = g.frontier_paths()
+    values = rng.integers(0, 2, (max(len(paths), sample_size), n_features)
+                          ).astype(np.uint8)
+    for row, path in zip(values, paths):
+        node = g
+        for step in path:
+            row[node.var] = step
+            node = node.right if step else node.left
+    return values, np.array([g.predict(row) for row in values], dtype=bool)
+
+
+def dictionaries():
+    """(dictionary, d, s) for each tree sub-model, some with fragments
+    deeper or larger than the caps."""
+    rng = np.random.default_rng(5)
+    out = []
+    for family, d, s in (("tree", 4, 11), ("tree", 2, 3), ("anchor", 3, 7)):
+        sp = spec(family=family, n_features=40, k=5, d=d, s=s, mf_depth=3)
+        out.append((_sample_dictionary(rng, sp), d, s))
+    sp = spec(family="overcomplete", n_features=20, k1=2, k2=3, d=4, s=9,
+              mf_depth=3)
+    out.append((_overcomplete_dictionary(rng, sp)[0], 4, 9))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_composer_matches_the_per_slot_reference(case):
+    """The stream's composer, built once and drawn from many times, and
+    `compose_target` called on its own give the reference's trees and leave
+    the generator in the reference's state."""
+    dictionary, d, s = dictionaries()[case]
+    composer = _Composer(dictionary, d, s)
+    gens = [np.random.default_rng((case, 9)) for _ in range(3)]
+    for _ in range(60):
+        want = reference_compose(gens[0], dictionary, d, s)
+        assert composer(gens[1]) == want
+        assert compose_target(gens[2], dictionary, d, s) == want
+        state = gens[0].bit_generator.state
+        assert gens[1].bit_generator.state == state
+        assert gens[2].bit_generator.state == state
+    # no draw wrote into the dictionary
+    assert dictionary == dictionaries()[case][0]
+
+
+def cover_cases():
+    rng = np.random.default_rng(17)
+    trees = [stump(3), Tree.leaf(True)]
+    for dictionary, d, s in dictionaries():
+        trees += [compose_target(rng, dictionary, d, s) for _ in range(15)]
+    # the sample size is below, at and above each tree's leaf count
+    return [(g, n) for g in trees
+            for n in (1, g.n_leaves(), g.n_leaves() + 7)]
+
+
+def test_leaf_cover_dataset_matches_the_per_row_reference():
+    cases = cover_cases()
+    assert any(n < g.n_leaves() for g, n in cases)
+    for k, (g, n) in enumerate(cases):
+        rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+        ds = leaf_cover_dataset(rng, g, 40, n)
+        values, labels = reference_leaf_cover(ref_rng, g, 40, n)
+        assert np.array_equal(ds.peek_all(), values)
+        assert np.array_equal(ds.labels, labels)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("g", [
+    Tree.empty(),
+    Tree.internal(2, Tree.leaf(True), Tree.empty()),
+    sample_fragment(np.random.default_rng(3), [0, 1, 2, 3], 3),
+], ids=["empty", "one-empty-leaf", "fragment"])
+def test_leaf_cover_dataset_refuses_an_incomplete_tree(g):
+    with pytest.raises(UsageError, match="incomplete tree"):
+        reference_leaf_cover(np.random.default_rng(0), g, 6, 4)
+    with pytest.raises(UsageError, match="incomplete tree"):
+        leaf_cover_dataset(np.random.default_rng(0), g, 6, 4)
 
 
 # -- tree streams -----------------------------------------------------------
