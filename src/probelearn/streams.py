@@ -662,7 +662,10 @@ def _probe_in_order(probe, order, s, budget):
     for k, i in enumerate(order):
         if (k + 1) * s > budget:
             return None, k
-        if all(probe(e, i) == 1 for e in range(s)):
+        for e in range(s):
+            if probe(e, i) != 1:
+                break
+        else:
             return i, k + 1
     return None, len(order)
 
@@ -678,7 +681,7 @@ def _scan_learner(rng, probe, n_prime, s, budget):
 
 def _uniform_learner(rng, probe, n_prime, s, budget):
     """Probe uniformly random features without replacement, then guess."""
-    order = [int(v) for v in rng.permutation(n_prime)]
+    order = rng.permutation(n_prime).tolist()
     hit, k = _probe_in_order(probe, order, s, budget)
     if hit is not None:
         return hit

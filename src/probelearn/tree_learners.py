@@ -59,15 +59,25 @@ def _best_split(ds, gain, rows, labels, candidates):
     gain argmax; ties go to the earliest candidate, and every grower lists
     its candidates in ascending order.  Returns (feature, its bool column).
 
-    Every candidate is scored with the same `rows` object, which lets a gain
-    do per-node work once (see `TeacherGain`).
+    A gain picks the node's split with one call, `gain.best(ds, rows, labels,
+    block, candidates)` -> the argmax's index, where `labels` and `block` are
+    the node's bool label vector and (rows x candidates) bool column block
+    (see `InfoGain` and `TeacherGain`).  Any other callable is a
+    per-candidate score, `gain(ds, rows, feature, column, labels)`, called
+    once per candidate with the same `rows` object.  That path stays because
+    perfbench's gain proxy wraps only the per-candidate call; once ROADMAP
+    item 2 points the proxy at `best`, it can go.
     """
     block = np.asarray(ds.probe_block(rows, candidates), dtype=bool)
-    best_j, best_gain = None, -math.inf
-    for j, feature in enumerate(candidates):
-        g = gain(ds, rows, feature, block[:, j], labels)
-        if g > best_gain:
-            best_j, best_gain = j, g
+    best = getattr(gain, "best", None)
+    if best is not None:
+        best_j = best(ds, rows, labels, block, candidates)
+    else:
+        best_j, best_gain = None, -math.inf
+        for j, feature in enumerate(candidates):
+            g = gain(ds, rows, feature, block[:, j], labels)
+            if g > best_gain:
+                best_j, best_gain = j, g
     return candidates[best_j], block[:, best_j]
 
 

@@ -310,10 +310,33 @@ def info_gain(labels: np.ndarray, values: np.ndarray) -> float:
 
 
 class InfoGain:
-    """Empirical information gain over the probed feature column."""
+    """Empirical information gain over the probed feature column.
+
+    `best` scores a whole node from two count vectors, each column's ones
+    and its plus-labelled ones, and forms each candidate's gain with the
+    float operations of `info_gain`, so its argmax is the per-candidate one.
+    """
 
     def __call__(self, ds, rows, feature, values, labels) -> float:
         return info_gain(labels, values)
+
+    def best(self, ds, rows, labels, block, candidates) -> int:
+        n = len(labels)
+        if n == 0:
+            return 0
+        plus = int(np.count_nonzero(labels))
+        ones = np.count_nonzero(block, axis=0).tolist()
+        plus_ones = np.count_nonzero(block[labels], axis=0).tolist()
+        base = binary_entropy(plus / n)
+        best_j, best_gain = 0, -math.inf
+        for j, (k, k_plus) in enumerate(zip(ones, plus_ones)):
+            gain = base
+            for size, pos in ((n - k, plus - k_plus), (k, k_plus)):
+                if size:
+                    gain -= (size / n) * binary_entropy(pos / size)
+            if gain > best_gain:
+                best_j, best_gain = j, gain
+        return best_j
 
 
 class TeacherGain:
@@ -324,11 +347,17 @@ class TeacherGain:
     split, which alone scores 1.0.  This realizes, by construction, the
     assumption that greedy top-down splitting reproduces the target.
 
-    The growers score every candidate of a node with the same `rows` array
-    object, so the routing is done once per (ds, rows) pair and reused for
-    the node's other candidates; `rows` must not be mutated between calls.
-    A routing that raises is not cached, and the label check runs on every
-    call.
+    `best` routes a node's sample once and returns the designated split's
+    index among the candidates, or 0 when it is not among them (or `rows` is
+    empty); a leaf route runs the label check and returns 0.  That is the
+    strict argmax of the per-candidate scores.
+
+    The per-candidate `__call__` is what a caller without `best` scores
+    with, one call per candidate of a node with the same `rows` array
+    object; so the routing is done once per (ds, rows) pair and reused for
+    the node's other candidates, and `rows` must not be mutated between
+    calls.  A routing that raises is not cached, and the label check runs on
+    every call.
     """
 
     def __init__(self, target: Tree):
@@ -344,10 +373,22 @@ class TeacherGain:
         node = self._node
         if node.kind == INTERNAL:
             return 1.0 if feature == node.var else 0.0
-        labs = np.asarray(labels, dtype=bool)
-        if not (labs == node.label).all():
-            raise OracleMisuseError("sample labels inconsistent with the target")
+        self._check_leaf(node, labels)
         return 0.0  # pure sample; the leaf case is handled before gain
+
+    def best(self, ds, rows, labels, block, candidates) -> int:
+        if len(rows) == 0:
+            return 0
+        node = self._route(ds, rows)
+        if node.kind == INTERNAL:
+            return candidates.index(node.var) if node.var in candidates else 0
+        self._check_leaf(node, labels)
+        return 0
+
+    @staticmethod
+    def _check_leaf(node, labels) -> None:
+        if not (np.asarray(labels, dtype=bool) == node.label).all():
+            raise OracleMisuseError("sample labels inconsistent with the target")
 
     def _route(self, ds, rows) -> Tree:
         """The designated split node, or the labeled leaf of a pure route."""

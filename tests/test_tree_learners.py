@@ -277,10 +277,13 @@ def reference_split(ds, gain, rows, labels, candidates):
     return best_i, values[best_i]
 
 
-def grow(grower, task, gain_kind, rep, seen):
-    """(outcome, probe mask) of one grower on a fresh copy of the task."""
+def grow(grower, task, gain_kind, rep, seen, wrap=None):
+    """(outcome, probe mask) of one grower on a fresh copy of the task; `wrap`,
+    if given, wraps the gain."""
     ds = CostlyDataset.from_bool(task.ds.peek_all(), task.ds.labels)
     gain = TeacherGain(task.target) if gain_kind == "teacher" else InfoGain()
+    if wrap is not None:
+        gain = wrap(gain)
     try:
         if grower == "scratch":
             out = learn_tree_scratch(ds, gain, 4, 9).key()
@@ -313,6 +316,46 @@ def test_block_split_matches_per_candidate_probes(monkeypatch, grower,
         assert block[0] == reference[0]
         assert (block[1] == reference[1]).all()
         outcomes.add(block[0][0] if isinstance(block[0], tuple) else "scratch")
+    if grower != "scratch":
+        assert outcomes == {"learned", "failed"}
+
+
+class PerCandidateGain:
+    """A gain with only the per-candidate call, like perfbench's gain proxy:
+    `_best_split` must fall back to scoring each candidate."""
+
+    def __init__(self, gain):
+        self.gain = gain
+        self.calls = 0
+
+    def __call__(self, ds, rows, feature, values, labels):
+        self.calls += 1
+        return self.gain(ds, rows, feature, values, labels)
+
+
+@pytest.mark.parametrize("gain_kind", ["teacher", "info"])
+@pytest.mark.parametrize("grower", ["scratch", "lfd", "naive"])
+def test_per_candidate_gain_matches_node_level_best(grower, gain_kind):
+    tasks, dictionary = gen_tree_stream(StreamSpec(
+        family="tree", n_features=20, k=3, d=4, s=9, mf_depth=3, m=16,
+        sample_size=10, seed=72).validate())
+    rep = dictionary[:2]
+    seen = tree_vars(dictionary[0]) | tree_vars(dictionary[1]) | {0, 19}
+    wrapped = []
+
+    def wrap(gain):
+        wrapped.append(PerCandidateGain(gain))
+        return wrapped[-1]
+
+    outcomes = set()
+    for task in tasks:
+        node_level = grow(grower, task, gain_kind, rep, seen)
+        fallback = grow(grower, task, gain_kind, rep, seen, wrap=wrap)
+        assert node_level[0] == fallback[0]
+        assert (node_level[1] == fallback[1]).all()
+        outcomes.add(node_level[0][0] if isinstance(node_level[0], tuple)
+                     else "scratch")
+    assert sum(gain.calls for gain in wrapped) > len(tasks)
     if grower != "scratch":
         assert outcomes == {"learned", "failed"}
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from probelearn import (CostlyDataset, OracleMisuseError, TeacherGain, Tree,
-                        UsageError, affix, binary_entropy, conflict, induce,
-                        info_gain, member_of_dt, path_repeats_var)
+from probelearn import (CostlyDataset, InfoGain, OracleMisuseError, StreamSpec,
+                        TeacherGain, Tree, UsageError, affix, binary_entropy,
+                        conflict, gen_tree_stream, induce, info_gain,
+                        member_of_dt, path_repeats_var)
 
 E = Tree.empty
 L = Tree.leaf
@@ -309,6 +310,115 @@ def test_teacher_gain_empty_leaf_raises_on_every_call():
     for feature in (0, 1):
         with pytest.raises(OracleMisuseError):
             gain(ds, rows, feature, None, np.array([True, True]))
+
+
+# -- node-level split choice --------------------------------------------------
+
+
+def argmax_reference(gain, ds, rows, labels, block, candidates):
+    """The per-candidate strict argmax that `best` stands for: ties go to the
+    lowest index, and a raising score ends the scan."""
+    best_j, best_gain = None, -np.inf
+    for j, feature in enumerate(candidates):
+        g = gain(ds, rows, feature, block[:, j], labels)
+        if g > best_gain:
+            best_j, best_gain = j, g
+    return best_j
+
+
+def outcome(fn, *args):
+    """An index, or the message of the `OracleMisuseError` raised instead."""
+    try:
+        return fn(*args)
+    except OracleMisuseError as exc:
+        return str(exc)
+
+
+def random_node(rng, ds):
+    """(rows, candidates, block) of a random node of `ds`; rows may be empty."""
+    size = int(rng.integers(0, ds.n_examples + 1))
+    rows = np.sort(rng.choice(ds.n_examples, size=size, replace=False))
+    n_cand = int(rng.integers(1, ds.n_features + 1))
+    candidates = sorted(rng.choice(ds.n_features, size=n_cand,
+                                   replace=False).tolist())
+    block = np.asarray(ds.peek_all(), dtype=bool)[np.ix_(rows, candidates)]
+    return rows, candidates, block
+
+
+def test_info_gain_best_matches_per_candidate_argmax():
+    rng = np.random.default_rng(5)
+    ties = empty = 0
+    for _ in range(3000):
+        n_examples, n_features = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        ds = bool_ds(rng.integers(0, 2, (n_examples, n_features)),
+                     rng.integers(0, 2, n_examples))
+        rows, candidates, block = random_node(rng, ds)
+        labels = rng.integers(0, 2, len(rows)).astype(bool)
+        got = InfoGain().best(ds, rows, labels, block, candidates)
+        assert got == argmax_reference(InfoGain(), ds, rows, labels, block,
+                                       candidates)
+        gains = [info_gain(labels, block[:, j]) for j in range(len(candidates))]
+        assert got == gains.index(max(gains))  # exact float equality
+        ties += gains.count(max(gains)) > 1
+        empty += len(rows) == 0
+    assert ties > 500 and empty > 100
+
+
+def test_teacher_gain_best_matches_per_candidate_argmax():
+    rng = np.random.default_rng(6)
+    seen = set()
+    for seed in range(4):
+        tasks, dictionary = gen_tree_stream(StreamSpec(
+            family="tree", n_features=10, k=3, d=4, s=9, mf_depth=3, m=12,
+            sample_size=8, seed=seed).validate())
+        for task in tasks:
+            # a fragment's empty leaves are routes a teacher must refuse
+            for target in (task.target, dictionary[int(rng.integers(3))]):
+                for _ in range(12):
+                    rows, candidates, block = random_node(rng, task.ds)
+                    labels = np.asarray(task.ds.labels_at(rows), dtype=bool)
+                    if rng.random() < 0.3:
+                        labels = ~labels
+                    got = outcome(TeacherGain(target).best, task.ds, rows,
+                                  labels, block, candidates)
+                    want = outcome(argmax_reference, TeacherGain(target),
+                                   task.ds, rows, labels, block, candidates)
+                    assert got == want
+                    if len(rows) == 0:
+                        seen.add("empty rows")
+                        continue
+                    node = outcome(TeacherGain(target)._route, task.ds, rows)
+                    if isinstance(node, str):
+                        seen.add(node)
+                    elif node.kind != "internal":
+                        seen.add("leaf" if isinstance(got, int) else got)
+                    elif node.var in candidates:
+                        seen.add("routed" if got > 0 else "routed first")
+                    else:
+                        seen.add("routed var not a candidate")
+    assert seen == {"empty rows", "leaf", "routed", "routed first",
+                    "routed var not a candidate",
+                    "sample labels inconsistent with the target",
+                    "teacher gain routed into an empty leaf"}
+
+
+def test_teacher_gain_best_edge_cases():
+    target = I(1, L(False), L(True))
+    ds = bool_ds([[0, 1, 0], [1, 0, 1]], [True, False])
+    gain = TeacherGain(target)
+    block = np.array([[False, True, False], [True, False, True]])
+    rows, labels = np.array([0, 1]), np.array([True, False])
+    assert gain.best(ds, rows, labels, block, [0, 1, 2]) == 1
+    assert gain.best(ds, rows, labels, block[:, [0, 2]], [0, 2]) == 0  # no x1
+    assert gain.best(ds, np.array([], dtype=int), labels[:0], block[:0],
+                     [0, 1, 2]) == 0
+    # rows 0 alone routes right, to the + leaf: a - label is a misuse
+    with pytest.raises(OracleMisuseError, match="inconsistent"):
+        gain.best(ds, rows[:1], np.array([False]), block[:1], [0, 2])
+    assert gain.best(ds, rows[:1], np.array([True]), block[:1], [0, 2]) == 0
+    with pytest.raises(OracleMisuseError, match="empty leaf"):
+        TeacherGain(I(1, E(), L(True))).best(ds, rows[1:], np.array([False]),
+                                             block[1:], [0, 2])
 
 
 # -- membership oracle ------------------------------------------------------
