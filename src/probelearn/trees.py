@@ -352,12 +352,13 @@ class TeacherGain:
     empty); a leaf route runs the label check and returns 0.  That is the
     strict argmax of the per-candidate scores.
 
-    The per-candidate `__call__` is what a caller without `best` scores
-    with, one call per candidate of a node with the same `rows` array
-    object; so the routing is done once per (ds, rows) pair and reused for
-    the node's other candidates, and `rows` must not be mutated between
-    calls.  A routing that raises is not cached, and the label check runs on
-    every call.
+    The per-candidate `__call__` serves a caller that scores one candidate
+    at a time, as `_best_split` does for a gain proxy without `best` until
+    ROADMAP item 2 points perfbench's proxy at `best`.  Such a caller scores
+    every candidate of a node with the same `rows` array object, so the
+    routing is done once per (ds, rows) pair and reused for the node's other
+    candidates; `rows` must not be mutated between calls.  A routing that
+    raises is not cached, and the label check runs on every call.
     """
 
     def __init__(self, target: Tree):

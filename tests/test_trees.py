@@ -402,25 +402,6 @@ def test_teacher_gain_best_matches_per_candidate_argmax():
                     "teacher gain routed into an empty leaf"}
 
 
-def test_teacher_gain_best_edge_cases():
-    target = I(1, L(False), L(True))
-    ds = bool_ds([[0, 1, 0], [1, 0, 1]], [True, False])
-    gain = TeacherGain(target)
-    block = np.array([[False, True, False], [True, False, True]])
-    rows, labels = np.array([0, 1]), np.array([True, False])
-    assert gain.best(ds, rows, labels, block, [0, 1, 2]) == 1
-    assert gain.best(ds, rows, labels, block[:, [0, 2]], [0, 2]) == 0  # no x1
-    assert gain.best(ds, np.array([], dtype=int), labels[:0], block[:0],
-                     [0, 1, 2]) == 0
-    # rows 0 alone routes right, to the + leaf: a - label is a misuse
-    with pytest.raises(OracleMisuseError, match="inconsistent"):
-        gain.best(ds, rows[:1], np.array([False]), block[:1], [0, 2])
-    assert gain.best(ds, rows[:1], np.array([True]), block[:1], [0, 2]) == 0
-    with pytest.raises(OracleMisuseError, match="empty leaf"):
-        TeacherGain(I(1, E(), L(True))).best(ds, rows[1:], np.array([False]),
-                                             block[1:], [0, 2])
-
-
 # -- membership oracle ------------------------------------------------------
 
 
