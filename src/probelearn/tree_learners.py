@@ -61,12 +61,12 @@ def _best_split(ds, gain, rows, labels, candidates):
 
     A gain picks the node's split with one call, `gain.best(ds, rows, labels,
     block, candidates)` -> the argmax's index, where `labels` and `block` are
-    the node's bool label vector and (rows x candidates) bool column block
-    (see `InfoGain` and `TeacherGain`).  Any other callable is a
-    per-candidate score, `gain(ds, rows, feature, column, labels)`, called
-    once per candidate with the same `rows` object.  That path stays because
-    perfbench's gain proxy wraps only the per-candidate call; once ROADMAP
-    item 2 points the proxy at `best`, it can go.
+    the bool label vector and (rows x candidates) bool column block of a
+    mixed, non-empty node (see `InfoGain` and `TeacherGain`).  Any other
+    callable is a per-candidate score, `gain(ds, rows, feature, column,
+    labels)`, called once per candidate with the same `rows` object.  That
+    path stays because perfbench's gain proxy wraps only the per-candidate
+    call; once ROADMAP item 2 points the proxy at `best`, it can go.
     """
     block = np.asarray(ds.probe_block(rows, candidates), dtype=bool)
     best = getattr(gain, "best", None)

@@ -300,21 +300,28 @@ def info_gain(labels: np.ndarray, values: np.ndarray) -> float:
     n = len(labels)
     if n == 0:
         return 0.0
-    base = binary_entropy(labels.mean())
-    gain = base
-    for side in (False, True):
-        part = labels[values == side]
-        if len(part):
-            gain -= (len(part) / n) * binary_entropy(part.mean())
+    return _split_gain(n, int(np.count_nonzero(labels)),
+                       int(np.count_nonzero(values)),
+                       int(np.count_nonzero(labels & values)))
+
+
+def _split_gain(n: int, plus: int, k: int, k_plus: int) -> float:
+    """Information gain from counts: n > 0 examples, plus of them labelled +,
+    k with the feature set and k_plus of those labelled +.  Side False is
+    subtracted before side True, and an empty side is skipped."""
+    gain = binary_entropy(plus / n)
+    for size, pos in ((n - k, plus - k_plus), (k, k_plus)):
+        if size:
+            gain -= (size / n) * binary_entropy(pos / size)
     return gain
 
 
 class InfoGain:
     """Empirical information gain over the probed feature column.
 
-    `best` scores a whole node from two count vectors, each column's ones
-    and its plus-labelled ones, and forms each candidate's gain with the
-    float operations of `info_gain`, so its argmax is the per-candidate one.
+    `best` takes a node's non-empty sample, counts each column's ones and
+    its plus-labelled ones, and scores every candidate with `_split_gain`,
+    the formula `info_gain` uses, so its argmax is the per-candidate one.
     """
 
     def __call__(self, ds, rows, feature, values, labels) -> float:
@@ -322,18 +329,12 @@ class InfoGain:
 
     def best(self, ds, rows, labels, block, candidates) -> int:
         n = len(labels)
-        if n == 0:
-            return 0
         plus = int(np.count_nonzero(labels))
         ones = np.count_nonzero(block, axis=0).tolist()
         plus_ones = np.count_nonzero(block[labels], axis=0).tolist()
-        base = binary_entropy(plus / n)
         best_j, best_gain = 0, -math.inf
         for j, (k, k_plus) in enumerate(zip(ones, plus_ones)):
-            gain = base
-            for size, pos in ((n - k, plus - k_plus), (k, k_plus)):
-                if size:
-                    gain -= (size / n) * binary_entropy(pos / size)
+            gain = _split_gain(n, plus, k, k_plus)
             if gain > best_gain:
                 best_j, best_gain = j, gain
         return best_j
@@ -347,10 +348,10 @@ class TeacherGain:
     split, which alone scores 1.0.  This realizes, by construction, the
     assumption that greedy top-down splitting reproduces the target.
 
-    `best` routes a node's sample once and returns the designated split's
-    index among the candidates, or 0 when it is not among them (or `rows` is
-    empty); a leaf route runs the label check and returns 0.  That is the
-    strict argmax of the per-candidate scores.
+    `best` routes a node's non-empty sample once and returns the designated
+    split's index among the candidates, or 0 when it is not among them; a
+    leaf route runs the label check and returns 0.  That is the strict
+    argmax of the per-candidate scores.
 
     The per-candidate `__call__` serves a caller that scores one candidate
     at a time, as `_best_split` does for a gain proxy without `best` until
@@ -378,8 +379,6 @@ class TeacherGain:
         return 0.0  # pure sample; the leaf case is handled before gain
 
     def best(self, ds, rows, labels, block, candidates) -> int:
-        if len(rows) == 0:
-            return 0
         node = self._route(ds, rows)
         if node.kind == INTERNAL:
             return candidates.index(node.var) if node.var in candidates else 0

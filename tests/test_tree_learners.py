@@ -298,31 +298,9 @@ def grow(grower, task, gain_kind, rep, seen, wrap=None):
     return out, ds.ledger._mask
 
 
-@pytest.mark.parametrize("gain_kind", ["teacher", "info"])
-@pytest.mark.parametrize("grower", ["scratch", "lfd", "naive"])
-def test_block_split_matches_per_candidate_probes(monkeypatch, grower,
-                                                  gain_kind):
-    tasks, dictionary = gen_tree_stream(StreamSpec(
-        family="tree", n_features=20, k=3, d=4, s=9, mf_depth=3, m=16,
-        sample_size=10, seed=71).validate())
-    rep = dictionary[:2]
-    seen = tree_vars(dictionary[0]) | tree_vars(dictionary[1]) | {0, 19}
-    outcomes = set()
-    for task in tasks:
-        block = grow(grower, task, gain_kind, rep, seen)
-        with monkeypatch.context() as patch:
-            patch.setattr(tree_learners, "_best_split", reference_split)
-            reference = grow(grower, task, gain_kind, rep, seen)
-        assert block[0] == reference[0]
-        assert (block[1] == reference[1]).all()
-        outcomes.add(block[0][0] if isinstance(block[0], tuple) else "scratch")
-    if grower != "scratch":
-        assert outcomes == {"learned", "failed"}
-
-
 class PerCandidateGain:
     """A gain with only the per-candidate call, like perfbench's gain proxy:
-    `_best_split` must fall back to scoring each candidate."""
+    `_best_split` scores its candidates one at a time."""
 
     def __init__(self, gain):
         self.gain = gain
@@ -335,26 +313,31 @@ class PerCandidateGain:
 
 @pytest.mark.parametrize("gain_kind", ["teacher", "info"])
 @pytest.mark.parametrize("grower", ["scratch", "lfd", "naive"])
-def test_per_candidate_gain_matches_node_level_best(grower, gain_kind):
+def test_block_split_matches_per_candidate_probes(monkeypatch, grower,
+                                                  gain_kind):
+    """Both split paths, node-level `best` and a gain without it, match the
+    per-candidate reference."""
     tasks, dictionary = gen_tree_stream(StreamSpec(
         family="tree", n_features=20, k=3, d=4, s=9, mf_depth=3, m=16,
-        sample_size=10, seed=72).validate())
+        sample_size=10, seed=71).validate())
     rep = dictionary[:2]
     seen = tree_vars(dictionary[0]) | tree_vars(dictionary[1]) | {0, 19}
     wrapped = []
 
-    def wrap(gain):
+    def per_candidate(gain):
         wrapped.append(PerCandidateGain(gain))
         return wrapped[-1]
 
     outcomes = set()
     for task in tasks:
-        node_level = grow(grower, task, gain_kind, rep, seen)
-        fallback = grow(grower, task, gain_kind, rep, seen, wrap=wrap)
-        assert node_level[0] == fallback[0]
-        assert (node_level[1] == fallback[1]).all()
-        outcomes.add(node_level[0][0] if isinstance(node_level[0], tuple)
-                     else "scratch")
+        with monkeypatch.context() as patch:
+            patch.setattr(tree_learners, "_best_split", reference_split)
+            reference = grow(grower, task, gain_kind, rep, seen)
+        for wrap in (None, per_candidate):
+            block = grow(grower, task, gain_kind, rep, seen, wrap=wrap)
+            assert block[0] == reference[0]
+            assert (block[1] == reference[1]).all()
+        outcomes.add(block[0][0] if isinstance(block[0], tuple) else "scratch")
     assert sum(gain.calls for gain in wrapped) > len(tasks)
     if grower != "scratch":
         assert outcomes == {"learned", "failed"}

@@ -335,8 +335,8 @@ def outcome(fn, *args):
 
 
 def random_node(rng, ds):
-    """(rows, candidates, block) of a random node of `ds`; rows may be empty."""
-    size = int(rng.integers(0, ds.n_examples + 1))
+    """(rows, candidates, block) of a random node of `ds` with some rows."""
+    size = int(rng.integers(1, ds.n_examples + 1))
     rows = np.sort(rng.choice(ds.n_examples, size=size, replace=False))
     n_cand = int(rng.integers(1, ds.n_features + 1))
     candidates = sorted(rng.choice(ds.n_features, size=n_cand,
@@ -347,21 +347,19 @@ def random_node(rng, ds):
 
 def test_info_gain_best_matches_per_candidate_argmax():
     rng = np.random.default_rng(5)
-    ties = empty = 0
-    for _ in range(3000):
-        n_examples, n_features = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    ties = 0
+    for _ in range(1000):
+        n_examples = int(rng.integers(1, 9))
+        n_features = int(rng.integers(1, 7))
         ds = bool_ds(rng.integers(0, 2, (n_examples, n_features)),
                      rng.integers(0, 2, n_examples))
         rows, candidates, block = random_node(rng, ds)
         labels = rng.integers(0, 2, len(rows)).astype(bool)
-        got = InfoGain().best(ds, rows, labels, block, candidates)
-        assert got == argmax_reference(InfoGain(), ds, rows, labels, block,
-                                       candidates)
-        gains = [info_gain(labels, block[:, j]) for j in range(len(candidates))]
-        assert got == gains.index(max(gains))  # exact float equality
+        gains = [info_gain(labels, column) for column in block.T]
+        assert InfoGain().best(ds, rows, labels, block, candidates) == \
+            gains.index(max(gains))
         ties += gains.count(max(gains)) > 1
-        empty += len(rows) == 0
-    assert ties > 500 and empty > 100
+    assert ties > 150
 
 
 def test_teacher_gain_best_matches_per_candidate_argmax():
@@ -384,9 +382,6 @@ def test_teacher_gain_best_matches_per_candidate_argmax():
                     want = outcome(argmax_reference, TeacherGain(target),
                                    task.ds, rows, labels, block, candidates)
                     assert got == want
-                    if len(rows) == 0:
-                        seen.add("empty rows")
-                        continue
                     node = outcome(TeacherGain(target)._route, task.ds, rows)
                     if isinstance(node, str):
                         seen.add(node)
@@ -396,7 +391,7 @@ def test_teacher_gain_best_matches_per_candidate_argmax():
                         seen.add("routed" if got > 0 else "routed first")
                     else:
                         seen.add("routed var not a candidate")
-    assert seen == {"empty rows", "leaf", "routed", "routed first",
+    assert seen == {"leaf", "routed", "routed first",
                     "routed var not a candidate",
                     "sample labels inconsistent with the target",
                     "teacher gain routed into an empty leaf"}
