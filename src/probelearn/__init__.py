@@ -28,18 +28,17 @@ from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
                        combined_slack, run_bootstrap_protocol,
                        run_combined_protocol, run_protocol,
                        run_restart_protocol)
-from .streams import (GameResult, StreamSpec, adversary_r_min,
-                      compose_target, fill_labels, game_failure_bound,
-                      gen_adversary_stream, gen_agnostic_stream,
-                      gen_monomial_stream, gen_poly_stream, gen_tree_stream,
-                      leaf_cover_dataset, play_single_feature_game,
-                      sample_fragment, stream_to_json_obj, stump, tree_vars)
+from .streams import (GameResult, StreamSpec, adversary_r_min, fill_labels,
+                      game_failure_bound, gen_adversary_stream,
+                      gen_agnostic_stream, gen_monomial_stream,
+                      gen_poly_stream, gen_tree_stream, leaf_cover_dataset,
+                      play_single_feature_game, sample_fragment,
+                      stream_to_json_obj, stump, tree_vars)
 from .tree_learners import (LfdResult, bootstrap_count, improve_rep_anchor,
                             improve_rep_list, improve_rep_overcomplete,
                             improve_rep_tree, learn_tree_scratch, lfd_tree,
                             naive_lfd_seen_features)
-from .trees import (InfoGain, TeacherGain, Tree, affix, binary_entropy,
-                    conflict, induce, info_gain, member_of_dt,
-                    path_repeats_var)
+from .trees import (InfoGain, TeacherGain, Tree, binary_entropy, conflict,
+                    induce, info_gain, member_of_dt, path_repeats_var)
 
 __version__ = "0.1.0"

@@ -22,9 +22,11 @@ trial or game, and each command computes all its rows before it makes
 
 Every block and key is optional; defaults in parentheses.  Run/sweep: stream
 (StreamSpec's fields), protocol and trials int >= 1 (1); STREAM_READS and
-PROTOCOL_READS name the keys each stream family and protocol kind reads (a
-stream reads placement only when r >= 1), and README's run-config table
-gives every key's type, default and readers.
+PROTOCOL_READS name the keys each stream family and protocol kind reads.  A
+stream reads placement only when r >= 1, an overcomplete stream reads k only
+as the default k_cap of restart and combined, and a protocol with
+n_bootstrap reads no p_min or delta.  README's run-config table gives every
+key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
             budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
@@ -167,31 +169,38 @@ def build_family(spec: StreamSpec, proto: dict):
 def _bootstrap_tasks(spec: StreamSpec, proto: dict) -> int:
     """Tasks the bootstrap protocol learns whole: n_bootstrap, or the count
     p_min and delta give.  UsageError unless both are probabilities."""
+    if "n_bootstrap" in proto:
+        return proto["n_bootstrap"]
     p_min = proto.get("p_min", spec.p_min or 0.25)
     delta = proto.get("delta", 0.1)
     if not (0 < p_min <= 1 and 0 < delta < 1):
         raise UsageError(f"protocol needs 0 < p_min <= 1 and 0 < delta < 1, "
                          f"got p_min={p_min!r}, delta={delta!r}")
-    if "n_bootstrap" in proto:
-        return proto["n_bootstrap"]
     return bootstrap_count(p_min, max(spec.dictionary_size, 1), delta)
 
 
 def _checked_spec(config: dict) -> StreamSpec:
     """Check a run config whole, as each trial will build it; -> its spec.
-    A key that its stream family or protocol kind does not read is an error."""
+    A key that its stream family or protocol kind does not read, or that
+    the config's other keys leave unread, is an error."""
     check_block(config, RUN_KEYS, "config")
     stream, proto = config.get("stream", {}), config.get("protocol", {})
     family, kind = stream.get("family", "tree"), proto.get("kind", "plain")
     tree_reads = ("gain", "improver") if family in TREE_FAMILIES else ()
-    stream_reads = STREAM_READS[family]
+    stream_reads = set(STREAM_READS[family])
+    proto_reads = {"kind", "strict_envelope_scale", *tree_reads,
+                   *PROTOCOL_READS[kind]}
     if stream.get("r", 0) == 0:  # placement places the r bad tasks only
-        stream_reads = tuple(key for key in stream_reads if key != "placement")
-    for what, block, reads in (
-            (f"{family} stream", stream, stream_reads),
-            (f"{kind} protocol", proto, ("kind", "strict_envelope_scale",
-                                         *tree_reads, *PROTOCOL_READS[kind]))):
-        if unread := sorted(set(block) - set(reads)):
+        stream_reads.discard("placement")
+    # K1 x K2 sizes an overcomplete dictionary: k is only the default k_cap
+    if family == "overcomplete" and (kind not in ("restart", "combined")
+                                     or "k_cap" in proto):
+        stream_reads.discard("k")
+    if "n_bootstrap" in proto:  # then p_min and delta give no count
+        proto_reads -= {"p_min", "delta"}
+    for what, block, reads in ((f"{family} stream", stream, stream_reads),
+                               (f"{kind} protocol", proto, proto_reads)):
+        if unread := sorted(set(block) - reads):
             raise UsageError(f"the {what} does not read {unread}")
     spec = build_spec(stream)
     build_family(spec, proto)

@@ -7,7 +7,7 @@ the hidden target on the oracle channel; labels are always reproducible
 from the target.
 
 Tree targets are compositions of a hidden dictionary of K incomplete
-"metafeature" trees: fragments are affixed at empty slots (path variables
+"metafeature" trees: fragments are grafted at empty slots (path variables
 never repeat), remaining slots become leaves such that every internal node
 keeps both a + and a - leaf beneath it — the reduced-tree property the
 teacher gain needs for exact reconstruction on leaf-covering data.  As in
@@ -47,7 +47,8 @@ FAMILIES = TREE_FAMILIES + ("monomial", "polynomial")
 PLACEMENTS = ("random", "adversarial-first", "adversarial-interleaved")
 REGIMES = ("realizable", "intermediate", "large1", "large2")
 # The StreamSpec fields each family's generator and learner read; placement
-# is read only when r >= 1.
+# is read only when r >= 1, and an overcomplete stream's k only as the
+# default k_cap of the restart and combined protocols (`cli._checked_spec`).
 _COMMON_READS = ("family", "n_features", "k", "d", "m", "sample_size", "seed")
 _TREE_READS = _COMMON_READS + ("s", "mf_depth", "p_min", "r", "placement")
 STREAM_READS = {
@@ -87,7 +88,7 @@ class StreamSpec:
             raise UsageError(f"unknown family {self.family!r}")
         if self.placement not in PLACEMENTS:
             raise UsageError(f"unknown placement {self.placement!r}")
-        if self.k > self.n_features:
+        if self.k > self.n_features and self.family != "overcomplete":
             raise UsageError("K exceeds the number of features")
         if self.d > self.s and self.family in TREE_FAMILIES:
             raise UsageError("depth cap d exceeds size cap s")
@@ -189,7 +190,13 @@ def _fill(rng, node: Tree, need) -> None:
 
 
 class _Composer:
-    """Draws targets composed from one dictionary under the (d, s) caps.
+    """Draws targets composed from one dictionary under the (d, s) caps,
+    then labeled.
+
+    While some (empty slot, fitting fragment) pair is left, a round goes on
+    with probability P_MORE and grafts a uniform pair; the pairs are listed
+    slots left to right, fragments in dictionary order.  `gen_tree_stream`
+    builds one composer per stream and draws every target from it.
 
     Each fragment's shape, that is its variables, depth, size and empty
     slots, is read once, when the composer is built.  A draw keeps the
@@ -241,18 +248,6 @@ class _Composer:
                 return g
         raise GeneratorExhaustedError(
             "could not compose a target within the depth/size caps")
-
-
-def compose_target(rng, metafeatures, d: int, s: int) -> Tree:
-    """Compose fragments at empty slots under the (d, s) caps, then label.
-
-    While some (empty slot, fitting fragment) pair is left, a round goes on
-    with probability P_MORE and grafts a uniform pair; the pairs are listed
-    slots left to right, fragments in dictionary order.  This builds the
-    composer that `gen_tree_stream` builds once per stream (fragment shapes
-    read once, grafts made in place in one working copy) and draws one
-    target from it."""
-    return _Composer(metafeatures, d, s)(rng)
 
 
 def _compose_list(rng, segments, d: int) -> Tree:

@@ -222,7 +222,6 @@ def _walk_difference(g: Tree, gtilde: Tree, path):
         step = path[j]
         gnode = gnode.right if step else gnode.left
         tnode = tnode.right if step else tnode.left
-    return segment, None
 
 
 def _find_differing_path(g: Tree, gtilde: Tree, failed_path):

@@ -1,7 +1,7 @@
 """Incomplete binary decision trees and the superimposition calculus.
 
 A tree node is internal (splits on a variable), a labeled leaf, or an *empty*
-leaf — a hole where the tree may still grow.  Trees grow by two moves: affix
+leaf — a hole where the tree may still grow.  Trees grow by two moves: graft
 a subtree at an empty leaf, or label an empty leaf.  No variable may repeat
 on a root-to-leaf path.
 
@@ -59,11 +59,6 @@ class Tree:
     @staticmethod
     def empty() -> "Tree":
         return Tree(EMPTY)
-
-    # -- predicates --------------------------------------------------------
-
-    def is_empty(self) -> bool:
-        return self.kind == EMPTY
 
     # -- shape -------------------------------------------------------------
 
@@ -139,7 +134,12 @@ class Tree:
         return found
 
     def graft(self, f2: "Tree") -> None:
-        """Turn this empty leaf into a copy of f2, in place."""
+        """Turn this empty leaf into a copy of f2, in place.
+
+        A graft that repeats a variable on a root-to-leaf path is not
+        refused: legal targets never hold one, and the generators rely on
+        their own disjointness (`path_repeats_var` finds a repeat).
+        """
         if self.kind != EMPTY:
             raise UsageError("graft target is not an empty leaf")
         new = f2.copy()
@@ -201,22 +201,7 @@ class Tree:
         }
 
 
-# -- growth moves ----------------------------------------------------------
-
-
-def affix(f: Tree, path, f2: Tree) -> Tree:
-    """Return a copy of f with a copy of f2 grafted at the empty leaf `path`.
-
-    Grafts that repeat a variable on a root-to-leaf path are not refused:
-    legal targets never hold one, and the generators rely on their own
-    disjointness.
-    """
-    target = f.node_at(path)
-    if not target.is_empty():
-        raise UsageError(f"affix target {path} is not an empty leaf")
-    out = f.copy()
-    out.node_at(path).graft(f2)
-    return out
+# -- path checks -----------------------------------------------------------
 
 
 def path_repeats_var(tree: Tree) -> bool:
@@ -367,8 +352,6 @@ class TeacherGain:
         self._ds = self._rows = self._node = None
 
     def __call__(self, ds, rows, feature, values, labels) -> float:
-        if len(rows) == 0:
-            return 0.0
         if ds is not self._ds or rows is not self._rows:
             node = self._route(ds, rows)
             self._ds, self._rows, self._node = ds, rows, node
@@ -448,7 +431,9 @@ def member_of_dt(g: Tree, metafeatures, d: int, s: int,
         """Place fnode at gnode and match every position of f against g."""
         if fnode.kind == EMPTY:
             return realizable(gnode)  # graft point
-        if use_prefixes and not at_root and realizable_after_prune(gnode):
+        # Pruning f here turns this position into an empty leaf of the
+        # pruned fragment, i.e. a fresh graft/label point.
+        if use_prefixes and not at_root and realizable(gnode):
             return True
         if fnode.kind == LEAF:
             return gnode.kind == LEAF and gnode.label == fnode.label
@@ -456,10 +441,5 @@ def member_of_dt(g: Tree, metafeatures, d: int, s: int,
             return False
         return (cover(fnode.left, gnode.left, False)
                 and cover(fnode.right, gnode.right, False))
-
-    def realizable_after_prune(gnode) -> bool:
-        # Pruning f here turns this position into an empty leaf of the
-        # pruned fragment, i.e. a fresh graft/label point.
-        return realizable(gnode)
 
     return realizable(g)

@@ -137,6 +137,8 @@ REGIME = {"name": "realizable", "n_features": 10, "k": 2, "m": 8, "r": 0,
           "sample_size": 4}
 RESTART_CONFIG = dict(TREE_CONFIG, protocol={"kind": "restart", "k_cap": 2})
 BOOTSTRAP_CONFIG = dict(TREE_CONFIG, protocol={"kind": "bootstrap"})
+OVERCOMPLETE_CONFIG = {"stream": {"family": "overcomplete", "n_features": 10,
+                                  "k1": 2, "k2": 3, "m": 15, "sample_size": 8}}
 
 
 def with_stream(**kw):
@@ -145,6 +147,12 @@ def with_stream(**kw):
 
 def with_protocol(base, **kw):
     return dict(base, protocol=dict(base["protocol"], **kw))
+
+
+def overcomplete(protocol=None, **kw):
+    """OVERCOMPLETE_CONFIG with stream keys `kw` and a protocol block."""
+    cfg = {"stream": dict(OVERCOMPLETE_CONFIG["stream"], **kw)}
+    return cfg if protocol is None else dict(cfg, protocol=protocol)
 
 
 NUMERIC_CASES = {
@@ -292,12 +300,23 @@ def protocol_reads(family, kind):
     return {"kind", "strict_envelope_scale", *tree, *PROTOCOL_READS[kind]}
 
 
+def dead_keys(family, kind):
+    """(stream, protocol) keys that the table rows read but that another key
+    of the full config leaves unread: K1 x K2 sizes an overcomplete
+    dictionary and k_cap (where the kind reads it) replaces k; n_bootstrap
+    replaces p_min and delta."""
+    return ({"k"} if family == "overcomplete" else set(),
+            {"p_min", "delta"} if kind == "bootstrap" else set())
+
+
 def full_config(family, kind):
     stream = dict(STREAM_VALUES, family=family)
     proto = dict(PROTOCOL_VALUES, kind=kind, improver=family)
-    return {"stream": {key: stream[key] for key in STREAM_READS[family]},
+    stream_dead, proto_dead = dead_keys(family, kind)
+    return {"stream": {key: stream[key] for key in STREAM_READS[family]
+                       if key not in stream_dead},
             "protocol": {key: proto[key]
-                         for key in protocol_reads(family, kind)},
+                         for key in protocol_reads(family, kind) - proto_dead},
             "trials": 1}
 
 
@@ -323,14 +342,17 @@ def test_full_config_passes_the_check(family, kind):
 
 @pytest.mark.parametrize("family, kind", FAMILY_KINDS)
 def test_unread_keys_exit_2(tmp_path, capsys, monkeypatch, family, kind):
-    """Each stream or protocol key that the (family, kind) does not read is a
-    usage error naming the family or kind and the key."""
+    """Each stream or protocol key that the (family, kind) does not read, or
+    that the full config leaves dead, is a usage error naming the family or
+    kind and the key."""
     base = full_config(family, kind)
+    stream_dead, proto_dead = dead_keys(family, kind)
     unread = [("stream", key, STREAM_VALUES[key], family)
-              for key in sorted(set(STREAM_KEYS) - set(STREAM_READS[family]))]
+              for key in sorted(set(STREAM_KEYS) - set(STREAM_READS[family])
+                                | stream_dead)]
     unread += [("protocol", key, PROTOCOL_VALUES[key], kind)
                for key in sorted(set(PROTOCOL_KEYS)
-                                 - protocol_reads(family, kind))]
+                                 - protocol_reads(family, kind) | proto_dead)]
     assert unread
     for block, key, value, owner in unread:
         cfg = dict(base, **{block: dict(base[block], **{key: value})})
@@ -375,6 +397,21 @@ UNREAD_CASES = {
         "sweep", with_stream(r=1, placement="random"),
         ["--axis", "r", "--values", "1,0"],
         "the tree stream does not read ['placement']"),
+    # K1 x K2 sizes an overcomplete dictionary, so k is read only as the
+    # default k_cap; these ran to the report of the config without k
+    "k-on-overcomplete-plain": (
+        "run", overcomplete(k=2), [],
+        "the overcomplete stream does not read ['k']"),
+    "sweep-K-overcomplete": (
+        "sweep", OVERCOMPLETE_CONFIG, ["--axis", "K", "--values", "2,5"],
+        "the overcomplete stream does not read ['k']"),
+    "k-k_cap-on-overcomplete-restart": (
+        "run", overcomplete(k=2, protocol={"kind": "restart", "k_cap": 2}),
+        [], "the overcomplete stream does not read ['k']"),
+    # n_bootstrap replaces the count that p_min and delta give
+    "n_bootstrap-p_min-on-bootstrap": (
+        "run", with_protocol(BOOTSTRAP_CONFIG, n_bootstrap=2, p_min=0.5), [],
+        "the bootstrap protocol does not read ['p_min']"),
 }
 
 
@@ -383,6 +420,13 @@ def test_named_unread_keys_exit_2(tmp_path, capsys, monkeypatch, case):
     command, cfg, extra, message = UNREAD_CASES[case]
     err = usage_error(tmp_path, capsys, monkeypatch, command, cfg, extra)
     assert err == f"error: {message}"
+
+
+def test_overcomplete_k_is_read_as_the_default_k_cap():
+    assert _checked_spec(OVERCOMPLETE_CONFIG).k == 3
+    for kind in ("restart", "combined"):
+        cfg = overcomplete(k=2, protocol={"kind": kind})
+        assert _checked_spec(cfg).k == 2
 
 
 def test_d_above_s_binds_only_tree_families(tmp_path):

@@ -1,8 +1,11 @@
 """Every module reads every name it imports (an AST scan, like flake8 F401).
 
-An import line may opt out with `# noqa: F401`, as the names that the
-benchmark's tracer wraps by module attribute do.  Package `__init__` files
-import names only to re-export them, so they are not scanned.
+An import line may opt out with `# noqa: F401`.  In `src/` the opt-out
+holds only for names that the benchmark's tracer wraps by module attribute
+(`tracer.wrap(<module>, "<name>", ...)` in `perfbench/tracing.py`), so a
+pin outlives its wrap by no more than one run of this test.  Package
+`__init__` files import names only to re-export them, so they are not
+scanned.
 """
 
 import ast
@@ -21,23 +24,56 @@ MODULES = sorted(
     and path.relative_to(ROOT).as_posix() not in SKIP)
 
 
-def unused_imports(source: str) -> list:
-    """(line, name) of each imported name the module never reads."""
+def wrapped_names(source: str) -> dict:
+    """{module: names} of each `tracer.wrap(module, "name", ...)` call,
+    with a loop variable of `for attr in ("a", "b")` read as its names."""
+    found = {}
+
+    def visit(node, loops):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            loops = dict(loops, **{node.target.id: [
+                elt.value for elt in node.iter.elts
+                if isinstance(elt, ast.Constant)]})
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "tracer" and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Name)):
+            name = node.args[1]
+            names = ([name.value] if isinstance(name, ast.Constant)
+                     else loops.get(getattr(name, "id", None), []))
+            found.setdefault(node.args[0].id, set()).update(names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(ast.parse(source), {})
+    return found
+
+
+PINNED = wrapped_names((ROOT / "perfbench" / "tracing.py").read_text())
+
+
+def unused_imports(source: str, pinned=None) -> list:
+    """(line, name) of each imported name the module never reads.  A
+    `# noqa: F401` import line is skipped whole when `pinned` is None, and
+    otherwise only for its names in `pinned`."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        last = lines[node.end_lineno - 1]
-        if "# noqa: F401" in last:
+        noqa = "# noqa: F401" in lines[node.end_lineno - 1]
+        if noqa and pinned is None:
             continue
         for alias in node.names:
             if alias.name == "*" or (isinstance(node, ast.ImportFrom)
                                      and node.module == "__future__"):
                 continue
             name = alias.asname or alias.name.split(".")[0]
-            imported[name] = node.lineno
+            if not (noqa and name in pinned):
+                imported[name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in read)
@@ -53,10 +89,27 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES,
                          ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
 def test_every_import_is_read(path):
-    assert unused_imports(path.read_text()) == []
+    pinned = (PINNED.get(path.stem, set())
+              if path.parent.name == "probelearn" else None)
+    assert unused_imports(path.read_text(), pinned) == []
 
 
 def test_scan_flags_unused_and_honours_noqa():
     source = ("import os\nimport numpy as np\nfrom x import (a,\n    b)\n"
               "from y import c  # noqa: F401\nprint(np, a.b)\n")
     assert unused_imports(source) == [(1, "os"), (3, "b")]
+
+
+def test_tracer_wraps_are_read_with_their_loops():
+    source = ('tracer.wrap(cli, "run_trial", "cli.trial")\n'
+              'for attr in ("rows", "solve"):\n'
+              '    tracer.wrap(monomials, attr, "monomials.rep")\n'
+              '    tracer.wrap(monomials.RepresentationMatrix, attr, "x")\n')
+    assert wrapped_names(source) == {"cli": {"run_trial"},
+                                     "monomials": {"rows", "solve"}}
+
+
+def test_src_noqa_holds_only_for_wrapped_names():
+    source = "from .trees import conflict, made_up  # noqa: F401\n"
+    assert unused_imports(source, {"conflict", "induce"}) == [(1, "made_up")]
+    assert unused_imports(source, set()) == [(1, "conflict"), (1, "made_up")]

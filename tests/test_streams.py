@@ -7,19 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from probelearn import (GameResult, StreamSpec, Tree,
-                        UsageError, adversary_r_min, compose_target,
-                        eval_monomial, fill_labels, game_failure_bound,
-                        gen_adversary_stream, gen_agnostic_stream,
-                        gen_monomial_stream, gen_poly_stream, gen_tree_stream,
-                        leaf_cover_dataset, member_of_dt,
-                        play_single_feature_game, sample_fragment,
-                        stream_to_json_obj, stump, tree_vars)
+from probelearn import (GameResult, StreamSpec, Tree, UsageError,
+                        adversary_r_min, eval_monomial, fill_labels,
+                        game_failure_bound, gen_adversary_stream,
+                        gen_agnostic_stream, gen_monomial_stream,
+                        gen_poly_stream, gen_tree_stream, leaf_cover_dataset,
+                        member_of_dt, play_single_feature_game,
+                        sample_fragment, stream_to_json_obj, stump, tree_vars)
 from probelearn.griddist import ProductDistribution
 from probelearn.errors import GeneratorExhaustedError
 from probelearn.streams import (MAX_TRIES, P_MORE, _Composer, _grid_dataset,
                                 _overcomplete_dictionary, _sample_dictionary)
-from probelearn.trees import INTERNAL, LEAF, affix, path_repeats_var
+from probelearn.trees import INTERNAL, LEAF, path_repeats_var
 
 
 def spec(**kw):
@@ -106,6 +105,8 @@ def test_spec_validation_errors():
     (dict(family="overcomplete", k1=2, k2=2, p_min=0.3), "4 \\* p_min"),
     # 2 composites fit p_min = 0.4, whatever the unread K says
     (dict(family="overcomplete", k1=1, k2=2, p_min=0.4), None),
+    # nor does K bind n_features there: K1 x K2 sizes the dictionary
+    (dict(family="overcomplete", n_features=2, k1=1, k2=1), None),
     # d <= s binds the tree families only: no other family reads s
     (dict(family="monomial", n_features=12, d=8), None),
     (dict(family="polynomial", n_features=12, d=8), None),
@@ -114,6 +115,7 @@ def test_spec_validation_errors():
     (dict(family="anchor", d=8), "size cap"),
     (dict(family="overcomplete", k1=1, k2=2, d=8), "size cap"),
 ], ids=["overcomplete-4-composites", "overcomplete-2-composites",
+        "overcomplete-k-above-n_features",
         "monomial-d-above-s", "polynomial-d-above-s", "tree-d-above-s",
         "list-d-above-s", "anchor-d-above-s", "overcomplete-d-above-s"])
 def test_spec_validation_applies_each_cap_where_it_is_read(kw, error):
@@ -142,7 +144,7 @@ def test_compose_target_respects_caps():
     frags = [sample_fragment(rng, [0, 1, 2], 2),
              sample_fragment(rng, [3, 4, 5], 2)]
     for _ in range(20):
-        g = compose_target(rng, frags, d=4, s=9)
+        g = _Composer(frags, d=4, s=9)(rng)
         assert g.kind == INTERNAL
         assert g.depth() <= 4 and g.size() <= 9
         assert not path_repeats_var(g)
@@ -163,7 +165,7 @@ def test_leaf_cover_dataset_reaches_every_leaf():
 # -- the bulk paths against the per-slot, per-row references ---------------
 
 def reference_compose(rng, metafeatures, d, s):
-    """compose_target as one scan of every empty slot per round, each graft
+    """The composer as one scan of every empty slot per round, each graft
     copying the whole tree."""
     shapes = [(tree_vars(f), f.depth(), f.size()) for f in metafeatures]
     for _ in range(MAX_TRIES):
@@ -180,7 +182,8 @@ def reference_compose(rng, metafeatures, d, s):
             if not options or rng.random() > P_MORE:
                 break
             path, f, fsize = options[int(rng.integers(len(options)))]
-            g = affix(g, path, f)
+            g = g.copy()
+            g.node_at(path).graft(f)
             size += fsize
         g = fill_labels(rng, g)
         if g.kind == INTERNAL and g.depth() <= d and g.size() <= s:
@@ -218,16 +221,16 @@ def dictionaries():
 
 @pytest.mark.parametrize("case", range(4))
 def test_composer_matches_the_per_slot_reference(case):
-    """The stream's composer, built once and drawn from many times, and
-    `compose_target` called on its own give the reference's trees and leave
-    the generator in the reference's state."""
+    """The stream's composer, built once and drawn from many times, and a
+    composer built for each draw give the reference's trees and leave the
+    generator in the reference's state."""
     dictionary, d, s = dictionaries()[case]
     composer = _Composer(dictionary, d, s)
     gens = [np.random.default_rng((case, 9)) for _ in range(3)]
     for _ in range(60):
         want = reference_compose(gens[0], dictionary, d, s)
         assert composer(gens[1]) == want
-        assert compose_target(gens[2], dictionary, d, s) == want
+        assert _Composer(dictionary, d, s)(gens[2]) == want
         state = gens[0].bit_generator.state
         assert gens[1].bit_generator.state == state
         assert gens[2].bit_generator.state == state
@@ -239,7 +242,8 @@ def cover_cases():
     rng = np.random.default_rng(17)
     trees = [stump(3), Tree.leaf(True)]
     for dictionary, d, s in dictionaries():
-        trees += [compose_target(rng, dictionary, d, s) for _ in range(15)]
+        composer = _Composer(dictionary, d, s)
+        trees += [composer(rng) for _ in range(15)]
     # the sample size is below, at and above each tree's leaf count
     return [(g, n) for g in trees
             for n in (1, g.n_leaves(), g.n_leaves() + 7)]

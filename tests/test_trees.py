@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from probelearn import (CostlyDataset, InfoGain, OracleMisuseError, StreamSpec,
-                        TeacherGain, Tree, UsageError, affix, binary_entropy,
+                        TeacherGain, Tree, UsageError, binary_entropy,
                         conflict, gen_tree_stream, induce, info_gain,
                         member_of_dt, path_repeats_var)
 
@@ -52,34 +52,44 @@ def test_structural_equality_and_copy():
     assert a.left.label is True  # deep copy
 
 
-# -- affix ----------------------------------------------------------
+# -- graft -----------------------------------------------------------
 
 
-def test_affix_base_case():
-    out = affix(E(), (), stump(1))
+def grafted(f, path, f2):
+    """A copy of f with f2 grafted at the empty leaf `path`."""
+    out = f.copy()
+    out.node_at(path).graft(f2)
+    return out
+
+
+def test_graft_base_case():
+    out = grafted(E(), (), stump(1))
     assert out == stump(1)
 
 
-def test_affix_grows_left_child():
-    out = affix(stump(1), (0,), stump(2))
+def test_graft_grows_left_child():
+    f, f2 = stump(1), stump(2)
+    out = grafted(f, (0,), f2)
     assert out == I(1, I(2, E(), E()), E())
-    # the original is untouched
-    assert stump(1).left.is_empty()
+    # the originals are untouched, and the graft is a copy of f2
+    assert f == stump(1) and f.left.kind == "empty"
+    out.left.var = 3
+    assert f2 == stump(2)
 
 
-def test_affix_rejects_non_empty_target():
+def test_graft_rejects_non_empty_target():
     with pytest.raises(UsageError):
-        affix(stump(1), (), stump(2))  # root is internal
+        grafted(stump(1), (), stump(2))  # root is internal
     t = I(1, L(True), E())
     with pytest.raises(UsageError):
-        affix(t, (0,), stump(2))  # labeled leaf
+        grafted(t, (0,), stump(2))  # labeled leaf
 
 
-def test_affix_strict_repetition():
-    # affix does not refuse a repeated variable; path_repeats_var finds it
-    bad = affix(stump(1), (0,), stump(1))
+def test_graft_strict_repetition():
+    # graft does not refuse a repeated variable; path_repeats_var finds it
+    bad = grafted(stump(1), (0,), stump(1))
     assert path_repeats_var(bad)
-    assert not path_repeats_var(affix(stump(1), (0,), stump(2)))
+    assert not path_repeats_var(grafted(stump(1), (0,), stump(2)))
 
 
 # -- superimposition --------------------------------------------------------
@@ -433,14 +443,15 @@ def test_member_respects_caps():
 
 def test_member_construction_soundness():
     # anything composed from whole fragments is a member without prefixes
-    from probelearn import compose_target, sample_fragment
+    from probelearn import sample_fragment
+    from probelearn.streams import _Composer
 
     rng = np.random.default_rng(2)
     for _ in range(25):
         frags = [sample_fragment(rng, [0, 1, 2], 2), sample_fragment(rng, [3, 4, 5], 2)]
         if any(f.kind != "internal" for f in frags):
             continue
-        g = compose_target(rng, frags, d=4, s=8)
+        g = _Composer(frags, d=4, s=8)(rng)
         assert member_of_dt(g, frags, d=4, s=8)
 
 
