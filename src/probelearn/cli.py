@@ -43,8 +43,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -257,8 +255,12 @@ def run_trial(config: dict, trial: int) -> dict:
 
 def _call_all(fn, calls, jobs: int) -> list:
     """[fn(*args) for args in calls], in `jobs` worker processes when
-    jobs > 1; results come back in call order either way."""
+    jobs > 1; results come back in call order either way.  The pool is
+    imported here, so a run with one job never loads it."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=get_context("spawn")) as pool:
             futures = [pool.submit(fn, *args) for args in calls]
@@ -301,7 +303,8 @@ def cmd_run(config: dict, out: Path, jobs: int, strict: bool) -> int:
 
 
 def sweep_envelope(kind: str, spec: StreamSpec, r: int) -> float:
-    s, n, k, m, d = (spec.sample_size, spec.n_features, spec.k, spec.m, spec.d)
+    s, n, k, m, d = (spec.sample_size, spec.n_features, spec.dictionary_size,
+                     spec.m, spec.d)
     if kind == "combined":
         return s * (math.sqrt(max(r, 1) * k * n * m) + m * k)
     if kind == "restart":

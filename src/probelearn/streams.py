@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import CostlyDataset
+from .dataset import CostlyDataset, bit_rows, column_bits, pack_columns
 from .errors import GeneratorExhaustedError, UsageError
 from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
@@ -173,20 +173,28 @@ def fill_labels(rng, tree: Tree) -> Tree:
     """Replace empties with leaves so every internal node has both a + and a
     - leaf beneath it (labels at pre-existing leaves are kept)."""
     out = tree.copy()
-    _fill(rng, out, None)
+    _fill(rng, out)
     return out
 
 
-def _fill(rng, node: Tree, need) -> None:
+def _fill(rng, root: Tree) -> None:
     """`fill_labels` in place: one draw per internal node, in pre-order,
-    picks which side needs which label; a lone empty root draws its own."""
-    if node.kind == EMPTY:
-        node.kind = LEAF
-        node.label = bool(rng.integers(2)) if need is None else need
-    elif node.kind == INTERNAL:
-        needs = (PLUS, MINUS) if rng.integers(2) else (MINUS, PLUS)
-        _fill(rng, node.left, needs[0])
-        _fill(rng, node.right, needs[1])
+    picks which side needs which label; a lone empty root draws its own.
+    The draws are taken in one call, which yields the same bits, and leaves
+    the generator in the same state, as one draw per node."""
+    draws = iter(rng.integers(2, size=root.size() + (root.kind == EMPTY))
+                 .tolist())
+
+    def fill(node, need):
+        if node.kind == EMPTY:
+            node.kind = LEAF
+            node.label = bool(next(draws)) if need is None else need
+        elif node.kind == INTERNAL:
+            needs = (PLUS, MINUS) if next(draws) else (MINUS, PLUS)
+            fill(node.left, needs[0])
+            fill(node.right, needs[1])
+
+    fill(root, None)
 
 
 class _Composer:
@@ -243,7 +251,7 @@ class _Composer:
                 slots[k:k + 1] = [self._slot(path + fpath, used | fused)
                                   for fpath, fused in self.slots[j]]
                 size += self.sizes[j]
-            _fill(rng, g, None)
+            _fill(rng, g)
             if g.kind == INTERNAL:  # every graft kept the depth and size caps
                 return g
         raise GeneratorExhaustedError(
@@ -272,7 +280,7 @@ def _compose_list(rng, segments, d: int) -> Tree:
             spine = spine | fvars
             depth = max(depth, len(end) + fdepth)
             end = end + fend
-        _fill(rng, g, None)
+        _fill(rng, g)
         if g.kind == INTERNAL and depth <= d:
             return g
     raise GeneratorExhaustedError(
@@ -285,8 +293,9 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
     All rows are drawn in one call, which yields the same bits as one draw
     per row.  Row i then takes the path bits of g's i-th frontier node
     (left to right), all in one assignment.  The labels come from routing
-    the row indices down g: each internal node splits its rows by their
-    bit.  A row that reaches an empty leaf raises UsageError."""
+    the examples down g as bitsets: each internal node splits its examples
+    by its variable's column bitset, packed once and handed to the dataset.
+    An example that reaches an empty leaf raises UsageError."""
     frontier = []  # ((var, bit), ...) of each frontier path, left to right
 
     def walk(node, above):
@@ -304,18 +313,21 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
     if cells:
         rows, cols, bits = zip(*cells)
         values[rows, cols] = bits
-    labels = np.empty(len(values), dtype=bool)
-    stack = [(g, np.arange(len(values)))]
+    columns = pack_columns(values)
+    positive = 0
+    stack = [(g, (1 << len(values)) - 1)]
     while stack:
         node, rows = stack.pop()
         if node.kind == INTERNAL:
-            one = values[rows, node.var].astype(bool)
-            stack += ((node.left, rows[~one]), (node.right, rows[one]))
+            one = rows & column_bits(columns, len(values), node.var)
+            stack += ((node.left, rows & ~one), (node.right, one))
         elif node.kind == LEAF:
-            labels[rows] = node.label
-        elif len(rows):
+            if node.label:
+                positive |= rows
+        elif rows:
             raise UsageError("predict called on an incomplete tree")
-    return CostlyDataset.from_bool(values, labels)
+    labels = bit_rows([positive], len(values))[0]
+    return CostlyDataset.from_bool(values, labels, columns)
 
 
 # -- tree streams ----------------------------------------------------------

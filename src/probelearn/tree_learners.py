@@ -9,6 +9,11 @@ features per example.  `naive_lfd_seen_features` is the baseline that
 offers every previously seen feature at every node.  All three are one
 grower, `_grow`, that differs only in each node's candidate set.
 
+The grower holds each node's examples as a bitset (bit e = example e).  A
+node's purity test ANDs it with the label bitset, one `probe_bits` read
+returns each candidate's column on it, the gain counts with popcounts and
+the children are the chosen column and its complement in the node.
+
 The grower keeps two traversal orders because each decides an output.  LFD
 and the baseline grow breadth-first: they stop at the first node that breaks
 a cap or has no candidate, after probing every node taken before it, so the
@@ -27,8 +32,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InternalError, ModelViolationError, RealizabilityError
 from .trees import INTERNAL, LEAF, PLUS, Tree
@@ -55,30 +58,32 @@ class LfdResult:
 
 
 def _best_split(ds, gain, rows, labels, candidates):
-    """Probe `candidates` on `rows` in one block read and split on the strict
-    gain argmax; ties go to the earliest candidate, and every grower lists
-    its candidates in ascending order.  Returns (feature, its bool column).
+    """Probe `candidates` on the node's examples `rows` in one bitset read
+    and split on the strict gain argmax; ties go to the earliest candidate,
+    and every grower lists its candidates in ascending order.  Returns
+    (feature, the bitset of the node's examples with it set).
 
-    A gain picks the node's split with one call, `gain.best(ds, rows, labels,
-    block, candidates)` -> the argmax's index, where `labels` and `block` are
-    the bool label vector and (rows x candidates) bool column block of a
-    mixed, non-empty node (see `InfoGain` and `TeacherGain`).  Any other
-    callable is a per-candidate score, `gain(ds, rows, feature, column,
-    labels)`, called once per candidate with the same `rows` object.  That
-    path stays because perfbench's gain proxy wraps only the per-candidate
-    call; once ROADMAP item 2 points the proxy at `best`, it can go.
+    `rows` and `labels` are the bitsets of a mixed, non-empty node's
+    examples and of its positive ones, and `cols[j]` is that of its examples
+    with candidates[j] set.  A gain picks the node's split with one call,
+    `gain.best(ds, rows, labels, cols, candidates)` -> the argmax's index
+    (see `InfoGain` and `TeacherGain`).  Any other callable is a
+    per-candidate score, `gain(ds, rows, feature, cols[j], labels)`, called
+    once per candidate with the same `rows` object.  That path stays because
+    perfbench's gain proxy wraps only the per-candidate call; once ROADMAP
+    item 2 points the proxy at `best`, it can go.
     """
-    block = np.asarray(ds.probe_block(rows, candidates), dtype=bool)
+    cols = ds.probe_bits(rows, candidates)
     best = getattr(gain, "best", None)
     if best is not None:
-        best_j = best(ds, rows, labels, block, candidates)
+        best_j = best(ds, rows, labels, cols, candidates)
     else:
         best_j, best_gain = None, -math.inf
         for j, feature in enumerate(candidates):
-            g = gain(ds, rows, feature, block[:, j], labels)
+            g = gain(ds, rows, feature, cols[j], labels)
             if g > best_gain:
                 best_j, best_gain = j, g
-    return candidates[best_j], block[:, best_j]
+    return candidates[best_j], cols[best_j]
 
 
 def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
@@ -90,11 +95,13 @@ def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
     that broke a cap has already been probed.  A node no example reaches
     becomes a PLUS leaf, a pure node a leaf of its label, and a mixed node
     with no candidate stops the grower.  The frontier is a FIFO queue, or a
-    stack with the left child on top when `depth_first`.
+    stack with the left child on top when `depth_first`.  Each node's
+    examples are a bitset (bit e = example e), split by the bitset read.
     """
     root = Tree.empty()
     size = 0
-    frontier = deque([(root, (), np.arange(ds.n_examples))])
+    positive = ds.label_bits
+    frontier = deque([(root, (), (1 << ds.n_examples) - 1)])
     take = frontier.pop if depth_first else frontier.popleft
     while frontier:
         node, path, rows = take()
@@ -102,13 +109,12 @@ def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
             return LfdResult(FAILED, root, failed_path=path, reason="depth")
         if size > s:
             return LfdResult(FAILED, root, failed_path=path, reason="size")
-        if len(rows) == 0:
+        if not rows:
             node.kind, node.label = LEAF, PLUS
             continue
-        labels = np.asarray(ds.labels_at(rows), dtype=bool)
-        plus = np.count_nonzero(labels)
-        if plus == 0 or plus == len(labels):
-            node.kind, node.label = LEAF, plus > 0
+        labels = rows & positive
+        if not labels or labels == rows:
+            node.kind, node.label = LEAF, labels != 0
             continue
         features = candidates(root, path)
         if not features:
@@ -117,8 +123,8 @@ def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
         node.kind, node.var = INTERNAL, best_i
         node.left, node.right = Tree.empty(), Tree.empty()
         size += 1
-        children = [(node.left, path + (0,), rows[~col]),
-                    (node.right, path + (1,), rows[col])]
+        children = [(node.left, path + (0,), rows & ~col),
+                    (node.right, path + (1,), col)]
         frontier.extend(reversed(children) if depth_first else children)
     return LfdResult(LEARNED, root)
 

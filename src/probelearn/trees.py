@@ -304,22 +304,26 @@ def _split_gain(n: int, plus: int, k: int, k_plus: int) -> float:
 class InfoGain:
     """Empirical information gain over the probed feature column.
 
-    `best` takes a node's non-empty sample, counts each column's ones and
-    its plus-labelled ones, and scores every candidate with `_split_gain`,
-    the formula `info_gain` uses, so its argmax is the per-candidate one.
+    Both calls take a node's examples `rows`, its positive ones `labels` and
+    each candidate's column as bitsets (see `tree_learners._best_split`),
+    count them by popcount and score with `_split_gain`, the formula
+    `info_gain` uses.  `best` scores every candidate of a non-empty node, so
+    its argmax is the per-candidate one.
     """
 
     def __call__(self, ds, rows, feature, values, labels) -> float:
-        return info_gain(labels, values)
+        n = rows.bit_count()
+        if n == 0:
+            return 0.0
+        return _split_gain(n, labels.bit_count(), values.bit_count(),
+                           (values & labels).bit_count())
 
-    def best(self, ds, rows, labels, block, candidates) -> int:
-        n = len(labels)
-        plus = int(np.count_nonzero(labels))
-        ones = np.count_nonzero(block, axis=0).tolist()
-        plus_ones = np.count_nonzero(block[labels], axis=0).tolist()
+    def best(self, ds, rows, labels, cols, candidates) -> int:
+        n, plus = rows.bit_count(), labels.bit_count()
         best_j, best_gain = 0, -math.inf
-        for j, (k, k_plus) in enumerate(zip(ones, plus_ones)):
-            gain = _split_gain(n, plus, k, k_plus)
+        for j, col in enumerate(cols):
+            gain = _split_gain(n, plus, col.bit_count(),
+                               (col & labels).bit_count())
             if gain > best_gain:
                 best_j, best_gain = j, gain
         return best_j
@@ -333,10 +337,13 @@ class TeacherGain:
     split, which alone scores 1.0.  This realizes, by construction, the
     assumption that greedy top-down splitting reproduces the target.
 
-    `best` routes a node's non-empty sample once and returns the designated
-    split's index among the candidates, or 0 when it is not among them; a
-    leaf route runs the label check and returns 0.  That is the strict
-    argmax of the per-candidate scores.
+    Both calls take a node's examples `rows` and its positive ones `labels`
+    as bitsets (see `tree_learners._best_split`); a route step splits `rows`
+    by the variable's column bitset.  `best` routes a node's non-empty
+    sample once and returns the designated split's index among the
+    candidates, or 0 when it is not among them; a leaf route runs the label
+    check and returns 0.  That is the strict argmax of the per-candidate
+    scores.
 
     The per-candidate `__call__` serves a caller that scores one candidate
     at a time, as `_best_split` does for a gain proxy without `best` until
@@ -358,30 +365,29 @@ class TeacherGain:
         node = self._node
         if node.kind == INTERNAL:
             return 1.0 if feature == node.var else 0.0
-        self._check_leaf(node, labels)
+        self._check_leaf(node, rows, labels)
         return 0.0  # pure sample; the leaf case is handled before gain
 
-    def best(self, ds, rows, labels, block, candidates) -> int:
+    def best(self, ds, rows, labels, cols, candidates) -> int:
         node = self._route(ds, rows)
         if node.kind == INTERNAL:
             return candidates.index(node.var) if node.var in candidates else 0
-        self._check_leaf(node, labels)
+        self._check_leaf(node, rows, labels)
         return 0
 
     @staticmethod
-    def _check_leaf(node, labels) -> None:
-        if not (np.asarray(labels, dtype=bool) == node.label).all():
+    def _check_leaf(node, rows, labels) -> None:
+        if labels != (rows if node.label else 0):
             raise OracleMisuseError("sample labels inconsistent with the target")
 
     def _route(self, ds, rows) -> Tree:
         """The designated split node, or the labeled leaf of a pure route."""
         node = self.target
         while node.kind == INTERNAL:
-            col = ds.peek_rows(rows, node.var)
-            ones = np.count_nonzero(col)
-            if ones == len(col):
+            ones = ds.peek_bits(node.var) & rows
+            if ones == rows:
                 node = node.right
-            elif ones == 0:
+            elif not ones:
                 node = node.left
             else:
                 return node

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -561,6 +564,16 @@ def test_sweep_axis_m(tmp_path):
             == (out2 / "sweep.csv").read_bytes())
 
 
+def test_sweep_envelope_of_overcomplete_uses_k1_times_k2(tmp_path):
+    # S (K N + m K d) with K = K1 K2 = 6, N = 10, m = 10, d = 3, S = 8
+    path = write_config(tmp_path, overcomplete(m=10))
+    out = tmp_path / "oc"
+    assert main(["sweep", "--config", path, "--out", str(out),
+                 "--axis", "m", "--values", "10"]) == 0
+    _, rows = read_rows(out / "sweep.csv")
+    assert rows and {float(r["envelope"]) for r in rows} == {1920.0}
+
+
 def test_sweep_axis_c_sets_restart_slack(tmp_path):
     cfg = dict(TREE_CONFIG)
     cfg["protocol"] = {"kind": "restart", "k_cap": 2}
@@ -616,6 +629,18 @@ def test_adversary_is_deterministic(tmp_path):
     assert main(["adversary", "--config", path, "--out", str(a)]) == 0
     assert main(["adversary", "--config", path, "--out", str(b)]) == 0
     assert (a / "adversary.csv").read_bytes() == (b / "adversary.csv").read_bytes()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 needs concurrent.futures; a one-job run never pays
+    # for importing it
+    code = ("import sys, probelearn.cli; "
+            "print(any(m.split('.')[0] == 'concurrent' for m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_adversary_reports_do_not_depend_on_jobs(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from probelearn import CostlyDataset, UsageError
+from probelearn.dataset import column_bits, pack_columns
 
 
 def small_bool(n_examples=2, n_features=3):
@@ -88,8 +89,8 @@ def test_probe_block_matches_per_column_probe_rows():
             cells = [float(cell_ds.probe(int(e), feature)) for e in rows]
             assert block[:, j].tolist() == cells
             assert column_ds.probe_rows(rows, feature).tolist() == cells
-        assert (block_ds.ledger._mask == cell_ds.ledger._mask).all()
-        assert (column_ds.ledger._mask == cell_ds.ledger._mask).all()
+        assert (block_ds.ledger.mask() == cell_ds.ledger.mask()).all()
+        assert (column_ds.ledger.mask() == cell_ds.ledger.mask()).all()
         assert block_ds.ledger.total_probes == 9  # (0, 1) was already read
 
 
@@ -112,13 +113,94 @@ def test_probe_block_names_first_offending_feature(features, offender):
     assert ds.probe_block(np.array([0, 1]), []).shape == (2, 0)
 
 
+# -- bitsets: S = 1 .. 130, so one or several words, whole bytes or not ----
+
+BIT_SHAPES = [(1, 3), (7, 4), (16, 5), (63, 3), (64, 4), (65, 3), (100, 6),
+              (130, 2)]
+
+
+def bits_of(flags):
+    return sum(1 << e for e, flag in enumerate(flags) if flag)
+
+
+def bool_data(n_examples, n_features):
+    rng = np.random.default_rng(n_examples * 31 + n_features)
+    return (rng.integers(0, 2, (n_examples, n_features)),
+            rng.integers(0, 2, n_examples).astype(bool))
+
+
+@pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
+def test_column_and_label_bitsets_match_the_matrix(n_examples, n_features):
+    values, labels = bool_data(n_examples, n_features)
+    ds = CostlyDataset.from_bool(values, labels)
+    cols = [bits_of(values[:, f]) for f in range(n_features)]
+    words = pack_columns(values)
+    assert len(words) == n_features * max(1, -(-n_examples // 64))
+    assert [column_bits(words, n_examples, f)
+            for f in range(n_features)] == cols
+    assert [ds.peek_bits(f) for f in range(n_features)] == cols
+    assert ds.label_bits == bits_of(labels)
+    assert (ds.peek_all() == values).all()
+    assert ds.ledger.total_probes == 0
+
+    rows = bits_of(np.random.default_rng(n_examples).integers(0, 2, n_examples))
+    features = list(range(n_features))[::-1]
+    assert ds.probe_bits(rows, features) == [cols[f] & rows for f in features]
+    assert ds.ledger.total_probes == n_features * rows.bit_count()
+
+
+@pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
+def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
+    values, labels = bool_data(n_examples, n_features)
+    bit_ds, block_ds, cell_ds = (CostlyDataset.from_bool(values, labels)
+                                 for _ in range(3))
+    want = np.zeros((n_examples, n_features), dtype=bool)
+    rng = np.random.default_rng(n_features)
+    for _ in range(5):
+        rows = np.flatnonzero(rng.random(n_examples) < 0.4)
+        features = sorted(rng.choice(n_features, size=int(rng.integers(
+            0, n_features + 1)), replace=False).tolist())
+        bit_ds.probe_bits(bits_of(np.isin(np.arange(n_examples), rows)),
+                          features)
+        block_ds.probe_block(rows, features)
+        for e in rows.tolist():
+            for f in features:
+                cell_ds.probe(e, f)
+        want[np.ix_(rows, features)] = True
+        for ds in (bit_ds, block_ds, cell_ds):
+            mask = ds.ledger.mask()
+            assert mask.dtype == bool and mask.shape == want.shape
+            assert (mask == want).all()
+            assert ds.ledger.total_probes == want.sum()
+            assert (ds.ledger.per_example_probes() == want.sum(axis=1)).all()
+            assert ds.ledger.per_example_max() == want.sum(axis=1).max()
+    # after probe_all every cell is read, and later reads record nothing
+    for ds in (bit_ds, block_ds, cell_ds):
+        ds.probe_all()
+        ds.probe_bits(1, [0])
+        ds.probe(0, 0)
+        assert ds.ledger.mask().all()
+        assert ds.ledger.total_probes == n_examples * n_features
+        assert ds.ledger.per_example_max() == n_features
+
+
+@pytest.mark.parametrize("features, offender", [
+    ([0, 3], 3), ([-1], -1), ([1, 2, 7, -4], 7)])
+def test_probe_bits_out_of_range_feature(features, offender):
+    ds = small_bool(2, 3)
+    with pytest.raises(UsageError, match=rf"^feature {offender} out of range$"):
+        ds.probe_bits(0b11, features)
+    assert ds.ledger.total_probes == 0
+    assert ds.probe_bits(0b11, []) == []
+
+
 def test_labels_and_peeks_are_free():
     ds = small_bool(3, 4)
     ds.label(0)
-    ds.labels_at(np.array([0, 2]))
+    _ = ds.label_bits
     _ = ds.labels
     ds.peek(1, 1)
-    ds.peek_rows(np.array([0, 1]), 2)
+    ds.peek_bits(2)
     ds.peek_all()
     assert ds.ledger.total_probes == 0
 
@@ -147,8 +229,7 @@ def test_rational_reads():
     assert ds.probe(1, 1) == Fraction(5, 3)
     assert type(ds.probe(1, 1).numerator) is int
     assert (ds.peek_all() == np.array(values, dtype=object)).all()
-    assert list(ds.peek_rows(np.array([1, 0]), 0)) == [Fraction(7, 4),
-                                                       Fraction(3, 2)]
+    assert [ds.peek(1, 0), ds.peek(0, 0)] == [Fraction(7, 4), Fraction(3, 2)]
     # column reads are floats, correctly rounded like float(Fraction)
     col = ds.probe_column(1)
     assert col.dtype == np.float64
@@ -233,8 +314,6 @@ def test_labels_built_on_read_match_eager_fractions(terms):
     ds = lazy()
     assert [ds.label(e) for e in range(6)] == want
     assert lazy().label(-1) == want[-1]
-    rows = np.array([4, 0, 4, 2])
-    assert lazy().labels_at(rows) == [want[int(e)] for e in rows]
     assert list(lazy().labels) == want
     assert lazy().to_json_obj() == eager.to_json_obj()
     ds = lazy()

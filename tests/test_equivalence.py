@@ -98,7 +98,7 @@ def grow_once(grower, gain_kind, ds, target, rep, seen, d, s):
     if isinstance(out, LfdResult):
         kind = out.reason
         out = (out.outcome, out.tree, out.failed_path, out.reason)
-    return canon(out) + "|" + ds.ledger._mask.tobytes().hex(), kind
+    return canon(out) + "|" + ds.ledger.mask().tobytes().hex(), kind
 
 
 GROWER_DIGESTS = {

@@ -575,7 +575,7 @@ def test_sampled_residual_values_match_cellwise_reference():
             row = {i: ref.probe(e, i) for i in touched}
             want[e] = float(Fraction(ref.label(e)) - partial.evaluate(row))
         assert np.array_equal(got, want)
-        assert (ds.ledger._mask == ref.ledger._mask).all()
+        assert (ds.ledger.mask() == ref.ledger.mask()).all()
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
@@ -639,7 +639,7 @@ def test_lfd_probes_rows_and_lift_supports_as_whole_columns():
             for g in result.hypothesis.monomials():
                 for i in support(g):
                     ref.probe_column(i)
-            assert (task.ds.ledger._mask == ref.ledger._mask).all()
+            assert (task.ds.ledger.mask() == ref.ledger.mask()).all()
         improve_rep_polynomial(rep, task.target)
     assert learned >= 6
 

@@ -139,6 +139,51 @@ def test_fill_labels_places_both_signs():
     assert checked > 30
 
 
+def scalar_fill(rng, node, need=None):
+    """The one-draw-per-node reference for `fill_labels`: a scalar draw at
+    each internal node in pre-order, and one for a lone empty root."""
+    if node.kind == "empty":
+        node.kind = LEAF
+        node.label = bool(rng.integers(2)) if need is None else need
+    elif node.kind == INTERNAL:
+        needs = (True, False) if rng.integers(2) else (False, True)
+        scalar_fill(rng, node.left, needs[0])
+        scalar_fill(rng, node.right, needs[1])
+
+
+def test_fill_labels_batched_draw_matches_scalar_draws():
+    rng = np.random.default_rng(19)
+    shapes = [Tree.empty(), Tree.leaf(True)]
+    for _ in range(200):
+        shape = sample_fragment(rng, list(range(8)), int(rng.integers(0, 4)))
+        for path in shape.frontier_paths():  # keep some labels as given
+            if rng.random() < 0.3:
+                node = shape.node_at(path)
+                node.kind, node.label = LEAF, bool(rng.integers(2))
+        shapes.append(shape)
+    pending = 0
+    for i, shape in enumerate(shapes):
+        seed = (19, i)
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        # a random prefix of 32- and 64-bit draws, so the generator may
+        # hold a pending 32-bit half when the fill starts
+        for _ in range(int(got_rng.integers(0, 4))):
+            if got_rng.random() < 0.5:
+                got_rng.integers(2)
+            else:
+                got_rng.random()
+        want_rng.bit_generator.state = got_rng.bit_generator.state
+        pending += got_rng.bit_generator.state["has_uint32"]
+        got = fill_labels(got_rng, shape)
+        want = shape.copy()
+        scalar_fill(want_rng, want)
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.integers(2, size=5).tolist() == \
+            want_rng.integers(2, size=5).tolist()
+    assert 0 < pending < len(shapes)
+
+
 def test_compose_target_respects_caps():
     rng = np.random.default_rng(11)
     frags = [sample_fragment(rng, [0, 1, 2], 2),

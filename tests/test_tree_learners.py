@@ -266,11 +266,14 @@ def test_improve_variants_do_not_mutate_input_rep():
 
 
 def reference_split(ds, gain, rows, labels, candidates):
-    """Per-candidate reference for the block split: probe one column at a
-    time, keep the first strict gain maximum."""
+    """Per-candidate reference for the bitset split: probe one column at a
+    time on the node's example indices, keep the first strict gain
+    maximum."""
     best_i, best_gain, values = None, -math.inf, {}
+    index = np.array([e for e in range(ds.n_examples) if rows >> e & 1])
     for i in candidates:
-        values[i] = np.asarray(ds.probe_rows(rows, i), dtype=bool)
+        column = ds.probe_rows(index, i)
+        values[i] = sum(1 << int(e) for e, v in zip(index, column) if v)
         g = gain(ds, rows, i, values[i], labels)
         if g > best_gain:
             best_i, best_gain = i, g
@@ -295,7 +298,7 @@ def grow(grower, task, gain_kind, rep, seen, wrap=None):
         out = str(exc)
     if isinstance(out, LfdResult):
         out = (out.outcome, out.tree.key(), out.failed_path, out.reason)
-    return out, ds.ledger._mask
+    return out, ds.ledger.mask()
 
 
 class PerCandidateGain:
@@ -341,6 +344,27 @@ def test_block_split_matches_per_candidate_probes(monkeypatch, grower,
     assert sum(gain.calls for gain in wrapped) > len(tasks)
     if grower != "scratch":
         assert outcomes == {"learned", "failed"}
+
+
+@pytest.mark.parametrize("sample_size", [70, 130])
+def test_bitset_split_matches_per_candidate_probes_on_multiword_samples(
+        monkeypatch, sample_size):
+    """More than 64 examples, so every node bitset spans several words."""
+    tasks, dictionary = gen_tree_stream(StreamSpec(
+        family="tree", n_features=20, k=3, d=4, s=9, mf_depth=3, m=6,
+        sample_size=sample_size, seed=72).validate())
+    rep = dictionary[:2]
+    seen = tree_vars(dictionary[0]) | tree_vars(dictionary[1]) | {0, 19}
+    for task in tasks:
+        for grower in ("scratch", "lfd", "naive"):
+            for gain_kind in ("teacher", "info"):
+                with monkeypatch.context() as patch:
+                    patch.setattr(tree_learners, "_best_split",
+                                  reference_split)
+                    want = grow(grower, task, gain_kind, rep, seen)
+                got = grow(grower, task, gain_kind, rep, seen)
+                assert got[0] == want[0]
+                assert (got[1] == want[1]).all()
 
 
 # -- incremental superimposition --------------------------------------------
@@ -435,7 +459,7 @@ def test_lfd_candidates_match_placement_reference(kw):
                                     depth_first=False)
                             runs.append(((res.outcome, res.tree.key(),
                                           res.failed_path, res.reason),
-                                         ds.ledger._mask))
+                                         ds.ledger.mask()))
                         (got, got_mask), (want, want_mask) = runs
                         assert got == want, (rep, d, s, gain_kind)
                         assert (got_mask == want_mask).all()

@@ -245,12 +245,20 @@ def bool_ds(values, labels):
     return CostlyDataset.from_bool(np.array(values), np.array(labels, dtype=bool))
 
 
+def bits(flags):
+    """The bitset of a 0/1 sequence: bit e is set iff flags[e]."""
+    return sum(1 << e for e, flag in enumerate(flags) if flag)
+
+
+# The gains take a node's examples and its positive examples as bitsets.
+
+
 def test_teacher_gain_designates_root():
     target = I(3, L(False), L(True))
     ds = bool_ds([[0, 0, 0, 0], [0, 0, 0, 1]], [False, True])
     gain = TeacherGain(target)
-    rows = np.array([0, 1])
-    labels = np.array([False, True])
+    rows = bits([1, 1])
+    labels = bits([0, 1])
     assert gain(ds, rows, 3, None, labels) == 1.0
     assert gain(ds, rows, 1, None, labels) == 0.0
 
@@ -260,8 +268,8 @@ def test_teacher_gain_routes_to_deepest_agreed_node():
     # both examples have x1 = 0, so the designated split is the left child x2
     ds = bool_ds([[0, 0, 0], [0, 0, 1]], [False, True])
     gain = TeacherGain(target)
-    rows = np.array([0, 1])
-    labels = np.array([False, True])
+    rows = bits([1, 1])
+    labels = bits([0, 1])
     assert gain(ds, rows, 2, None, labels) == 1.0
     assert gain(ds, rows, 1, None, labels) == 0.0
     assert gain(ds, rows, 0, None, labels) == 0.0
@@ -271,8 +279,8 @@ def test_teacher_gain_pure_sample_scores_zero():
     target = I(1, L(False), L(True))
     ds = bool_ds([[0, 1], [0, 1]], [True, True])  # both routed right
     gain = TeacherGain(target)
-    rows = np.array([0, 1])
-    assert gain(ds, rows, 0, None, np.array([True, True])) == 0.0
+    rows = bits([1, 1])
+    assert gain(ds, rows, 0, None, bits([1, 1])) == 0.0
 
 
 def test_teacher_gain_rejects_inconsistent_labels():
@@ -280,24 +288,24 @@ def test_teacher_gain_rejects_inconsistent_labels():
     ds = bool_ds([[0, 1], [0, 1]], [True, False])  # right leaf is +, not -
     gain = TeacherGain(target)
     with pytest.raises(OracleMisuseError):
-        gain(ds, np.array([0, 1]), 0, None, np.array([True, False]))
+        gain(ds, bits([1, 1]), 0, None, bits([1, 0]))
 
 
 def test_teacher_gain_routes_once_per_rows_object(monkeypatch):
     target = I(1, I(2, L(False), L(True)), L(True))
     ds = bool_ds([[0, 0, 0], [0, 0, 1], [0, 1, 0]], [False, True, True])
     reads = []
-    peek_rows = ds.peek_rows
-    monkeypatch.setattr(ds, "peek_rows",
-                        lambda rows, var: reads.append(var) or peek_rows(rows, var))
+    peek_bits = ds.peek_bits
+    monkeypatch.setattr(ds, "peek_bits",
+                        lambda var: reads.append(var) or peek_bits(var))
     gain = TeacherGain(target)
-    rows = np.array([0, 1, 2])
-    labels = np.array([False, True, True])
+    rows = bits([1, 1, 1])
+    labels = bits([0, 1, 1])
     assert [gain(ds, rows, i, None, labels) for i in range(3)] == [0.0, 1.0, 0.0]
     assert reads == [1]  # the root splits the sample: one routing read
     # a new rows object is a new node and is routed again
-    left = np.array([0, 1])
-    assert [gain(ds, left, i, None, labels[:2]) for i in range(3)] == [0.0, 0.0, 1.0]
+    left = bits([1, 1])
+    assert [gain(ds, left, i, None, bits([0, 1])) for i in range(3)] == [0.0, 0.0, 1.0]
     assert reads == [1, 1, 2]
 
 
@@ -305,32 +313,32 @@ def test_teacher_gain_label_check_runs_on_every_call():
     target = I(1, L(False), L(True))
     ds = bool_ds([[0, 1], [0, 1]], [True, False])
     gain = TeacherGain(target)
-    rows = np.array([0, 1])
+    rows = bits([1, 1])
     for feature in (0, 1, 0):
         with pytest.raises(OracleMisuseError):
-            gain(ds, rows, feature, None, np.array([True, False]))
+            gain(ds, rows, feature, None, bits([1, 0]))
     # the routing itself is cached: consistent labels on the same rows pass
-    assert gain(ds, rows, 0, None, np.array([True, True])) == 0.0
+    assert gain(ds, rows, 0, None, bits([1, 1])) == 0.0
 
 
 def test_teacher_gain_empty_leaf_raises_on_every_call():
     gain = TeacherGain(I(1, E(), L(True)))
     ds = bool_ds([[0, 0], [1, 0]], [True, True])
-    rows = np.array([0, 1])
+    rows = bits([1, 1])
     for feature in (0, 1):
         with pytest.raises(OracleMisuseError):
-            gain(ds, rows, feature, None, np.array([True, True]))
+            gain(ds, rows, feature, None, bits([1, 1]))
 
 
 # -- node-level split choice --------------------------------------------------
 
 
-def argmax_reference(gain, ds, rows, labels, block, candidates):
+def argmax_reference(gain, ds, rows, labels, cols, candidates):
     """The per-candidate strict argmax that `best` stands for: ties go to the
     lowest index, and a raising score ends the scan."""
     best_j, best_gain = None, -np.inf
     for j, feature in enumerate(candidates):
-        g = gain(ds, rows, feature, block[:, j], labels)
+        g = gain(ds, rows, feature, cols[j], labels)
         if g > best_gain:
             best_j, best_gain = j, g
     return best_j
@@ -345,14 +353,18 @@ def outcome(fn, *args):
 
 
 def random_node(rng, ds):
-    """(rows, candidates, block) of a random node of `ds` with some rows."""
+    """(rows, candidates, block, cols) of a random node of `ds` with some
+    rows: the rows as indices and as a bitset, the node's (rows x
+    candidates) column block read from the matrix, and each candidate's
+    column bitset on the node."""
     size = int(rng.integers(1, ds.n_examples + 1))
     rows = np.sort(rng.choice(ds.n_examples, size=size, replace=False))
     n_cand = int(rng.integers(1, ds.n_features + 1))
     candidates = sorted(rng.choice(ds.n_features, size=n_cand,
                                    replace=False).tolist())
     block = np.asarray(ds.peek_all(), dtype=bool)[np.ix_(rows, candidates)]
-    return rows, candidates, block
+    cols = [sum(1 << int(e) for e in rows[column]) for column in block.T]
+    return rows, candidates, block, cols
 
 
 def test_info_gain_best_matches_per_candidate_argmax():
@@ -363,11 +375,15 @@ def test_info_gain_best_matches_per_candidate_argmax():
         n_features = int(rng.integers(1, 7))
         ds = bool_ds(rng.integers(0, 2, (n_examples, n_features)),
                      rng.integers(0, 2, n_examples))
-        rows, candidates, block = random_node(rng, ds)
+        rows, candidates, block, cols = random_node(rng, ds)
         labels = rng.integers(0, 2, len(rows)).astype(bool)
         gains = [info_gain(labels, column) for column in block.T]
-        assert InfoGain().best(ds, rows, labels, block, candidates) == \
-            gains.index(max(gains))
+        row_bits = sum(1 << int(e) for e in rows)
+        label_bits = sum(1 << int(e) for e in rows[labels])
+        assert InfoGain().best(ds, row_bits, label_bits, cols,
+                               candidates) == gains.index(max(gains))
+        assert [InfoGain()(ds, row_bits, f, col, label_bits)
+                for f, col in zip(candidates, cols)] == gains
         ties += gains.count(max(gains)) > 1
     assert ties > 150
 
@@ -383,14 +399,15 @@ def test_teacher_gain_best_matches_per_candidate_argmax():
             # a fragment's empty leaves are routes a teacher must refuse
             for target in (task.target, dictionary[int(rng.integers(3))]):
                 for _ in range(12):
-                    rows, candidates, block = random_node(rng, task.ds)
-                    labels = np.asarray(task.ds.labels_at(rows), dtype=bool)
+                    rows, candidates, _, cols = random_node(rng, task.ds)
+                    rows = sum(1 << int(e) for e in rows)
+                    labels = rows & task.ds.label_bits
                     if rng.random() < 0.3:
-                        labels = ~labels
+                        labels = rows & ~labels
                     got = outcome(TeacherGain(target).best, task.ds, rows,
-                                  labels, block, candidates)
+                                  labels, cols, candidates)
                     want = outcome(argmax_reference, TeacherGain(target),
-                                   task.ds, rows, labels, block, candidates)
+                                   task.ds, rows, labels, cols, candidates)
                     assert got == want
                     node = outcome(TeacherGain(target)._route, task.ds, rows)
                     if isinstance(node, str):
@@ -405,6 +422,33 @@ def test_teacher_gain_best_matches_per_candidate_argmax():
                     "routed var not a candidate",
                     "sample labels inconsistent with the target",
                     "teacher gain routed into an empty leaf"}
+
+
+@pytest.mark.parametrize("sample_size", [70, 130])
+def test_gain_best_matches_per_candidate_on_multiword_bitsets(sample_size):
+    rng = np.random.default_rng(sample_size)
+    tasks, dictionary = gen_tree_stream(StreamSpec(
+        family="tree", n_features=10, k=3, d=4, s=9, mf_depth=3, m=6,
+        sample_size=sample_size, seed=3).validate())
+    routed = 0
+    for task in tasks:
+        for _ in range(10):
+            index, candidates, block, cols = random_node(rng, task.ds)
+            rows = sum(1 << int(e) for e in index)
+            labels = rows & task.ds.label_bits
+            flags = np.asarray(task.ds.labels, dtype=bool)[index]
+            gains = [info_gain(flags, column) for column in block.T]
+            assert InfoGain().best(task.ds, rows, labels, cols,
+                                   candidates) == gains.index(max(gains))
+            assert argmax_reference(InfoGain(), task.ds, rows, labels, cols,
+                                    candidates) == gains.index(max(gains))
+            teacher = TeacherGain(task.target)
+            got = outcome(teacher.best, task.ds, rows, labels, cols,
+                          candidates)
+            assert got == outcome(argmax_reference, TeacherGain(task.target),
+                                  task.ds, rows, labels, cols, candidates)
+            routed += isinstance(got, int) and got > 0
+    assert routed > 0
 
 
 # -- membership oracle ------------------------------------------------------
