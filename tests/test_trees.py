@@ -354,7 +354,7 @@ def outcome(fn, *args):
 
 def random_node(rng, ds):
     """(rows, candidates, block, cols) of a random node of `ds` with some
-    rows: the rows as indices and as a bitset, the node's (rows x
+    rows: its sorted example indices, its candidates, its (rows x
     candidates) column block read from the matrix, and each candidate's
     column bitset on the node."""
     size = int(rng.integers(1, ds.n_examples + 1))
