@@ -1,12 +1,15 @@
-"""Golden digests that pin what the tree growers and the protocol loop output.
+"""Golden digests that pin what the tree growers, the protocol loop and the
+CLI output.
 
 Each digest is a sha256 over a grid of runs: the tree (or failure message,
-or `LfdResult` fields) plus the probe mask of every grower call, and the
-frozen report rows plus the representation snapshots of every protocol run.
-A refactor of the growers or of the loop must leave every digest unchanged.
+or `LfdResult` fields) plus the probe mask of every grower call; the frozen
+report rows plus the representation snapshots of every protocol run; and the
+exit code, stderr and output files of every CLI command.  A refactor of the
+growers, of the loop or of the drivers must leave every digest unchanged.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from probelearn import (CostlyDataset, InfoGain, MonomialFamily,
                         learn_tree_scratch, lfd_tree, naive_lfd_seen_features,
                         run_bootstrap_protocol, run_combined_protocol,
                         run_protocol, run_restart_protocol, tree_vars)
+from probelearn.cli import main
 from probelearn.polynomials import Polynomial
+from probelearn.streams import GAME_LEARNERS, REGIMES
 from probelearn.tree_learners import LfdResult
 
 DIST = ProductDistribution()
@@ -176,6 +181,15 @@ PROTOCOL_CASES = {
         tree_stream(family="overcomplete", n_features=10, k1=2, k2=2,
                     mf_depth=2, d=3, s=7, m=30, sample_size=8, seed=seed),
         n_bootstrap=4),
+    "list-bootstrap": lambda seed: run_bootstrap_protocol(
+        TreeFamily(6, 9, improver="list"),
+        tree_stream(family="list", n_features=16, k=3, d=6, s=9, mf_depth=2,
+                    m=30, sample_size=8, seed=seed), n_bootstrap=4),
+    "anchor-bootstrap": lambda seed: run_bootstrap_protocol(
+        TreeFamily(4, 9, improver="anchor"),
+        tree_stream(family="anchor", n_features=14, k=3, d=4, s=9,
+                    mf_depth=3, p_min=1 / 3, m=30, sample_size=8, seed=seed),
+        n_bootstrap=4),
     "tree-bootstrap": lambda seed: run_bootstrap_protocol(
         TreeFamily(3, 7),
         tree_stream(p_min=1 / 3, seed=seed, **TREE), n_bootstrap=5),
@@ -216,6 +230,10 @@ PROTOCOL_CASES = {
 }
 
 PROTOCOL_DIGESTS = {
+    "anchor-bootstrap":
+        "aeedf92f05472cad1011bebd1aec7ed7aaafaec4901004ecd7e73293f93eefe9",
+    "list-bootstrap":
+        "a2f9859bb68ad7af63937141cbae3eda1377d578a0377db00453cbb62e48096a",
     "adversary-restart":
         "0056671ab579fb451064cb2dec312576e0c06b6f58a2ad3b3dc0f497cee03f87",
     "anchor-plain":
@@ -266,3 +284,90 @@ def test_protocol_run_golden_digest(name):
             h.update(("|".join(line) + "\n").encode())
         h.update(f"restarts={run.restarts}\n".encode())
     assert h.hexdigest() == PROTOCOL_DIGESTS[name]
+
+
+# -- CLI commands -------------------------------------------------------------
+
+CLI_TREE_STREAMS = {
+    "tree": dict(n_features=10, k=2, d=3, s=7, mf_depth=2, m=8,
+                 sample_size=6),
+    "list": dict(n_features=10, k=2, d=4, s=6, mf_depth=2, m=8,
+                 sample_size=6),
+    "anchor": dict(n_features=10, k=2, d=3, s=7, mf_depth=2, m=8,
+                   sample_size=6),
+    "overcomplete": dict(n_features=10, k1=2, k2=2, d=3, s=7, mf_depth=2,
+                         m=8, sample_size=6),
+}
+CLI_KINDS = {"plain": {}, "restart": {"k_cap": 2}, "combined": {"k_cap": 1},
+             "bootstrap": {"n_bootstrap": 3}}
+
+
+def cli_commands():
+    """(argv without --config/--out, config) of every command in the grid."""
+    for family, stream in CLI_TREE_STREAMS.items():
+        for kind, extra in CLI_KINDS.items():
+            for gain in ("teacher", "info"):
+                if gain == "info" and family == "overcomplete":
+                    continue  # a usage error, pinned in test_cli
+                config = {"stream": dict(stream, family=family),
+                          "protocol": dict(extra, kind=kind, gain=gain),
+                          "trials": 2}
+                for seed in range(3):
+                    yield ["run", "--seed-override", str(seed)], config
+    for family in ("tree", "anchor"):
+        for r in (0, 2):
+            for kind in CLI_KINDS:
+                for seed in range(3):
+                    stream = dict(CLI_TREE_STREAMS[family], family=family,
+                                  r=r, seed=seed, m=10)
+                    if seed == 1:
+                        stream["p_min"] = 0.2
+                    proto = {"kind": kind, "k_cap": 2} if kind in (
+                        "restart", "combined") else {"kind": kind}
+                    yield ["run"], {"stream": stream, "protocol": proto}
+    mono = dict(family="monomial", n_features=6, k=2, d=2, m=8,
+                sample_size=5)
+    poly = dict(family="polynomial", n_features=4, k=2, d=2, t=2, m=6,
+                sample_size=4)
+    for stream in (mono, dict(mono, r=2), poly):
+        for kind, extra in CLI_KINDS.items():
+            for seed in range(2):
+                config = {"stream": dict(stream, seed=seed),
+                          "protocol": dict(extra, kind=kind)}
+                yield ["run"], config
+    sweep = {"stream": dict(CLI_TREE_STREAMS["tree"], family="tree"),
+             "protocol": {"kind": "combined"}, "trials": 2}
+    yield ["sweep", "--axis", "m", "--values", "4,8,12"], sweep
+    yield ["sweep", "--axis", "K", "--values", "1,2,3"], dict(
+        sweep, protocol={"kind": "restart"})
+    for regime in REGIMES:
+        yield ["adversary"], {
+            "seed": 3,
+            "game": {"n_prime": 12, "budgets": [0, 3, 6, 12], "trials": 20,
+                     "learners": sorted(GAME_LEARNERS)},
+            "regime": {"name": regime, "n_features": 12, "k": 2, "m": 10,
+                       "r": 3, "sample_size": 4}}
+
+
+CLI_DIGEST = (
+    "0578ed096c76b1887a991df8a39bd74f20811490f9a2af310c8c2078e577a285")
+
+
+def test_cli_commands_golden_digest(tmp_path, capsys):
+    """Every command's exit code, stderr and output files, byte for byte."""
+    h = hashlib.sha256()
+    codes = []
+    for i, (args, config) in enumerate(cli_commands()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"out{i}"
+        code = main([*args, "--config", str(path), "--out", str(out),
+                     "--jobs", "1"])
+        codes.append(code)
+        h.update(f"{args} {json.dumps(config, sort_keys=True)} -> {code}\n"
+                 f"{capsys.readouterr().err}".encode())
+        for f in sorted(out.iterdir()) if out.exists() else []:
+            h.update(f.name.encode() + b"\n" + f.read_bytes())
+    assert h.hexdigest() == CLI_DIGEST
+    # a learner's failure (exit 1) is pinned too, with its message
+    assert len(codes) == 162 and codes.count(1) == 8 and codes.count(0) == 154
