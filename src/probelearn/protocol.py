@@ -1,10 +1,16 @@
 """Lifelong protocol: attempt each task through the representation, fall
 back to scratch learning on failure, and fold what scratch found back in.
 
-The driver is family-agnostic.  A family adapter knows how to attempt a task
-cheaply through the shared representation (learn-from-data), how to learn it
-from scratch after probing everything, and how to improve the representation
-from the scratch result.  One loop, `_run`, serves every variant:
+The driver is family-agnostic.  A family adapter has `name` (the report's
+family column), `empty_rep()`, `envelope(rep)` (an attempt's per-example
+probe bound), `rep_snapshot(rep)` (a hashable copy whose length is the
+report's rep_size), `attempt(task, rep)` (learn from data through rep; the
+result's `learned` tells success), `hypothesis(result)` (a successful
+attempt's hypothesis), `scratch(task)` and `improve(rep, learned, result,
+task)` (ImproveRep).  A task not learned through rep takes the loop's one
+scratch step, scratch then improve; a bootstrap task takes it with result
+None.  Each scratch learner reads the whole matrix first; the loop does not.
+One loop, `_run`, serves every variant:
 
   * run_protocol          -- the plain loop (realizable streams)
   * run_restart_protocol  -- wipe the representation after k_cap+1 failures
@@ -74,6 +80,9 @@ class TreeFamily:
             raise UsageError(f"unknown gain {gain!r}")
         if improver not in ("tree", "list", "anchor", "overcomplete"):
             raise UsageError(f"unknown improver {improver!r}")
+        if improver == "overcomplete" and gain != "teacher":
+            raise UsageError("the overcomplete improver needs the teacher "
+                             "gain, whose scratch tree is the target")
         self.d = d
         self.s = s
         self.gain = gain
@@ -81,9 +90,6 @@ class TreeFamily:
 
     def empty_rep(self):
         return []
-
-    def rep_size(self, rep) -> int:
-        return len(rep)
 
     def envelope(self, rep) -> int:
         return 2 * len(rep) + 2 * self.d
@@ -100,14 +106,18 @@ class TreeFamily:
         return learn_tree_scratch(task.ds, self._gain_for(task), self.d, self.s)
 
     def improve(self, rep, learned, result, task):
-        if self.improver == "tree":
+        """With no failed attempt (result None) store the whole target;
+        the overcomplete rule partitions it either way."""
+        if self.improver == "overcomplete":
+            out, _ = improve_rep_overcomplete(rep, learned, task.meta["anchors"])
+        elif result is None:
+            out, _ = _dedup_extend(rep, [learned.copy()])
+        elif self.improver == "tree":
             out, _ = improve_rep_tree(rep, learned, result)
         elif self.improver == "list":
             out, _ = improve_rep_list(rep, learned, result)
-        elif self.improver == "anchor":
-            out, _ = improve_rep_anchor(rep, learned, result)
         else:
-            out, _ = improve_rep_overcomplete(rep, learned, task.meta["anchors"])
+            out, _ = improve_rep_anchor(rep, learned, result)
         return out
 
     def hypothesis(self, result):
@@ -116,31 +126,16 @@ class TreeFamily:
     def rep_snapshot(self, rep):
         return tuple(rep)
 
-    def absorb(self, rep, learned, task):
-        """Bootstrap-phase fold: no failed attempt to diff against, so store
-        the whole scratch-learned target (partitioned in the overcomplete
-        model)."""
-        if self.improver == "overcomplete":
-            return self.improve(rep, learned, None, task)
-        return _dedup_extend(rep, [learned.copy()])[0]
-
 
 class _MatrixFamily:
     """Shared by the families whose representation is a matrix of exponent
-    vectors.  Bootstrap absorbs a scratch result exactly as ImproveRep folds
-    one in."""
+    vectors; ImproveRep inserts the learned vectors, failed attempt or not."""
 
     def empty_rep(self):
         return RepresentationMatrix(self.n_features)
 
-    def rep_size(self, rep) -> int:
-        return rep.k
-
     def rep_snapshot(self, rep):
         return rep.snapshot()
-
-    def absorb(self, rep, learned, task):
-        return self.improve(rep, learned, None, task)
 
     def hypothesis(self, result):
         return result.hypothesis
@@ -273,7 +268,7 @@ def _record(run: ProtocolRun, family, task, rep, outcome, envelope, hypothesis,
     run.rep_snapshots.append(snapshot)
     run.probes.append(ledger.total_probes)
     run.per_example_max.append(ledger.per_example_max())
-    run.rep_sizes.append(family.rep_size(rep))
+    run.rep_sizes.append(len(family.rep_snapshot(rep)))
     run.envelopes.append(envelope)
     run.goods.append(task.good)
     run.restart_marks.append(run.restarts)
@@ -281,39 +276,32 @@ def _record(run: ProtocolRun, family, task, rep, outcome, envelope, hypothesis,
 
 
 def _run(family, tasks, threshold=math.inf, n_bootstrap: int = 0) -> ProtocolRun:
-    """The lifelong loop.  The first n_bootstrap tasks are scratch-learned and
-    absorbed whole; every later task is attempted through the representation,
-    and a failed attempt is scratch-learned and folded in by ImproveRep.  The
-    failure that brings the count since the last wipe past `threshold` first
-    empties the representation."""
+    """The lifelong loop.  Each task past the first n_bootstrap is attempted
+    through the representation; a bootstrap task or a failed attempt takes
+    the scratch step, scratch-learning the task and folding it in by
+    ImproveRep.  The failure that brings the count since the last wipe past
+    `threshold` first empties the representation."""
     rep = family.empty_rep()
     run = ProtocolRun(family=family.name)
     failures_since = 0
     for i, task in enumerate(tasks):
         envelope = family.envelope(rep)
         snap = family.rep_snapshot(rep)
-        if i < n_bootstrap:
-            task.ds.probe_all()
-            learned = family.scratch(task)
-            rep = family.absorb(rep, learned, task)
-            _record(run, family, task, rep, OUTCOME_BOOTSTRAP, envelope,
-                    learned, snap)
-            continue
-        result = family.attempt(task, rep)
-        if result.learned:
-            _record(run, family, task, rep, OUTCOME_LFD, envelope,
-                    family.hypothesis(result), snap)
-            continue
-        failures_since += 1
-        if failures_since > threshold:
-            rep = family.empty_rep()
-            run.restarts += 1
-            failures_since = 0
-        task.ds.probe_all()
+        result, outcome = None, OUTCOME_BOOTSTRAP
+        if i >= n_bootstrap:
+            result, outcome = family.attempt(task, rep), OUTCOME_SCRATCH
+            if result.learned:
+                _record(run, family, task, rep, OUTCOME_LFD, envelope,
+                        family.hypothesis(result), snap)
+                continue
+            failures_since += 1
+            if failures_since > threshold:
+                rep = family.empty_rep()
+                run.restarts += 1
+                failures_since = 0
         learned = family.scratch(task)
         rep = family.improve(rep, learned, result, task)
-        _record(run, family, task, rep, OUTCOME_SCRATCH, envelope, learned,
-                snap)
+        _record(run, family, task, rep, outcome, envelope, learned, snap)
     run.final_rep = rep
     return run
 

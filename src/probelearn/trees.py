@@ -74,11 +74,6 @@ class Tree:
             return 0
         return 1 + self.left.size() + self.right.size()
 
-    def n_leaves(self) -> int:
-        if self.kind != INTERNAL:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
-
     # -- navigation --------------------------------------------------------
 
     def node_at(self, path) -> "Tree":

@@ -99,6 +99,14 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, typo, "t.json"),
                  "--out", str(tmp_path / "o6")]) == 2
     assert not (tmp_path / "o6").exists()
+    info = dict(OVERCOMPLETE_CONFIG, protocol={"gain": "info"})
+    info_path = write_config(tmp_path, info, "i.json")
+    assert main(["run", "--config", info_path,
+                 "--out", str(tmp_path / "o10")]) == 2
+    assert main(["sweep", "--config", info_path, "--out",
+                 str(tmp_path / "o11"), "--axis", "m", "--values", "4"]) == 2
+    assert not (tmp_path / "o10").exists()
+    assert not (tmp_path / "o11").exists()
     good = write_config(tmp_path, TREE_CONFIG, "g.json")
     assert main(["sweep", "--config", good, "--out", str(tmp_path / "o4"),
                  "--axis", "q", "--values", "1,2"]) == 2

@@ -42,9 +42,6 @@ class FailingFamily:
     def empty_rep(self):
         return []
 
-    def rep_size(self, rep):
-        return len(rep)
-
     def envelope(self, rep):
         return self.envelope_value
 
@@ -59,9 +56,6 @@ class FailingFamily:
         return f"g{self.counter}"
 
     def improve(self, rep, learned, result, task):
-        return rep + [learned]
-
-    def absorb(self, rep, learned, task):
         return rep + [learned]
 
     def hypothesis(self, result):
@@ -94,8 +88,9 @@ def assert_lfd_within_envelope(run):
 # -- plain protocol ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("kw", [dict(gain="teachr"), dict(improver="tree2")],
-                         ids=["gain", "improver"])
+@pytest.mark.parametrize("kw", [dict(gain="teachr"), dict(improver="tree2"),
+                                dict(gain="info", improver="overcomplete")],
+                         ids=["gain", "improver", "info-overcomplete"])
 def test_tree_family_rejects_unknown_options(kw):
     with pytest.raises(UsageError):
         TreeFamily(3, 7, **kw)

@@ -199,7 +199,7 @@ def test_leaf_cover_dataset_reaches_every_leaf():
     rng = np.random.default_rng(13)
     g = fill_labels(rng, sample_fragment(rng, [0, 1, 2, 3], 3))
     ds = leaf_cover_dataset(rng, g, 8, 10)
-    assert ds.n_examples == max(10, g.n_leaves())
+    assert ds.n_examples == max(10, len(g.frontier_paths()))
     rows = ds.peek_all()
     reached = {route(g, row) for row in rows}
     assert reached == set(g.frontier_paths())
@@ -291,12 +291,13 @@ def cover_cases():
         trees += [composer(rng) for _ in range(15)]
     # the sample size is below, at and above each tree's leaf count
     return [(g, n) for g in trees
-            for n in (1, g.n_leaves(), g.n_leaves() + 7)]
+            for leaves in [len(g.frontier_paths())]
+            for n in (1, leaves, leaves + 7)]
 
 
 def test_leaf_cover_dataset_matches_the_per_row_reference():
     cases = cover_cases()
-    assert any(n < g.n_leaves() for g, n in cases)
+    assert any(n < len(g.frontier_paths()) for g, n in cases)
     for k, (g, n) in enumerate(cases):
         rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
         ds = leaf_cover_dataset(rng, g, 40, n)

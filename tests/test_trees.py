@@ -37,7 +37,6 @@ def test_shape_counters():
     t = I(0, I(1, L(True), L(False)), L(True))
     assert t.depth() == 2
     assert t.size() == 2
-    assert t.n_leaves() == 3
     assert L(True).depth() == 0 and L(True).size() == 0
 
 
