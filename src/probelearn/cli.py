@@ -9,8 +9,8 @@ Subcommands:
 All randomness flows from the config seed (stream.seed for run and sweep,
 seed for adversary), which --seed-override replaces; reports carry no
 timestamps, so the same config and seed produce byte-identical CSV/JSON.
---jobs N spreads trials (run, sweep) or (learner, budget) game
-cells (adversary) over N processes; reports do not depend on N.  Exit codes:
+--jobs N spreads trials (run, sweep) or the per-budget game cells
+(adversary) over N processes; reports do not depend on N.  Exit codes:
 0 success; 1 strict-mode violation, or a learner or generator failure
 (realizability, model violation, exhausted generator, oracle misuse); 2
 usage error: a config key that is unknown, that its stream family or
@@ -370,15 +370,20 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool, axis: str,
 
 
 def _game_failures(seed: int, n_prime: int, budget: int, trials: int,
-                   s: int, learner: str) -> int:
-    """Lost games of one (learner, budget) cell; game t seeds its own RNG
-    with (seed, t, budget)."""
-    failures = 0
+                   s: int, learners) -> list:
+    """Lost games of each learner at one budget.  Game t seeds one PCG64
+    with (seed, t, budget), and every learner plays it from that start
+    state, restored between learners."""
+    failures = [0] * len(learners)
     for t in range(trials):
-        rng = np.random.default_rng((seed, t, budget))
-        if not play_single_feature_game(rng, n_prime, budget,
-                                        s=s, learner=learner).win:
-            failures += 1
+        bitgen = np.random.PCG64((seed, t, budget))
+        rng, start = np.random.Generator(bitgen), bitgen.state
+        for i, learner in enumerate(learners):
+            if i:
+                bitgen.state = start
+            if not play_single_feature_game(rng, n_prime, budget,
+                                            s=s, learner=learner).win:
+                failures[i] += 1
     return failures
 
 
@@ -416,19 +421,21 @@ def cmd_adversary(config: dict, out: Path, jobs: int) -> int:
             "restarts": run.restarts, "envelope": size * (k * n + m * k),
         })
 
-    cells = [(seed, n_prime, budget, trials, s, learner)
-             for learner in learners for budget in budgets]
-    failures = _call_all(_game_failures, cells, jobs)
+    cells = [(seed, n_prime, budget, trials, s, learners)
+             for budget in budgets]
+    failures = _call_all(_game_failures, cells, jobs)  # [budget][learner]
     rows = []
-    for (_, _, budget, _, _, learner), lost in zip(cells, failures):
-        rate = lost / trials
-        ci = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
-        rows.append({
-            "schema_version": SCHEMA_VERSION, "n_prime": n_prime,
-            "budget": budget, "learner": learner, "trials": trials,
-            "failures": lost, "failure_rate": rate,
-            "bound": game_failure_bound(n_prime, budget), "ci95": ci,
-        })
+    for i, learner in enumerate(learners):
+        for budget, lost_by_learner in zip(budgets, failures):
+            lost = lost_by_learner[i]
+            rate = lost / trials
+            ci = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
+            rows.append({
+                "schema_version": SCHEMA_VERSION, "n_prime": n_prime,
+                "budget": budget, "learner": learner, "trials": trials,
+                "failures": lost, "failure_rate": rate,
+                "bound": game_failure_bound(n_prime, budget), "ci95": ci,
+            })
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "adversary.csv", GAME_FIELDS, rows)
     if regime_rows:

@@ -18,10 +18,12 @@ integer example indices goes through `probe_block` (`probe_rows` and
 numerator / denominator, the correctly rounded value of each cell, for the
 sampled estimators.
 
-A bool dataset also holds its columns and labels as bitsets, bit e for
-example e: `pack_columns` packs column f into max(1, ceil(S/64)) uint64
-words of one compact array, which become one Python int on read.  The
-tree growers hold each node's examples as a bitset too, and read with
+A bool dataset holds only bitsets, bit e for example e, and its shape:
+`pack_columns` packs column f into max(1, ceil(S/64)) uint64 words of one
+compact array, which become one Python int on read, and the labels are
+one int.  No S x N matrix is kept: `peek`, `peek_all`, `probe_block` and
+`to_json_obj` unpack the cells they return from the columns on each call.
+The tree growers hold each node's examples as a bitset too, and read with
 `probe_bits`: it takes the node's bitset and returns, per candidate, the
 bitset of the node's examples with the feature set, so a node's purity
 test, split counts and children are int AND / popcount operations.
@@ -147,8 +149,9 @@ class CostlyDataset:
     and test assertions.  Rational values are int64 numerators over
     `self._den`, which `from_rational` sets, as are the integer label
     weights `self._weights` of a dataset whose labels are built on read.
-    `from_bool` sets a bool dataset's bitsets: `self._cols`, the
-    `pack_columns` words, and `self._label_bits`.
+    A bool dataset keeps its shape and the bitsets `from_bool` sets:
+    `self._cols`, the `pack_columns` words, and `self._label_bits`; the
+    matrix it was built from is dropped.
     """
 
     def __init__(self, value_kind: str, values: np.ndarray, labels):
@@ -161,8 +164,9 @@ class CostlyDataset:
         if len(labels) != values.shape[0]:
             raise UsageError("labels must match the number of examples")
         self.value_kind = value_kind
-        self._values = values
-        self._labels = labels
+        self._shape = values.shape
+        if value_kind == RATIONAL:
+            self._values, self._labels = values, labels
         self._den = 1
         self._weights = None  # (label denominator, [(weight, term key)])
         self._cols, self._label_bits = None, 0
@@ -173,7 +177,8 @@ class CostlyDataset:
     @classmethod
     def from_bool(cls, values, labels, columns=None) -> "CostlyDataset":
         """values: an S x N 0/1 matrix; labels: S bools.  `columns` is
-        `pack_columns(values)`, for a caller that has packed them already."""
+        `pack_columns(values)`, for a caller that has packed them already.
+        Only the bitsets are kept."""
         try:
             vals = np.asarray(values, dtype=np.uint8)
         except ValueError as exc:
@@ -217,11 +222,11 @@ class CostlyDataset:
 
     @property
     def n_examples(self) -> int:
-        return self._values.shape[0]
+        return self._shape[0]
 
     @property
     def n_features(self) -> int:
-        return self._values.shape[1]
+        return self._shape[1]
 
     def _check(self, example: int, feature: int) -> None:
         if not (0 <= example < self.n_examples):
@@ -257,10 +262,9 @@ class CostlyDataset:
         self._check_features(features)
         cols = np.asarray(features, dtype=np.intp)
         self.ledger.record_block(rows, cols)
-        block = self._values[np.asarray(rows)[:, None], cols]
         if self.value_kind == BOOL:
-            return block
-        return block / self._den
+            return self._unpack(cols)[:, rows].T
+        return self._values[np.asarray(rows)[:, None], cols] / self._den
 
     def probe_bits(self, rows: int, features) -> list:
         """Read several features of a bool dataset on the examples of the
@@ -283,11 +287,17 @@ class CostlyDataset:
     # -- free reads --------------------------------------------------------
 
     def label(self, example: int):
+        if self.value_kind == BOOL:
+            if not 0 <= example < self.n_examples:
+                raise UsageError(f"example {example} out of range")
+            return bool(self._label_bits >> example & 1)
         lab = self._labels[example]
         return self._build_label(example) if lab is None else lab
 
     @property
     def labels(self):
+        if self.value_kind == BOOL:
+            return bit_rows([self._label_bits], self.n_examples)[0].view(bool)
         if self._weights is not None:
             for e in range(self.n_examples):
                 self.label(e)
@@ -317,13 +327,24 @@ class CostlyDataset:
     def peek(self, example: int, feature: int):
         """Unmetered read — oracle/audit channel only."""
         if self.value_kind == BOOL:
-            return self._values[example, feature]
+            self._check(example, feature)
+            return self.peek_bits(feature) >> example & 1
         return Fraction(int(self._values[example, feature]), self._den)
 
     def peek_all(self):
+        """The whole matrix, unmetered: 0/1 uint8 cells unpacked from a bool
+        dataset's columns, or Fractions."""
         if self.value_kind == BOOL:
-            return self._values
+            return self._unpack(slice(None)).T
         return self._fractions(self._values)
+
+    def _unpack(self, features) -> np.ndarray:
+        """A bool dataset's columns `features` (an index array or slice) as
+        the rows of a 0/1 uint8 matrix, one column per example."""
+        words = np.frombuffer(self._cols, dtype=np.uint64).reshape(
+            self.n_features, _width(self.n_examples))[features]
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             axis=1, count=self.n_examples, bitorder="little")
 
     def _fractions(self, nums: np.ndarray) -> np.ndarray:
         """Numerators as an object array of exact Fractions."""
@@ -335,8 +356,8 @@ class CostlyDataset:
 
     def to_json_obj(self) -> dict:
         if self.value_kind == BOOL:
-            examples = self._values.astype(int).tolist()
-            labels = ["+" if l else "-" for l in self._labels]
+            examples = self.peek_all().tolist()
+            labels = ["+" if l else "-" for l in self.labels]
         else:
             examples = [[_frac_str(v) for v in row] for row in self.peek_all()]
             labels = [_frac_str(v) for v in self.labels]

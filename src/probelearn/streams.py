@@ -287,15 +287,49 @@ def _compose_list(rng, segments, d: int) -> Tree:
         "could not compose a decision list within the depth cap")
 
 
+def coin_flips(rng, shape) -> np.ndarray:
+    """`rng.integers(0, 2, shape).astype(np.uint8)` from raw generator words:
+    the same bits, and the generator left in the same state.
+
+    A range-2 draw never rejects under Lemire's method, so numpy takes each
+    cell as the top bit of one 32-bit output.  A 64-bit bit generator such
+    as PCG64 gives a word's low half first and keeps its high half pending
+    (`has_uint32`, `uinteger`).  So cell k is the top bit of the k-th 32-bit
+    half: a pending half first, then the halves of `random_raw` words, low
+    half first.  The pending half is then written back as numpy leaves it.
+    A generator without that state draws through numpy."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    n = math.prod(shape)
+    if not n or "has_uint32" not in state:
+        return rng.integers(0, 2, shape).astype(np.uint8)
+    out = np.empty(n, dtype=np.uint8)
+    head = state["has_uint32"]
+    if head:
+        out[0] = state["uinteger"] >> 31
+    rest = n - head
+    if rest:
+        halves = (bitgen.random_raw((rest + 1) // 2)
+                  .astype("<u8", copy=False).view("<u4"))
+        np.right_shift(halves[:rest], 31, out=out[head:], casting="unsafe")
+        state = bitgen.state
+        state["uinteger"] = int(halves[-1])
+    state["has_uint32"] = rest & 1
+    bitgen.state = state
+    return out.reshape(shape)
+
+
 def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> CostlyDataset:
     """One example routed to every leaf of g, padded with uniform examples.
 
-    All rows are drawn in one call, which yields the same bits as one draw
-    per row.  Row i then takes the path bits of g's i-th frontier node
-    (left to right), all in one assignment.  The labels come from routing
-    the examples down g as bitsets: each internal node splits its examples
-    by its variable's column bitset, packed once and handed to the dataset.
-    An example that reaches an empty leaf raises UsageError."""
+    All rows are drawn in one `coin_flips` call, which yields the same bits
+    as one draw per row.  Row i then takes the path bits of g's i-th
+    frontier node (left to right), written cell by cell.  The labels come
+    from routing the examples down g as bitsets: each internal node splits
+    its examples by its variable's column bitset.  The columns are packed
+    once and handed to the dataset, which keeps only them and the label
+    bitset, not the drawn matrix.  An example that reaches an empty leaf
+    raises UsageError."""
     frontier = []  # ((var, bit), ...) of each frontier path, left to right
 
     def walk(node, above):
@@ -306,13 +340,11 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
             frontier.append(above)
 
     walk(g, ())
-    values = rng.integers(0, 2, (max(len(frontier), sample_size), n_features)
-                          ).astype(np.uint8)
-    cells = [(row, var, bit) for row, path in enumerate(frontier)
-             for var, bit in path]
-    if cells:
-        rows, cols, bits = zip(*cells)
-        values[rows, cols] = bits
+    values = coin_flips(rng, (max(len(frontier), sample_size), n_features))
+    cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
+    for row, path in enumerate(frontier):
+        for var, bit in path:
+            cells[row * n_features + var] = bit
     columns = pack_columns(values)
     positive = 0
     stack = [(g, (1 << len(values)) - 1)]
@@ -541,7 +573,7 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
         for task in tasks:
             # re-host in the full feature space (the target never reads the pad)
             vals = task.ds.peek_all()
-            pad = rng.integers(0, 2, (vals.shape[0], reserve)).astype(np.uint8)
+            pad = coin_flips(rng, (vals.shape[0], reserve))
             full = np.concatenate([vals, pad], axis=1)
             task.ds = CostlyDataset.from_bool(full, task.ds.labels)
         bad_tasks = []

@@ -149,6 +149,52 @@ def test_column_and_label_bitsets_match_the_matrix(n_examples, n_features):
     assert ds.ledger.total_probes == n_features * rows.bit_count()
 
 
+@pytest.mark.parametrize("n_examples", [1, 63, 64, 65, 130])
+def test_bool_dataset_keeps_only_bitsets_and_reads_its_matrix(n_examples):
+    """A bool dataset keeps its shape and bitsets, no S x N matrix, yet every
+    public read returns the matrix it was built from, and the ledger
+    charges each fresh cell once."""
+    n_features = 5
+    values, labels = bool_data(n_examples, n_features)
+    ds = CostlyDataset.from_bool(values, labels)
+    assert not [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
+    assert (ds.n_examples, ds.n_features) == values.shape
+    cells = ds.peek_all()
+    assert cells.dtype == np.uint8 and np.array_equal(cells, values)
+    assert [[ds.peek(e, f) for f in range(n_features)]
+            for e in range(n_examples)] == values.tolist()
+    assert [ds.label(e) for e in range(n_examples)] == labels.tolist()
+    assert np.array_equal(ds.labels, labels)
+    assert ds.to_json_obj() == {
+        "examples": values.tolist(),
+        "labels": ["+" if label else "-" for label in labels],
+        "n_features": n_features, "value_kind": "bool"}
+    assert ds.ledger.total_probes == 0
+
+    rng = np.random.default_rng(n_examples)
+    read = np.zeros(values.shape, dtype=bool)
+    for _ in range(4):
+        rows = rng.permutation(n_examples)[:int(rng.integers(1, n_examples + 1))]
+        features = rng.permutation(n_features)[:3]
+        block = ds.probe_block(rows, features)
+        assert block.dtype == np.uint8
+        assert np.array_equal(block, values[np.ix_(rows, features)])
+        read[np.ix_(rows, features)] = True
+        feature = int(rng.integers(n_features))
+        assert np.array_equal(ds.probe_rows(rows, feature),
+                              values[rows, feature])
+        read[rows, feature] = True
+        e = int(rng.integers(n_examples))
+        assert ds.probe(e, feature) == values[e, feature]
+        read[e, feature] = True
+        assert ds.ledger.total_probes == read.sum()
+        assert (ds.ledger.mask() == read).all()
+    with pytest.raises(UsageError):
+        ds.peek(n_examples, 0)
+    with pytest.raises(UsageError):
+        ds.label(n_examples)
+
+
 @pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
 def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
     values, labels = bool_data(n_examples, n_features)

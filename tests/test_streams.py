@@ -17,7 +17,8 @@ from probelearn import (GameResult, StreamSpec, Tree, UsageError,
 from probelearn.griddist import ProductDistribution
 from probelearn.errors import GeneratorExhaustedError
 from probelearn.streams import (MAX_TRIES, P_MORE, _Composer, _grid_dataset,
-                                _overcomplete_dictionary, _sample_dictionary)
+                                _overcomplete_dictionary, _sample_dictionary,
+                                coin_flips)
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
 
 
@@ -317,6 +318,42 @@ def test_leaf_cover_dataset_refuses_an_incomplete_tree(g):
         reference_leaf_cover(np.random.default_rng(0), g, 6, 4)
     with pytest.raises(UsageError, match="incomplete tree"):
         leaf_cover_dataset(np.random.default_rng(0), g, 6, 4)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 3), (9, 1), (16, 128),
+                                   (64, 256)])
+@pytest.mark.parametrize("pending", [False, True],
+                         ids=["no-pending-half", "pending-half"])
+def test_coin_flips_match_numpy_bit_for_bit(shape, pending):
+    """coin_flips gives numpy's range-2 draw and leaves the whole generator
+    state, the pending 32-bit half included, as that draw leaves it."""
+    for seed in range(24):
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        if pending:  # a scalar bounded draw leaves a 32-bit half pending
+            for rng in (got_rng, want_rng):
+                rng.integers(seed + 2)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+        got = coin_flips(got_rng, shape)
+        want = want_rng.integers(0, 2, shape).astype(np.uint8)
+        assert got.dtype == np.uint8 and got.shape == shape
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        # later draws: 32-bit ones read the pending half, 64-bit ones do not
+        for high in (9, 1 << 40, 3):
+            assert (got_rng.integers(high, size=3).tolist()
+                    == want_rng.integers(high, size=3).tolist())
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: np.random.Generator(np.random.MT19937(4)), (5, 7)),
+    (lambda: np.random.default_rng(4), (0, 7)),
+], ids=["no-pending-half-state", "no-cells"])
+def test_coin_flips_draw_through_numpy_otherwise(make, shape):
+    got_rng, want_rng = make(), make()
+    assert np.array_equal(coin_flips(got_rng, shape),
+                          want_rng.integers(0, 2, shape).astype(np.uint8))
+    assert got_rng.integers(1 << 40, size=3).tolist() == \
+        want_rng.integers(1 << 40, size=3).tolist()
 
 
 # -- tree streams -----------------------------------------------------------
