@@ -12,11 +12,13 @@ rational features (monomials and sparse polynomials, on the grid
 over one integer denominator: generated streams store M + j over M, and
 Fraction input is brought over the least common multiple of its
 denominators.  Exact Fractions exist only where exactness is needed: scalar
-reads (`probe`, `peek*`) and labels.  Every metered column read on
-integer example indices goes through `probe_block` (`probe_rows` and
-`probe_column` are one-column block reads), which returns float64
-numerator / denominator, the correctly rounded value of each cell, for the
-sampled estimators.
+reads (`probe`, `peek*`), labels and `evaluate`.  A metered column read
+on integer example indices that returns values goes through `probe_block`
+(`probe_rows` and `probe_column` are one-column block reads), which returns
+float64 numerator / denominator, the correctly rounded value of each cell,
+for the sampled estimators.  A caller that resolves the values it pays for
+elsewhere (the exact oracles, and single-sample verification through
+`evaluate`) charges the read with `meter`, which gathers nothing.
 
 A bool dataset holds only bitsets, bit e for example e, and its shape:
 `pack_columns` packs column f into max(1, ceil(S/64)) uint64 words of one
@@ -41,7 +43,9 @@ the dataset keeps the polynomial as integer weights over one label
 denominator and builds an example's exact label from its integer row the
 first time any read path (`label`, `labels`, `to_json_obj`)
 asks for it, then memoizes it.  Labels are free, so this changes nothing
-the ledger sees.
+the ledger sees.  `evaluate` runs any polynomial through the same integer
+evaluation, unmetered: a hypothesis is checked against a label without
+forming a Fraction per cell.
 """
 
 from __future__ import annotations
@@ -144,9 +148,10 @@ class ProbeLedger:
 class CostlyDataset:
     """An S x N feature matrix whose cells must be probed to be read.
 
-    `probe*` methods meter reads through the ledger; `peek*` methods are the
-    unmetered oracle channel, reserved for teacher gain, exact-mode oracles
-    and test assertions.  Rational values are int64 numerators over
+    `probe*` methods meter reads through the ledger, and `meter` charges a
+    read without returning its values; `peek*` methods and `evaluate` are
+    the unmetered oracle channel, reserved for teacher gain, exact-mode
+    oracles, verification after `meter` and test assertions.  Rational values are int64 numerators over
     `self._den`, which `from_rational` sets, as are the integer label
     weights `self._weights` of a dataset whose labels are built on read.
     A bool dataset keeps its shape and the bitsets `from_bool` sets:
@@ -161,7 +166,7 @@ class CostlyDataset:
             raise UsageError("values must be a 2-d matrix")
         if value_kind == RATIONAL and values.dtype != np.int64:
             raise UsageError("rational values must be int64 numerators")
-        if len(labels) != values.shape[0]:
+        if labels is not None and len(labels) != values.shape[0]:
             raise UsageError("labels must match the number of examples")
         self.value_kind = value_kind
         self._shape = values.shape
@@ -175,18 +180,26 @@ class CostlyDataset:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_bool(cls, values, labels, columns=None) -> "CostlyDataset":
-        """values: an S x N 0/1 matrix; labels: S bools.  `columns` is
-        `pack_columns(values)`, for a caller that has packed them already.
-        Only the bitsets are kept."""
+    def from_bool(cls, values, labels=None, columns=None,
+                  label_bits=None) -> "CostlyDataset":
+        """values: an S x N 0/1 matrix; labels: S bools, or, given
+        `label_bits` instead, the bitset of the positive examples.
+        `columns` is `pack_columns(values)`, for a caller that has packed
+        them already; then only the shape of `values` is read.  Only the
+        bitsets are kept."""
         try:
             vals = np.asarray(values, dtype=np.uint8)
         except ValueError as exc:
             raise UsageError(f"bad boolean matrix: {exc}") from exc
-        labs = np.asarray(labels, dtype=bool)
-        ds = cls(BOOL, vals, labs)
+        if (labels is None) == (label_bits is None):
+            raise UsageError("give exactly one of labels and label_bits")
+        if label_bits is None:
+            labels = np.asarray(labels, dtype=bool)
+        elif label_bits < 0 or label_bits >> vals.shape[0]:
+            raise UsageError("label bits name an example out of range")
+        ds = cls(BOOL, vals, labels)
         ds._cols = pack_columns(vals) if columns is None else columns
-        ds._label_bits = to_bits(labs)
+        ds._label_bits = to_bits(labels) if label_bits is None else label_bits
         return ds
 
     @classmethod
@@ -277,6 +290,18 @@ class CostlyDataset:
             return [words[feature] & rows for feature in features]
         return [self.peek_bits(feature) & rows for feature in features]
 
+    def meter(self, features, rows: int = None) -> None:
+        """Charge a read of `features` on the examples of the bitset `rows`
+        (default: every example) and return nothing (one probe per fresh
+        cell).  For a caller that resolves the values it pays for through
+        an exact oracle or `evaluate`."""
+        self._check_features(features)
+        if rows is None:
+            rows = (1 << self.n_examples) - 1
+        elif rows < 0 or rows >> self.n_examples:
+            raise UsageError("rows name an example out of range")
+        self.ledger.record_bits(rows, features)
+
     def probe_column(self, feature: int) -> np.ndarray:
         return self.probe_rows(np.arange(self.n_examples), feature)
 
@@ -305,15 +330,18 @@ class CostlyDataset:
 
     def _build_label(self, example: int) -> Fraction:
         """The polynomial label of one example, from its integer row."""
-        den, weighted = self._weights
-        row = self._values[example].tolist()
-        total = 0
-        for weight, key in weighted:
-            for i, e in key:
-                weight *= row[i] ** e
-            total += weight
-        lab = self._labels[example] = Fraction(total, den)
+        lab = self._labels[example] = _weighted_sum(
+            self._values[example].tolist(), self._weights)
         return lab
+
+    def evaluate(self, example: int, terms: dict) -> Fraction:
+        """The polynomial `terms` (term_key -> rational, as in
+        Polynomial.terms) at one example of a rational dataset, exactly and
+        unmetered: the caller pays for the cells with `meter`."""
+        if self.value_kind != RATIONAL:
+            raise UsageError("evaluate needs a rational dataset")
+        return _weighted_sum(self._values[example].tolist(),
+                             _integer_weights(terms, self._den))
 
     @property
     def label_bits(self) -> int:
@@ -351,6 +379,23 @@ class CostlyDataset:
         out = np.empty(nums.shape, dtype=object)
         out.flat = [Fraction(n, self._den) for n in nums.ravel().tolist()]
         return out
+
+    def padded(self, pad) -> "CostlyDataset":
+        """A bool dataset with this one's examples and labels and the 0/1
+        columns of `pad` (S rows) appended as features N onward, with a
+        fresh ledger.  Columns are packed column-major, so its words are
+        this dataset's followed by the pad's: nothing is unpacked."""
+        pad = np.asarray(pad, dtype=np.uint8)
+        if self.value_kind != BOOL or pad.ndim != 2 \
+                or pad.shape[0] != self.n_examples:
+            raise UsageError("a pad needs a bool dataset and one row per "
+                             "example")
+        shape = (self.n_examples, self.n_features + pad.shape[1])
+        # a zero-stride stand-in: from_bool reads only its shape
+        return CostlyDataset.from_bool(
+            np.broadcast_to(np.uint8(0), shape),
+            columns=self._cols + pack_columns(pad),
+            label_bits=self._label_bits)
 
     # -- serialization -----------------------------------------------------
 
@@ -422,6 +467,17 @@ def _common_numerators(rows):
         return np.array(nums, dtype=np.int64), den
     except OverflowError as exc:
         raise UsageError("rational numerators overflow int64") from exc
+
+
+def _weighted_sum(row: list, weights) -> Fraction:
+    """A polynomial from `_integer_weights` at one integer row."""
+    den, weighted = weights
+    total = 0
+    for weight, key in weighted:
+        for i, e in key:
+            weight *= row[i] ** e
+        total += weight
+    return Fraction(total, den)
 
 
 def _integer_weights(terms: dict, den: int):

@@ -39,10 +39,16 @@ FAILED = "failed"
 
 
 def degree(g) -> int:
-    return int(np.sum(g))
+    return sum(np.asarray(g).tolist())
+
 
 def support(g) -> list:
-    return [int(i) for i in np.nonzero(np.asarray(g))[0]]
+    return [i for i, e in enumerate(np.asarray(g).tolist()) if e]
+
+
+def term_key(g) -> tuple:
+    """Canonical hashable key of an exponent vector: ((var, exp), ...)."""
+    return tuple([(i, e) for i, e in enumerate(np.asarray(g).tolist()) if e])
 
 
 def eval_monomial(g, values) -> Fraction:
@@ -80,16 +86,17 @@ def estimate_powers(ds, features, dist, mode: str, d: int,
                     target=None, sampled: SampledConfig = None) -> list:
     """Estimate the exponents of `features` from labels Q_g = ln P_g.
 
-    Exact mode charges the probes the estimator would, as one block read of
-    the features on every example, and resolves the population identity
-    through the hidden target: each estimate is g_i exactly.  Sampled mode
+    Exact mode charges the probes the estimator would, as one metered read
+    of the features on every example (`meter`: no value is gathered), and
+    resolves the population identity through the hidden target: each
+    estimate is g_i exactly.  Sampled mode
     computes, per feature, the empirical centered cross-moment over the
     analytic-variance denominator and rounds.
     """
     if mode == EXACT:
         if target is None:
             raise OracleMisuseError("exact-mode estimation needs the hidden target")
-        ds.probe_block(np.arange(ds.n_examples), features)
+        ds.meter(features)
         return [int(target[i]) for i in features]
     if mode != SAMPLED:
         raise UsageError(f"unknown mode {mode!r}")
@@ -203,8 +210,10 @@ class RepresentationMatrix:
         den = self._den
         if any(v < 0 or v % den for v in scaled):
             return None, "non-natural-combination"
-        g = np.array([v // den for v in scaled], dtype=np.int64)
-        return (g, None) if degree(g) <= d else (None, "degree")
+        g = [v // den for v in scaled]
+        if sum(g) > d:
+            return None, "degree"
+        return np.array(g, dtype=np.int64), None
 
     def contains(self, g) -> bool:
         if self.k == 0:
@@ -244,13 +253,15 @@ class Result:
         return self.outcome == LEARNED
 
 
-def _verify(ds, hypothesis, features, value) -> Result:
-    """Single-sample identity test: probe the last example's `features`;
-    learned iff `value(row)` reproduces its label under exact rational
-    evaluation."""
+def _verify(ds, hypothesis, terms: dict) -> Result:
+    """Single-sample identity test of `hypothesis`, given as `terms`
+    (term_key -> coefficient; a monomial g is {term_key(g): 1}): meter the
+    last example's cells on the features the terms read; learned iff
+    `ds.evaluate` of the terms there, exact over the integer row, equals
+    its label."""
     e = ds.n_examples - 1
-    row = {i: ds.probe(e, i) for i in features}
-    if value(row) != Fraction(ds.label(e)):
+    ds.meter(sorted({i for key in terms for i, _ in key}), 1 << e)
+    if ds.evaluate(e, terms) != ds.label(e):
         return Result(FAILED, reason="verification")
     return Result(LEARNED, hypothesis=hypothesis)
 
@@ -262,7 +273,9 @@ def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
     Estimates the target's exponents on rep's row set I, solves for the
     rational combination of stored columns exactly, rejects candidates that
     leave the natural degree-d simplex, and verifies the survivor on a single
-    sample by exact rational evaluation.
+    sample by exact evaluation over that example's integer row (`_verify`).
+    Its reads are metered, not gathered: exact mode resolves them through
+    the hidden target.
     """
     if rep.k == 0:
         return Result(FAILED, reason="empty-representation")
@@ -271,7 +284,7 @@ def lfd_monomial(ds, rep: RepresentationMatrix, dist, d: int, mode: str,
     g, reason = rep.lift(g_restricted, d)
     if g is None:
         return Result(FAILED, reason=reason)
-    return _verify(ds, g, support(g), lambda row: eval_monomial(g, row))
+    return _verify(ds, g, {term_key(g): 1})
 
 
 def improve_rep_monomial(rep: RepresentationMatrix, g) -> int:

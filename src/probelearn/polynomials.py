@@ -31,18 +31,13 @@ import numpy as np
 
 from .errors import InternalError, ModelViolationError, UsageError
 from .monomials import (FAILED, RepresentationMatrix, Result, _verify,
-                        improve_rep_monomial, support)
+                        improve_rep_monomial, support, term_key)
 
 COEFF_FLOOR = 1e-3  # sampled coefficients below this in magnitude read as 0
 DENOMINATOR_CAP = 64  # the others snap to a rational with this denominator cap
 
 
 # -- sparse polynomials ----------------------------------------------------
-
-
-def term_key(g) -> tuple:
-    """Canonical hashable key of an exponent vector: ((var, exp), ...)."""
-    return tuple((int(i), int(g[i])) for i in np.nonzero(np.asarray(g))[0])
 
 
 def key_to_vector(key, n_features: int) -> np.ndarray:
@@ -328,10 +323,10 @@ class ExactCorrelation:
         return _ExactScan(square, scale, table, variables)
 
     def coefficient(self, g, partial: Polynomial) -> Fraction:
-        lhs = {i: int(g[i]) for i in support(g)}
+        lhs = dict(term_key(g))
         value = self.corr_lin(lhs, partial)
-        for i in support(g):
-            value /= self.basis.norms[int(g[i])]
+        for k in lhs.values():
+            value /= self.basis.norms[k]
         return value
 
 
@@ -434,7 +429,9 @@ class SampledCorrelation:
     """Empirical correlations on the probe-metered sample.
 
     Every evaluation probes the features it touches; positivity uses the
-    threshold tau, and coefficients are snapped to small rationals.
+    threshold tau, and coefficients are snapped to small rationals.  The
+    residual of a partial is metered once on every example and evaluated
+    exactly per example by `ds.evaluate`, then rounded to float.
     """
 
     sampled = True
@@ -451,12 +448,10 @@ class SampledCorrelation:
         if key in self._residuals:
             return self._residuals[key]
         ds = self.ds
-        vals = np.zeros(ds.n_examples)
-        touched = sorted({i for term in partial.terms for i, _ in term})
-        ds.probe_block(np.arange(ds.n_examples), touched)
-        for e in range(ds.n_examples):
-            row = {i: ds.peek(e, i) for i in touched}
-            vals[e] = float(Fraction(ds.label(e)) - partial.evaluate(row))
+        terms = partial.terms
+        ds.meter(sorted({i for term in terms for i, _ in term}))
+        vals = np.array([float(ds.label(e) - ds.evaluate(e, terms))
+                         for e in range(ds.n_examples)])
         self._residuals[key] = vals
         return vals
 
@@ -484,9 +479,10 @@ class SampledCorrelation:
         return _CorrScan(self, partial)
 
     def coefficient(self, g, partial: Polynomial) -> Fraction:
-        value = self.corr_lin({i: int(g[i]) for i in support(g)}, partial)
-        for i in support(g):
-            value /= float(self.basis.norms[int(g[i])])
+        lhs = dict(term_key(g))
+        value = self.corr_lin(lhs, partial)
+        for k in lhs.values():
+            value /= float(self.basis.norms[k])
         if abs(value) < COEFF_FLOOR:
             return Fraction(0)
         return Fraction(value).limit_denominator(DENOMINATOR_CAP)
@@ -544,14 +540,15 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Res
     The lexicographic search runs restricted to the row set I; each
     restricted pattern is lifted to a full monomial by `rep.lift`.
     Per example this costs at most k probes for I plus t*d for evaluating the
-    partial hypothesis, and a final single-sample rational verification
-    rejects any off-span lift.
+    partial hypothesis.  Both are charged with `meter` on every example and
+    gather nothing, since the oracle resolves every value; a final
+    single-sample verification, exact over that example's integer row
+    (`_verify`), rejects any off-span lift.
     """
     if rep.k == 0:
         return Result(FAILED, reason="empty-representation")
     idx = rep.rows()
-    examples = np.arange(ds.n_examples)
-    ds.probe_block(examples, idx)
+    ds.meter(idx)
     partial = Polynomial(ds.n_features)
     for _ in range(t):
         exps = _extract_largest(oracle, sorted(idx), d, partial)
@@ -560,13 +557,12 @@ def lfd_polynomial(ds, rep: RepresentationMatrix, oracle, d: int, t: int) -> Res
         g, reason = rep.lift([exps[i] for i in idx], d)
         if g is None:
             return Result(FAILED, reason=reason)
-        ds.probe_block(examples, support(g))  # the partial's evaluations read g
+        ds.meter(support(g))  # the partial's evaluations read g
         coeff = oracle.coefficient(g, partial)
         if coeff == 0:
             return Result(FAILED, reason="zero-coefficient")
         partial.add_term(g, coeff)
-    touched = sorted({i for key in partial.terms for i, _ in key})
-    return _verify(ds, partial, touched, partial.evaluate)
+    return _verify(ds, partial, partial.terms)
 
 
 def improve_rep_polynomial(rep: RepresentationMatrix, target: Polynomial) -> int:

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import CostlyDataset, bit_rows, column_bits, pack_columns
+from .dataset import CostlyDataset, column_bits, pack_columns
 from .errors import GeneratorExhaustedError, UsageError
 from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
@@ -327,9 +327,9 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
     frontier node (left to right), written cell by cell.  The labels come
     from routing the examples down g as bitsets: each internal node splits
     its examples by its variable's column bitset.  The columns are packed
-    once and handed to the dataset, which keeps only them and the label
-    bitset, not the drawn matrix.  An example that reaches an empty leaf
-    raises UsageError."""
+    once and handed to the dataset with the label bitset, which it keeps
+    as they are, not the drawn matrix.  An example that reaches an empty
+    leaf raises UsageError."""
     frontier = []  # ((var, bit), ...) of each frontier path, left to right
 
     def walk(node, above):
@@ -358,8 +358,8 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
                 positive |= rows
         elif rows:
             raise UsageError("predict called on an incomplete tree")
-    labels = bit_rows([positive], len(values))[0]
-    return CostlyDataset.from_bool(values, labels, columns)
+    return CostlyDataset.from_bool(values, columns=columns,
+                                   label_bits=positive)
 
 
 # -- tree streams ----------------------------------------------------------
@@ -572,10 +572,8 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
         bad_pool = list(range(spec.n_features - reserve, spec.n_features))
         for task in tasks:
             # re-host in the full feature space (the target never reads the pad)
-            vals = task.ds.peek_all()
-            pad = coin_flips(rng, (vals.shape[0], reserve))
-            full = np.concatenate([vals, pad], axis=1)
-            task.ds = CostlyDataset.from_bool(full, task.ds.labels)
+            task.ds = task.ds.padded(
+                coin_flips(rng, (task.ds.n_examples, reserve)))
         bad_tasks = []
         for _ in range(spec.r):
             for _ in range(MAX_TRIES):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from probelearn import CostlyDataset, UsageError
+from probelearn import CostlyDataset, Polynomial, UsageError
 from probelearn.dataset import column_bits, pack_columns
 
 
@@ -384,3 +384,148 @@ def test_labels_are_built_once_and_only_when_read():
 def test_from_rational_needs_labels_or_terms(kw):
     with pytest.raises(UsageError):
         CostlyDataset.from_rational([[Fraction(1)]], **kw)
+
+
+# -- meter: metered reads that return nothing --------------------------------
+
+
+@pytest.mark.parametrize("kind", ["bool", "rational"])
+@pytest.mark.parametrize("n_examples", [1, 7, 64, 65, 130])
+def test_meter_leaves_the_ledger_probe_block_leaves(kind, n_examples):
+    n_features = 6
+    if kind == "bool":
+        values, labels = bool_data(n_examples, n_features)
+        metered, ref = (CostlyDataset.from_bool(values, labels)
+                        for _ in range(2))
+    else:
+        metered, ref = (small_rational(n_examples, n_features)
+                        for _ in range(2))
+    rng = np.random.default_rng(n_examples)
+    for step in range(6):
+        features = rng.choice(n_features, size=int(rng.integers(
+            0, n_features + 1)), replace=False).tolist()
+        if step % 2:
+            e = int(rng.integers(n_examples))
+            assert metered.meter(features, 1 << e) is None
+            ref.probe_block(np.array([e]), features)
+        else:
+            assert metered.meter(features) is None
+            ref.probe_block(np.arange(n_examples), features)
+        a, b = metered.ledger, ref.ledger
+        assert a.total_probes == b.total_probes
+        assert (a.mask() == b.mask()).all()
+        assert a.per_example_max() == b.per_example_max()
+    metered.probe_all()
+    metered.meter([0])
+    assert metered.ledger.total_probes == n_examples * n_features
+
+
+@pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])
+def test_meter_out_of_range_feature(features):
+    ds = small_rational(2, 3)
+    with pytest.raises(UsageError):
+        ds.meter(features)
+    assert ds.ledger.total_probes == 0
+    ds.meter([])
+    assert ds.ledger.total_probes == 0
+
+
+@pytest.mark.parametrize("rows", [-1, 0b100, 1 << 9])
+def test_meter_rows_out_of_range(rows):
+    ds = small_bool(2, 3)
+    with pytest.raises(UsageError):
+        ds.meter([0], rows)
+    assert ds.ledger.total_probes == 0
+
+
+# -- evaluate: a polynomial at one example's integer row ---------------------
+
+
+def polynomial_at(terms, row):
+    poly = Polynomial(len(row))
+    poly.terms = dict(terms)
+    return poly.evaluate(row)
+
+
+EVALUATE_TERMS = LABEL_TERMS + [
+    {((0, 1), (2, 2)): Fraction(-9, 4), ((3, 1),): Fraction(-1)},
+    {((1, 3),): Fraction(12, 5), (): Fraction(-1, 7)},
+]
+
+
+@pytest.mark.parametrize("terms", EVALUATE_TERMS)
+def test_evaluate_matches_polynomial_evaluate(terms):
+    den = 5
+    values = np.random.default_rng(10).integers(den, 2 * den + 1, (5, 4))
+    lazy = CostlyDataset.from_rational(values, denominator=den,
+                                       terms={((0, 1),): Fraction(1)})
+    lcm_ds = small_rational(5, 4)  # Fraction rows over the LCM denominator
+    assert lcm_ds._den > 1
+    for ds in (lazy, lcm_ds):
+        rows = ds.peek_all()
+        for e in range(ds.n_examples):
+            got = ds.evaluate(e, terms)
+            assert isinstance(got, Fraction)
+            assert got == polynomial_at(terms, rows[e])
+        assert ds.ledger.total_probes == 0
+    assert any(c < 0 for t in EVALUATE_TERMS for c in t.values())
+    assert any(c.numerator not in (-1, 1) for t in EVALUATE_TERMS
+               for c in t.values())
+
+
+def test_evaluate_of_the_labeling_terms_is_the_label():
+    terms = {((0, 2), (1, 1)): Fraction(-3, 4), (): Fraction(2)}
+    ds = CostlyDataset.from_rational(
+        np.random.default_rng(11).integers(4, 9, (4, 2)), denominator=4,
+        terms=terms)
+    assert [ds.evaluate(e, terms) for e in range(4)] == list(ds.labels)
+    with pytest.raises(UsageError):
+        small_bool().evaluate(0, terms)
+
+
+# -- bool construction from bitsets ------------------------------------------
+
+
+@pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
+def test_from_bool_takes_label_bits(n_examples, n_features):
+    values, labels = bool_data(n_examples, n_features)
+    want = CostlyDataset.from_bool(values, labels)
+    ds = CostlyDataset.from_bool(values, columns=pack_columns(values),
+                                 label_bits=bits_of(labels))
+    assert ds.label_bits == want.label_bits
+    assert np.array_equal(ds.labels, labels)
+    assert ds.to_json_obj() == want.to_json_obj()
+
+
+@pytest.mark.parametrize("kw", [{}, {"labels": [True, False], "label_bits": 1},
+                                {"label_bits": 0b100},
+                                {"label_bits": -1}],
+                         ids=["neither", "both", "too-high", "negative"])
+def test_from_bool_label_bits_validation(kw):
+    with pytest.raises(UsageError):
+        CostlyDataset.from_bool([[0, 1], [1, 0]], **kw)
+
+
+@pytest.mark.parametrize("n_examples", [1, 63, 64, 65, 130])
+def test_padded_appends_the_pad_columns(n_examples):
+    values, labels = bool_data(n_examples, 5)
+    pad = np.random.default_rng(n_examples).integers(0, 2, (n_examples, 3))
+    ds = CostlyDataset.from_bool(values, labels)
+    ds.probe_all()
+    full = ds.padded(pad)
+    want = CostlyDataset.from_bool(np.concatenate([values, pad], axis=1),
+                                   labels)
+    assert (full.n_examples, full.n_features) == (n_examples, 8)
+    assert full._cols == want._cols
+    assert full.label_bits == want.label_bits
+    assert full.to_json_obj() == want.to_json_obj()
+    assert full.ledger.total_probes == 0
+
+
+@pytest.mark.parametrize("pad", [np.zeros((2, 1)), np.zeros(3)],
+                         ids=["rows", "ndim"])
+def test_padded_validation(pad):
+    with pytest.raises(UsageError):
+        small_bool(3, 2).padded(pad)
+    with pytest.raises(UsageError):
+        small_rational(3, 2).padded(np.zeros((3, 1)))

@@ -13,7 +13,7 @@ from probelearn import (CostlyDataset, InternalError, OracleMisuseError,
                         estimate_power, eval_monomial, gen_monomial_stream,
                         improve_rep_monomial, learn_monomial_scratch,
                         lfd_monomial, sample_size_bound, support)
-from probelearn.monomials import monomial_to_json_obj
+from probelearn.monomials import _verify, monomial_to_json_obj, term_key
 
 SAMPLED_CONSTANT = 2e-4  # calibrated: zero empirical rounding errors at d<=2
 
@@ -343,6 +343,25 @@ def test_lfd_verification_catches_off_span_target():
     assert result.reason == "verification"
 
 
+def test_verify_rejects_an_off_span_hypothesis():
+    """`_verify` meters only the last example's cells on the hypothesis's
+    features and compares the exact integer evaluation with the label."""
+    rng = np.random.default_rng(31)
+    dist = ProductDistribution()
+    g = vec(1, 1, 0)
+    ds = grid_ds(rng, dist, g, 4, 3)
+    assert ds.peek(3, 1) != 1  # x1 = 1 would make x0 pass for g
+    result = _verify(ds, vec(1, 0, 0), {((0, 1),): 1})
+    assert not result.learned
+    assert result.reason == "verification"
+    assert ds.ledger.mask().tolist() == [[False] * 3] * 3 + [[True, False, False]]
+    result = _verify(ds, g, {term_key(g): 1})
+    assert result.learned and result.hypothesis is g
+    assert ds.ledger.total_probes == 2
+    # the terms' coefficients count: 2 * x0 * x1 is off by a factor of 2
+    assert _verify(ds, g, {term_key(g): 2}).reason == "verification"
+
+
 def test_lfd_rejects_non_natural_lift():
     rng = np.random.default_rng(30)
     dist = ProductDistribution()
@@ -381,10 +400,10 @@ def test_lfd_rejects_over_degree_lift():
 
 
 def test_lfd_reads_its_row_set_in_one_block():
-    """On a seeded stream, each exact attempt makes one block read, of its
-    row set, and leaves the ledger the per-column reference leaves: every
-    row of I on all examples, plus the verified lift's support on the last
-    example."""
+    """On a seeded stream, each exact attempt makes one metered read on
+    every example, of its row set, and leaves the ledger the per-column
+    reference leaves: every row of I on all examples, plus the verified
+    lift's support on the last example."""
     spec = StreamSpec(family="monomial", n_features=10, k=4, d=4, m=30,
                       sample_size=6, seed=3).validate()
     tasks, _ = gen_monomial_stream(spec)
@@ -395,9 +414,14 @@ def test_lfd_reads_its_row_set_in_one_block():
         ds = task.ds
         ref = CostlyDataset.from_rational(ds.peek_all(), ds.labels)
         reads = []
-        block = ds.probe_block
-        ds.probe_block = lambda rows, features: (
-            reads.append(list(features)) or block(rows, features))
+        meter = ds.meter
+
+        def spy(features, rows=None):
+            if rows is None:  # a read on every example
+                reads.append(list(features))
+            meter(features, rows)
+
+        ds.meter = spy
         result = lfd_monomial(ds, rep, dist, spec.d, "exact", target=task.target)
         outcomes.add(result.reason)
         if rep.k:

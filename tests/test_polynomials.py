@@ -644,6 +644,45 @@ def test_lfd_probes_rows_and_lift_supports_as_whole_columns():
     assert learned >= 6
 
 
+def test_lfd_meters_its_row_set_and_lift_supports_in_one_read_each():
+    """On a seeded stream, each exact attempt meters its row set on every
+    example in one read, then each lifted monomial's support in one read,
+    and verifies on the last example only; a learned attempt meters
+    exactly these."""
+    sp = StreamSpec(family="polynomial", n_features=8, k=3, d=3, t=3, m=12,
+                    sample_size=6, seed=5).validate()
+    tasks, _ = gen_poly_stream(sp)
+    basis = build_orthogonal_basis(DIST, sp.d)
+    rep = RepresentationMatrix(sp.n_features)
+    learned = 0
+    for task in tasks:
+        ds = task.ds
+        last = 1 << (ds.n_examples - 1)
+        reads, samples = [], []
+        meter = ds.meter
+
+        def spy(features, rows=None):
+            (reads if rows is None else samples).append(list(features))
+            assert rows in (None, last)
+            meter(features, rows)
+
+        ds.meter = spy
+        oracle = ExactCorrelation(task.target, DIST, basis)
+        result = lfd_polynomial(ds, rep, oracle, sp.d, sp.t)
+        if not rep.k:
+            assert reads == samples == []
+        elif result.learned:
+            keys = list(result.hypothesis.terms)  # in order of detection
+            assert reads == [rep.rows()] + [[i for i, _ in key]
+                                            for key in keys]
+            assert samples == [sorted({i for key in keys for i, _ in key})]
+            learned += 1
+        else:
+            assert reads[0] == rep.rows() and len(samples) <= 1
+        improve_rep_polynomial(rep, task.target)
+    assert learned >= 6
+
+
 def test_lfd_empty_rep():
     basis = build_orthogonal_basis(DIST, 2)
     target = poly(2, (vec(1, 0), 1))
