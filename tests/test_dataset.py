@@ -468,9 +468,13 @@ def test_evaluate_matches_polynomial_evaluate(terms):
             assert isinstance(got, Fraction)
             assert got == polynomial_at(terms, rows[e])
         assert ds.ledger.total_probes == 0
-    assert any(c < 0 for t in EVALUATE_TERMS for c in t.values())
-    assert any(c.numerator not in (-1, 1) for t in EVALUATE_TERMS
-               for c in t.values())
+
+
+def test_evaluate_terms_cover_signed_and_non_unit_coefficients():
+    coeffs = [c for terms in EVALUATE_TERMS for c in terms.values()]
+    assert {} in EVALUATE_TERMS
+    assert any(c < 0 for c in coeffs)
+    assert any(abs(c.numerator) > 1 for c in coeffs)
 
 
 def test_evaluate_of_the_labeling_terms_is_the_label():
