@@ -12,19 +12,25 @@ rational features (monomials and sparse polynomials, on the grid
 over one integer denominator: generated streams store M + j over M, and
 Fraction input is brought over the least common multiple of its
 denominators.  Exact Fractions exist only where exactness is needed: scalar
-reads (`probe`, `peek*`), labels and `evaluate`.  A metered column read
-on integer example indices that returns values goes through `probe_block`
-(`probe_rows` and `probe_column` are one-column block reads), which returns
-float64 numerator / denominator, the correctly rounded value of each cell,
-for the sampled estimators.  A caller that resolves the values it pays for
-elsewhere (the exact oracles, and single-sample verification through
-`evaluate`) charges the read with `meter`, which gathers nothing.
+reads (`probe`, `peek*`), labels and `evaluate`.
+
+Every metered read is `meter` plus an unmetered gather.  `meter(features,
+rows)` charges the features on the examples of the bitset `rows` (every
+example by default) and returns nothing; the other reads call it, then
+gather what they return: `probe` one cell through `peek`, `probe_rows` and
+`probe_column` one column (float64 numerator / denominator, the correctly
+rounded value of each cell, for the sampled estimators), and `probe_bits`
+bitsets.  A caller that resolves the values it pays for elsewhere (the
+exact oracles, and single-sample verification through `evaluate`) calls
+`meter` alone.  `probe_all` alone bypasses it: afterwards every cell counts
+as read.
 
 A bool dataset holds only bitsets, bit e for example e, and its shape:
 `pack_columns` packs column f into max(1, ceil(S/64)) uint64 words of one
 compact array, which become one Python int on read, and the labels are
-one int.  No S x N matrix is kept: `peek`, `peek_all`, `probe_block` and
-`to_json_obj` unpack the cells they return from the columns on each call.
+one int.  No S x N matrix is kept: `peek`, `peek_all`, the column reads
+and `to_json_obj` unpack the cells they return from the columns on each
+call.
 The tree growers hold each node's examples as a bitset too, and read with
 `probe_bits`: it takes the node's bitset and returns, per candidate, the
 bitset of the node's examples with the feature set, so a node's purity
@@ -77,9 +83,6 @@ class ProbeLedger:
         self._read = {}  # feature -> bitset of the examples read on it
         self._all = False
 
-    def record(self, example: int, feature: int) -> None:
-        self.record_bits(1 << example, (feature,))
-
     def record_bits(self, rows: int, features) -> None:
         """Record every cell of the bitset `rows` x features block."""
         if self._all:
@@ -90,13 +93,6 @@ class ProbeLedger:
             new = old | rows
             if new != old:
                 read[feature] = new
-
-    def record_block(self, rows, features) -> None:
-        """Record every cell of the rows (integer indices) x features block."""
-        if not self._all:
-            flags = np.zeros(self.n_examples, dtype=bool)
-            flags[rows] = True
-            self.record_bits(to_bits(flags), np.asarray(features).tolist())
 
     def record_all(self) -> None:
         self._all, self._read = True, {}
@@ -148,10 +144,11 @@ class ProbeLedger:
 class CostlyDataset:
     """An S x N feature matrix whose cells must be probed to be read.
 
-    `probe*` methods meter reads through the ledger, and `meter` charges a
-    read without returning its values; `peek*` methods and `evaluate` are
-    the unmetered oracle channel, reserved for teacher gain, exact-mode
-    oracles, verification after `meter` and test assertions.  Rational values are int64 numerators over
+    `meter` charges a read through the ledger without returning its
+    values, and the other `probe*` methods are `meter` plus an unmetered
+    gather; `peek*` methods and `evaluate` are the unmetered oracle channel,
+    reserved for teacher gain, exact-mode oracles, verification after
+    `meter` and test assertions.  Rational values are int64 numerators over
     `self._den`, which `from_rational` sets, as are the integer label
     weights `self._weights` of a dataset whose labels are built on read.
     A bool dataset keeps its shape and the bitsets `from_bool` sets:
@@ -251,50 +248,17 @@ class CostlyDataset:
         if len(features) and (min(features) < 0
                               or max(features) >= self.n_features):
             for feature in features:
-                self._check(0, feature)
+                if not 0 <= feature < self.n_features:
+                    raise UsageError(f"feature {feature} out of range")
 
     # -- metered reads -----------------------------------------------------
-
-    def probe(self, example: int, feature: int):
-        """Read one cell, charging one probe unless it was read before."""
-        self._check(example, feature)
-        self.ledger.record(example, feature)
-        return self.peek(example, feature)
-
-    def probe_rows(self, rows, feature: int) -> np.ndarray:
-        """Read one feature on a set of examples (one probe per fresh cell):
-        the one-column block read `probe_block(rows, [feature])`."""
-        return self.probe_block(rows, [feature])[:, 0]
-
-    def probe_block(self, rows, features) -> np.ndarray:
-        """Read several features on the examples `rows` (integer indices) in
-        one metered read: column j of the result holds features[j] (one probe
-        per fresh cell).
-
-        Rational cells come back as float64 numerator / denominator."""
-        self._check_features(features)
-        cols = np.asarray(features, dtype=np.intp)
-        self.ledger.record_block(rows, cols)
-        if self.value_kind == BOOL:
-            return self._unpack(cols)[:, rows].T
-        return self._values[np.asarray(rows)[:, None], cols] / self._den
-
-    def probe_bits(self, rows: int, features) -> list:
-        """Read several features of a bool dataset on the examples of the
-        bitset `rows` in one metered read: item j is the bitset of those
-        examples with features[j] set (one probe per fresh cell)."""
-        self._check_features(features)
-        self.ledger.record_bits(rows, features)
-        if self.n_examples <= 64:  # one word per column: index it directly
-            words = self._cols
-            return [words[feature] & rows for feature in features]
-        return [self.peek_bits(feature) & rows for feature in features]
 
     def meter(self, features, rows: int = None) -> None:
         """Charge a read of `features` on the examples of the bitset `rows`
         (default: every example) and return nothing (one probe per fresh
-        cell).  For a caller that resolves the values it pays for through
-        an exact oracle or `evaluate`."""
+        cell).  Every other metered read but `probe_all` goes through here;
+        a caller that resolves the values it pays for through an exact
+        oracle or `evaluate` calls it alone."""
         self._check_features(features)
         if rows is None:
             rows = (1 << self.n_examples) - 1
@@ -302,8 +266,34 @@ class CostlyDataset:
             raise UsageError("rows name an example out of range")
         self.ledger.record_bits(rows, features)
 
+    def probe(self, example: int, feature: int):
+        """Read one cell, charging one probe unless it was read before."""
+        self._check(example, feature)
+        self.meter((feature,), 1 << example)
+        return self.peek(example, feature)
+
+    def probe_rows(self, rows, feature: int) -> np.ndarray:
+        """Read one feature on the examples `rows` (integer indices), one
+        probe per fresh cell; rational cells come back as float64."""
+        flags = np.zeros(self.n_examples, dtype=bool)
+        flags[rows] = True
+        self.meter((feature,), to_bits(flags))
+        return self._column(feature)[rows]
+
     def probe_column(self, feature: int) -> np.ndarray:
-        return self.probe_rows(np.arange(self.n_examples), feature)
+        """Read one feature on every example, as `probe_rows` does."""
+        self.meter((feature,))
+        return self._column(feature)
+
+    def probe_bits(self, rows: int, features) -> list:
+        """Read several features of a bool dataset on the examples of the
+        bitset `rows` in one metered read: item j is the bitset of those
+        examples with features[j] set (one probe per fresh cell)."""
+        self.meter(features, rows)
+        if self.n_examples <= 64:  # one word per column: index it directly
+            words = self._cols
+            return [words[feature] & rows for feature in features]
+        return [self.peek_bits(feature) & rows for feature in features]
 
     def probe_all(self) -> None:
         """Read the whole matrix (the scratch-learn opening move)."""
@@ -363,16 +353,19 @@ class CostlyDataset:
         """The whole matrix, unmetered: 0/1 uint8 cells unpacked from a bool
         dataset's columns, or Fractions."""
         if self.value_kind == BOOL:
-            return self._unpack(slice(None)).T
+            words = np.frombuffer(self._cols, dtype=np.uint64).reshape(
+                self.n_features, _width(self.n_examples))
+            return np.unpackbits(
+                words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                count=self.n_examples, bitorder="little").T
         return self._fractions(self._values)
 
-    def _unpack(self, features) -> np.ndarray:
-        """A bool dataset's columns `features` (an index array or slice) as
-        the rows of a 0/1 uint8 matrix, one column per example."""
-        words = np.frombuffer(self._cols, dtype=np.uint64).reshape(
-            self.n_features, _width(self.n_examples))[features]
-        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                             axis=1, count=self.n_examples, bitorder="little")
+    def _column(self, feature: int) -> np.ndarray:
+        """One column, unmetered: a bool dataset's 0/1 uint8 cells, or a
+        rational dataset's float64 numerator / denominator."""
+        if self.value_kind == BOOL:
+            return bit_rows([self.peek_bits(feature)], self.n_examples)[0]
+        return self._values[:, feature] / self._den
 
     def _fractions(self, nums: np.ndarray) -> np.ndarray:
         """Numerators as an object array of exact Fractions."""

@@ -56,7 +56,7 @@ class Polynomial:
 
     def add_term(self, g, coeff) -> None:
         key = term_key(g)
-        new = self.terms.get(key, Fraction(0)) + Fraction(coeff)
+        new = self.terms.get(key, 0) + Fraction(coeff)
         if new == 0:
             self.terms.pop(key, None)
         else:
@@ -122,10 +122,7 @@ class Polynomial:
                 raise UsageError(f"bad polynomial term {item!r}") from exc
             if any(not 0 <= i < n or e < 0 for i, e in powers):
                 raise UsageError(f"bad monomial {item['monomial']!r}")
-            g = np.zeros(n, dtype=np.int64)
-            for i, e in powers:
-                g[i] = e
-            poly.add_term(g, coeff)
+            poly.add_term(key_to_vector(powers, n), coeff)
         return poly
 
 

@@ -76,41 +76,24 @@ def small_rational(n_examples, n_features):
     return CostlyDataset.from_rational(values, [Fraction(1)] * n_examples)
 
 
-def test_probe_block_matches_per_column_probe_rows():
-    # reference: one metered probe(e, f) per cell, on bool and rational data
-    rows, features = np.array([3, 0, 2]), [4, 1, 2]
-    for make in (small_bool, small_rational):
-        block_ds, column_ds, cell_ds = make(5, 6), make(5, 6), make(5, 6)
-        for ds in (block_ds, column_ds, cell_ds):
-            ds.probe(0, 1)
-        block = block_ds.probe_block(rows, features)
-        assert block.shape == (3, 3)
-        for j, feature in enumerate(features):
-            cells = [float(cell_ds.probe(int(e), feature)) for e in rows]
-            assert block[:, j].tolist() == cells
-            assert column_ds.probe_rows(rows, feature).tolist() == cells
-        assert (block_ds.ledger.mask() == cell_ds.ledger.mask()).all()
-        assert (column_ds.ledger.mask() == cell_ds.ledger.mask()).all()
-        assert block_ds.ledger.total_probes == 9  # (0, 1) was already read
-
-
-@pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])
-def test_probe_block_out_of_range_feature(features):
-    ds = small_bool(2, 3)
-    with pytest.raises(UsageError):
-        ds.probe_block(np.array([0, 1]), features)
-    assert ds.ledger.total_probes == 0
-
-
 @pytest.mark.parametrize("features, offender", [
     ([1, 5, -1], 5), ([0, -2, 9], -2), (np.array([2, 0, 4]), 4)])
-def test_probe_block_names_first_offending_feature(features, offender):
-    ds = small_bool(2, 3)
-    with pytest.raises(UsageError, match=rf"^feature {offender} out of range$"):
-        ds.probe_block(np.array([0, 1]), features)
+def test_meter_names_first_offending_feature(features, offender):
+    for ds in (small_bool(2, 3), small_rational(2, 3)):
+        with pytest.raises(UsageError,
+                           match=rf"^feature {offender} out of range$"):
+            ds.meter(features)
+        assert ds.ledger.total_probes == 0
+        ds.meter(np.array([2, 0]), 0b10)
+        assert ds.ledger.total_probes == 2
+
+
+def test_meter_on_no_examples_names_the_feature():
+    ds = CostlyDataset.from_bool(np.zeros((0, 3)), labels=[])
+    with pytest.raises(UsageError, match=r"^feature 5 out of range$"):
+        ds.meter([5])
+    ds.meter([0, 2])
     assert ds.ledger.total_probes == 0
-    assert ds.probe_block(np.array([0, 1]), np.array([2, 0])).shape == (2, 2)
-    assert ds.probe_block(np.array([0, 1]), []).shape == (2, 0)
 
 
 # -- bitsets: S = 1 .. 130, so one or several words, whole bytes or not ----
@@ -175,20 +158,25 @@ def test_bool_dataset_keeps_only_bitsets_and_reads_its_matrix(n_examples):
     read = np.zeros(values.shape, dtype=bool)
     for _ in range(4):
         rows = rng.permutation(n_examples)[:int(rng.integers(1, n_examples + 1))]
-        features = rng.permutation(n_features)[:3]
-        block = ds.probe_block(rows, features)
-        assert block.dtype == np.uint8
-        assert np.array_equal(block, values[np.ix_(rows, features)])
+        features = rng.permutation(n_features)[:3].tolist()
+        flags = np.isin(np.arange(n_examples), rows)
+        assert ds.probe_bits(bits_of(flags), features) == [
+            bits_of(flags & (values[:, f] == 1)) for f in features]
         read[np.ix_(rows, features)] = True
         feature = int(rng.integers(n_features))
-        assert np.array_equal(ds.probe_rows(rows, feature),
-                              values[rows, feature])
+        column = ds.probe_rows(rows, feature)
+        assert column.dtype == np.uint8
+        assert np.array_equal(column, values[rows, feature])
         read[rows, feature] = True
         e = int(rng.integers(n_examples))
         assert ds.probe(e, feature) == values[e, feature]
         read[e, feature] = True
         assert ds.ledger.total_probes == read.sum()
         assert (ds.ledger.mask() == read).all()
+    feature = int(rng.integers(n_features))
+    assert np.array_equal(ds.probe_column(feature), values[:, feature])
+    read[:, feature] = True
+    assert (ds.ledger.mask() == read).all()
     with pytest.raises(UsageError):
         ds.peek(n_examples, 0)
     with pytest.raises(UsageError):
@@ -198,7 +186,7 @@ def test_bool_dataset_keeps_only_bitsets_and_reads_its_matrix(n_examples):
 @pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
 def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
     values, labels = bool_data(n_examples, n_features)
-    bit_ds, block_ds, cell_ds = (CostlyDataset.from_bool(values, labels)
+    bit_ds, meter_ds, cell_ds = (CostlyDataset.from_bool(values, labels)
                                  for _ in range(3))
     want = np.zeros((n_examples, n_features), dtype=bool)
     rng = np.random.default_rng(n_features)
@@ -206,14 +194,14 @@ def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
         rows = np.flatnonzero(rng.random(n_examples) < 0.4)
         features = sorted(rng.choice(n_features, size=int(rng.integers(
             0, n_features + 1)), replace=False).tolist())
-        bit_ds.probe_bits(bits_of(np.isin(np.arange(n_examples), rows)),
-                          features)
-        block_ds.probe_block(rows, features)
+        bits = bits_of(np.isin(np.arange(n_examples), rows))
+        bit_ds.probe_bits(bits, features)
+        meter_ds.meter(features, bits)
         for e in rows.tolist():
             for f in features:
                 cell_ds.probe(e, f)
         want[np.ix_(rows, features)] = True
-        for ds in (bit_ds, block_ds, cell_ds):
+        for ds in (bit_ds, meter_ds, cell_ds):
             mask = ds.ledger.mask()
             assert mask.dtype == bool and mask.shape == want.shape
             assert (mask == want).all()
@@ -221,7 +209,7 @@ def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
             assert (ds.ledger.per_example_probes() == want.sum(axis=1)).all()
             assert ds.ledger.per_example_max() == want.sum(axis=1).max()
     # after probe_all every cell is read, and later reads record nothing
-    for ds in (bit_ds, block_ds, cell_ds):
+    for ds in (bit_ds, meter_ds, cell_ds):
         ds.probe_all()
         ds.probe_bits(1, [0])
         ds.probe(0, 0)
@@ -238,6 +226,15 @@ def test_probe_bits_out_of_range_feature(features, offender):
         ds.probe_bits(0b11, features)
     assert ds.ledger.total_probes == 0
     assert ds.probe_bits(0b11, []) == []
+
+
+@pytest.mark.parametrize("rows, feature", [(1 << 9, 1), (-1, 0)])
+def test_probe_bits_rows_out_of_range(rows, feature):
+    ds = small_bool(4, 3)
+    with pytest.raises(UsageError):
+        ds.probe_bits(rows, [feature])
+    assert ds.ledger.total_probes == 0
+    assert ds.ledger.per_example_probes().tolist() == [0] * 4
 
 
 def test_labels_and_peeks_are_free():
@@ -281,10 +278,9 @@ def test_rational_reads():
     assert col.dtype == np.float64
     assert col.tolist() == [float(values[0][1]), float(values[1][1])]
     assert ds.ledger.total_probes == 2  # (1, 1) was already read
-    block = ds.probe_block(np.array([1, 0]), [1, 0])
-    assert block.dtype == np.float64
-    assert block.tolist() == [[float(values[1][1]), float(values[1][0])],
-                              [float(values[0][1]), float(values[0][0])]]
+    rows = ds.probe_rows(np.array([1, 0]), 0)
+    assert rows.dtype == np.float64
+    assert rows.tolist() == [float(values[1][0]), float(values[0][0])]
     assert ds.ledger.total_probes == 4
 
 
@@ -389,45 +385,77 @@ def test_from_rational_needs_labels_or_terms(kw):
 # -- meter: metered reads that return nothing --------------------------------
 
 
+READS = ["probe", "probe_rows", "probe_column", "probe_bits"]
+
+
+def read_cells(ds, read, rows, features):
+    """The cells that `read` returns on the examples `rows` (an index array;
+    every example for `probe_column`) x features, one list per feature."""
+    if read == "probe":
+        return [[ds.probe(e, f) for e in rows.tolist()] for f in features]
+    if read == "probe_bits":
+        return ds.probe_bits(bits_of(np.isin(np.arange(ds.n_examples), rows)),
+                             features)
+    columns = [ds.probe_column(f) if read == "probe_column"
+               else ds.probe_rows(rows, f) for f in features]
+    kind = np.uint8 if ds.value_kind == "bool" else np.float64
+    assert all(column.dtype == kind for column in columns)
+    return [column.tolist() for column in columns]
+
+
+def peeked_cells(cells, read, rows, features):
+    """What `read_cells` should return, from the `peek_all` matrix."""
+    if read == "probe_bits":
+        flags = np.isin(np.arange(len(cells)), rows)
+        return [bits_of(flags & (cells[:, f] == 1)) for f in features]
+    if cells.dtype == object and read != "probe":  # rational columns: float64
+        return [[float(v) for v in cells[rows, f]] for f in features]
+    return [cells[rows, f].tolist() for f in features]
+
+
 @pytest.mark.parametrize("kind", ["bool", "rational"])
-@pytest.mark.parametrize("n_examples", [1, 7, 64, 65, 130])
-def test_meter_leaves_the_ledger_probe_block_leaves(kind, n_examples):
+@pytest.mark.parametrize("n_examples", [1, 63, 64, 65, 130])
+def test_each_read_leaves_the_ledger_meter_leaves(kind, n_examples):
+    """Every metered read is `meter` on its cells plus an unmetered gather
+    of the cells `peek_all` gives."""
     n_features = 6
     if kind == "bool":
         values, labels = bool_data(n_examples, n_features)
-        metered, ref = (CostlyDataset.from_bool(values, labels)
-                        for _ in range(2))
+        make, reads = lambda: CostlyDataset.from_bool(values, labels), READS
     else:
-        metered, ref = (small_rational(n_examples, n_features)
-                        for _ in range(2))
+        make, reads = lambda: small_rational(n_examples, n_features), READS[:3]
+    cells = make().peek_all()
+    pairs = {read: (make(), make()) for read in reads}  # (read, meter)
     rng = np.random.default_rng(n_examples)
-    for step in range(6):
+    every = np.arange(n_examples)
+    for _ in range(6):
         features = rng.choice(n_features, size=int(rng.integers(
             0, n_features + 1)), replace=False).tolist()
-        if step % 2:
-            e = int(rng.integers(n_examples))
-            assert metered.meter(features, 1 << e) is None
-            ref.probe_block(np.array([e]), features)
-        else:
-            assert metered.meter(features) is None
-            ref.probe_block(np.arange(n_examples), features)
-        a, b = metered.ledger, ref.ledger
-        assert a.total_probes == b.total_probes
-        assert (a.mask() == b.mask()).all()
-        assert a.per_example_max() == b.per_example_max()
-    metered.probe_all()
-    metered.meter([0])
-    assert metered.ledger.total_probes == n_examples * n_features
+        some = np.flatnonzero(rng.random(n_examples) < 0.4)
+        for read, (ds, ref) in pairs.items():
+            rows = every if read == "probe_column" else some
+            assert read_cells(ds, read, rows, features) == peeked_cells(
+                cells, read, rows, features)
+            ref.meter(features, bits_of(np.isin(every, rows)))
+            a, b = ds.ledger, ref.ledger
+            assert a.total_probes == b.total_probes
+            assert (a.mask() == b.mask()).all()
+            assert a.per_example_max() == b.per_example_max()
+    # after probe_all every cell is read, and later reads record nothing
+    for read, (ds, _) in pairs.items():
+        ds.probe_all()
+        read_cells(ds, read, every, [0])
+        assert ds.ledger.total_probes == n_examples * n_features
 
 
 @pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])
 def test_meter_out_of_range_feature(features):
-    ds = small_rational(2, 3)
-    with pytest.raises(UsageError):
-        ds.meter(features)
-    assert ds.ledger.total_probes == 0
-    ds.meter([])
-    assert ds.ledger.total_probes == 0
+    for ds in (small_bool(2, 3), small_rational(2, 3)):
+        with pytest.raises(UsageError):
+            ds.meter(features)
+        assert ds.ledger.total_probes == 0
+        ds.meter([])
+        assert ds.ledger.total_probes == 0
 
 
 @pytest.mark.parametrize("rows", [-1, 0b100, 1 << 9])
