@@ -76,6 +76,38 @@ def small_rational(n_examples, n_features):
     return CostlyDataset.from_rational(values, [Fraction(1)] * n_examples)
 
 
+def test_block_reads_match_per_cell_probes():
+    # reference: one metered probe(e, f) per cell, on bool and rational data
+    rows, features = np.array([3, 0, 2]), [4, 1, 2]
+    row_bits = bits_of(np.isin(np.arange(5), rows))
+    for make in (small_bool, small_rational):
+        meter_ds, column_ds, bits_ds, cell_ds = (make(5, 6) for _ in range(4))
+        for ds in (meter_ds, column_ds, bits_ds, cell_ds):
+            ds.probe(0, 1)
+        meter_ds.meter(features, row_bits)
+        assert meter_ds.ledger.total_probes == 9  # (0, 1) was already read
+        cells = [[float(cell_ds.probe(int(e), f)) for e in rows] for f in features]
+        assert [column_ds.probe_rows(rows, f).tolist() for f in features] == cells
+        checked = [meter_ds, column_ds]
+        if make is small_bool:  # the bool block read: one bitset per feature
+            block = bits_ds.probe_bits(row_bits, features)
+            assert [[float(b >> int(e) & 1) for e in rows] for b in block] == cells
+            checked.append(bits_ds)
+        for ds in checked:
+            assert (ds.ledger.mask() == cell_ds.ledger.mask()).all()
+
+
+@pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])
+def test_block_reads_out_of_range_feature(features):
+    bool_ds, rational_ds = small_bool(2, 3), small_rational(2, 3)
+    with pytest.raises(UsageError):
+        bool_ds.probe_bits(0b11, features)
+    for ds in (bool_ds, rational_ds):
+        with pytest.raises(UsageError):
+            ds.meter(features, 0b11)
+        assert ds.ledger.total_probes == 0
+
+
 @pytest.mark.parametrize("features, offender", [
     ([1, 5, -1], 5), ([0, -2, 9], -2), (np.array([2, 0, 4]), 4)])
 def test_meter_names_first_offending_feature(features, offender):
