@@ -273,8 +273,13 @@ class CostlyDataset:
         return self.peek(example, feature)
 
     def probe_rows(self, rows, feature: int) -> np.ndarray:
-        """Read one feature on the examples `rows` (integer indices), one
-        probe per fresh cell; rational cells come back as float64."""
+        """Read one feature on the examples `rows` (integer indices in
+        [0, S)), one probe per fresh cell; rational cells come back as
+        float64.  An index out of range is a UsageError and charges
+        nothing."""
+        rows = np.asarray(rows)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_examples):
+            raise UsageError("rows name an example out of range")
         flags = np.zeros(self.n_examples, dtype=bool)
         flags[rows] = True
         self.meter((feature,), to_bits(flags))
@@ -328,10 +333,19 @@ class CostlyDataset:
         """The polynomial `terms` (term_key -> rational, as in
         Polynomial.terms) at one example of a rational dataset, exactly and
         unmetered: the caller pays for the cells with `meter`."""
+        weights = self._term_weights(terms)
+        return _weighted_sum(self._values[example].tolist(), weights)
+
+    def evaluate_all(self, terms: dict) -> list:
+        """`evaluate` at every example, in order, from one build of the
+        terms' integer weights."""
+        weights = self._term_weights(terms)
+        return [_weighted_sum(row, weights) for row in self._values.tolist()]
+
+    def _term_weights(self, terms: dict):
         if self.value_kind != RATIONAL:
             raise UsageError("evaluate needs a rational dataset")
-        return _weighted_sum(self._values[example].tolist(),
-                             _integer_weights(terms, self._den))
+        return _integer_weights(terms, self._den)
 
     @property
     def label_bits(self) -> int:

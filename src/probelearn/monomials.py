@@ -147,7 +147,8 @@ class RepresentationMatrix:
     denominator `den` (the LCM of its entries' denominators, so F[I]^-1 =
     adj / den), and F itself as integer rows.  A lift is then two Python-int
     mat-vecs, den * F w = F (adj g[I]), whose entries are natural iff each is
-    >= 0 and divisible by den.
+    >= 0 and divisible by den.  Lifts are memoized per (g[I], d) until the
+    next insert, since the same restricted patterns recur across tasks.
     """
 
     def __init__(self, n_features: int):
@@ -159,6 +160,7 @@ class RepresentationMatrix:
         self._rows = None
         self._inv = None
         self._snapshot = None
+        self._lifts = {}  # (g[I] as ints, d) -> (g as ints or None, reason)
 
     @property
     def k(self) -> int:
@@ -205,7 +207,16 @@ class RepresentationMatrix:
     def lift(self, g_restricted, d: int):
         """F w for the w that matches `g_restricted` on the row set I, as
         (g, None) when natural of degree <= d, else (None, reason) with reason
-        "non-natural-combination" or "degree"."""
+        "non-natural-combination" or "degree".  The verdict is memoized until
+        the next insert; each call returns a fresh array."""
+        key = (tuple([int(v) for v in g_restricted]), d)
+        hit = self._lifts.get(key)
+        if hit is None:
+            hit = self._lifts[key] = self._lift(key[0], d)
+        g, reason = hit
+        return (None, reason) if g is None else (np.array(g, dtype=np.int64), None)
+
+    def _lift(self, g_restricted, d: int):
         scaled = self._scaled_lift(g_restricted)
         den = self._den
         if any(v < 0 or v % den for v in scaled):
@@ -213,7 +224,7 @@ class RepresentationMatrix:
         g = [v // den for v in scaled]
         if sum(g) > d:
             return None, "degree"
-        return np.array(g, dtype=np.int64), None
+        return g, None
 
     def contains(self, g) -> bool:
         if self.k == 0:

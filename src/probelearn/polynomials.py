@@ -55,8 +55,14 @@ class Polynomial:
         self.terms = {}  # term_key -> Fraction
 
     def add_term(self, g, coeff) -> None:
+        """Add coeff * x^g, dropping the term if it cancels.  A Fraction
+        coefficient is kept as it is (stored itself on a new monomial);
+        anything else goes through Fraction()."""
         key = term_key(g)
-        new = self.terms.get(key, 0) + Fraction(coeff)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
         if new == 0:
             self.terms.pop(key, None)
         else:
@@ -245,18 +251,21 @@ class ExactCorrelation:
     Each expectation is a sum over residual terms of products of per-variable
     factors E[H_k(x_v) x_v^e], read as ints from the basis's `power_table`
     over its scale D.  Residual coefficients are ints over their LCM L, and
-    the squared residual, squared in ints, is over L^2; each is cached per
-    partial on an integer key of its terms.
+    the squared residual, squared in ints, is over L^2; both are built once
+    per partial and cached together on an integer key of its terms.
 
     Detection reads signs only.  `detection` keys the partial once per scan
     and hands the scan an `_ExactScan` over its squared residual, whose every
     test is the sign of a Python-int sum: no Fraction is built and no
-    denominator is formed.  `corr_sq` and `corr_lin` stay the exact values
-    (for coefficients and as the tests' reference): they pad a product with
-    fewer than len(lhs) + width factors by powers of D, so every term is over
-    L * D^(len(lhs) + width), and return one reduced Fraction (a vanishing
-    one is a shared Fraction(0)) whose sign `positive` reads off its
-    numerator.
+    denominator is formed.  `_expectation` pads a product with fewer than
+    len(lhs) + width factors by powers of D, so every term is over
+    L * D^(len(lhs) + width), and returns the int numerator and that
+    denominator.  `corr_sq` and `corr_lin` (the exact values, for the tests'
+    reference) wrap them in one reduced Fraction, a vanishing one being a
+    shared Fraction(0), whose sign `positive` reads off its numerator.
+    `coefficient` runs on the cached integer residual and multiplies the
+    basis norms' numerators and denominators into that pair, so each
+    coefficient is one reduced Fraction.
     """
 
     sampled = False
@@ -267,10 +276,11 @@ class ExactCorrelation:
             raise UsageError("the basis belongs to another distribution")
         self.target = target
         self.basis = basis
-        self._squares = {}  # partial's terms -> integer squared residual
+        self._residuals = {}  # partial's terms -> (integer residual, square)
 
-    def _expectation(self, lhs: dict, terms) -> Fraction:
-        """E[prod_v H_{lhs[v]}(x_v) * sum(terms)], `terms` from _integer_terms."""
+    def _expectation(self, lhs: dict, terms) -> tuple:
+        """E[prod_v H_{lhs[v]}(x_v) * sum(terms)] as (numerator, denominator)
+        ints, the denominator positive; `terms` from _integer_terms."""
         den, width, top, rows = terms
         scale, table = self.basis.power_table(top)
         moments = table[0]
@@ -290,41 +300,50 @@ class ExactCorrelation:
                     prod *= moments[e]
                     pad -= 1
                 total += prod * scale ** pad
-        if not total:
-            return _ZERO
-        return Fraction(total, den * scale ** (len(lhs) + width))
+        return total, den * scale ** (len(lhs) + width)
 
-    def _square(self, partial: Polynomial):
+    def _residual(self, partial: Polynomial) -> tuple:
+        """(integer residual, its square) of target - partial, cached."""
         key = _terms_key(partial)
-        if key not in self._squares:
-            self._squares[key] = _square_terms(
-                _integer_terms(_residual_terms(self.target, partial)))
-        return self._squares[key]
+        cached = self._residuals.get(key)
+        if cached is None:
+            linear = _integer_terms(_residual_terms(self.target, partial))
+            cached = self._residuals[key] = (linear, _square_terms(linear))
+        return cached
+
+    def _fraction(self, lhs: dict, terms) -> Fraction:
+        num, den = self._expectation(lhs, terms)
+        return Fraction(num, den) if num else _ZERO
 
     def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
-        return self._expectation(lhs, self._square(partial))
+        return self._fraction(lhs, self._residual(partial)[1])
 
     def corr_lin(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)]."""
-        return self._expectation(
-            lhs, _integer_terms(_residual_terms(self.target, partial)))
+        return self._fraction(lhs, self._residual(partial)[0])
 
     def positive(self, value) -> bool:
         return value.numerator > 0
 
     def detection(self, partial: Polynomial, variables) -> _ExactScan:
         """The detection test of one scan over `variables` for `partial`."""
-        square = self._square(partial)
+        square = self._residual(partial)[1]
         scale, table = self.basis.power_table(square[2])
         return _ExactScan(square, scale, table, variables)
 
     def coefficient(self, g, partial: Polynomial) -> Fraction:
+        """corr_lin(g's exponents, partial) / prod_v n_{g_v}, built as one
+        reduced Fraction (the norms are positive)."""
         lhs = dict(term_key(g))
-        value = self.corr_lin(lhs, partial)
+        num, den = self._expectation(lhs, self._residual(partial)[0])
+        if not num:
+            return _ZERO
+        norms = self.basis.norms
         for k in lhs.values():
-            value /= self.basis.norms[k]
-        return value
+            num *= norms[k].denominator
+            den *= norms[k].numerator
+        return Fraction(num, den)
 
 
 class _ExactScan:
@@ -428,7 +447,8 @@ class SampledCorrelation:
     Every evaluation probes the features it touches; positivity uses the
     threshold tau, and coefficients are snapped to small rationals.  The
     residual of a partial is metered once on every example and evaluated
-    exactly per example by `ds.evaluate`, then rounded to float.
+    exactly at every example by `ds.evaluate_all`, which builds the
+    partial's integer weights once, then rounded to float.
     """
 
     sampled = True
@@ -447,8 +467,8 @@ class SampledCorrelation:
         ds = self.ds
         terms = partial.terms
         ds.meter(sorted({i for term in terms for i, _ in term}))
-        vals = np.array([float(ds.label(e) - ds.evaluate(e, terms))
-                         for e in range(ds.n_examples)])
+        vals = np.array([float(label - value) for label, value
+                         in zip(ds.labels, ds.evaluate_all(terms))])
         self._residuals[key] = vals
         return vals
 

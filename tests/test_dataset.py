@@ -269,6 +269,20 @@ def test_probe_bits_rows_out_of_range(rows, feature):
     assert ds.ledger.per_example_probes().tolist() == [0] * 4
 
 
+@pytest.mark.parametrize("kind", ["bool", "rational"])
+@pytest.mark.parametrize("rows", [[-1], [4], [0, 4], [2, -3]])
+def test_probe_rows_rows_out_of_range(kind, rows):
+    """A negative index must not wrap to example S - 1, nor S reach numpy's
+    IndexError: either is a UsageError that charges nothing."""
+    ds = small_bool(4, 3) if kind == "bool" else small_rational(4, 3)
+    with pytest.raises(UsageError, match="out of range"):
+        ds.probe_rows(np.array(rows), 1)
+    assert ds.ledger.total_probes == 0
+    assert ds.ledger.per_example_probes().tolist() == [0] * 4
+    assert ds.probe_rows(np.array([3, 0]), 1).shape == (2,)
+    assert ds.ledger.total_probes == 2
+
+
 def test_labels_and_peeks_are_free():
     ds = small_bool(3, 4)
     ds.label(0)
@@ -545,6 +559,20 @@ def test_evaluate_of_the_labeling_terms_is_the_label():
     assert [ds.evaluate(e, terms) for e in range(4)] == list(ds.labels)
     with pytest.raises(UsageError):
         small_bool().evaluate(0, terms)
+
+
+@pytest.mark.parametrize("terms", EVALUATE_TERMS)
+def test_evaluate_all_is_evaluate_at_every_example(terms):
+    ds = small_rational(6, 4)
+    got = ds.evaluate_all(terms)
+    assert got == [ds.evaluate(e, terms) for e in range(6)]
+    assert all(isinstance(v, Fraction) for v in got)
+    assert ds.ledger.total_probes == 0
+
+
+def test_evaluate_all_needs_a_rational_dataset():
+    with pytest.raises(UsageError):
+        small_bool().evaluate_all({(): Fraction(1)})
 
 
 # -- bool construction from bitsets ------------------------------------------

@@ -276,6 +276,55 @@ def test_rep_integer_lift_and_contains_match_fraction_reference():
     assert min(seen.values()) >= 20, seen
 
 
+def test_rep_lift_is_memoized_until_the_next_insert():
+    """Across a sequence of inserts, every lift matches `reference_lift` on
+    the representation of the moment; a pattern asked again before the
+    next insert is served from the memo, and after an insert every pattern
+    is worked out anew."""
+    rng = np.random.default_rng(53)
+    hits = misses = 0
+    for _ in range(12):
+        n = int(rng.integers(2, 10))
+        rep = RepresentationMatrix(n)
+        computed = []
+        scaled_lift = rep._scaled_lift
+        rep._scaled_lift = lambda g: computed.append(g) or scaled_lift(g)
+        while rep.k < min(n, 5):
+            col = rng.integers(0, 3, size=n)
+            if rep.contains(col):
+                continue
+            rep.insert(col)
+            asked = set()
+            w = rng.integers(-1, 3, size=rep.k)
+            g = sum(int(wj) * c for wj, c in zip(w, rep.columns))
+            patterns = [[int(g[r]) for r in rep.rows()],
+                        [int(v) for v in rng.integers(-2, 7, size=rep.k)]]
+            for _ in range(3):
+                for g_restricted in patterns:
+                    for d in (int(np.abs(g).sum()), int(np.abs(g).sum()) - 1):
+                        key = (tuple(g_restricted), d)
+                        before = len(computed)
+                        got, reason = rep.lift(g_restricted, d)
+                        assert (None if got is None else got.tolist(),
+                                reason) == reference_lift(rep, g_restricted, d)
+                        assert len(computed) - before == (key not in asked)
+                        hits += key in asked
+                        misses += key not in asked
+                        asked.add(key)
+    assert hits >= 100 and misses >= 50
+
+
+def test_rep_lift_returns_a_fresh_array_each_call():
+    rep = RepresentationMatrix(3)
+    rep.insert(vec(2, 1, 0))
+    rep.insert(vec(0, 1, 1))
+    g, _ = rep.lift([2, 3], 7)
+    g[:] = 9
+    again, reason = rep.lift([2, 3], 7)
+    assert reason is None and again.tolist() == [2, 3, 2]
+    assert again is not g
+
+
 def test_rep_contains_on_empty():
     rep = RepresentationMatrix(3)
     assert rep.contains(vec(0, 0, 0))

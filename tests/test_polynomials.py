@@ -55,6 +55,17 @@ def test_polynomial_terms_cancel():
     assert p == Polynomial(2)
 
 
+def test_add_term_keeps_a_fraction_coefficient_as_it_is():
+    p = Polynomial(2)
+    coeff = Fraction(-7, 3)
+    p.add_term(vec(1, 0), coeff)
+    assert p.terms[term_key(vec(1, 0))] is coeff
+    p.add_term(vec(0, 1), 2)  # anything else goes through Fraction()
+    assert type(p.terms[term_key(vec(0, 1))]) is Fraction
+    p.add_term(vec(1, 0), "7/3")
+    assert p.terms == {term_key(vec(0, 1)): 2}
+
+
 def test_polynomial_accessors():
     p = poly(3, (vec(2, 0, 0), 3), (vec(1, 1, 0), Fraction(-5, 2)))
     assert p.sparsity() == 2
@@ -259,6 +270,51 @@ def test_coefficient_identity_single_monomial():
     # <H_1(x0) H_1(x1), 3 x0 x1> = 3 n_1^2, so the coefficient drops out
     assert oracle.corr_lin({0: 1, 1: 1}, empty) == 3 * basis.norms[1] ** 2
     assert oracle.coefficient(vec(1, 1), empty) == 3
+
+
+def test_coefficient_matches_corr_lin_over_the_basis_norms():
+    """coefficient(g, partial) is corr_lin(g's exponents, partial) divided
+    by each basis norm n_{g_v}, on random targets and partials, partials
+    holding terms the target lacks, and monomials whose coefficient
+    vanishes."""
+    rng = np.random.default_rng(52)
+    pool = [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)]
+    basis = build_orthogonal_basis(DIST, 2)
+    seen = {"outside": 0, "zero": 0, "nonzero": 0}
+    for _ in range(12):
+        target = random_terms(rng, 3, int(rng.integers(1, 4)), pool)
+        oracle = ExactCorrelation(target, DIST, basis)
+        for partial in (Polynomial(3), random_terms(rng, 3, 2, pool), target):
+            seen["outside"] += any(key not in target.terms
+                                   for key in partial.terms)
+            for exps in itertools.product(range(3), repeat=3):
+                g = vec(*exps)
+                want = oracle.corr_lin(dict(term_key(g)), partial)
+                for k in exps:
+                    if k:
+                        want /= basis.norms[k]
+                got = oracle.coefficient(g, partial)
+                assert type(got) is Fraction and got == want
+                seen["zero" if got == 0 else "nonzero"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_coefficient_follows_partial_updates():
+    """The cached integer residual is keyed by the partial's current terms,
+    as the squared one is (test_corr_sq_follows_partial_updates)."""
+    basis = build_orthogonal_basis(DIST, 2)
+    target = poly(2, (vec(1, 1), 2), (vec(2, 0), -1))
+    cached = ExactCorrelation(target, DIST, basis)
+    partial = Polynomial(2)
+    assert cached.coefficient(vec(1, 1), partial) == 2
+    assert cached.coefficient(vec(2, 0), partial) == -1
+    partial.add_term(vec(1, 1), Fraction(1, 2))
+    after = cached.coefficient(vec(1, 1), partial)
+    fresh = ExactCorrelation(target, DIST, basis)
+    assert after == fresh.coefficient(vec(1, 1), partial) == Fraction(3, 2)
+    partial.add_term(vec(2, 0), -1)
+    assert cached.coefficient(vec(2, 0), partial) == 0
+    assert cached.coefficient(vec(1, 1), Polynomial(2)) == 2
 
 
 def test_detection_fires_at_the_top_power():
