@@ -24,9 +24,9 @@ Every block and key is optional; defaults in parentheses.  Run/sweep: stream
 (StreamSpec's fields), protocol and trials int >= 1 (1); STREAM_READS and
 PROTOCOL_READS name the keys each stream family and protocol kind reads.  A
 stream reads placement only when r >= 1, an overcomplete stream reads k only
-as the default k_cap of restart and combined, and a protocol with
-n_bootstrap reads no p_min or delta.  README's run-config table gives every
-key's type, default and readers.
+as the default k_cap of restart and combined, a protocol with
+n_bootstrap reads no p_min or delta, and one with slack reads no r.
+README's run-config table gives every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
             budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
@@ -196,6 +196,8 @@ def _checked_spec(config: dict) -> StreamSpec:
         stream_reads.discard("k")
     if "n_bootstrap" in proto:  # then p_min and delta give no count
         proto_reads -= {"p_min", "delta"}
+    if "slack" in proto:  # then combined derives no slack from r
+        proto_reads.discard("r")
     for what, block, reads in ((f"{family} stream", stream, stream_reads),
                                (f"{kind} protocol", proto, proto_reads)):
         if unread := sorted(set(block) - reads):

@@ -275,9 +275,10 @@ class CostlyDataset:
     def probe_rows(self, rows, feature: int) -> np.ndarray:
         """Read one feature on the examples `rows` (integer indices in
         [0, S)), one probe per fresh cell; rational cells come back as
-        float64.  An index out of range is a UsageError and charges
-        nothing."""
-        rows = np.asarray(rows)
+        float64.  An index out of range is a UsageError; it and an empty
+        read charge nothing."""
+        # numpy reads an empty list as float64, which indexes nothing
+        rows = np.asarray(rows) if len(rows) else np.zeros(0, dtype=np.intp)
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_examples):
             raise UsageError("rows name an example out of range")
         flags = np.zeros(self.n_examples, dtype=bool)
@@ -293,7 +294,10 @@ class CostlyDataset:
     def probe_bits(self, rows: int, features) -> list:
         """Read several features of a bool dataset on the examples of the
         bitset `rows` in one metered read: item j is the bitset of those
-        examples with features[j] set (one probe per fresh cell)."""
+        examples with features[j] set (one probe per fresh cell).  On a
+        rational dataset it is a UsageError and charges nothing."""
+        if self._cols is None:
+            raise UsageError("bit reads need a bool dataset")
         self.meter(features, rows)
         if self.n_examples <= 64:  # one word per column: index it directly
             words = self._cols
@@ -354,6 +358,8 @@ class CostlyDataset:
 
     def peek_bits(self, feature: int) -> int:
         """Unmetered bitset of the examples with the feature set."""
+        if self._cols is None:
+            raise UsageError("bit reads need a bool dataset")
         return column_bits(self._cols, self.n_examples, feature)
 
     def peek(self, example: int, feature: int):

@@ -183,6 +183,11 @@ class RepresentationMatrix:
             self._inv = inv
         return self._inv
 
+    @staticmethod
+    def _check_length(v, n: int, what: str) -> None:
+        if len(v) != n:
+            raise UsageError(f"{what} has length {len(v)}, expected {n}")
+
     def _scaled_lift(self, g_restricted) -> list:
         """den * F w for the w with F[I] w = g[I], in Python ints."""
         self._inverse()
@@ -192,10 +197,12 @@ class RepresentationMatrix:
 
     def solve(self, g_restricted) -> list:
         """w with F[I] w = g[I], exact Fractions."""
+        self._check_length(g_restricted, self.k, "pattern")
         return mat_vec(self._inverse(), [int(v) for v in g_restricted])
 
     def combine(self, w) -> list:
         """F w as a length-N Fraction vector."""
+        self._check_length(w, self.k, "weights")
         out = [Fraction(0)] * self.n_features
         for weight, col in zip(w, self.columns):
             if weight:
@@ -209,6 +216,7 @@ class RepresentationMatrix:
         (g, None) when natural of degree <= d, else (None, reason) with reason
         "non-natural-combination" or "degree".  The verdict is memoized until
         the next insert; each call returns a fresh array."""
+        self._check_length(g_restricted, self.k, "pattern")
         key = (tuple([int(v) for v in g_restricted]), d)
         hit = self._lifts.get(key)
         if hit is None:
@@ -227,6 +235,7 @@ class RepresentationMatrix:
         return g, None
 
     def contains(self, g) -> bool:
+        self._check_length(g, self.n_features, "column")
         if self.k == 0:
             return not np.any(np.asarray(g))
         scaled = self._scaled_lift([g[r] for r in self.rows()])
@@ -235,8 +244,6 @@ class RepresentationMatrix:
 
     def insert(self, g) -> None:
         g = np.asarray(g, dtype=np.int64)
-        if len(g) != self.n_features:
-            raise UsageError("column length does not match feature count")
         if self.contains(g):
             raise InternalError("column already spanned: verification false-pass")
         self.columns.append(g.copy())

@@ -128,14 +128,7 @@ MAX_TRIES = 64  # draws before a tree generator gives up
 
 
 def tree_vars(tree: Tree) -> set:
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.kind == INTERNAL:
-            out.add(node.var)
-            stack.extend((node.left, node.right))
-    return out
+    return {node.var for node, _ in tree.walk() if node.kind == INTERNAL}
 
 
 def sample_fragment(rng, pool, max_depth: int) -> Tree:
@@ -152,21 +145,17 @@ def sample_fragment(rng, pool, max_depth: int) -> Tree:
 
 
 def _sample_list_fragment(rng, pool, max_len: int):
-    """Random open decision-list segment; returns (tree, spine_end_path)."""
+    """Random open decision-list segment; returns (tree, spine_end_path).
+    It is built bottom-up from its spine's (variable, step) pairs: the child
+    a step takes continues the spine, the other is empty."""
     length = int(rng.integers(1, max_len + 1))
     order = list(rng.permutation(np.asarray(pool)))[:length]
-    path = []
-    for var in order:
-        path.append(int(rng.integers(2)))  # which child continues the spine
-    def build(i):
-        if i == len(order):
-            return Tree.empty()
-        side = path[i]
-        nxt = build(i + 1)
-        if side == 0:
-            return Tree.internal(int(order[i]), nxt, Tree.empty())
-        return Tree.internal(int(order[i]), Tree.empty(), nxt)
-    return build(0), tuple(path)
+    path = tuple(int(rng.integers(2)) for _ in order)
+    tree = Tree.empty()
+    for var, step in zip(reversed(order), reversed(path)):
+        children = (Tree.empty(), tree) if step else (tree, Tree.empty())
+        tree = Tree.internal(int(var), *children)
+    return tree, path
 
 
 def fill_labels(rng, tree: Tree) -> Tree:
@@ -323,27 +312,18 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
     """One example routed to every leaf of g, padded with uniform examples.
 
     All rows are drawn in one `coin_flips` call, which yields the same bits
-    as one draw per row.  Row i then takes the path bits of g's i-th
-    frontier node (left to right), written cell by cell.  The labels come
-    from routing the examples down g as bitsets: each internal node splits
-    its examples by its variable's column bitset.  The columns are packed
-    once and handed to the dataset with the label bitset, which it keeps
-    as they are, not the drawn matrix.  An example that reaches an empty
-    leaf raises UsageError."""
-    frontier = []  # ((var, bit), ...) of each frontier path, left to right
-
-    def walk(node, above):
-        if node.kind == INTERNAL:
-            walk(node.left, above + ((node.var, 0),))
-            walk(node.right, above + ((node.var, 1),))
-        else:
-            frontier.append(above)
-
-    walk(g, ())
+    as one draw per row.  Row i then takes the (variable, bit) pairs above
+    g's i-th frontier node in `Tree.walk` order, written cell by cell.  The
+    labels come from routing the examples down g as bitsets: each internal
+    node splits its examples by its variable's column bitset.  The columns
+    are packed once and handed to the dataset with the label bitset, which
+    it keeps as they are, not the drawn matrix.  An example that reaches an
+    empty leaf raises UsageError."""
+    frontier = [above for node, above in g.walk() if node.kind != INTERNAL]
     values = coin_flips(rng, (max(len(frontier), sample_size), n_features))
     cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
-    for row, path in enumerate(frontier):
-        for var, bit in path:
+    for row, above in enumerate(frontier):
+        for var, bit in above:
             cells[row * n_features + var] = bit
     columns = pack_columns(values)
     positive = 0

@@ -12,7 +12,8 @@ grower, `_grow`, that differs only in each node's candidate set.
 The grower holds each node's examples as a bitset (bit e = example e).  A
 node's purity test ANDs it with the label bitset, one `probe_bits` read
 returns each candidate's column on it, the gain counts with popcounts and
-the children are the chosen column and its complement in the node.
+the children are the chosen column and its complement in the node.  A
+node's position is the (variable, step) pairs of the splits above it.
 
 The grower keeps two traversal orders because each decides an output.  LFD
 and the baseline grow breadth-first: they stop at the first node that breaks
@@ -34,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError, ModelViolationError, RealizabilityError
-from .trees import INTERNAL, LEAF, PLUS, Tree
+from .trees import INTERNAL, LEAF, PLUS, Tree, steps
 # Not called here: perfbench/tracing.py wraps these names in this module.
 from .trees import conflict, induce  # noqa: F401
 
@@ -88,7 +89,8 @@ def _best_split(ds, gain, rows, labels, candidates):
 
 def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
     """The one top-down grower: split every mixed node on the best feature of
-    `candidates(root, path)` (ascending indices) until every node is a leaf.
+    `candidates(root, above)` (ascending indices) until every node is a leaf;
+    `above` holds the node's (variable, step) pairs, as in `Tree.walk`.
 
     Caps are checked when a node leaves the frontier: a node deeper than d,
     or any node once more than s splits exist, stops the grower, so the split
@@ -104,11 +106,10 @@ def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
     frontier = deque([(root, (), (1 << ds.n_examples) - 1)])
     take = frontier.pop if depth_first else frontier.popleft
     while frontier:
-        node, path, rows = take()
-        if len(path) > d:
-            return LfdResult(FAILED, root, failed_path=path, reason="depth")
-        if size > s:
-            return LfdResult(FAILED, root, failed_path=path, reason="size")
+        node, above, rows = take()
+        if len(above) > d or size > s:
+            return LfdResult(FAILED, root, failed_path=steps(above),
+                             reason="depth" if len(above) > d else "size")
         if not rows:
             node.kind, node.label = LEAF, PLUS
             continue
@@ -116,15 +117,16 @@ def _grow(ds, gain, d: int, s: int, candidates, depth_first: bool) -> LfdResult:
         if not labels or labels == rows:
             node.kind, node.label = LEAF, labels != 0
             continue
-        features = candidates(root, path)
+        features = candidates(root, above)
         if not features:
-            return LfdResult(FAILED, root, failed_path=path, reason="no-candidate")
+            return LfdResult(FAILED, root, failed_path=steps(above),
+                             reason="no-candidate")
         best_i, col = _best_split(ds, gain, rows, labels, features)
         node.kind, node.var = INTERNAL, best_i
         node.left, node.right = Tree.empty(), Tree.empty()
         size += 1
-        children = [(node.left, path + (0,), rows & ~col),
-                    (node.right, path + (1,), col)]
+        children = [(node.left, above + ((best_i, 0),), rows & ~col),
+                    (node.right, above + ((best_i, 1),), col)]
         frontier.extend(reversed(children) if depth_first else children)
     return LfdResult(LEARNED, root)
 
@@ -141,10 +143,10 @@ def learn_tree_scratch(ds, gain, d: int, s: int) -> Tree:
     """
     ds.probe_all()
 
-    def unused(root, path):
-        if len(path) >= d or root.size() >= s:
+    def unused(root, above):
+        if len(above) >= d or root.size() >= s:
             return []
-        used = root.path_vars(path)
+        used = {var for var, _ in above}
         return [i for i in range(ds.n_features) if i not in used]
 
     result = _grow(ds, gain, d, s, unused, depth_first=True)
@@ -170,27 +172,27 @@ def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
     removed, and only I is probed on the examples reaching u.  Fails when
     the depth/size caps break or no candidate remains.
 
-    The placements are advanced, not recomputed: `live[path]` holds the
+    The placements are advanced, not recomputed: `live[above]` holds the
     internal f-nodes that the placements alive at that node land on.  A
-    child keeps those of its parent whose variable is the parent's split,
-    steps each one toward itself, drops the ones that run off f, and adds
+    child keeps those of its parent whose variable is the split above[-1],
+    steps each one the same way, drops the ones that run off f, and adds
     every internal fragment root (the placements at w = u).  The node being
     grown is still empty, so nothing at u itself can clash.
     """
     roots = [f for f in rep if f.kind == INTERNAL]
     live = {}
 
-    def induced(root, path):
+    def induced(root, above):
         here = list(roots)
-        if path:
-            var, step = root.node_at(path[:-1]).var, path[-1]
-            for fnode in live[path[:-1]]:
+        if above:
+            var, step = above[-1]
+            for fnode in live[above[:-1]]:
                 if fnode.var == var:
                     child = fnode.right if step else fnode.left
                     if child.kind == INTERNAL:
                         here.append(child)
-        live[path] = here
-        return sorted({fnode.var for fnode in here} - root.path_vars(path))
+        live[above] = here
+        return sorted({fnode.var for fnode in here} - {v for v, _ in above})
 
     return _grow(ds, gain, d, s, induced, depth_first=False)
 
@@ -368,7 +370,7 @@ def naive_lfd_seen_features(ds, seen, gain, d: int, s: int) -> LfdResult:
     """
     seen = set(seen)
     return _grow(ds, gain, d, s,
-                 lambda root, path: sorted(seen - root.path_vars(path)),
+                 lambda root, above: sorted(seen - {v for v, _ in above}),
                  depth_first=False)
 
 

@@ -3,7 +3,8 @@
 A tree node is internal (splits on a variable), a labeled leaf, or an *empty*
 leaf — a hole where the tree may still grow.  Trees grow by two moves: graft
 a subtree at an empty leaf, or label an empty leaf.  No variable may repeat
-on a root-to-leaf path.
+on a root-to-leaf path.  `Tree.walk` yields each node with the (variable,
+step) pairs above it, a leaf's region; the shape queries filter that walk.
 
 The heart of representation reuse is superimposition: place the root of a
 stored fragment f at a node w of a partially grown tree and slide it down the
@@ -35,6 +36,7 @@ class Tree:
     """One node of a possibly-incomplete binary decision tree.
 
     Left child is taken on feature value 0, right child on value 1.
+    `depth` and `size` recurse: over `walk`, `size` runs several times slower.
     """
 
     __slots__ = ("kind", "var", "label", "left", "right")
@@ -84,49 +86,28 @@ class Tree:
             node = node.right if step else node.left
         return node
 
-    def path_vars(self, path) -> set:
-        """Variables assigned at internal nodes strictly above `path`'s end,
-        plus at the end itself when it is internal."""
-        out = set()
-        node = self
-        for step in path:
-            if node.kind != INTERNAL:
-                raise UsageError(f"path {path} leaves the tree")
-            out.add(node.var)
-            node = node.right if step else node.left
-        if node.kind == INTERNAL:
-            out.add(node.var)
-        return out
+    def walk(self):
+        """Every node in pre-order, left child first, as (node, above):
+        `above` is the tuple of (variable, step) pairs of the internal nodes
+        on the way down from the root, step 0 for the left child."""
+        stack = [(self, ())]
+        while stack:
+            node, above = stack.pop()
+            yield node, above
+            if node.kind == INTERNAL:
+                stack.append((node.right, above + ((node.var, 1),)))
+                stack.append((node.left, above + ((node.var, 0),)))
 
     def empty_slots(self) -> list:
         """(path, variables assigned above it) of every empty leaf,
         left-to-right; paths are tuples of 0/1."""
-        found = []
-
-        def walk(node, path, used):
-            if node.kind == EMPTY:
-                found.append((path, used))
-            elif node.kind == INTERNAL:
-                used = used | {node.var}
-                walk(node.left, path + (0,), used)
-                walk(node.right, path + (1,), used)
-
-        walk(self, (), frozenset())
-        return found
+        return [(steps(above), frozenset(var for var, _ in above))
+                for node, above in self.walk() if node.kind == EMPTY]
 
     def frontier_paths(self) -> list:
         """Paths of all leaf and empty nodes, left-to-right."""
-        found = []
-
-        def walk(node, path):
-            if node.kind == INTERNAL:
-                walk(node.left, path + (0,))
-                walk(node.right, path + (1,))
-            else:
-                found.append(path)
-
-        walk(self, ())
-        return found
+        return [steps(above) for node, above in self.walk()
+                if node.kind != INTERNAL]
 
     def graft(self, f2: "Tree") -> None:
         """Turn this empty leaf into a copy of f2, in place.
@@ -199,18 +180,15 @@ class Tree:
 # -- path checks -----------------------------------------------------------
 
 
+def steps(above) -> tuple:
+    """The root path, a tuple of 0/1 steps, of the `walk` pairs `above`."""
+    return tuple(step for _, step in above)
+
+
 def path_repeats_var(tree: Tree) -> bool:
     """True iff some variable repeats on a root-to-leaf path."""
-
-    def walk(node, seen):
-        if node.kind != INTERNAL:
-            return False
-        if node.var in seen:
-            return True
-        seen = seen | {node.var}
-        return walk(node.left, seen) or walk(node.right, seen)
-
-    return walk(tree, set())
+    return any(node.var in {var for var, _ in above}
+               for node, above in tree.walk() if node.kind == INTERNAL)
 
 
 # -- superimposition -------------------------------------------------------

@@ -315,9 +315,11 @@ def dead_keys(family, kind):
     """(stream, protocol) keys that the table rows read but that another key
     of the full config leaves unread: K1 x K2 sizes an overcomplete
     dictionary and k_cap (where the kind reads it) replaces k; n_bootstrap
-    replaces p_min and delta."""
+    replaces p_min and delta; slack replaces the one combined derives from
+    r."""
     return ({"k"} if family == "overcomplete" else set(),
-            {"p_min", "delta"} if kind == "bootstrap" else set())
+            {"p_min", "delta"} if kind == "bootstrap"
+            else {"r"} if kind == "combined" else set())
 
 
 def full_config(family, kind):
@@ -391,6 +393,12 @@ UNREAD_CASES = {
                          "the restart protocol does not read ['delta']"),
     "r-on-restart": ("run", with_protocol(RESTART_CONFIG, r=1), [],
                      "the restart protocol does not read ['r']"),
+    # an explicit slack replaces the one combined derives from r; this ran
+    # to the report of the config without r
+    "r-slack-on-combined": (
+        "run", dict(with_stream(r=1),
+                    protocol={"kind": "combined", "slack": 1, "r": 5}), [],
+        "the combined protocol does not read ['r']"),
     "sweep-r-polynomial": (
         "sweep", {"stream": {"family": "polynomial"}},
         ["--axis", "r", "--values", "0"],

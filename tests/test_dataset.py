@@ -283,6 +283,38 @@ def test_probe_rows_rows_out_of_range(kind, rows):
     assert ds.ledger.total_probes == 2
 
 
+@pytest.mark.parametrize("kind", ["bool", "rational"])
+@pytest.mark.parametrize("rows", [[], (), np.array([])],
+                         ids=["list", "tuple", "array"])
+def test_probe_rows_on_no_examples_is_an_empty_free_read(kind, rows):
+    """An empty index list (a float64 array once numpy reads it) gives an
+    empty column of the dataset's kind and charges nothing; a bad feature is
+    still a UsageError, and charges nothing either."""
+    ds = small_bool(4, 3) if kind == "bool" else small_rational(4, 3)
+    ds.probe_rows([0], 1)
+    column = ds.probe_rows(rows, 2)
+    assert column.shape == (0,)
+    assert column.dtype == (np.uint8 if kind == "bool" else np.float64)
+    assert ds.ledger.total_probes == 1
+    with pytest.raises(UsageError, match="out of range"):
+        ds.probe_rows(rows, 3)
+    assert ds.ledger.total_probes == 1
+
+
+@pytest.mark.parametrize("read", [lambda ds: ds.probe_bits(0b11, [0, 1]),
+                                  lambda ds: ds.peek_bits(0)],
+                         ids=["probe_bits", "peek_bits"])
+def test_bit_reads_on_rational_data_are_usage_errors(read):
+    """A rational dataset has no bitsets: a bit read is a UsageError raised
+    before the ledger records anything."""
+    ds = small_rational(2, 2)
+    ds.probe_rows([0], 1)
+    with pytest.raises(UsageError, match="bool dataset"):
+        read(ds)
+    assert ds.ledger.total_probes == 1
+    assert ds.ledger.per_example_probes().tolist() == [1, 0]
+
+
 def test_labels_and_peeks_are_free():
     ds = small_bool(3, 4)
     ds.label(0)

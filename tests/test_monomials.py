@@ -325,6 +325,27 @@ def test_rep_lift_returns_a_fresh_array_each_call():
     assert again is not g
 
 
+def test_rep_wrong_length_vectors_are_usage_errors():
+    """Patterns and weights have k entries and columns N, at every entry
+    point; a wrong length is a UsageError, and no lift verdict is kept."""
+    rep = RepresentationMatrix(3)
+    rep.insert(vec(2, 1, 0))
+    rep.insert(vec(0, 1, 1))
+    calls = [lambda: rep.lift([2, 3, 5], 7), lambda: rep.lift([2], 7),
+             lambda: rep.solve([2]), lambda: rep.solve([2, 3, 5]),
+             lambda: rep.contains([2, 1]), lambda: rep.contains([2, 1, 0, 9]),
+             lambda: rep.combine([1]), lambda: rep.combine([1, 2, 3]),
+             lambda: rep.insert([1, 0])]
+    for call in calls:
+        with pytest.raises(UsageError, match="length"):
+            call()
+    assert rep._lifts == {} and rep.k == 2
+    empty = RepresentationMatrix(3)
+    for g in ([0, 0], [0, 0, 0, 0]):
+        with pytest.raises(UsageError, match="length"):
+            empty.contains(g)
+
+
 def test_rep_contains_on_empty():
     rep = RepresentationMatrix(3)
     assert rep.contains(vec(0, 0, 0))

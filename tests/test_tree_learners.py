@@ -14,6 +14,7 @@ from probelearn import (CostlyDataset, InfoGain, InternalError,
                         learn_tree_scratch, lfd_tree, naive_lfd_seen_features,
                         sample_fragment, tree_learners, tree_vars)
 from probelearn.tree_learners import LfdResult
+from probelearn.trees import steps
 
 E = Tree.empty
 L = Tree.leaf
@@ -374,7 +375,8 @@ def reference_candidates(rep):
     """The placement-by-placement candidate sets `lfd_tree` advances node to
     node: every fragment at every node w on u's root path, through
     `conflict` and `induce`."""
-    def induced(root, path):
+    def induced(root, above):
+        path, used = steps(above), {var for var, _ in above}
         found = set()
         for f in rep:
             for wlen in range(len(path) + 1):
@@ -383,7 +385,7 @@ def reference_candidates(rep):
                     var = induce(root, w, path, f)
                     if var is not None:
                         found.add(var)
-        return sorted(found - root.path_vars(path))
+        return sorted(found - used)
     return induced
 
 

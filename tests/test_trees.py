@@ -6,7 +6,9 @@ import pytest
 from probelearn import (CostlyDataset, InfoGain, OracleMisuseError, StreamSpec,
                         TeacherGain, Tree, UsageError, binary_entropy,
                         conflict, gen_tree_stream, induce, info_gain,
-                        member_of_dt, path_repeats_var)
+                        leaf_cover_dataset, member_of_dt, path_repeats_var,
+                        tree_vars)
+from probelearn.streams import coin_flips
 
 E = Tree.empty
 L = Tree.leaf
@@ -49,6 +51,131 @@ def test_structural_equality_and_copy():
     c = a.copy()
     c.left.label = False
     assert a.left.label is True  # deep copy
+
+
+# -- the walk and the shape queries over it ---------------------------------
+
+
+def test_walk_of_a_lone_leaf_or_empty_node():
+    for t in (L(True), L(False), E()):
+        [(node, above)] = t.walk()
+        assert node is t and above == ()
+
+
+def test_walk_is_pre_order_left_first_with_the_pairs_above():
+    t = I(3, I(5, L(True), E()), I(1, E(), I(0, L(False), L(True))))
+    want = [(t, ()),
+            (t.left, ((3, 0),)),
+            (t.left.left, ((3, 0), (5, 0))),
+            (t.left.right, ((3, 0), (5, 1))),
+            (t.right, ((3, 1),)),
+            (t.right.left, ((3, 1), (1, 0))),
+            (t.right.right, ((3, 1), (1, 1))),
+            (t.right.right.left, ((3, 1), (1, 1), (0, 0))),
+            (t.right.right.right, ((3, 1), (1, 1), (0, 1)))]
+    got = list(t.walk())
+    assert len(got) == len(want) == 2 * t.size() + 1
+    for (node, above), (want_node, want_above) in zip(got, want):
+        assert node is want_node and above == want_above
+    # each above names its node: the steps lead there from the root
+    for node, above in got:
+        assert t.node_at(tuple(step for _, step in above)) is node
+
+
+# The recursive definitions the walk-based queries replaced, kept as
+# references.
+
+def recursive_empty_slots(tree):
+    found = []
+
+    def walk(node, path, used):
+        if node.kind == "empty":
+            found.append((path, used))
+        elif node.kind == "internal":
+            used = used | {node.var}
+            walk(node.left, path + (0,), used)
+            walk(node.right, path + (1,), used)
+
+    walk(tree, (), frozenset())
+    return found
+
+
+def recursive_frontier(tree):
+    """((var, bit), ...) of every leaf and empty node, left to right."""
+    if tree.kind != "internal":
+        return [()]
+    return ([((tree.var, 0),) + p for p in recursive_frontier(tree.left)]
+            + [((tree.var, 1),) + p for p in recursive_frontier(tree.right)])
+
+
+def recursive_path_repeats_var(tree, seen=frozenset()):
+    if tree.kind != "internal":
+        return False
+    if tree.var in seen:
+        return True
+    seen = seen | {tree.var}
+    return (recursive_path_repeats_var(tree.left, seen)
+            or recursive_path_repeats_var(tree.right, seen))
+
+
+def recursive_tree_vars(tree):
+    if tree.kind != "internal":
+        return set()
+    return ({tree.var} | recursive_tree_vars(tree.left)
+            | recursive_tree_vars(tree.right))
+
+
+def redrawn(rng, tree, pool):
+    """A copy of `tree` with every variable redrawn from a small pool, so
+    that variables repeat on some paths."""
+    if tree.kind != "internal":
+        return tree.copy()
+    return I(int(rng.choice(pool)), redrawn(rng, tree.left, pool),
+             redrawn(rng, tree.right, pool))
+
+
+SHAPE_STREAMS = [
+    dict(family="tree", n_features=14, k=3, mf_depth=3),
+    dict(family="list", n_features=14, k=3, mf_depth=3),
+    dict(family="anchor", n_features=14, k=3, mf_depth=2),
+    dict(family="overcomplete", n_features=14, k=4, mf_depth=2, k1=2, k2=2),
+]
+
+
+@pytest.mark.parametrize("kw", SHAPE_STREAMS, ids=lambda kw: kw["family"])
+def test_walk_based_shape_queries_match_the_recursive_ones(kw):
+    """On the dictionaries and targets of seeded streams, and on copies
+    with variables redrawn, the shape queries over `walk` and the frontier
+    that `leaf_cover_dataset` covers equal the recursive definitions."""
+    repeats, slots = set(), 0
+    for seed in range(3):
+        spec = StreamSpec(d=5, s=11, m=6, sample_size=8, seed=seed,
+                          **kw).validate()
+        tasks, dictionary = gen_tree_stream(spec)
+        rng = np.random.default_rng(seed)
+        trees = list(dictionary) + [task.target for task in tasks]
+        trees += [redrawn(rng, t, [0, 1, 2]) for t in trees]
+        for t in trees:
+            frontier = recursive_frontier(t)
+            assert t.empty_slots() == recursive_empty_slots(t)
+            assert t.frontier_paths() == [tuple(b for _, b in p)
+                                          for p in frontier]
+            assert tree_vars(t) == recursive_tree_vars(t)
+            assert path_repeats_var(t) == recursive_path_repeats_var(t)
+            repeats.add(path_repeats_var(t))
+            slots += len(t.empty_slots())
+        for k, task in enumerate(tasks):
+            g, n = task.target, spec.n_features
+            ds = leaf_cover_dataset(np.random.default_rng(k), g, n, 4)
+            frontier = recursive_frontier(g)
+            values = coin_flips(np.random.default_rng(k),
+                                (max(len(frontier), 4), n))
+            for row, path in zip(values, frontier):
+                for var, bit in path:
+                    row[var] = bit
+            assert (ds.peek_all() == values).all()
+            assert ds.labels.tolist() == [g.predict(r) for r in values]
+    assert repeats == {True, False} and slots
 
 
 # -- graft -----------------------------------------------------------
