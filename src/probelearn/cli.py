@@ -33,7 +33,8 @@ Adversary: seed int >= 0 (0)
             n_prime]), learners [scan|uniform|exhaustive] ([scan, uniform])
   regime    (none: no regime stream) name (realizable): realizable|
             intermediate|large1|large2; ints >= 1: n_features (20), k (3),
-            sample_size (4); ints >= 0: m (30), r (0)
+            sample_size (4); ints >= 0: m (30; >= 1 on intermediate and
+            large2), r (0)
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .streams import (FAMILIES, GAME_LEARNERS, REGIMES, STREAM_READS,
                       TREE_FAMILIES, StreamSpec, game_failure_bound,
                       gen_adversary_stream, gen_agnostic_stream,
                       gen_monomial_stream, gen_poly_stream, gen_tree_stream,
-                      play_single_feature_game)
+                      pcg64_trial_states, play_single_feature_game)
 from .tree_learners import bootstrap_count
 
 SWEEP_FIELDS = ["schema_version", "axis", "value", "trial", "family",
@@ -373,16 +374,16 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool, axis: str,
 
 def _game_failures(seed: int, n_prime: int, budget: int, trials: int,
                    s: int, learners) -> list:
-    """Lost games of each learner at one budget.  Game t seeds one PCG64
-    with (seed, t, budget), and every learner plays it from that start
-    state, restored between learners."""
+    """Lost games of each learner at one budget.  Game t plays from the
+    start state of `np.random.PCG64((seed, t, budget))`, all of which
+    `pcg64_trial_states` computes in one pass, and every learner plays it
+    from that state on one reused generator."""
     failures = [0] * len(learners)
-    for t in range(trials):
-        bitgen = np.random.PCG64((seed, t, budget))
-        rng, start = np.random.Generator(bitgen), bitgen.state
+    bitgen = np.random.PCG64()  # each game sets its state
+    rng = np.random.Generator(bitgen)
+    for start in pcg64_trial_states(seed, trials, budget):
         for i, learner in enumerate(learners):
-            if i:
-                bitgen.state = start
+            bitgen.state = start
             if not play_single_feature_game(rng, n_prime, budget,
                                             s=s, learner=learner).win:
                 failures[i] += 1

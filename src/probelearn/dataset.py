@@ -275,10 +275,13 @@ class CostlyDataset:
     def probe_rows(self, rows, feature: int) -> np.ndarray:
         """Read one feature on the examples `rows` (integer indices in
         [0, S)), one probe per fresh cell; rational cells come back as
-        float64.  An index out of range is a UsageError; it and an empty
-        read charge nothing."""
+        float64.  An index that is not an integer (a bool would read as a
+        mask) or is out of range is a UsageError; it and an empty read
+        charge nothing."""
         # numpy reads an empty list as float64, which indexes nothing
         rows = np.asarray(rows) if len(rows) else np.zeros(0, dtype=np.intp)
+        if rows.dtype.kind not in "iu":
+            raise UsageError(f"rows must be integer indices, got {rows.dtype}")
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_examples):
             raise UsageError("rows name an example out of range")
         flags = np.zeros(self.n_examples, dtype=bool)

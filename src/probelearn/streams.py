@@ -308,6 +308,79 @@ def coin_flips(rng, shape) -> np.ndarray:
     return out.reshape(shape)
 
 
+# numpy's SeedSequence hash constants (a pool of four 32-bit words) and
+# PCG64's 128-bit LCG multiplier, from numpy's bit_generator and pcg64
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = (0x43B0D7E5, 0x931E8875, 0x8B51F9DD,
+                                      0x58F38DED)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative int as the little-endian uint32 words numpy's
+    SeedSequence reads it as (0 is one word)."""
+    if n < 0:
+        raise UsageError(f"a seed word must be >= 0, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def pcg64_trial_states(seed: int, trials: int, budget: int) -> list:
+    """For t in range(trials), the `.state` dict that
+    `np.random.PCG64((seed, t, budget))` starts from, in one pass.
+
+    SeedSequence hashes the entropy words (seed's, then t's, then budget's)
+    into a pool of four uint32 words and draws four uint64 words from it;
+    here every step runs on uint32 arrays over all t at once, wrapping as
+    numpy's does.  PCG64 then seeds its 128-bit LCG from those words
+    (state = initstate + inc, stepped once) in Python ints."""
+    if not 0 <= trials <= 1 << 32:
+        raise UsageError("trials must lie in [0, 2^32], one word per trial")
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return out ^ (out >> np.uint32(16))
+
+    entropy = ([np.full(trials, w, np.uint32) for w in _uint32_words(seed)]
+               + [np.arange(trials, dtype=np.uint32)]
+               + [np.full(trials, w, np.uint32) for w in _uint32_words(budget)])
+    pool = [hashmix(entropy[i] if i < len(entropy)
+                    else np.zeros(trials, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, halves = _INIT_B, []
+    for i in range(8):  # generate_state(4, uint64): the pool twice round
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        halves.append(value ^ (value >> np.uint32(16)))
+    words = np.stack(halves, axis=1).astype("<u4").view("<u8").tolist()
+    states = []
+    for hi, lo, inc_hi, inc_lo in words:
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((hi << 64 | lo) + inc) * _PCG_MULT + inc & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> CostlyDataset:
     """One example routed to every leaf of g, padded with uniform examples.
 
@@ -635,6 +708,8 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
         return tasks, feats
 
     if regime in ("intermediate", "large2"):
+        if m < 1:
+            raise UsageError(f"regime {regime} requires m >= 1")
         r_min = adversary_r_min(n_features, k, m)
         if r < r_min:
             raise UsageError(f"regime {regime} requires r >= {r_min}")
@@ -672,44 +747,54 @@ class GameResult:
     probes_used: int
 
 
-def _probe_in_order(probe, order, s, budget):
-    """Probe the features of `order` in turn, each on all S examples, while
-    the budget covers S more probes; -> (the feature that hit or None, the
-    number of features probed)."""
-    for k, i in enumerate(order):
-        if (k + 1) * s > budget:
-            return None, k
-        for e in range(s):
-            if probe(e, i) != 1:
-                break
-        else:
-            return i, k + 1
-    return None, len(order)
+class _Referee:
+    """The probe meter of one game, whose cell (e, j) is 1 iff j = i*.
+
+    Its one read probes the features of an order one after another, each
+    on examples 0, 1, ... until a cell reads 0: a miss costs one probe (its
+    example 0 reads 0) and i* costs S.  The probe that takes `used` past
+    the budget forfeits the game, with `used` = budget + 1."""
+
+    def __init__(self, i_star: int, s: int, budget: int):
+        self.i_star, self.s, self.budget, self.used = i_star, s, budget, 0
+
+    def read(self, order, limit: int):
+        """Probe `order` (every feature once: a range or a permutation
+        list) feature by feature, on at most `limit` features, stopping at
+        the first whose S cells are all 1; -> (that feature or None, the
+        number of features read)."""
+        at = order.index(self.i_star)  # O(1) on a range
+        hit, read, cost = ((self.i_star, at + 1, at + self.s) if at < limit
+                           else (None, limit, limit))
+        self.used += cost
+        if self.used > self.budget:
+            self.used = self.budget + 1
+            raise _Forfeit
+        return hit, read
 
 
-def _scan_learner(rng, probe, n_prime, s, budget):
+def _scan_learner(rng, referee, n_prime, s, budget):
     """Probe features in order until the budget runs out, then guess."""
-    hit, k = _probe_in_order(probe, range(n_prime), s, budget)
+    hit, k = referee.read(range(n_prime), budget // s)
     if hit is not None:
         return hit
     rest = range(k, n_prime)  # the unprobed features
     return rest[int(rng.integers(len(rest)))] if rest else 0
 
 
-def _uniform_learner(rng, probe, n_prime, s, budget):
+def _uniform_learner(rng, referee, n_prime, s, budget):
     """Probe uniformly random features without replacement, then guess."""
     order = rng.permutation(n_prime).tolist()
-    hit, k = _probe_in_order(probe, order, s, budget)
+    hit, k = referee.read(order, budget // s)
     if hit is not None:
         return hit
-    rest = order[k:]  # the unprobed features
-    return rest[0] if rest else 0
+    return order[k] if k < n_prime else 0  # the first unprobed feature
 
 
-def _exhaustive_learner(rng, probe, n_prime, s, budget):
-    """Ignores the budget: probes everything (forfeits unless B = S*N')."""
-    hit, _ = _probe_in_order(probe, range(n_prime), s, math.inf)
-    return 0 if hit is None else hit
+def _exhaustive_learner(rng, referee, n_prime, s, budget):
+    """Ignores the budget: probes features in order until i* (forfeits
+    when i* sits past the budget)."""
+    return referee.read(range(n_prime), n_prime)[0]
 
 
 GAME_LEARNERS = {
@@ -724,27 +809,24 @@ def play_single_feature_game(rng, n_prime: int, budget: int, s: int = 1,
     """Needle in a haystack: cell (e, j) is 1 iff j = i*, labels are all +.
 
     The learner adaptively probes at most `budget` cells, then names a
-    feature; it wins iff it names i*.  Exceeding the budget forfeits.
+    feature; it wins iff it names i*.  Exceeding the budget forfeits.  The
+    learner probes through one `_Referee.read` of an order of the features,
+    up to its own stopping rule, and charges what a cell-by-cell read
+    would: the same result, probes and draws.
     """
     if learner not in GAME_LEARNERS:
         raise UsageError(f"unknown game learner {learner!r}")
+    if n_prime < 1 or s < 1:
+        raise UsageError("a game needs N' >= 1 features and S >= 1 examples")
     if budget < 0 or budget > s * n_prime:
         raise UsageError("budget must lie in [0, S*N']")
     i_star = int(rng.integers(n_prime))
-    used = 0
-
-    def probe(e, i):
-        nonlocal used
-        used += 1
-        if used > budget:
-            raise _Forfeit
-        return 1 if i == i_star else 0
-
+    referee = _Referee(i_star, s, budget)
     try:
-        named = int(GAME_LEARNERS[learner](rng, probe, n_prime, s, budget))
+        named = int(GAME_LEARNERS[learner](rng, referee, n_prime, s, budget))
     except _Forfeit:
-        return GameResult(False, True, i_star, -1, used)
-    return GameResult(named == i_star, False, i_star, named, used)
+        return GameResult(False, True, i_star, -1, referee.used)
+    return GameResult(named == i_star, False, i_star, named, referee.used)
 
 
 def game_failure_bound(n_prime: int, budget: int) -> float:

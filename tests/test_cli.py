@@ -673,3 +673,12 @@ def test_adversary_reports_do_not_depend_on_jobs(tmp_path):
         outs.append(out)
     for name in ("adversary.csv", "regime.csv", "adversary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["intermediate", "large2"])
+def test_zero_task_regimes_exit_2(tmp_path, capsys, monkeypatch, name):
+    """r_min divides by m, so an intermediate or large2 regime with no tasks
+    is a usage error raised before any game, not a ZeroDivisionError."""
+    cfg = {"game": GAME, "regime": dict(REGIME, name=name, m=0, r=5)}
+    line = usage_error(tmp_path, capsys, monkeypatch, "adversary", cfg)
+    assert "m >= 1" in line

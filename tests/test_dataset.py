@@ -653,3 +653,21 @@ def test_padded_validation(pad):
         small_bool(3, 2).padded(pad)
     with pytest.raises(UsageError):
         small_rational(3, 2).padded(np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("kind", ["bool", "rational"])
+@pytest.mark.parametrize("rows", [[1.0], ["0"], [True, False],
+                                  np.array([0.0, 1.0]), [Fraction(1)]],
+                         ids=["float", "string", "bools", "float-array",
+                              "fraction"])
+def test_probe_rows_rejects_indices_that_are_not_integers(kind, rows):
+    """A float, string or Fraction index must not reach numpy's IndexError
+    or UFuncTypeError, nor a list of bools be read as a mask that charges
+    example 0 alone: each is a UsageError that charges nothing."""
+    ds = small_bool(2, 3) if kind == "bool" else small_rational(2, 3)
+    with pytest.raises(UsageError, match="integer indices"):
+        ds.probe_rows(rows, 1)
+    assert ds.ledger.total_probes == 0
+    assert ds.ledger.per_example_probes().tolist() == [0, 0]
+    assert ds.probe_rows([1, 0], 1).shape == (2,)
+    assert ds.ledger.total_probes == 2

@@ -20,6 +20,8 @@ from probelearn.streams import (MAX_TRIES, P_MORE, _Composer, _grid_dataset,
                                 _overcomplete_dictionary, _sample_dictionary,
                                 coin_flips)
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
+from probelearn.cli import _game_failures
+from probelearn.streams import pcg64_trial_states
 
 
 def spec(**kw):
@@ -732,3 +734,141 @@ def test_game_failure_bound_values():
     assert game_failure_bound(100, 25) == 0.74
     assert game_failure_bound(100, 99) == 0.0
     assert game_failure_bound(10, 20) == 0.0  # clipped
+
+
+# -- the game against its per-cell reference --------------------------------
+
+class _RefForfeit(Exception):
+    pass
+
+
+def _ref_probe_in_order(probe, order, s, budget):
+    """The per-cell reference read: each feature of `order` in turn, on all
+    S examples, while the budget covers S more probes."""
+    for k, i in enumerate(order):
+        if (k + 1) * s > budget:
+            return None, k
+        for e in range(s):
+            if probe(e, i) != 1:
+                break
+        else:
+            return i, k + 1
+    return None, len(order)
+
+
+def _ref_scan(rng, probe, n_prime, s, budget):
+    hit, k = _ref_probe_in_order(probe, range(n_prime), s, budget)
+    if hit is not None:
+        return hit
+    rest = range(k, n_prime)
+    return rest[int(rng.integers(len(rest)))] if rest else 0
+
+
+def _ref_uniform(rng, probe, n_prime, s, budget):
+    order = rng.permutation(n_prime).tolist()
+    hit, k = _ref_probe_in_order(probe, order, s, budget)
+    if hit is not None:
+        return hit
+    rest = order[k:]
+    return rest[0] if rest else 0
+
+
+def _ref_exhaustive(rng, probe, n_prime, s, budget):
+    hit, _ = _ref_probe_in_order(probe, range(n_prime), s, float("inf"))
+    return 0 if hit is None else hit
+
+
+REF_LEARNERS = {"scan": _ref_scan, "uniform": _ref_uniform,
+                "exhaustive": _ref_exhaustive}
+
+
+def reference_game(rng, n_prime, budget, s, learner):
+    """The game with one probe closure call per cell."""
+    i_star = int(rng.integers(n_prime))
+    used = 0
+
+    def probe(e, i):
+        nonlocal used
+        used += 1
+        if used > budget:
+            raise _RefForfeit
+        return 1 if i == i_star else 0
+
+    try:
+        named = int(REF_LEARNERS[learner](rng, probe, n_prime, s, budget))
+    except _RefForfeit:
+        return GameResult(False, True, i_star, -1, used)
+    return GameResult(named == i_star, False, i_star, named, used)
+
+
+@pytest.mark.parametrize("learner", sorted(REF_LEARNERS))
+@pytest.mark.parametrize("n_prime", [1, 2, 3, 8, 17, 100])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_game_matches_the_per_cell_reference(learner, n_prime, s):
+    """At every budget in [0, S*N'], the referee's one read gives the
+    per-cell game's result (win, forfeit, i*, named feature, probes used)
+    and leaves the generator in the same whole state."""
+    for budget in range(s * n_prime + 1):
+        for seed in range(4):
+            got_rng, want_rng = (np.random.default_rng((seed, budget, 7))
+                                 for _ in range(2))
+            got = play_single_feature_game(got_rng, n_prime, budget, s=s,
+                                           learner=learner)
+            want = reference_game(want_rng, n_prime, budget, s, learner)
+            assert got == want, (budget, seed)
+            assert (got_rng.bit_generator.state
+                    == want_rng.bit_generator.state), (budget, seed)
+
+
+@pytest.mark.parametrize("n_prime, s", [(0, 1), (-3, 1), (5, 0), (5, -1)])
+def test_game_needs_a_feature_and_an_example(n_prime, s):
+    """N' < 1 must not reach numpy's `high <= 0`, nor S < 1 play an empty
+    game that hits feature 0 with no probes: both are UsageErrors raised
+    before any draw."""
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(UsageError, match="N' >= 1"):
+        play_single_feature_game(rng, n_prime, 0, s=s)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**30])
+@pytest.mark.parametrize("budget", [0, 1, 25, 2**32])
+def test_pcg64_trial_states_match_numpy_seeding(seed, budget):
+    """Each start state is the whole `.state` dict numpy's own seeding of
+    PCG64((seed, t, budget)) gives, multi-word seeds and budgets included."""
+    got = pcg64_trial_states(seed, 64, budget)
+    assert got == [np.random.PCG64((seed, t, budget)).state
+                   for t in range(64)]
+
+
+def test_pcg64_trial_states_bounds():
+    assert pcg64_trial_states(3, 0, 5) == []
+    with pytest.raises(UsageError):
+        pcg64_trial_states(-1, 4, 5)
+    with pytest.raises(UsageError):
+        pcg64_trial_states(0, 4, -5)
+    with pytest.raises(UsageError):  # refused before allocating anything
+        pcg64_trial_states(0, (1 << 32) + 1, 5)
+
+
+def reference_game_failures(seed, n_prime, budget, trials, s, learners):
+    """One freshly seeded PCG64 per game and learner."""
+    failures = [0] * len(learners)
+    for t in range(trials):
+        for i, learner in enumerate(learners):
+            rng = np.random.Generator(np.random.PCG64((seed, t, budget)))
+            if not play_single_feature_game(rng, n_prime, budget, s=s,
+                                            learner=learner).win:
+                failures[i] += 1
+    return failures
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 + 1])
+@pytest.mark.parametrize("n_prime, s, budget", [(100, 1, 0), (100, 1, 25),
+                                                (12, 2, 7), (9, 3, 27)])
+def test_game_failures_match_per_game_seeding(seed, n_prime, s, budget):
+    learners = ["scan", "uniform", "exhaustive", "uniform"]
+    assert (_game_failures(seed, n_prime, budget, 60, s, learners)
+            == reference_game_failures(seed, n_prime, budget, 60, s,
+                                       learners))
