@@ -4,9 +4,11 @@ The single-feature needle game and the cost lower bound
 
 No learner beats an adversary who hides the relevant feature: with N'
 candidate features and a probe budget of B cells, any strategy fails with
-probability at least (N' - B - 1)/N'.  Playing the game shows the simple
-scan learner already sits on that floor, so the probe complexity of the
-lifelong protocols is tight up to constants.  The hard stream regimes put
+probability at least (N' - B - 1)/N'.  Playing the game with one example
+per feature (S = 1, as below) shows the simple scan learner already sits on
+that floor, so the probe complexity of the lifelong protocols is tight up
+to constants.  At S > 1 scan stops after B // S features although a miss
+costs one probe, so it stays above the floor.  The hard stream regimes put
 the same needle inside full task streams.
 """
 

@@ -10,8 +10,9 @@ All randomness flows from the config seed (stream.seed for run and sweep,
 seed for adversary), which --seed-override replaces; reports carry no
 timestamps, so the same config and seed produce byte-identical CSV/JSON.
 --jobs N spreads trials (run, sweep) or the per-budget game cells
-(adversary) over N processes; reports do not depend on N.  Exit codes:
-0 success; 1 strict-mode violation, or a learner or generator failure
+(adversary) over N processes; reports do not depend on N.  --strict (run,
+sweep only) makes a per-example bound violation fail.  Exit codes:
+0 success; 1 a --strict violation, or a learner or generator failure
 (realizability, model violation, exhausted generator, oracle misuse); 2
 usage error: a config key that is unknown, that its stream family or
 protocol kind does not read, of the wrong type (a bool is not an int, an int
@@ -461,10 +462,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="probelearn-out", help="output directory")
         p.add_argument("--jobs", type=int, default=1,
                        help="worker processes (trials, or game cells)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 on any per-example bound violation")
         p.add_argument("--seed-override", type=int, default=None,
                        help="replace the config seed")
+        if name != "adversary":
+            p.add_argument("--strict", action="store_true",
+                           help="exit 1 on any per-example bound violation")
         if name == "sweep":
             p.add_argument("--axis", required=True, help="m | N | K | r | c")
             p.add_argument("--values", required=True,

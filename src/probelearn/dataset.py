@@ -238,11 +238,10 @@ class CostlyDataset:
     def n_features(self) -> int:
         return self._shape[1]
 
-    def _check(self, example: int, feature: int) -> None:
-        if not (0 <= example < self.n_examples):
+    def _check(self, example: int, features=()) -> None:
+        if not 0 <= example < self.n_examples:
             raise UsageError(f"example {example} out of range")
-        if not (0 <= feature < self.n_features):
-            raise UsageError(f"feature {feature} out of range")
+        self._check_features(features)
 
     def _check_features(self, features) -> None:
         if len(features) and (min(features) < 0
@@ -268,7 +267,7 @@ class CostlyDataset:
 
     def probe(self, example: int, feature: int):
         """Read one cell, charging one probe unless it was read before."""
-        self._check(example, feature)
+        self._check(example)
         self.meter((feature,), 1 << example)
         return self.peek(example, feature)
 
@@ -314,9 +313,8 @@ class CostlyDataset:
     # -- free reads --------------------------------------------------------
 
     def label(self, example: int):
+        self._check(example)
         if self.value_kind == BOOL:
-            if not 0 <= example < self.n_examples:
-                raise UsageError(f"example {example} out of range")
             return bool(self._label_bits >> example & 1)
         lab = self._labels[example]
         return self._build_label(example) if lab is None else lab
@@ -340,6 +338,7 @@ class CostlyDataset:
         """The polynomial `terms` (term_key -> rational, as in
         Polynomial.terms) at one example of a rational dataset, exactly and
         unmetered: the caller pays for the cells with `meter`."""
+        self._check(example)
         weights = self._term_weights(terms)
         return _weighted_sum(self._values[example].tolist(), weights)
 
@@ -367,8 +366,8 @@ class CostlyDataset:
 
     def peek(self, example: int, feature: int):
         """Unmetered read — oracle/audit channel only."""
+        self._check(example, (feature,))
         if self.value_kind == BOOL:
-            self._check(example, feature)
             return self.peek_bits(feature) >> example & 1
         return Fraction(int(self._values[example, feature]), self._den)
 

@@ -129,10 +129,17 @@ class TreeFamily:
 
 class _MatrixFamily:
     """Shared by the families whose representation is a matrix of exponent
-    vectors; ImproveRep inserts the learned vectors, failed attempt or not."""
+    vectors; ImproveRep inserts the learned vectors, failed attempt or not.
+    The envelope is k + t·d for a rank-k matrix and t-term targets."""
+
+    def __init__(self, n_features: int, d: int, dist, mode: str):
+        self.n_features, self.d, self.dist, self.mode = n_features, d, dist, mode
 
     def empty_rep(self):
         return RepresentationMatrix(self.n_features)
+
+    def envelope(self, rep) -> int:
+        return rep.k + self.t * self.d
 
     def rep_snapshot(self, rep):
         return rep.snapshot()
@@ -145,17 +152,12 @@ class MonomialFamily(_MatrixFamily):
     """Natural-exponent monomials over the grid product distribution."""
 
     name = "monomial"
+    t = 1  # a monomial is the one-term polynomial
 
     def __init__(self, n_features: int, d: int, dist, mode: str = EXACT,
                  sampled=None):
-        self.n_features = n_features
-        self.d = d
-        self.dist = dist
-        self.mode = mode
+        super().__init__(n_features, d, dist, mode)
         self.sampled = sampled
-
-    def envelope(self, rep) -> int:
-        return rep.k + self.d
 
     def attempt(self, task, rep):
         return lfd_monomial(task.ds, rep, self.dist, self.d, self.mode,
@@ -177,16 +179,8 @@ class PolynomialFamily(_MatrixFamily):
 
     def __init__(self, n_features: int, d: int, t: int, dist, basis,
                  mode: str = EXACT, tau: float = 1e-6):
-        self.n_features = n_features
-        self.d = d
-        self.t = t
-        self.dist = dist
-        self.basis = basis
-        self.mode = mode
-        self.tau = tau
-
-    def envelope(self, rep) -> int:
-        return rep.k + self.t * self.d
+        super().__init__(n_features, d, dist, mode)
+        self.t, self.basis, self.tau = t, basis, tau
 
     def _oracle(self, task):
         if self.mode == EXACT:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -609,62 +609,62 @@ def _bad_positions(rng, m: int, r: int, placement: str):
     return set(int(p) for p in rng.choice(total, size=r, replace=False))
 
 
+def _bad_tree_task(rng, spec: StreamSpec, pool) -> Task:
+    """A bad tree target on `pool`: up to MAX_TRIES fragments of depth at
+    most d are drawn until one fits the size cap, then labeled."""
+    for _ in range(MAX_TRIES):
+        shape = sample_fragment(rng, pool, spec.d)
+        if shape.size() <= spec.s:
+            target = fill_labels(rng, shape)
+            ds = leaf_cover_dataset(rng, target, spec.n_features,
+                                    spec.sample_size)
+            return Task(ds=ds, target=target, good=False)
+    raise GeneratorExhaustedError("no bad target fits the caps")
+
+
+def _bad_monomial_task(rng, spec: StreamSpec, pool) -> Task:
+    """A bad monomial target: a power of degree 1..d of the pool's feature."""
+    g = np.zeros(spec.n_features, dtype=np.int64)
+    g[pool[0]] = int(rng.integers(1, spec.d + 1))
+    ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
+                       _monomial_terms(g))
+    return Task(ds=ds, target=g, good=False)
+
+
 def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
-    """m good tasks plus r bad ones over features disjoint from the
-    dictionary, placed per spec.placement; flags are for reporting only."""
+    """m good tasks plus r bad ones, placed per spec.placement; flags are
+    for reporting only.  The bad targets read only the last `reserve`
+    features: d on a `tree` or `anchor` stream, 1 on a `monomial` stream.
+    The good tasks are the family's stream over the other N - reserve,
+    re-hosted in all N: a tree dataset is padded with uniform columns (the
+    target never reads them), a monomial takes a 0 exponent and a new
+    dataset."""
     spec.validate()
     if spec.r < 1:
         raise UsageError(f"an agnostic stream needs r >= 1, got r={spec.r}")
     rng = np.random.default_rng((spec.seed, trial, 1))
-
-    if spec.family in ("tree", "anchor"):
-        reserve = spec.d  # validate checked that a dictionary fits beside it
-        sub = StreamSpec(**{**spec.__dict__, "n_features": spec.n_features - reserve,
-                            "r": 0})
+    trees = spec.family != "monomial"  # tree or anchor: validate allows no other
+    reserve = spec.d if trees else 1  # validate checked that a dictionary fits
+    sub = replace(spec, n_features=spec.n_features - reserve, r=0)
+    pool = list(range(sub.n_features, spec.n_features))
+    if trees:
         tasks, dictionary = gen_tree_stream(sub, trial)
-        bad_pool = list(range(spec.n_features - reserve, spec.n_features))
         for task in tasks:
-            # re-host in the full feature space (the target never reads the pad)
             task.ds = task.ds.padded(
                 coin_flips(rng, (task.ds.n_examples, reserve)))
-        bad_tasks = []
-        for _ in range(spec.r):
-            for _ in range(MAX_TRIES):
-                shape = sample_fragment(rng, bad_pool, min(spec.d, len(bad_pool)))
-                if shape.depth() <= spec.d and shape.size() <= spec.s:
-                    break
-            else:
-                raise GeneratorExhaustedError("no bad target fits the caps")
-            target = fill_labels(rng, shape)
-            ds = leaf_cover_dataset(rng, target, spec.n_features,
-                                    spec.sample_size)
-            bad_tasks.append(Task(ds=ds, target=target, good=False))
-    else:  # monomial, the other family validate allows with r > 0
-        sub = StreamSpec(**{**spec.__dict__, "n_features": spec.n_features - 1,
-                            "r": 0})
-        tasks, dictionary = gen_monomial_stream(sub, trial)
-        dictionary = [np.concatenate([c, [0]]) for c in dictionary]
-        bad_feature = spec.n_features - 1
+    else:
+        tasks, cols = gen_monomial_stream(sub, trial)
+        dictionary = [np.concatenate([c, [0]]) for c in cols]
         for task in tasks:
-            g = np.concatenate([task.target, [0]])
-            task.target = g
+            task.target = np.concatenate([task.target, [0]])
             task.ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
-                                    _monomial_terms(g))
-        bad_tasks = []
-        for _ in range(spec.r):
-            g = np.zeros(spec.n_features, dtype=np.int64)
-            g[bad_feature] = int(rng.integers(1, spec.d + 1))
-            ds = _grid_dataset(rng, spec.sample_size, spec.n_features,
-                               _monomial_terms(g))
-            bad_tasks.append(Task(ds=ds, target=g, good=False))
-
+                                    _monomial_terms(task.target))
+    bad_task = _bad_tree_task if trees else _bad_monomial_task
+    bad = iter([bad_task(rng, spec, pool) for _ in range(spec.r)])
     positions = _bad_positions(rng, spec.m, spec.r, spec.placement)
-    out = []
-    good_iter = iter(tasks)
-    bad_iter = iter(bad_tasks)
-    for i in range(spec.m + spec.r):
-        out.append(next(bad_iter) if i in positions else next(good_iter))
-    return out, dictionary
+    good = iter(tasks)
+    return [next(bad if i in positions else good)
+            for i in range(spec.m + spec.r)], dictionary
 
 
 # -- lower-bound regimes ---------------------------------------------------
@@ -683,15 +683,24 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
                          seed: int, sample_size: int = 4, trial: int = 0):
     """Single-feature stump streams for the lower-bound regimes.
 
-    Realizable: K stumps on random distinct features, then m-K uniform over
-    those K (all good).  The other regimes pose m' uniform stumps first and
-    designate the K good features retroactively — flags are reporting-only,
-    no learner observes them.
+    Realizable: exactly m stumps, all good.  Task j is the stump on the
+    j-th of K random distinct features for j < K, else on a uniform pick
+    from those K; with m < K only the first m of them are posed.  The other
+    regimes pose m' uniform stumps first and designate the K good features
+    retroactively — flags are reporting-only, no learner observes them.
     """
     if regime not in REGIMES:
         raise UsageError(f"unknown regime {regime!r}")
     if k > n_features:
         raise UsageError("K exceeds the number of features")
+    if regime in ("intermediate", "large2"):
+        if m < 1:
+            raise UsageError(f"regime {regime} requires m >= 1")
+        r_min = adversary_r_min(n_features, k, m)
+        if r < r_min:
+            raise UsageError(f"regime {regime} requires r >= {r_min}")
+    if regime == "intermediate" and n_features <= k:
+        raise UsageError("intermediate regime requires N > K")
     rng = np.random.default_rng((seed, trial, 2))
 
     def make_task(feature: int, good: bool) -> Task:
@@ -702,26 +711,15 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
 
     if regime == "realizable":
         feats = [int(v) for v in rng.choice(n_features, size=k, replace=False)]
-        tasks = [make_task(f, True) for f in feats]
-        for _ in range(max(m - k, 0)):
-            tasks.append(make_task(feats[int(rng.integers(k))], True))
-        return tasks, feats
+        return [make_task(feats[j] if j < k else feats[int(rng.integers(k))],
+                          True) for j in range(m)], feats
 
-    if regime in ("intermediate", "large2"):
-        if m < 1:
-            raise UsageError(f"regime {regime} requires m >= 1")
-        r_min = adversary_r_min(n_features, k, m)
-        if r < r_min:
-            raise UsageError(f"regime {regime} requires r >= {r_min}")
     if regime == "intermediate":
-        if n_features <= k:
-            raise UsageError("intermediate regime requires N > K")
         m_prime = math.ceil(r * n_features / (n_features - k))
     elif regime == "large1":
         m_prime = math.ceil(m * n_features / k)
     else:
         m_prime = math.ceil(math.sqrt(r * n_features * m / k))
-
     posed = [int(rng.integers(n_features)) for _ in range(m_prime)]
     designated = [int(v) for v in rng.choice(n_features, size=k, replace=False)]
     tasks = [make_task(f, f in designated) for f in posed]
@@ -774,7 +772,9 @@ class _Referee:
 
 
 def _scan_learner(rng, referee, n_prime, s, budget):
-    """Probe features in order until the budget runs out, then guess."""
+    """Probe features in order until the budget runs out, then guess.
+    Stopping after budget // s features, it sits on the (N'-B-1)/N' floor
+    only at s = 1: at s > 1 a miss costs 1 probe, not s."""
     hit, k = referee.read(range(n_prime), budget // s)
     if hit is not None:
         return hit

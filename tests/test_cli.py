@@ -647,6 +647,28 @@ def test_adversary_is_deterministic(tmp_path):
     assert (a / "adversary.csv").read_bytes() == (b / "adversary.csv").read_bytes()
 
 
+def test_adversary_realizable_regime_runs_exactly_m_tasks(tmp_path):
+    # K = 2: m = 1 poses one stump, not K
+    cfg = {"game": GAME, "regime": dict(REGIME, m=1)}
+    out = tmp_path / "adv"
+    assert main(["adversary", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    _, rows = read_rows(out / "regime.csv")
+    assert [(r["m"], r["stream_len"], r["good_count"]) for r in rows] \
+        == [("1", "1", "1")]
+
+
+def test_adversary_has_no_strict_flag(tmp_path, capsys):
+    # --strict reads per-example violations, which only run and sweep count
+    path = write_config(tmp_path, {"game": GAME})
+    with pytest.raises(SystemExit) as exc:
+        main(["adversary", "--config", path, "--out", str(tmp_path / "o"),
+              "--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only --jobs > 1 needs concurrent.futures; a one-job run never pays
     # for importing it

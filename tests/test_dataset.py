@@ -433,7 +433,7 @@ def test_labels_built_on_read_match_eager_fractions(terms):
     # each read path on a fresh dataset, so each one builds its own labels
     ds = lazy()
     assert [ds.label(e) for e in range(6)] == want
-    assert lazy().label(-1) == want[-1]
+    assert lazy().label(5) == want[5]
     assert list(lazy().labels) == want
     assert lazy().to_json_obj() == eager.to_json_obj()
     ds = lazy()
@@ -671,3 +671,39 @@ def test_probe_rows_rejects_indices_that_are_not_integers(kind, rows):
     assert ds.ledger.per_example_probes().tolist() == [0, 0]
     assert ds.probe_rows([1, 0], 1).shape == (2,)
     assert ds.ledger.total_probes == 2
+
+
+TERMS = {((0, 1),): Fraction(1)}  # the polynomial x0
+
+
+@pytest.mark.parametrize("kind", ["bool", "rational"])
+@pytest.mark.parametrize("read, what", [
+    (lambda ds: ds.peek(-1, 0), "example -1"),
+    (lambda ds: ds.peek(4, 0), "example 4"),
+    (lambda ds: ds.peek(0, -1), "feature -1"),
+    (lambda ds: ds.peek(0, 3), "feature 3"),
+    (lambda ds: ds.label(-1), "example -1"),
+    (lambda ds: ds.label(4), "example 4"),
+    (lambda ds: ds.evaluate(-1, TERMS), "example -1"),
+    (lambda ds: ds.evaluate(4, TERMS), "example 4"),
+], ids=["peek-example-neg", "peek-example-S", "peek-feature-neg",
+        "peek-feature-N", "label-neg", "label-S", "evaluate-neg",
+        "evaluate-S"])
+def test_free_reads_check_their_indices(kind, read, what):
+    """A negative index must not wrap to the last example or feature, nor
+    an index past the end reach numpy's or the list's IndexError: on both
+    kinds each is the same UsageError, raised before anything is read."""
+    ds = small_bool(4, 3) if kind == "bool" else small_rational(4, 3)
+    with pytest.raises(UsageError, match=rf"^{what} out of range$"):
+        read(ds)
+    assert ds.ledger.total_probes == 0
+
+
+def test_label_out_of_range_builds_no_label():
+    """A rational label built on read is not built for a bad index."""
+    ds = CostlyDataset.from_rational(np.full((3, 2), 5), denominator=4,
+                                     terms=TERMS)
+    with pytest.raises(UsageError, match="example -1 out of range"):
+        ds.label(-1)
+    assert ds._labels == [None] * 3
+    assert ds.label(2) == Fraction(5, 4)

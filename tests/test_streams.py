@@ -638,6 +638,16 @@ def test_realizable_regime():
     assert {t.target.var for t in tasks} == set(feats)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 6], ids=lambda m: f"m{m}")
+def test_realizable_regime_poses_exactly_m_tasks(m):
+    """K = 3: m < K poses the first m of the K distinct features, not K."""
+    tasks, feats = gen_adversary_stream("realizable", 10, 3, m, 0, seed=4)
+    assert len(tasks) == m and len(feats) == 3
+    first = [t.target.var for t in tasks[:3]]
+    assert first == feats[:m] and len(set(first)) == min(m, 3)
+    assert all(t.good and t.target.var in feats for t in tasks)
+
+
 def test_regime_stream_lengths_frozen():
     inter, designated = gen_adversary_stream("intermediate", 16, 3, 30, 8,
                                              seed=5)
