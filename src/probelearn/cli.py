@@ -10,8 +10,9 @@ All randomness flows from the config seed (stream.seed for run and sweep,
 seed for adversary), which --seed-override replaces; reports carry no
 timestamps, so the same config and seed produce byte-identical CSV/JSON.
 --jobs N spreads trials (run, sweep) or the per-budget game cells
-(adversary) over N processes; reports do not depend on N.  --strict (run,
-sweep only) makes a per-example bound violation fail.  Exit codes:
+(adversary) over N processes, one pool for all of a sweep's values;
+reports do not depend on N.  --strict (run, sweep only) makes a
+per-example bound violation fail, saying how many.  Exit codes:
 0 success; 1 a --strict violation, or a learner or generator failure
 (realizability, model violation, exhausted generator, oracle misuse); 2
 usage error: a config key that is unknown, that its stream family or
@@ -26,7 +27,8 @@ Every block and key is optional; defaults in parentheses.  Run/sweep: stream
 PROTOCOL_READS name the keys each stream family and protocol kind reads.  A
 stream reads placement only when r >= 1, an overcomplete stream reads k only
 as the default k_cap of restart and combined, a protocol with
-n_bootstrap reads no p_min or delta, and one with slack reads no r.
+n_bootstrap reads no p_min or delta, and one with slack reads no r; else
+combined's slack is sqrt(rKN/m), at least 1, over the stream's m + r tasks.
 README's run-config table gives every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
@@ -75,7 +77,7 @@ REGIME_FIELDS = ["schema_version", "regime", "n_features", "k", "m", "r",
 
 # Each config block's table: key -> a nested block's table, or (type, least
 # value | allowed values | None); a type [t] is a list of t.  StreamSpec's
-# defaults give the stream types; StreamSpec.validate and _bootstrap_tasks
+# defaults give the stream types; StreamSpec.validate and _checked_plan
 # check the rest.
 STREAM_KEYS = {name: (type(f.default),
                       None if isinstance(f.default, str) else 0)
@@ -166,21 +168,9 @@ def build_family(spec: StreamSpec, proto: dict):
     return PolynomialFamily(spec.n_features, spec.d, spec.t, dist, basis)
 
 
-def _bootstrap_tasks(spec: StreamSpec, proto: dict) -> int:
-    """Tasks the bootstrap protocol learns whole: n_bootstrap, or the count
-    p_min and delta give.  UsageError unless both are probabilities."""
-    if "n_bootstrap" in proto:
-        return proto["n_bootstrap"]
-    p_min = proto.get("p_min", spec.p_min or 0.25)
-    delta = proto.get("delta", 0.1)
-    if not (0 < p_min <= 1 and 0 < delta < 1):
-        raise UsageError(f"protocol needs 0 < p_min <= 1 and 0 < delta < 1, "
-                         f"got p_min={p_min!r}, delta={delta!r}")
-    return bootstrap_count(p_min, max(spec.dictionary_size, 1), delta)
-
-
-def _checked_spec(config: dict) -> StreamSpec:
-    """Check a run config whole, as each trial will build it; -> its spec.
+def _checked_plan(config: dict):
+    """Check a run config whole; -> the plan each of its trials runs: (spec,
+    family, kind, args), args following (family, tasks) in the kind's driver.
     A key that its stream family or protocol kind does not read, or that
     the config's other keys leave unread, is an error."""
     check_block(config, RUN_KEYS, "config")
@@ -205,10 +195,24 @@ def _checked_spec(config: dict) -> StreamSpec:
         if unread := sorted(set(block) - reads):
             raise UsageError(f"the {what} does not read {unread}")
     spec = build_spec(stream)
-    build_family(spec, proto)
-    if kind == "bootstrap":
-        _bootstrap_tasks(spec, proto)
-    return spec
+    family = build_family(spec, proto)
+    if kind == "plain":
+        return spec, family, kind, ()
+    if kind == "bootstrap":  # n_bootstrap, or the count p_min and delta give
+        if "n_bootstrap" in proto:
+            return spec, family, kind, (proto["n_bootstrap"],)
+        p_min = proto.get("p_min", spec.p_min or 0.25)
+        delta = proto.get("delta", 0.1)
+        if not (0 < p_min <= 1 and 0 < delta < 1):
+            raise UsageError(f"protocol needs 0 < p_min <= 1 and 0 < delta "
+                             f"< 1, got p_min={p_min!r}, delta={delta!r}")
+        k = max(spec.dictionary_size, 1)
+        return spec, family, kind, (bootstrap_count(p_min, k, delta),)
+    k_cap = proto.get("k_cap", spec.k)
+    # an explicit slack (the c axis) wins; every stream poses m + r tasks
+    slack = proto.get("slack", 0 if kind == "restart" else combined_slack(
+        proto.get("r", spec.r), k_cap, spec.n_features, spec.m + spec.r))
+    return spec, family, kind, (k_cap, slack)
 
 
 def generate_stream(spec: StreamSpec, trial: int):
@@ -222,38 +226,22 @@ def generate_stream(spec: StreamSpec, trial: int):
 
 
 def run_trial(config: dict, trial: int) -> dict:
-    """One seeded trial -> frozen rows plus a summary dict (picklable)."""
-    spec = build_spec(config.get("stream", {}))
-    proto = config.get("protocol", {})
-    kind = proto.get("kind", "plain")
-    family = build_family(spec, proto)
+    """One seeded trial of the config's plan -> frozen rows plus a summary
+    dict (picklable).  The driver is read from this module at call time."""
+    spec, family, kind, args = _checked_plan(config)
     tasks, _ = generate_stream(spec, trial)
-    k_cap = proto.get("k_cap", spec.k)
-    if kind == "plain":
-        run = run_protocol(family, tasks)
-    elif kind in ("restart", "combined"):
-        if "slack" in proto:  # explicit slack (the sweep's c axis) wins
-            slack = proto["slack"]
-        elif kind == "combined":
-            slack = combined_slack(proto.get("r", spec.r), k_cap,
-                                   spec.n_features, len(tasks))
-        else:
-            slack = 0
-        run = run_restart_protocol(family, tasks, k_cap, slack=slack)
-    else:  # bootstrap
-        n_boot = _bootstrap_tasks(spec, proto)
-        run = run_bootstrap_protocol(family, tasks, n_boot)
-
-    scale = proto.get("strict_envelope_scale", 1.0)
+    driver = {"plain": run_protocol, "bootstrap": run_bootstrap_protocol}.get(
+        kind, run_restart_protocol)
+    run = driver(family, tasks, *args)
+    scale = config.get("protocol", {}).get("strict_envelope_scale", 1.0)
     violations = sum(
         1 for o, p, e in zip(run.outcomes, run.per_example_max, run.envelopes)
         if o == "lfd" and p > e * scale)
-    good_probes = sum(p for p, g in zip(run.probes, run.goods) if g)
     return {
         "rows": run.to_rows(trial),
         "summary": {"trial": trial, "scratch_count": run.scratch_count,
                     "restarts": run.restarts, "total_probes": run.total_probes,
-                    "good_probes": good_probes, "violations": violations},
+                    "good_probes": run.good_probes, "violations": violations},
     }
 
 
@@ -299,11 +287,15 @@ def cmd_run(config: dict, out: Path, jobs: int, strict: bool) -> int:
         "per_trial": summaries,
         "violations_total": total_violations,
     })
-    if strict and total_violations:
-        print(f"strict: {total_violations} per-example bound violations",
+    return _strict_code(strict, total_violations)
+
+
+def _strict_code(strict: bool, violations: int) -> int:
+    """1, saying why, when --strict meets a violation; else 0."""
+    if strict and violations:
+        print(f"strict: {violations} per-example bound violations",
               file=sys.stderr)
-        return 1
-    return 0
+    return int(strict and violations > 0)
 
 
 def sweep_envelope(kind: str, spec: StreamSpec, r: int) -> float:
@@ -317,7 +309,7 @@ def sweep_envelope(kind: str, spec: StreamSpec, r: int) -> float:
 
 
 def sweep_plan(config: dict, axis: str, text: str) -> list:
-    """[(value, checked config with `axis` set to value, its spec)] for
+    """[(value, checked config with `axis` set to value, its plan)] for
     each value of the comma-separated `text`."""
     check_block(config, RUN_KEYS, "config")
     try:
@@ -340,37 +332,32 @@ def sweep_plan(config: dict, axis: str, text: str) -> list:
             cfg.setdefault("stream", {})[stream_key] = value
         if axis == "r" and "r" in proto:  # combined's r defaults to stream r
             proto["r"] = value
-        plan.append((value, cfg, _checked_spec(cfg)))
+        plan.append((value, cfg, _checked_plan(cfg)))
     return plan
 
 
 def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool, axis: str,
               plan) -> int:
-    rows = []
-    bad = 0
-    for value, cfg, spec in plan:
-        kind = cfg["protocol"].get("kind", "plain")
-        results = _call_all(run_trial, [(cfg, t) for t in
-                                        range(cfg.get("trials", 1))], jobs)
-        env = sweep_envelope(kind, spec, cfg["protocol"].get("r", spec.r))
-        for res in results:
-            s = res["summary"]
-            bad += s["violations"]
-            rows.append({
-                "schema_version": SCHEMA_VERSION, "axis": axis, "value": value,
-                "trial": s["trial"], "family": spec.family,
-                "total_probes": s["total_probes"],
-                "good_probes": s["good_probes"],
-                "scratch_count": s["scratch_count"],
-                "restarts": s["restarts"], "envelope": env,
-            })
+    """Every (value, trial) pair of the sweep through one `_call_all`,
+    value-major; each row is its trial's summary under its value's head."""
+    heads, calls = [], []
+    for value, cfg, (spec, _, kind, _) in plan:
+        head = {"schema_version": SCHEMA_VERSION, "axis": axis, "value": value,
+                "family": spec.family, "envelope": sweep_envelope(
+                    kind, spec, cfg["protocol"].get("r", spec.r))}
+        for t in range(cfg.get("trials", 1)):
+            heads.append(head)
+            calls.append((cfg, t))
+    summaries = [res["summary"] for res in _call_all(run_trial, calls, jobs)]
+    rows = [dict(head, **{key: s[key] for key in SWEEP_FIELDS if key in s})
+            for head, s in zip(heads, summaries)]
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", SWEEP_FIELDS, rows)
     _write_json(out / "sweep.json", {
         "schema_version": SCHEMA_VERSION, "config": config, "axis": axis,
         "values": [value for value, _, _ in plan], "rows": rows,
     })
-    return 1 if strict and bad else 0
+    return _strict_code(strict, sum(s["violations"] for s in summaries))
 
 
 def _game_failures(seed: int, n_prime: int, budget: int, trials: int,
@@ -416,12 +403,11 @@ def cmd_adversary(config: dict, out: Path, jobs: int) -> int:
             run = run_protocol(family, tasks)
         else:
             run = run_restart_protocol(family, tasks, k)
-        good_probes = sum(p for p, g in zip(run.probes, run.goods) if g)
         regime_rows.append({
             "schema_version": SCHEMA_VERSION, "regime": name, "n_features": n,
             "k": k, "m": m, "r": r, "stream_len": len(tasks),
             "good_count": sum(run.goods), "total_probes": run.total_probes,
-            "good_probes": good_probes, "scratch_count": run.scratch_count,
+            "good_probes": run.good_probes, "scratch_count": run.scratch_count,
             "restarts": run.restarts, "envelope": size * (k * n + m * k),
         })
 
@@ -490,7 +476,7 @@ def main(argv=None) -> int:
             check_block(config, ADVERSARY_KEYS, "adversary config")
             return cmd_adversary(config, out, args.jobs)
         if args.command == "run":
-            _checked_spec(config)
+            _checked_plan(config)
             return cmd_run(config, out, args.jobs, args.strict)
         plan = sweep_plan(config, args.axis, args.values)
         return cmd_sweep(config, out, args.jobs, args.strict, args.axis, plan)

@@ -222,7 +222,7 @@ class CostlyDataset:
                       for v in labels]
         else:
             labels = [None] * values.shape[0]
-            weights = _integer_weights(terms, denominator)
+            weights = _integer_weights(terms, denominator, values.shape[1])
         ds = cls(RATIONAL, values, labels)
         ds._den = denominator
         ds._weights = weights
@@ -351,7 +351,7 @@ class CostlyDataset:
     def _term_weights(self, terms: dict):
         if self.value_kind != RATIONAL:
             raise UsageError("evaluate needs a rational dataset")
-        return _integer_weights(terms, self._den)
+        return _integer_weights(terms, self._den, self.n_features)
 
     @property
     def label_bits(self) -> int:
@@ -495,11 +495,14 @@ def _weighted_sum(row: list, weights) -> Fraction:
     return Fraction(total, den)
 
 
-def _integer_weights(terms: dict, den: int):
+def _integer_weights(terms: dict, den: int, n_features: int):
     """A polynomial over variables x_i = n_i / den as integer weights over one
     label denominator: P(x) = sum(weight * prod n_i^e) / (lcd * den^top),
     where lcd is the LCM of the coefficients' denominators, top the largest
-    term degree and weight = lcd * coeff * den^(top - term degree)."""
+    term degree and weight = lcd * coeff * den^(top - term degree).
+    UsageError for a variable outside [0, n_features)."""
+    if bad := [i for key in terms for i, _ in key if not 0 <= i < n_features]:
+        raise UsageError(f"term variable {bad[0]} out of range")
     lcd = lcm(*(c.denominator for c in terms.values()))
     degrees = [sum(e for _, e in key) for key in terms]
     top = max(degrees, default=0)

@@ -227,6 +227,10 @@ class ProtocolRun:
     def total_probes(self) -> int:
         return sum(self.probes)
 
+    @property
+    def good_probes(self) -> int:
+        return sum(p for p, g in zip(self.probes, self.goods) if g)
+
     def failure_frequency(self, skip: int = 0) -> float:
         outcomes = self.outcomes[skip:]
         if not outcomes:
@@ -312,7 +316,8 @@ def run_restart_protocol(family, tasks, k_cap: int, slack: int = 0) -> ProtocolR
 
 
 def combined_slack(r: int, k_cap: int, n_features: int, m: int) -> int:
-    """Restart slack c = sqrt(r*K*N/m), at least 1."""
+    """Restart slack c = sqrt(r*K*N/m), at least 1.  m is the stream's
+    task count, which is m + r on an agnostic stream."""
     return max(1, round(math.sqrt(r * k_cap * n_features / m)))
 
 

@@ -48,7 +48,7 @@ PLACEMENTS = ("random", "adversarial-first", "adversarial-interleaved")
 REGIMES = ("realizable", "intermediate", "large1", "large2")
 # The StreamSpec fields each family's generator and learner read; placement
 # is read only when r >= 1, and an overcomplete stream's k only as the
-# default k_cap of the restart and combined protocols (`cli._checked_spec`).
+# default k_cap of the restart and combined protocols (`cli._checked_plan`).
 _COMMON_READS = ("family", "n_features", "k", "d", "m", "sample_size", "seed")
 _TREE_READS = _COMMON_READS + ("s", "mf_depth", "p_min", "r", "placement")
 STREAM_READS = {
@@ -691,6 +691,8 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
     """
     if regime not in REGIMES:
         raise UsageError(f"unknown regime {regime!r}")
+    if k < 1:
+        raise UsageError(f"regime {regime} requires K >= 1")
     if k > n_features:
         raise UsageError("K exceeds the number of features")
     if regime in ("intermediate", "large2"):

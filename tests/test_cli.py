@@ -13,9 +13,10 @@ import pytest
 from probelearn import ROW_FIELDS, SCHEMA_VERSION, cli
 from probelearn.cli import (GAME_FIELDS, PROTOCOL_KEYS, PROTOCOL_READS,
                             REGIME_FIELDS, RUN_KEYS, STREAM_KEYS,
-                            SWEEP_FIELDS, _checked_spec, build_spec, main,
+                            SWEEP_FIELDS, _checked_plan, build_spec, main,
                             sweep_plan)
 from probelearn.errors import UsageError
+from probelearn.protocol import combined_slack
 from probelearn.streams import FAMILIES, STREAM_READS, TREE_FAMILIES
 
 TREE_CONFIG = {
@@ -350,7 +351,7 @@ def test_read_tables_are_total():
 @pytest.mark.parametrize("family, kind", FAMILY_KINDS)
 def test_full_config_passes_the_check(family, kind):
     cfg = full_config(family, kind)
-    assert _checked_spec(cfg).family == family
+    assert _checked_plan(cfg)[0].family == family
 
 
 @pytest.mark.parametrize("family, kind", FAMILY_KINDS)
@@ -442,10 +443,10 @@ def test_named_unread_keys_exit_2(tmp_path, capsys, monkeypatch, case):
 
 
 def test_overcomplete_k_is_read_as_the_default_k_cap():
-    assert _checked_spec(OVERCOMPLETE_CONFIG).k == 3
+    assert _checked_plan(OVERCOMPLETE_CONFIG)[0].k == 3
     for kind in ("restart", "combined"):
         cfg = overcomplete(k=2, protocol={"kind": kind})
-        assert _checked_spec(cfg).k == 2
+        assert _checked_plan(cfg)[0].k == 2
 
 
 def test_d_above_s_binds_only_tree_families(tmp_path):
@@ -704,3 +705,111 @@ def test_zero_task_regimes_exit_2(tmp_path, capsys, monkeypatch, name):
     cfg = {"game": GAME, "regime": dict(REGIME, name=name, m=0, r=5)}
     line = usage_error(tmp_path, capsys, monkeypatch, "adversary", cfg)
     assert "m >= 1" in line
+
+
+# -- one plan per config ----------------------------------------------------
+
+STRICT_CONFIG = with_protocol(TREE_CONFIG, strict_envelope_scale=1e-9)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--axis", "m", "--values", "4,8"])])
+def test_strict_says_why_it_fails(tmp_path, capsys, command, extra):
+    """Under --strict, run and sweep exit 1 with one line that counts the
+    violations; without it they exit 0 and say nothing."""
+    path = write_config(tmp_path, STRICT_CONFIG)
+    assert main([command, "--config", path, "--out", str(tmp_path / "a"),
+                 *extra]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([command, "--config", path, "--out", str(tmp_path / "b"),
+                 "--strict", *extra]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    match = re.fullmatch(r"strict: (\d+) per-example bound violations", err[0])
+    assert match and int(match.group(1)) > 0
+    if command == "run":
+        doc = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert int(match.group(1)) == doc["violations_total"]
+
+
+def test_sweep_reports_do_not_depend_on_jobs(tmp_path):
+    """The sweep's one pool runs every (value, trial) pair and folds them
+    back in value-major order."""
+    cfg = dict(with_stream(r=1), protocol={"kind": "combined"})
+    path = write_config(tmp_path, cfg)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--axis", "r", "--values", "1,3", "--jobs", jobs]) == 0
+        outs.append(out)
+    _, rows = read_rows(outs[0] / "sweep.csv")
+    assert [(r["value"], r["trial"]) for r in rows] \
+        == [("1", "0"), ("1", "1"), ("3", "0"), ("3", "1")]
+    for name in ("sweep.csv", "sweep.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("family, r", [
+    ("tree", 0), ("tree", 3), ("list", 0), ("anchor", 0), ("anchor", 2),
+    ("overcomplete", 0), ("monomial", 0), ("monomial", 2), ("polynomial", 0)])
+def test_every_stream_poses_m_plus_r_tasks(family, r):
+    """The plan sizes combined's slack by m + r without drawing the
+    stream, so every generator must pose exactly that many tasks."""
+    stream = dict(STREAM_VALUES, family=family, r=r)
+    stream = {key: value for key, value in stream.items()
+              if key in STREAM_READS[family] and (r or key != "placement")}
+    spec = build_spec(stream)
+    for trial in (0, 1):
+        tasks, _ = cli.generate_stream(spec, trial)
+        assert len(tasks) == spec.m + spec.r
+
+
+def recorders(monkeypatch):
+    """Replace cli.run_protocol and cli.run_restart_protocol by recorders
+    that call through; -> the list of (driver name, args after tasks, task
+    count) they fill, as the benchmark's capture of each run would."""
+    calls = []
+    for attr in ("run_protocol", "run_restart_protocol"):
+        def record(family, tasks, *args, _fn=getattr(cli, attr), _attr=attr):
+            calls.append((_attr, args, len(tasks)))
+            return _fn(family, tasks, *args)
+        monkeypatch.setattr(cli, attr, record)
+    return calls
+
+
+@pytest.mark.parametrize("name, r, driver", [
+    ("realizable", 0, "run_protocol"), ("large2", 12, "run_restart_protocol")])
+def test_adversary_regime_runs_through_the_cli_drivers(tmp_path, monkeypatch,
+                                                      name, r, driver):
+    calls = recorders(monkeypatch)
+    cfg = {"game": GAME, "regime": dict(REGIME, name=name, r=r)}
+    assert main(["adversary", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert [call[0] for call in calls] == [driver]
+
+
+@pytest.mark.parametrize("kind, driver", [
+    ("plain", "run_protocol"), ("restart", "run_restart_protocol"),
+    ("combined", "run_restart_protocol")])
+def test_run_trials_go_through_the_cli_drivers(tmp_path, monkeypatch, kind,
+                                              driver):
+    """Every trial calls its driver through the cli module; restart and
+    combined pass (k_cap, slack), combined's slack from the stream's task
+    count."""
+    calls = recorders(monkeypatch)
+    # sqrt(rKN/m) rounds to 2 over the m + r = 11 tasks, to 3 over m = 8
+    cfg = dict(with_stream(r=3), protocol={"kind": kind})
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert [call[0] for call in calls] == [driver] * cfg["trials"]
+    stream = cfg["stream"]
+    for _, args, n_tasks in calls:
+        assert n_tasks == stream["m"] + stream["r"]
+        if kind == "plain":
+            assert args == ()
+        else:
+            slack = 0 if kind == "restart" else combined_slack(
+                stream["r"], stream["k"], stream["n_features"], n_tasks)
+            assert args == (stream["k"], slack)
+    assert kind != "combined" or calls[0][1][1] == 2

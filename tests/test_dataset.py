@@ -707,3 +707,35 @@ def test_label_out_of_range_builds_no_label():
         ds.label(-1)
     assert ds._labels == [None] * 3
     assert ds.label(2) == Fraction(5, 4)
+
+
+def two_by_two():
+    """Rows (1/2, 3/2) and (1, 2) over the denominator 4."""
+    return CostlyDataset.from_rational(np.array([[2, 6], [4, 8]]),
+                                       denominator=4, terms=TERMS)
+
+
+@pytest.mark.parametrize("variable", [-1, 2])
+@pytest.mark.parametrize("read", [lambda ds, terms: ds.evaluate(0, terms),
+                                  lambda ds, terms: ds.evaluate_all(terms)],
+                         ids=["evaluate", "evaluate_all"])
+def test_evaluate_checks_term_variables(read, variable):
+    """A term variable outside [0, N) must not wrap to feature N - 1 nor
+    reach the list's IndexError: it is a UsageError."""
+    ds = two_by_two()
+    with pytest.raises(UsageError,
+                       match=rf"^term variable {variable} out of range$"):
+        read(ds, {((variable, 1),): 1})
+    assert ds.evaluate(0, {((1, 1),): 1}) == Fraction(3, 2)
+    assert ds.ledger.total_probes == 0
+
+
+@pytest.mark.parametrize("variable", [-1, 2, 5])
+def test_terms_labels_check_their_variables(variable):
+    """Labels built on read from `terms` reject a bad variable when the
+    dataset is built, not at the first label."""
+    with pytest.raises(UsageError,
+                       match=rf"^term variable {variable} out of range$"):
+        CostlyDataset.from_rational(np.array([[2, 6], [4, 8]]),
+                                    denominator=4,
+                                    terms={((0, 1), (variable, 2)): 1})

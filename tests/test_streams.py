@@ -672,6 +672,14 @@ def test_regime_validation():
         gen_adversary_stream("realizable", 4, 8, 10, 0, seed=1)  # K > N
 
 
+@pytest.mark.parametrize("regime", ["realizable", "intermediate", "large1",
+                                    "large2"])
+def test_regime_needs_k_at_least_one(regime):
+    """K = 0 must not reach numpy's `high <= 0` or a ZeroDivisionError."""
+    with pytest.raises(UsageError, match=rf"^regime {regime} requires K >= 1"):
+        gen_adversary_stream(regime, 10, 0, 3, 40, seed=1)
+
+
 # -- the single-feature game -------------------------------------------------
 
 def test_exhaustive_learner_wins_with_full_budget():
