@@ -20,8 +20,9 @@ example by default) and returns nothing; the other reads call it, then
 gather what they return: `probe` one cell through `peek`, `probe_rows` and
 `probe_column` one column (float64 numerator / denominator, the correctly
 rounded value of each cell, for the sampled estimators), and `probe_bits`
-bitsets.  A caller that resolves the values it pays for elsewhere (the
-exact oracles, and single-sample verification through `evaluate`) calls
+bitsets through `gather_bits`.  A caller that resolves the values it pays
+for elsewhere (the exact oracles, single-sample verification through
+`evaluate`, and a tree split, whose gain gathers only what it scores) calls
 `meter` alone.  `probe_all` alone bypasses it: afterwards every cell counts
 as read.
 
@@ -31,11 +32,13 @@ compact array, which become one Python int on read, and the labels are
 one int.  No S x N matrix is kept: `peek`, `peek_all`, the column reads
 and `to_json_obj` unpack the cells they return from the columns on each
 call.
-The tree growers hold each node's examples as a bitset too, and read with
-`probe_bits`: it takes the node's bitset and returns, per candidate, the
-bitset of the node's examples with the feature set, so a node's purity
-test, split counts and children are int AND / popcount operations.
-`peek_bits` and `label_bits` are its unmetered and free counterparts.
+The tree growers hold each node's examples as a bitset too.  A split is
+`meter` on the node's bitset plus the gain's own gather: `gather_bits`, the
+unmetered half of `probe_bits`, takes the node's bitset and returns, per
+feature, the bitset of the node's examples with the feature set, so a
+node's purity test, split counts and children are int AND / popcount
+operations.  `peek_bits` (one whole column) and `label_bits` are the
+unmetered and free counterparts.
 
 For every value kind, the ledger keeps one bitset per feature read: the
 examples read on it.  A read that sets no new bit keeps nothing, a read
@@ -146,9 +149,9 @@ class CostlyDataset:
 
     `meter` charges a read through the ledger without returning its
     values, and the other `probe*` methods are `meter` plus an unmetered
-    gather; `peek*` methods and `evaluate` are the unmetered oracle channel,
-    reserved for teacher gain, exact-mode oracles, verification after
-    `meter` and test assertions.  Rational values are int64 numerators over
+    gather; `peek*` methods, `gather_bits` and `evaluate` are the unmetered
+    oracle channel, reserved for teacher gain, exact-mode oracles, reads
+    after `meter` and test assertions.  Rational values are int64 numerators over
     `self._den`, which `from_rational` sets, as are the integer label
     weights `self._weights` of a dataset whose labels are built on read.
     A bool dataset keeps its shape and the bitsets `from_bool` sets:
@@ -182,8 +185,9 @@ class CostlyDataset:
         """values: an S x N 0/1 matrix; labels: S bools, or, given
         `label_bits` instead, the bitset of the positive examples.
         `columns` is `pack_columns(values)`, for a caller that has packed
-        them already; then only the shape of `values` is read.  Only the
-        bitsets are kept."""
+        them already; then only the shape of `values` is read, and `columns`
+        must hold N * max(1, ceil(S/64)) words.  Only the bitsets are
+        kept."""
         try:
             vals = np.asarray(values, dtype=np.uint8)
         except ValueError as exc:
@@ -195,7 +199,13 @@ class CostlyDataset:
         elif label_bits < 0 or label_bits >> vals.shape[0]:
             raise UsageError("label bits name an example out of range")
         ds = cls(BOOL, vals, labels)
-        ds._cols = pack_columns(vals) if columns is None else columns
+        if columns is None:
+            columns = pack_columns(vals)
+        elif len(columns) != ds.n_features * _width(ds.n_examples):
+            raise UsageError(f"{len(columns)} column words for "
+                             f"{ds.n_examples} x {ds.n_features} cells; need "
+                             f"{ds.n_features * _width(ds.n_examples)}")
+        ds._cols = columns
         ds._label_bits = to_bits(labels) if label_bits is None else label_bits
         return ds
 
@@ -295,16 +305,12 @@ class CostlyDataset:
 
     def probe_bits(self, rows: int, features) -> list:
         """Read several features of a bool dataset on the examples of the
-        bitset `rows` in one metered read: item j is the bitset of those
-        examples with features[j] set (one probe per fresh cell).  On a
-        rational dataset it is a UsageError and charges nothing."""
-        if self._cols is None:
-            raise UsageError("bit reads need a bool dataset")
+        bitset `rows` in one metered read: `meter`, then `gather_bits`
+        (one probe per fresh cell).  On a rational dataset it is a
+        UsageError and charges nothing."""
+        self._need_bits()
         self.meter(features, rows)
-        if self.n_examples <= 64:  # one word per column: index it directly
-            words = self._cols
-            return [words[feature] & rows for feature in features]
-        return [self.peek_bits(feature) & rows for feature in features]
+        return self.gather_bits(rows, features)
 
     def probe_all(self) -> None:
         """Read the whole matrix (the scratch-learn opening move)."""
@@ -360,9 +366,22 @@ class CostlyDataset:
 
     def peek_bits(self, feature: int) -> int:
         """Unmetered bitset of the examples with the feature set."""
+        self._need_bits()
+        return column_bits(self._cols, self.n_examples, feature)
+
+    def gather_bits(self, rows: int, features) -> list:
+        """The unmetered half of `probe_bits`, for a caller that has charged
+        the read with `meter`: item j is the bitset of the examples of
+        `rows` with features[j] set."""
+        self._need_bits()
+        if self.n_examples <= 64:  # one word per column: index it directly
+            words = self._cols
+            return [words[feature] & rows for feature in features]
+        return [self.peek_bits(feature) & rows for feature in features]
+
+    def _need_bits(self) -> None:
         if self._cols is None:
             raise UsageError("bit reads need a bool dataset")
-        return column_bits(self._cols, self.n_examples, feature)
 
     def peek(self, example: int, feature: int):
         """Unmetered read — oracle/audit channel only."""

@@ -15,8 +15,11 @@ the paper the dictionary is fixed per stream, and so is the work on it: a
 stream reads each fragment's variables, depth, size and empty slots once,
 and a composition grafts fragment copies into one working tree in place,
 keeping its empty slots up to date rather than rescanning them.  Each
-task's leaf-covering examples are labeled in bulk, by routing row-index
-masks down the target.
+task's leaf-covering examples are labeled in bulk, by routing bitsets of
+examples down the target.  Tasks that are drawn back to back, with no other
+draw between them, share one draw of their cells: the regime generators'
+posed stumps take one `leaf_cover_dataset` call, and an agnostic stream's
+pad columns one `coin_flips` call.
 
 The agnostic mixer plants r bad targets over features disjoint from the
 dictionary; the lower-bound regime generators emit single-feature stumps
@@ -381,7 +384,10 @@ def pcg64_trial_states(seed: int, trials: int, budget: int) -> list:
     return states
 
 
-def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> CostlyDataset:
+CHUNK_CELLS = 1 << 15  # cells per `coin_flips` call of a batched cover
+
+
+def leaf_cover_dataset(rng, g, n_features: int, sample_size: int):
     """One example routed to every leaf of g, padded with uniform examples.
 
     All rows are drawn in one `coin_flips` call, which yields the same bits
@@ -391,9 +397,45 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int) -> Costl
     node splits its examples by its variable's column bitset.  The columns
     are packed once and handed to the dataset with the label bitset, which
     it keeps as they are, not the drawn matrix.  An example that reaches an
-    empty leaf raises UsageError."""
-    frontier = [above for node, above in g.walk() if node.kind != INTERNAL]
-    values = coin_flips(rng, (max(len(frontier), sample_size), n_features))
+    empty leaf raises UsageError.
+
+    Given a list of targets, it returns their datasets, equal to one call
+    per target in order: back-to-back tasks share one draw.  Cell k of a
+    draw is the k-th 32-bit half of the generator's output, so one draw of
+    a + b cells is a draw of a cells followed by one of b.  The targets'
+    cells are drawn in one `coin_flips` call per run of tasks that together
+    hold at most CHUNK_CELLS cells (a larger task is a run of its own), then
+    each task is written, packed and labeled on its own."""
+    if isinstance(g, Tree):
+        frontier = _frontier(g)
+        values = coin_flips(rng, (max(len(frontier), sample_size), n_features))
+        return _cover(g, frontier, values)
+    frontiers = [_frontier(target) for target in g]
+    rows = [max(len(frontier), sample_size) for frontier in frontiers]
+    out = []
+    while len(out) < len(g):
+        start = stop = len(out)
+        total = rows[start]
+        while stop + 1 < len(g) and \
+                (total + rows[stop + 1]) * n_features <= CHUNK_CELLS:
+            stop += 1
+            total += rows[stop]
+        values, end = coin_flips(rng, (total, n_features)), 0
+        for j in range(start, stop + 1):
+            out.append(_cover(g[j], frontiers[j], values[end:end + rows[j]]))
+            end += rows[j]
+    return out
+
+
+def _frontier(g: Tree) -> list:
+    """The `walk` pairs above each leaf and empty node of g, in order."""
+    return [above for node, above in g.walk() if node.kind != INTERNAL]
+
+
+def _cover(g: Tree, frontier, values: np.ndarray) -> CostlyDataset:
+    """`leaf_cover_dataset` on drawn rows `values`: write the frontier's
+    path bits, pack the columns and label the examples by routing them."""
+    n_features = values.shape[1]
     cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
     for row, above in enumerate(frontier):
         for var, bit in above:
@@ -649,9 +691,11 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
     pool = list(range(sub.n_features, spec.n_features))
     if trees:
         tasks, dictionary = gen_tree_stream(sub, trial)
-        for task in tasks:
-            task.ds = task.ds.padded(
-                coin_flips(rng, (task.ds.n_examples, reserve)))
+        # every task's pad rows in one draw, split per task in order
+        rows = [task.ds.n_examples for task in tasks]
+        pads = coin_flips(rng, (sum(rows), reserve))
+        for task, pad in zip(tasks, np.split(pads, np.cumsum(rows)[:-1])):
+            task.ds = task.ds.padded(pad)
     else:
         tasks, cols = gen_monomial_stream(sub, trial)
         dictionary = [np.concatenate([c, [0]]) for c in cols]
@@ -688,6 +732,10 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
     from those K; with m < K only the first m of them are posed.  The other
     regimes pose m' uniform stumps first and designate the K good features
     retroactively — flags are reporting-only, no learner observes them.
+    The m' posed stumps are back to back, so their samples come from one
+    `leaf_cover_dataset` call; each appended good stump draws its feature
+    between two samples, so it takes a call of its own, as does each
+    realizable task.
     """
     if regime not in REGIMES:
         raise UsageError(f"unknown regime {regime!r}")
@@ -704,12 +752,12 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
     if regime == "intermediate" and n_features <= k:
         raise UsageError("intermediate regime requires N > K")
     rng = np.random.default_rng((seed, trial, 2))
+    sample = max(sample_size, 2)
 
     def make_task(feature: int, good: bool) -> Task:
         target = stump(feature)
-        ds = leaf_cover_dataset(rng, target, n_features,
-                                max(sample_size, 2))
-        return Task(ds=ds, target=target, good=good)
+        return Task(ds=leaf_cover_dataset(rng, target, n_features, sample),
+                    target=target, good=good)
 
     if regime == "realizable":
         feats = [int(v) for v in rng.choice(n_features, size=k, replace=False)]
@@ -724,7 +772,10 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
         m_prime = math.ceil(math.sqrt(r * n_features * m / k))
     posed = [int(rng.integers(n_features)) for _ in range(m_prime)]
     designated = [int(v) for v in rng.choice(n_features, size=k, replace=False)]
-    tasks = [make_task(f, f in designated) for f in posed]
+    targets = [stump(f) for f in posed]
+    datasets = leaf_cover_dataset(rng, targets, n_features, sample)
+    tasks = [Task(ds=ds, target=target, good=f in designated)
+             for f, target, ds in zip(posed, targets, datasets)]
     if regime in ("intermediate", "large2"):
         for _ in range(m):
             tasks.append(make_task(designated[int(rng.integers(k))], True))

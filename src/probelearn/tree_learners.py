@@ -10,10 +10,10 @@ offers every previously seen feature at every node.  All three are one
 grower, `_grow`, that differs only in each node's candidate set.
 
 The grower holds each node's examples as a bitset (bit e = example e).  A
-node's purity test ANDs it with the label bitset, one `probe_bits` read
-returns each candidate's column on it, the gain counts with popcounts and
-the children are the chosen column and its complement in the node.  A
-node's position is the (variable, step) pairs of the splits above it.
+node's purity test ANDs it with the label bitset, one `meter` call charges
+its candidates on it, the gain gathers and counts what it scores, and the
+children are the chosen column and its complement in the node.  A node's
+position is the (variable, step) pairs of the splits above it.
 
 The grower keeps two traversal orders because each decides an output.  LFD
 and the baseline grow breadth-first: they stop at the first node that breaks
@@ -34,7 +34,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError, ModelViolationError, RealizabilityError
+from .dataset import BOOL
+from .errors import (InternalError, ModelViolationError, RealizabilityError,
+                     UsageError)
 from .trees import INTERNAL, LEAF, PLUS, Tree, steps
 # Not called here: perfbench/tracing.py wraps these names in this module.
 from .trees import conflict, induce  # noqa: F401
@@ -59,31 +61,39 @@ class LfdResult:
 
 
 def _best_split(ds, gain, rows, labels, candidates):
-    """Probe `candidates` on the node's examples `rows` in one bitset read
-    and split on the strict gain argmax; ties go to the earliest candidate,
-    and every grower lists its candidates in ascending order.  Returns
-    (feature, the bitset of the node's examples with it set).
+    """Split a node on the strict gain argmax of `candidates` over its
+    examples; ties go to the earliest candidate, and every grower lists its
+    candidates in ascending order.  Returns (feature, the bitset of the
+    node's examples with it set).
 
     `rows` and `labels` are the bitsets of a mixed, non-empty node's
-    examples and of its positive ones, and `cols[j]` is that of its examples
-    with candidates[j] set.  A gain picks the node's split with one call,
-    `gain.best(ds, rows, labels, cols, candidates)` -> the argmax's index
-    (see `InfoGain` and `TeacherGain`).  Any other callable is a
-    per-candidate score, `gain(ds, rows, feature, cols[j], labels)`, called
-    once per candidate with the same `rows` object.  That path stays because
-    perfbench's gain proxy wraps only the per-candidate call; once ROADMAP
-    item 2 points the proxy at `best`, it can go.
+    examples and of its positive ones.  A gain picks the node's split with
+    one call, `gain.best(ds, rows, labels, candidates)` -> the argmax's
+    index (see `InfoGain` and `TeacherGain`).  The split is `meter` plus the
+    gain's own gather: the candidates are charged on `rows` in one read, the
+    gain gathers what it scores, and only the chosen column is gathered
+    here.  A dataset that is not bool is refused before anything is
+    charged, as `probe_bits` refuses it.
+
+    Any other callable is a per-candidate score, `gain(ds, rows, feature,
+    cols[j], labels)`, where `cols = ds.probe_bits(rows, candidates)`,
+    called once per candidate with the same `rows` object.  That path stays
+    because perfbench's gain proxy wraps only the per-candidate call; once
+    ROADMAP item 2 points the proxy at `best`, it can go.
     """
-    cols = ds.probe_bits(rows, candidates)
     best = getattr(gain, "best", None)
     if best is not None:
-        best_j = best(ds, rows, labels, cols, candidates)
-    else:
-        best_j, best_gain = None, -math.inf
-        for j, feature in enumerate(candidates):
-            g = gain(ds, rows, feature, cols[j], labels)
-            if g > best_gain:
-                best_j, best_gain = j, g
+        if ds.value_kind != BOOL:
+            raise UsageError("bit reads need a bool dataset")
+        ds.meter(candidates, rows)
+        feature = candidates[best(ds, rows, labels, candidates)]
+        return feature, ds.peek_bits(feature) & rows
+    cols = ds.probe_bits(rows, candidates)
+    best_j, best_gain = None, -math.inf
+    for j, feature in enumerate(candidates):
+        g = gain(ds, rows, feature, cols[j], labels)
+        if g > best_gain:
+            best_j, best_gain = j, g
     return candidates[best_j], cols[best_j]
 
 
@@ -146,8 +156,10 @@ def learn_tree_scratch(ds, gain, d: int, s: int) -> Tree:
     def unused(root, above):
         if len(above) >= d or root.size() >= s:
             return []
-        used = {var for var, _ in above}
-        return [i for i in range(ds.n_features) if i not in used]
+        free = list(range(ds.n_features))
+        for var in sorted({var for var, _ in above}, reverse=True):
+            del free[var]  # from the top down, so lower indices stay put
+        return free
 
     result = _grow(ds, gain, d, s, unused, depth_first=True)
     if result.learned:

@@ -277,10 +277,13 @@ def _split_gain(n: int, plus: int, k: int, k_plus: int) -> float:
 class InfoGain:
     """Empirical information gain over the probed feature column.
 
-    Both calls take a node's examples `rows`, its positive ones `labels` and
-    each candidate's column as bitsets (see `tree_learners._best_split`),
-    count them by popcount and score with `_split_gain`, the formula
-    `info_gain` uses.  `best` scores every candidate of a non-empty node, so
+    Both calls take a node's examples `rows` and its positive ones `labels`
+    as bitsets (see `tree_learners._best_split`), count by popcount and
+    score with `_split_gain`, the formula `info_gain` uses.  The
+    per-candidate call is handed the candidate's column on `rows`; `best`
+    is called after the node's candidates were charged with `meter`, and
+    gathers their columns itself through `ds.gather_bits`, the unmetered
+    half of `probe_bits`.  It scores every candidate of a non-empty node, so
     its argmax is the per-candidate one.
     """
 
@@ -291,10 +294,10 @@ class InfoGain:
         return _split_gain(n, labels.bit_count(), values.bit_count(),
                            (values & labels).bit_count())
 
-    def best(self, ds, rows, labels, cols, candidates) -> int:
+    def best(self, ds, rows, labels, candidates) -> int:
         n, plus = rows.bit_count(), labels.bit_count()
         best_j, best_gain = 0, -math.inf
-        for j, col in enumerate(cols):
+        for j, col in enumerate(ds.gather_bits(rows, candidates)):
             gain = _split_gain(n, plus, col.bit_count(),
                                (col & labels).bit_count())
             if gain > best_gain:
@@ -316,15 +319,17 @@ class TeacherGain:
     sample once and returns the designated split's index among the
     candidates, or 0 when it is not among them; a leaf route runs the label
     check and returns 0.  That is the strict argmax of the per-candidate
-    scores.
+    scores.  It reads no candidate column: the split gathers only the one
+    it picks.
 
     The per-candidate `__call__` serves a caller that scores one candidate
-    at a time, as `_best_split` does for a gain proxy without `best` until
-    ROADMAP item 2 points perfbench's proxy at `best`.  Such a caller scores
-    every candidate of a node with the same `rows` array object, so the
-    routing is done once per (ds, rows) pair and reused for the node's other
-    candidates; `rows` must not be mutated between calls.  A routing that
-    raises is not cached, and the label check runs on every call.
+    at a time, as `_best_split`'s fallback does for a gain proxy without
+    `best` until ROADMAP item 2 points perfbench's proxy at `best`.  Such a
+    caller scores every candidate of a node with the same `rows` array
+    object, so the routing is done once per (ds, rows) pair and reused for
+    the node's other candidates; `rows` must not be mutated between calls.
+    A routing that raises is not cached, and the label check runs on every
+    call.
     """
 
     def __init__(self, target: Tree):
@@ -341,7 +346,7 @@ class TeacherGain:
         self._check_leaf(node, rows, labels)
         return 0.0  # pure sample; the leaf case is handled before gain
 
-    def best(self, ds, rows, labels, cols, candidates) -> int:
+    def best(self, ds, rows, labels, candidates) -> int:
         node = self._route(ds, rows)
         if node.kind == INTERNAL:
             return candidates.index(node.var) if node.var in candidates else 0

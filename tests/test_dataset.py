@@ -1,6 +1,7 @@
 """Probe metering: memoized cells, free labels, ledger accounting."""
 
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -302,8 +303,9 @@ def test_probe_rows_on_no_examples_is_an_empty_free_read(kind, rows):
 
 
 @pytest.mark.parametrize("read", [lambda ds: ds.probe_bits(0b11, [0, 1]),
-                                  lambda ds: ds.peek_bits(0)],
-                         ids=["probe_bits", "peek_bits"])
+                                  lambda ds: ds.peek_bits(0),
+                                  lambda ds: ds.gather_bits(0b11, [0, 1])],
+                         ids=["probe_bits", "peek_bits", "gather_bits"])
 def test_bit_reads_on_rational_data_are_usage_errors(read):
     """A rational dataset has no bitsets: a bit read is a UsageError raised
     before the ledger records anything."""
@@ -313,6 +315,23 @@ def test_bit_reads_on_rational_data_are_usage_errors(read):
         read(ds)
     assert ds.ledger.total_probes == 1
     assert ds.ledger.per_example_probes().tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
+def test_probe_bits_is_meter_plus_gather_bits(n_examples, n_features):
+    """`gather_bits` returns what `probe_bits` does and charges nothing;
+    `meter` charges what `probe_bits` does."""
+    values, labels = bool_data(n_examples, n_features)
+    rng = np.random.default_rng(n_examples)
+    rows = bits_of(rng.integers(0, 2, n_examples))
+    features = sorted(rng.choice(n_features, size=2, replace=False).tolist())
+    probed, gathered, metered = (CostlyDataset.from_bool(values, labels)
+                                 for _ in range(3))
+    assert gathered.gather_bits(rows, features) == \
+        probed.probe_bits(rows, features)
+    assert gathered.ledger.total_probes == 0
+    metered.meter(features, rows)
+    assert (metered.ledger.mask() == probed.ledger.mask()).all()
 
 
 def test_labels_and_peeks_are_free():
@@ -628,6 +647,19 @@ def test_from_bool_takes_label_bits(n_examples, n_features):
 def test_from_bool_label_bits_validation(kw):
     with pytest.raises(UsageError):
         CostlyDataset.from_bool([[0, 1], [1, 0]], **kw)
+
+
+@pytest.mark.parametrize("n_words", [2, 5])
+def test_from_bool_checks_the_column_word_count(n_words):
+    """S = 4 and N = 3 take 3 words, one per column; a shorter array would
+    fail on a read and a longer one on `peek_all`."""
+    values, labels = bool_data(4, 3)
+    words = pack_columns(values)
+    assert len(words) == 3
+    columns = array("Q", (list(words) * 2)[:n_words])
+    with pytest.raises(UsageError, match=f"{n_words} column words"):
+        CostlyDataset.from_bool(values, columns=columns,
+                                label_bits=bits_of(labels))
 
 
 @pytest.mark.parametrize("n_examples", [1, 63, 64, 65, 130])

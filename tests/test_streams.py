@@ -14,11 +14,12 @@ from probelearn import (GameResult, StreamSpec, Tree, UsageError,
                         gen_poly_stream, gen_tree_stream, leaf_cover_dataset,
                         member_of_dt, play_single_feature_game,
                         sample_fragment, stream_to_json_obj, stump, tree_vars)
+from probelearn import streams
 from probelearn.griddist import ProductDistribution
 from probelearn.errors import GeneratorExhaustedError
-from probelearn.streams import (MAX_TRIES, P_MORE, _Composer, _grid_dataset,
-                                _overcomplete_dictionary, _sample_dictionary,
-                                coin_flips)
+from probelearn.streams import (CHUNK_CELLS, MAX_TRIES, P_MORE, _Composer,
+                                _grid_dataset, _overcomplete_dictionary,
+                                _sample_dictionary, coin_flips)
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
 from probelearn.cli import _game_failures
 from probelearn.streams import pcg64_trial_states
@@ -308,6 +309,45 @@ def test_leaf_cover_dataset_matches_the_per_row_reference():
         assert np.array_equal(ds.peek_all(), values)
         assert np.array_equal(ds.labels, labels)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_features", [40, 300])
+def test_leaf_cover_list_matches_one_call_per_target(monkeypatch,
+                                                     n_features):
+    """Back-to-back targets drawn in one call give each target's dataset
+    and leave the generator as one call per target does: the list starts
+    on a pending 32-bit half, mixes stumps with deeper trees and spans
+    several draws of at most CHUNK_CELLS cells; at N = 300 one 130-row task
+    alone exceeds that, and is drawn on its own."""
+    rng = np.random.default_rng(21)
+    composer = _Composer(dictionaries()[0][0], 4, 11)
+    targets = [stump(3), composer(rng), stump(0), stump(n_features - 1)]
+    targets += [composer(rng) if j % 3 else stump(j) for j in range(12)]
+    assert sum(len(g.frontier_paths()) > 1 for g in targets) > 8
+    assert len(targets) * 130 * n_features > 2 * CHUNK_CELLS
+    got_rng, want_rng = (np.random.default_rng(22) for _ in range(2))
+    for gen in (got_rng, want_rng):
+        gen.integers(5)  # a scalar bounded draw leaves a 32-bit half pending
+        assert gen.bit_generator.state["has_uint32"] == 1
+    draws = []
+    monkeypatch.setattr(streams, "coin_flips", lambda rng, shape: (
+        draws.append(shape) or coin_flips(rng, shape)))
+    got = leaf_cover_dataset(got_rng, targets, n_features, 130)
+    per_draw = max(1, CHUNK_CELLS // (130 * n_features))
+    assert len(draws) == -(-len(targets) // per_draw)
+    assert [rows for rows, _ in draws[:-1]] == [130 * per_draw] * (
+        len(draws) - 1)
+    monkeypatch.undo()
+    want = [leaf_cover_dataset(want_rng, g, n_features, 130) for g in targets]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(got) == len(want)
+    for g, ds, ref in zip(targets, got, want):
+        assert (ds.n_examples, ds.n_features) == (130, n_features)
+        assert ds._cols == ref._cols
+        assert ds.label_bits == ref.label_bits
+        assert ds.label_bits not in (0, (1 << 130) - 1)  # g splits them
+    assert leaf_cover_dataset(got_rng, [], n_features, 130) == []
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("g", [

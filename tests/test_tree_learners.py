@@ -7,12 +7,13 @@ import pytest
 
 from probelearn import (CostlyDataset, InfoGain, InternalError,
                         ModelViolationError, RealizabilityError, StreamSpec,
-                        TeacherGain, Tree, bootstrap_count, conflict,
-                        fill_labels, gen_tree_stream, improve_rep_anchor,
-                        improve_rep_list, improve_rep_overcomplete,
-                        improve_rep_tree, induce, leaf_cover_dataset,
-                        learn_tree_scratch, lfd_tree, naive_lfd_seen_features,
-                        sample_fragment, tree_learners, tree_vars)
+                        TeacherGain, Tree, UsageError, bootstrap_count,
+                        conflict, fill_labels, gen_tree_stream,
+                        improve_rep_anchor, improve_rep_list,
+                        improve_rep_overcomplete, improve_rep_tree, induce,
+                        leaf_cover_dataset, learn_tree_scratch, lfd_tree,
+                        naive_lfd_seen_features, sample_fragment,
+                        tree_learners, tree_vars)
 from probelearn.tree_learners import LfdResult
 from probelearn.trees import steps
 
@@ -366,6 +367,46 @@ def test_bitset_split_matches_per_candidate_probes_on_multiword_samples(
                 got = grow(grower, task, gain_kind, rep, seen)
                 assert got[0] == want[0]
                 assert (got[1] == want[1]).all()
+
+
+@pytest.mark.parametrize("gain", [
+    InfoGain(), TeacherGain(I(0, L(False), L(True))),
+    PerCandidateGain(InfoGain())], ids=["info", "teacher", "per-candidate"])
+def test_split_on_rational_data_charges_nothing(gain):
+    """A rational dataset has no bitsets: a split on it is a UsageError
+    raised before the ledger records anything."""
+    ds = CostlyDataset.from_rational([[1, 2], [2, 1]], [1, 2])
+    with pytest.raises(UsageError, match="bool dataset"):
+        tree_learners._best_split(ds, gain, 0b11, 0b01, [0, 1])
+    assert ds.ledger.total_probes == 0
+
+
+@pytest.mark.parametrize("gain_kind", ["teacher", "info"])
+def test_split_gathers_only_what_the_gain_scores(monkeypatch, gain_kind):
+    """A teacher split gathers no candidate column; an information-gain
+    split gathers every candidate once, through `gather_bits`.  Either way
+    the split returns the chosen column on the node."""
+    tasks, _ = gen_tree_stream(StreamSpec(
+        family="tree", n_features=20, k=3, d=4, s=9, mf_depth=3, m=4,
+        sample_size=10, seed=73).validate())
+    for task in tasks:
+        ds = task.ds
+        gathered = []
+        gather = ds.gather_bits
+        monkeypatch.setattr(ds, "gather_bits", lambda rows, features: (
+            gathered.append(list(features)) or gather(rows, features)))
+        gain = TeacherGain(task.target) if gain_kind == "teacher" \
+            else InfoGain()
+        rows = (1 << ds.n_examples) - 1
+        labels = ds.label_bits
+        candidates = list(range(ds.n_features))
+        feature, col = tree_learners._best_split(ds, gain, rows, labels,
+                                                 candidates)
+        assert col == ds.peek_bits(feature)
+        assert ds.ledger.total_probes == ds.n_examples * ds.n_features
+        assert gathered == ([] if gain_kind == "teacher" else [candidates])
+        if gain_kind == "teacher":
+            assert feature == task.target.var
 
 
 # -- incremental superimposition --------------------------------------------

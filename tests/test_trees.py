@@ -506,7 +506,7 @@ def test_info_gain_best_matches_per_candidate_argmax():
         gains = [info_gain(labels, column) for column in block.T]
         row_bits = sum(1 << int(e) for e in rows)
         label_bits = sum(1 << int(e) for e in rows[labels])
-        assert InfoGain().best(ds, row_bits, label_bits, cols,
+        assert InfoGain().best(ds, row_bits, label_bits,
                                candidates) == gains.index(max(gains))
         assert [InfoGain()(ds, row_bits, f, col, label_bits)
                 for f, col in zip(candidates, cols)] == gains
@@ -531,7 +531,7 @@ def test_teacher_gain_best_matches_per_candidate_argmax():
                     if rng.random() < 0.3:
                         labels = rows & ~labels
                     got = outcome(TeacherGain(target).best, task.ds, rows,
-                                  labels, cols, candidates)
+                                  labels, candidates)
                     want = outcome(argmax_reference, TeacherGain(target),
                                    task.ds, rows, labels, cols, candidates)
                     assert got == want
@@ -564,13 +564,12 @@ def test_gain_best_matches_per_candidate_on_multiword_bitsets(sample_size):
             labels = rows & task.ds.label_bits
             flags = np.asarray(task.ds.labels, dtype=bool)[index]
             gains = [info_gain(flags, column) for column in block.T]
-            assert InfoGain().best(task.ds, rows, labels, cols,
+            assert InfoGain().best(task.ds, rows, labels,
                                    candidates) == gains.index(max(gains))
             assert argmax_reference(InfoGain(), task.ds, rows, labels, cols,
                                     candidates) == gains.index(max(gains))
             teacher = TeacherGain(task.target)
-            got = outcome(teacher.best, task.ds, rows, labels, cols,
-                          candidates)
+            got = outcome(teacher.best, task.ds, rows, labels, candidates)
             assert got == outcome(argmax_reference, TeacherGain(task.target),
                                   task.ds, rows, labels, cols, candidates)
             routed += isinstance(got, int) and got > 0
