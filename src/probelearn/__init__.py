@@ -32,7 +32,7 @@ from .streams import (GameResult, StreamSpec, adversary_r_min, fill_labels,
                       game_failure_bound, gen_adversary_stream,
                       gen_agnostic_stream, gen_monomial_stream,
                       gen_poly_stream, gen_tree_stream, leaf_cover_dataset,
-                      play_single_feature_game, sample_fragment,
+                      leaf_cover_datasets, play_single_feature_game, sample_fragment,
                       stream_to_json_obj, stump, tree_vars)
 from .tree_learners import (LfdResult, bootstrap_count, improve_rep_anchor,
                             improve_rep_list, improve_rep_overcomplete,

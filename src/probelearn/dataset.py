@@ -308,7 +308,7 @@ class CostlyDataset:
         bitset `rows` in one metered read: `meter`, then `gather_bits`
         (one probe per fresh cell).  On a rational dataset it is a
         UsageError and charges nothing."""
-        self._need_bits()
+        self.need_bits()
         self.meter(features, rows)
         return self.gather_bits(rows, features)
 
@@ -366,20 +366,22 @@ class CostlyDataset:
 
     def peek_bits(self, feature: int) -> int:
         """Unmetered bitset of the examples with the feature set."""
-        self._need_bits()
+        self.need_bits()
         return column_bits(self._cols, self.n_examples, feature)
 
     def gather_bits(self, rows: int, features) -> list:
         """The unmetered half of `probe_bits`, for a caller that has charged
         the read with `meter`: item j is the bitset of the examples of
         `rows` with features[j] set."""
-        self._need_bits()
+        self.need_bits()
         if self.n_examples <= 64:  # one word per column: index it directly
             words = self._cols
             return [words[feature] & rows for feature in features]
         return [self.peek_bits(feature) & rows for feature in features]
 
-    def _need_bits(self) -> None:
+    def need_bits(self) -> None:
+        """Refuse with UsageError a dataset that is not bool: the bit reads
+        need its column bitsets."""
         if self._cols is None:
             raise UsageError("bit reads need a bool dataset")
 

@@ -18,8 +18,9 @@ keeping its empty slots up to date rather than rescanning them.  Each
 task's leaf-covering examples are labeled in bulk, by routing bitsets of
 examples down the target.  Tasks that are drawn back to back, with no other
 draw between them, share one draw of their cells: the regime generators'
-posed stumps take one `leaf_cover_dataset` call, and an agnostic stream's
-pad columns one `coin_flips` call.
+posed stumps take one `leaf_cover_datasets` call, and an agnostic stream's
+pad columns come from one `shared_flips`; both draw in runs of at most
+CHUNK_CELLS cells.
 
 The agnostic mixer plants r bad targets over features disjoint from the
 dictionary; the lower-bound regime generators emit single-feature stumps
@@ -384,56 +385,62 @@ def pcg64_trial_states(seed: int, trials: int, budget: int) -> list:
     return states
 
 
-CHUNK_CELLS = 1 << 15  # cells per `coin_flips` call of a batched cover
+CHUNK_CELLS = 1 << 15  # cells per `coin_flips` call of a shared draw
 
 
-def leaf_cover_dataset(rng, g, n_features: int, sample_size: int):
-    """One example routed to every leaf of g, padded with uniform examples.
-
-    All rows are drawn in one `coin_flips` call, which yields the same bits
-    as one draw per row.  Row i then takes the (variable, bit) pairs above
-    g's i-th frontier node in `Tree.walk` order, written cell by cell.  The
-    labels come from routing the examples down g as bitsets: each internal
-    node splits its examples by its variable's column bitset.  The columns
-    are packed once and handed to the dataset with the label bitset, which
-    it keeps as they are, not the drawn matrix.  An example that reaches an
-    empty leaf raises UsageError.
-
-    Given a list of targets, it returns their datasets, equal to one call
-    per target in order: back-to-back tasks share one draw.  Cell k of a
-    draw is the k-th 32-bit half of the generator's output, so one draw of
-    a + b cells is a draw of a cells followed by one of b.  The targets'
-    cells are drawn in one `coin_flips` call per run of tasks that together
-    hold at most CHUNK_CELLS cells (a larger task is a run of its own), then
-    each task is written, packed and labeled on its own."""
-    if isinstance(g, Tree):
-        frontier = _frontier(g)
-        values = coin_flips(rng, (max(len(frontier), sample_size), n_features))
-        return _cover(g, frontier, values)
-    frontiers = [_frontier(target) for target in g]
-    rows = [max(len(frontier), sample_size) for frontier in frontiers]
-    out = []
-    while len(out) < len(g):
-        start = stop = len(out)
-        total = rows[start]
-        while stop + 1 < len(g) and \
-                (total + rows[stop + 1]) * n_features <= CHUNK_CELLS:
-            stop += 1
+def shared_flips(rng, rows, n_cols: int):
+    """Yield a rows[j] x n_cols `coin_flips` draw for each j in order, the
+    same bits as one call per item, with the generator left in the same
+    state: cell k of a draw is the k-th 32-bit half of the generator's
+    output, so one draw of a + b cells is a draw of a cells followed by one
+    of b.  Items are drawn in one call per run that together hold at most
+    CHUNK_CELLS cells (a larger item is a run of its own), so no more than
+    one run's cells are held at once.  The draws are lazy: take every item
+    before drawing anything else from rng."""
+    start = 0
+    while start < len(rows):
+        stop, total = start + 1, rows[start]
+        while stop < len(rows) and \
+                (total + rows[stop]) * n_cols <= CHUNK_CELLS:
             total += rows[stop]
-        values, end = coin_flips(rng, (total, n_features)), 0
-        for j in range(start, stop + 1):
-            out.append(_cover(g[j], frontiers[j], values[end:end + rows[j]]))
+            stop += 1
+        values, end = coin_flips(rng, (total, n_cols)), 0
+        for j in range(start, stop):
+            yield values[end:end + rows[j]]
             end += rows[j]
-    return out
+        start = stop
 
 
-def _frontier(g: Tree) -> list:
-    """The `walk` pairs above each leaf and empty node of g, in order."""
-    return [above for node, above in g.walk() if node.kind != INTERNAL]
+def leaf_cover_dataset(rng, g: Tree, n_features: int,
+                       sample_size: int) -> CostlyDataset:
+    """One example routed to every leaf of g, padded with uniform examples:
+    `leaf_cover_datasets` of the one target."""
+    return leaf_cover_datasets(rng, [g], n_features, sample_size)[0]
+
+
+def leaf_cover_datasets(rng, targets, n_features: int,
+                        sample_size: int) -> list:
+    """`leaf_cover_dataset` of each target in order, with the same datasets
+    and generator state as one call per target; back-to-back tasks share
+    one draw of their cells through `shared_flips`.
+
+    Each task's rows come in one piece of that draw, the same bits as one
+    draw per row.  Row i then takes the (variable, bit) pairs above the
+    target's i-th frontier node in `Tree.walk` order, written cell by cell.
+    The labels come from routing the examples down the target as bitsets:
+    each internal node splits its examples by its variable's column bitset.
+    The columns are packed once and handed to the dataset with the label
+    bitset, which it keeps as they are, not the drawn matrix.  An example
+    that reaches an empty leaf raises UsageError."""
+    frontiers = [[above for node, above in g.walk() if node.kind != INTERNAL]
+                 for g in targets]
+    rows = [max(len(frontier), sample_size) for frontier in frontiers]
+    return [_cover(g, frontier, values) for g, frontier, values
+            in zip(targets, frontiers, shared_flips(rng, rows, n_features))]
 
 
 def _cover(g: Tree, frontier, values: np.ndarray) -> CostlyDataset:
-    """`leaf_cover_dataset` on drawn rows `values`: write the frontier's
+    """One target's dataset on its drawn rows `values`: write the frontier's
     path bits, pack the columns and label the examples by routing them."""
     n_features = values.shape[1]
     cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
@@ -679,7 +686,8 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
     features: d on a `tree` or `anchor` stream, 1 on a `monomial` stream.
     The good tasks are the family's stream over the other N - reserve,
     re-hosted in all N: a tree dataset is padded with uniform columns (the
-    target never reads them), a monomial takes a 0 exponent and a new
+    target never reads them), drawn back to back through `shared_flips`,
+    a monomial takes a 0 exponent and a new
     dataset."""
     spec.validate()
     if spec.r < 1:
@@ -691,10 +699,8 @@ def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
     pool = list(range(sub.n_features, spec.n_features))
     if trees:
         tasks, dictionary = gen_tree_stream(sub, trial)
-        # every task's pad rows in one draw, split per task in order
         rows = [task.ds.n_examples for task in tasks]
-        pads = coin_flips(rng, (sum(rows), reserve))
-        for task, pad in zip(tasks, np.split(pads, np.cumsum(rows)[:-1])):
+        for task, pad in zip(tasks, shared_flips(rng, rows, reserve)):
             task.ds = task.ds.padded(pad)
     else:
         tasks, cols = gen_monomial_stream(sub, trial)
@@ -733,7 +739,7 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
     regimes pose m' uniform stumps first and designate the K good features
     retroactively — flags are reporting-only, no learner observes them.
     The m' posed stumps are back to back, so their samples come from one
-    `leaf_cover_dataset` call; each appended good stump draws its feature
+    `leaf_cover_datasets` call; each appended good stump draws its feature
     between two samples, so it takes a call of its own, as does each
     realizable task.
     """
@@ -773,7 +779,7 @@ def gen_adversary_stream(regime: str, n_features: int, k: int, m: int, r: int,
     posed = [int(rng.integers(n_features)) for _ in range(m_prime)]
     designated = [int(v) for v in rng.choice(n_features, size=k, replace=False)]
     targets = [stump(f) for f in posed]
-    datasets = leaf_cover_dataset(rng, targets, n_features, sample)
+    datasets = leaf_cover_datasets(rng, targets, n_features, sample)
     tasks = [Task(ds=ds, target=target, good=f in designated)
              for f, target, ds in zip(posed, targets, datasets)]
     if regime in ("intermediate", "large2"):

@@ -34,9 +34,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .dataset import BOOL
-from .errors import (InternalError, ModelViolationError, RealizabilityError,
-                     UsageError)
+from .errors import InternalError, ModelViolationError, RealizabilityError
 from .trees import INTERNAL, LEAF, PLUS, Tree, steps
 # Not called here: perfbench/tracing.py wraps these names in this module.
 from .trees import conflict, induce  # noqa: F401
@@ -83,8 +81,7 @@ def _best_split(ds, gain, rows, labels, candidates):
     """
     best = getattr(gain, "best", None)
     if best is not None:
-        if ds.value_kind != BOOL:
-            raise UsageError("bit reads need a bool dataset")
+        ds.need_bits()
         ds.meter(candidates, rows)
         feature = candidates[best(ds, rows, labels, candidates)]
         return feature, ds.peek_bits(feature) & rows

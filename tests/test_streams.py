@@ -12,14 +12,14 @@ from probelearn import (GameResult, StreamSpec, Tree, UsageError,
                         game_failure_bound, gen_adversary_stream,
                         gen_agnostic_stream, gen_monomial_stream,
                         gen_poly_stream, gen_tree_stream, leaf_cover_dataset,
-                        member_of_dt, play_single_feature_game,
+                        leaf_cover_datasets, member_of_dt, play_single_feature_game,
                         sample_fragment, stream_to_json_obj, stump, tree_vars)
 from probelearn import streams
 from probelearn.griddist import ProductDistribution
 from probelearn.errors import GeneratorExhaustedError
 from probelearn.streams import (CHUNK_CELLS, MAX_TRIES, P_MORE, _Composer,
                                 _grid_dataset, _overcomplete_dictionary,
-                                _sample_dictionary, coin_flips)
+                                _sample_dictionary, coin_flips, shared_flips)
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
 from probelearn.cli import _game_failures
 from probelearn.streams import pcg64_trial_states
@@ -332,7 +332,7 @@ def test_leaf_cover_list_matches_one_call_per_target(monkeypatch,
     draws = []
     monkeypatch.setattr(streams, "coin_flips", lambda rng, shape: (
         draws.append(shape) or coin_flips(rng, shape)))
-    got = leaf_cover_dataset(got_rng, targets, n_features, 130)
+    got = leaf_cover_datasets(got_rng, targets, n_features, 130)
     per_draw = max(1, CHUNK_CELLS // (130 * n_features))
     assert len(draws) == -(-len(targets) // per_draw)
     assert [rows for rows, _ in draws[:-1]] == [130 * per_draw] * (
@@ -346,7 +346,30 @@ def test_leaf_cover_list_matches_one_call_per_target(monkeypatch,
         assert ds._cols == ref._cols
         assert ds.label_bits == ref.label_bits
         assert ds.label_bits not in (0, (1 << 130) - 1)  # g splits them
-    assert leaf_cover_dataset(got_rng, [], n_features, 130) == []
+    assert leaf_cover_datasets(got_rng, [], n_features, 130) == []
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_cols", [0, 3, 200])
+def test_shared_flips_match_one_draw_per_item_within_the_cap(monkeypatch,
+                                                             n_cols):
+    """`shared_flips` yields each item's draw and leaves the generator as
+    one `coin_flips` call per item does, from a pending 32-bit half on; no
+    call draws more than CHUNK_CELLS cells unless one item alone does."""
+    rows = [7, 1, 130, 40, 2, 300, 5, 64, 9]
+    got_rng, want_rng = (np.random.default_rng(8) for _ in range(2))
+    for gen in (got_rng, want_rng):
+        gen.integers(5)  # a scalar bounded draw leaves a 32-bit half pending
+    draws = []
+    monkeypatch.setattr(streams, "coin_flips", lambda rng, shape: (
+        draws.append(shape) or coin_flips(rng, shape)))
+    got = [values.copy() for values in shared_flips(got_rng, rows, n_cols)]
+    monkeypatch.undo()
+    assert all(n * n_cols <= CHUNK_CELLS or n in rows for n, _ in draws)
+    assert 1 < len(draws) < len(rows) if n_cols == 200 else len(draws) == 1
+    for n, values in zip(rows, got):
+        assert np.array_equal(values, coin_flips(want_rng, (n, n_cols)))
+    assert len(got) == len(rows)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
