@@ -420,9 +420,10 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int,
 
 def leaf_cover_datasets(rng, targets, n_features: int,
                         sample_size: int) -> list:
-    """`leaf_cover_dataset` of each target in order, with the same datasets
-    and generator state as one call per target; back-to-back tasks share
-    one draw of their cells through `shared_flips`.
+    """For each target in order, one example routed to every leaf of it,
+    padded with uniform examples.  Back-to-back tasks share one draw of
+    their cells through `shared_flips`, so the datasets and the generator
+    state left behind equal those of one call per target.
 
     Each task's rows come in one piece of that draw, the same bits as one
     draw per row.  Row i then takes the (variable, bit) pairs above the
