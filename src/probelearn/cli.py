@@ -215,6 +215,20 @@ def _checked_plan(config: dict):
     return spec, family, kind, (k_cap, slack)
 
 
+_PLAN = {}  # repr(config) -> plan, for the last config planned here
+
+
+def _plan(config: dict):
+    """`_checked_plan(config)`, kept for the last config planned in this
+    process: a run's check and its trials share one family (and basis).
+    The repr key tells a bool from an int, as the check does."""
+    key = repr(config)
+    if key not in _PLAN:
+        _PLAN.clear()
+        _PLAN[key] = _checked_plan(config)
+    return _PLAN[key]
+
+
 def generate_stream(spec: StreamSpec, trial: int):
     if spec.r > 0:
         return gen_agnostic_stream(spec, trial)
@@ -228,7 +242,7 @@ def generate_stream(spec: StreamSpec, trial: int):
 def run_trial(config: dict, trial: int) -> dict:
     """One seeded trial of the config's plan -> frozen rows plus a summary
     dict (picklable).  The driver is read from this module at call time."""
-    spec, family, kind, args = _checked_plan(config)
+    spec, family, kind, args = _plan(config)
     tasks, _ = generate_stream(spec, trial)
     driver = {"plain": run_protocol, "bootstrap": run_bootstrap_protocol}.get(
         kind, run_restart_protocol)
@@ -476,7 +490,7 @@ def main(argv=None) -> int:
             check_block(config, ADVERSARY_KEYS, "adversary config")
             return cmd_adversary(config, out, args.jobs)
         if args.command == "run":
-            _checked_plan(config)
+            _plan(config)
             return cmd_run(config, out, args.jobs, args.strict)
         plan = sweep_plan(config, args.axis, args.values)
         return cmd_sweep(config, out, args.jobs, args.strict, args.axis, plan)

@@ -79,6 +79,7 @@ class ProbeLedger:
     read on it (bit e = example e); after `record_all` every cell counts as
     read and nothing more is kept.  Cost of a read is 1 for a fresh cell and
     0 for a memoized one, so `total_probes` is just the number of set bits.
+    A read on no example records nothing, and keeps no feature.
     """
 
     def __init__(self, n_examples: int, n_features: int):
@@ -88,14 +89,11 @@ class ProbeLedger:
 
     def record_bits(self, rows: int, features) -> None:
         """Record every cell of the bitset `rows` x features block."""
-        if self._all:
+        if self._all or not rows:
             return
         read = self._read
         for feature in features:
-            old = read.get(feature, 0)
-            new = old | rows
-            if new != old:
-                read[feature] = new
+            read[feature] = read.get(feature, 0) | rows
 
     def record_all(self) -> None:
         self._all, self._read = True, {}
@@ -254,11 +252,9 @@ class CostlyDataset:
         self._check_features(features)
 
     def _check_features(self, features) -> None:
-        if len(features) and (min(features) < 0
-                              or max(features) >= self.n_features):
-            for feature in features:
-                if not 0 <= feature < self.n_features:
-                    raise UsageError(f"feature {feature} out of range")
+        for feature in features:
+            if not 0 <= feature < self.n_features:
+                raise UsageError(f"feature {feature} out of range")
 
     # -- metered reads -----------------------------------------------------
 
@@ -268,10 +264,13 @@ class CostlyDataset:
         cell).  Every other metered read but `probe_all` goes through here;
         a caller that resolves the values it pays for through an exact
         oracle or `evaluate` calls it alone."""
-        self._check_features(features)
+        n_examples, n_features = self._shape
+        if len(features) and not (0 <= min(features)
+                                  and max(features) < n_features):
+            self._check_features(features)
         if rows is None:
-            rows = (1 << self.n_examples) - 1
-        elif rows < 0 or rows >> self.n_examples:
+            rows = (1 << n_examples) - 1
+        elif rows < 0 or rows >> n_examples:
             raise UsageError("rows name an example out of range")
         self.ledger.record_bits(rows, features)
 
@@ -365,7 +364,10 @@ class CostlyDataset:
         return self._label_bits
 
     def peek_bits(self, feature: int) -> int:
-        """Unmetered bitset of the examples with the feature set."""
+        """Unmetered bitset of the examples with the feature set; with S <=
+        64 the column's one word, read as `gather_bits` reads it."""
+        if self._shape[0] <= 64 and self._cols is not None:
+            return self._cols[feature]
         self.need_bits()
         return column_bits(self._cols, self.n_examples, feature)
 

@@ -70,7 +70,9 @@ class Task:
 
 
 class TreeFamily:
-    """Decision trees: teacher or information gain, four improvement rules."""
+    """Decision trees: teacher or information gain, four improvement rules;
+    `attempt` keeps one `lfd_tree` path map for the last rep object it read
+    (ImproveRep and restarts make new lists; never edit one in place)."""
 
     name = "tree"
 
@@ -87,6 +89,7 @@ class TreeFamily:
         self.s = s
         self.gain = gain
         self.improver = improver
+        self._rep, self._paths = None, {}
 
     def empty_rep(self):
         return []
@@ -100,7 +103,10 @@ class TreeFamily:
         return InfoGain()
 
     def attempt(self, task, rep):
-        return lfd_tree(task.ds, rep, self._gain_for(task), self.d, self.s)
+        if rep is not self._rep:
+            self._rep, self._paths = rep, {}
+        return lfd_tree(task.ds, rep, self._gain_for(task), self.d, self.s,
+                        paths=self._paths)
 
     def scratch(self, task):
         return learn_tree_scratch(task.ds, self._gain_for(task), self.d, self.s)

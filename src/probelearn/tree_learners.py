@@ -7,7 +7,9 @@ target growable from prunings of F~ (with teacher gain and leaf-covering
 data) it reproduces the target exactly, probing at most 2|F~| + 2d distinct
 features per example.  `naive_lfd_seen_features` is the baseline that
 offers every previously seen feature at every node.  All three are one
-grower, `_grow`, that differs only in each node's candidate set.
+grower, `_grow`, that differs only in each node's candidate set.  LFD's
+sets depend only on F~ and the node's root path, so a caller keeps them
+across tasks in one map per F~ (`lfd_tree`'s `paths`).
 
 The grower holds each node's examples as a bitset (bit e = example e).  A
 node's purity test ANDs it with the label bitset, one `meter` call charges
@@ -171,7 +173,7 @@ def learn_tree_scratch(ds, gain, d: int, s: int) -> Tree:
 # -- learning from the representation --------------------------------------
 
 
-def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
+def lfd_tree(ds, rep, gain, d: int, s: int, paths: dict = None) -> LfdResult:
     """Grow a tree using only features the stored fragments can induce.
 
     At each mixed node u, every fragment f in rep is superimposed at every
@@ -181,27 +183,33 @@ def lfd_tree(ds, rep, gain, d: int, s: int) -> LfdResult:
     removed, and only I is probed on the examples reaching u.  Fails when
     the depth/size caps break or no candidate remains.
 
-    The placements are advanced, not recomputed: `live[above]` holds the
-    internal f-nodes that the placements alive at that node land on.  A
-    child keeps those of its parent whose variable is the split above[-1],
-    steps each one the same way, drops the ones that run off f, and adds
-    every internal fragment root (the placements at w = u).  The node being
-    grown is still empty, so nothing at u itself can clash.
+    The placements are advanced, not recomputed: `paths[above]` holds the
+    internal f-nodes that the placements alive at that node land on, and
+    the node's sorted candidates.  A child keeps the f-nodes of its parent
+    whose variable is the split above[-1], steps each one the same way,
+    drops the ones that run off f, and adds every internal fragment root
+    (the placements at w = u).  The node being grown is still empty, so
+    nothing at u itself can clash.  Both depend only on rep and the path,
+    so `TreeFamily.attempt` passes one `paths` dict to every task it
+    attempts through one rep object: each path is superimposed once per
+    representation.
     """
     roots = [f for f in rep if f.kind == INTERNAL]
-    live = {}
+    paths = {} if paths is None else paths
 
     def induced(root, above):
-        here = list(roots)
-        if above:
-            var, step = above[-1]
-            for fnode in live[above[:-1]]:
-                if fnode.var == var:
-                    child = fnode.right if step else fnode.left
-                    if child.kind == INTERNAL:
-                        here.append(child)
-        live[above] = here
-        return sorted({fnode.var for fnode in here} - {v for v, _ in above})
+        if above not in paths:
+            here = list(roots)
+            if above:
+                var, step = above[-1]
+                for fnode in paths[above[:-1]][0]:
+                    if fnode.var == var:
+                        child = fnode.right if step else fnode.left
+                        if child.kind == INTERNAL:
+                            here.append(child)
+            paths[above] = here, sorted(
+                {fnode.var for fnode in here} - {v for v, _ in above})
+        return paths[above][1]
 
     return _grow(ds, gain, d, s, induced, depth_first=False)
 

@@ -71,6 +71,35 @@ def test_run_is_byte_identical(tmp_path):
         assert (out / "report.json").read_bytes() == ref_json
 
 
+POLY_CONFIG = {
+    "stream": {"family": "polynomial", "n_features": 5, "k": 2, "d": 3,
+               "t": 2, "m": 10, "sample_size": 4, "seed": 3},
+    "trials": 3,
+}
+
+
+def test_run_builds_its_plan_once_per_process(tmp_path, monkeypatch):
+    """The config check and every trial of a run in one process share one
+    plan: a 3-trial polynomial run builds one orthogonal basis, not four.
+    Its reports do not depend on --jobs."""
+    monkeypatch.setattr(cli, "_PLAN", {})  # no plan left by an earlier test
+    built = []
+    build = cli.build_orthogonal_basis
+    monkeypatch.setattr(cli, "build_orthogonal_basis",
+                        lambda *args: built.append(args) or build(*args))
+    cfg = write_config(tmp_path, POLY_CONFIG)
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        outs.append(out)
+        if jobs == "1":
+            assert len(built) == 1
+    for name in ("report.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_seed_override_changes_the_stream(tmp_path):
     cfg = write_config(tmp_path, TREE_CONFIG)
     base, other = tmp_path / "base", tmp_path / "other"

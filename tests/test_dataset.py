@@ -251,6 +251,36 @@ def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
         assert ds.ledger.per_example_max() == n_features
 
 
+@pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
+def test_empty_and_repeated_reads_leave_the_ledger_unchanged(n_examples,
+                                                             n_features):
+    """A read on no example, and a read of cells already read, change none
+    of the ledger's figures."""
+    values, labels = bool_data(n_examples, n_features)
+    ds = CostlyDataset.from_bool(values, labels)
+    ledger = ds.ledger
+
+    def figures():
+        return (ledger.total_probes, ledger.mask().tolist(),
+                ledger.per_example_probes().tolist(), ledger.per_example_max())
+
+    every = list(range(n_features))
+    rng = np.random.default_rng(n_examples)
+    for _ in range(4):
+        before = figures()
+        ds.meter(every, 0)
+        ledger.record_bits(0, every)
+        assert figures() == before
+        features = sorted(rng.choice(n_features, size=int(rng.integers(
+            1, n_features + 1)), replace=False).tolist())
+        rows = bits_of(rng.random(n_examples) < 0.5) | 1
+        ds.meter(features, rows)
+        after = figures()
+        for again in (rows, rows & -rows):  # the same cells, then a subset
+            ds.meter(features[::-1], again)
+            assert figures() == after
+
+
 @pytest.mark.parametrize("features, offender", [
     ([0, 3], 3), ([-1], -1), ([1, 2, 7, -4], 7)])
 def test_probe_bits_out_of_range_feature(features, offender):

@@ -6,11 +6,12 @@ import pytest
 
 from probelearn import (ROW_FIELDS, SCHEMA_VERSION, CostlyDataset,
                         MonomialFamily, PolynomialFamily, ProductDistribution,
-                        StreamSpec, Task, TreeFamily, UsageError,
-                        build_orthogonal_basis, combined_slack,
+                        StreamSpec, Task, TeacherGain, Tree, TreeFamily,
+                        UsageError, build_orthogonal_basis, combined_slack,
                         gen_monomial_stream, gen_poly_stream, gen_tree_stream,
-                        run_bootstrap_protocol, run_combined_protocol,
-                        run_protocol, run_restart_protocol)
+                        lfd_tree, run_bootstrap_protocol,
+                        run_combined_protocol, run_protocol,
+                        run_restart_protocol)
 from probelearn.cli import _write_csv
 from probelearn.protocol import (OUTCOME_BOOTSTRAP, OUTCOME_LFD,
                                  OUTCOME_SCRATCH, ProtocolRun)
@@ -167,6 +168,60 @@ def test_restart_on_realizable_stream_matches_plain():
     assert restart.restarts == 0
     assert restart.outcomes == plain.outcomes
     assert restart.probes == plain.probes
+
+
+def test_tree_family_attempt_never_reads_a_stale_path_map():
+    """`TreeFamily.attempt` keeps one path map per rep object.  On every
+    rep it is handed (unchanged, after an ImproveRep, empty after a restart
+    wipe and then improved, a new list of the same fragments, a new list
+    of as many fragments with one changed) it gives what a fresh `lfd_tree`
+    call gives, with the same ledger mask."""
+    spec = tree_spec(n_features=12, k=3, d=3, s=7, m=40, sample_size=10,
+                     mf_depth=2, seed=29)
+    tasks, _ = gen_tree_stream(spec)
+    family = TreeFamily(spec.d, spec.s)
+    seen = set()
+
+    def fresh(task):
+        return Task(CostlyDataset.from_bool(
+            task.ds.peek_all(), label_bits=task.ds.label_bits), task.target)
+
+    def attempt(task, rep, case):
+        seen.add(case)
+        runs = []
+        for own in (True, False):
+            copy = fresh(task)
+            res = (family.attempt(copy, rep) if own else
+                   lfd_tree(copy.ds, rep, TeacherGain(task.target), spec.d,
+                            spec.s))
+            runs.append(((res.outcome, res.tree.key(), res.failed_path,
+                          res.reason), copy.ds.ledger.mask()))
+        (got, got_mask), (want, want_mask) = runs
+        assert got == want, case
+        assert (got_mask == want_mask).all(), case
+        return res
+
+    rep, case = family.empty_rep(), "empty"
+    for i, task in enumerate(tasks):
+        result = attempt(task, rep, case)
+        case = "unchanged"
+        if i % 4 == 3:
+            rep, case = list(rep), "copied"
+        if i == len(tasks) // 4:  # as many fragments, one a new stump
+            var = min(set(range(spec.n_features)) - {f.var for f in rep})
+            rep = rep[1:] + [Tree.internal(var, Tree.empty(), Tree.empty())]
+            case = "swapped"
+        elif i == len(tasks) // 2:
+            rep = family.empty_rep()
+            attempt(task, rep, "wiped")
+            rep = family.improve(rep, family.scratch(fresh(task)), None, task)
+            case = "improved after a wipe"
+        elif not result.learned:
+            rep = family.improve(rep, family.scratch(fresh(task)), result,
+                                 task)
+            case = "improved"
+    assert seen == {"empty", "unchanged", "copied", "swapped", "wiped",
+                    "improved", "improved after a wipe"}
 
 
 def test_combined_slack_values():

@@ -478,14 +478,19 @@ SUPERIMPOSITION_STREAMS = [
 @pytest.mark.parametrize("kw", SUPERIMPOSITION_STREAMS,
                          ids=lambda kw: kw["family"])
 def test_lfd_candidates_match_placement_reference(kw):
+    """Each representation keeps one `paths` map for every task, cap pair
+    and gain of its stream, as `TreeFamily.attempt` keeps one per rep."""
     outcomes = set()
     for seed in range(3):
         spec = StreamSpec(d=5, s=11, m=6, sample_size=8, seed=seed,
                           **kw).validate()
         tasks, dictionary = gen_tree_stream(spec)
         rng = np.random.default_rng(seed)
-        for task in tasks:
-            for rep in superimposition_reps(rng, task, dictionary):
+        reps = [rep for task in tasks
+                for rep in superimposition_reps(rng, task, dictionary)]
+        for rep in reps:
+            paths = {}
+            for task in tasks:
                 for d, s in ((2, 2), (3, 4), (5, 11)):
                     for gain_kind in ("teacher", "info"):
                         runs = []
@@ -495,7 +500,7 @@ def test_lfd_candidates_match_placement_reference(kw):
                             gain = (TeacherGain(task.target)
                                     if gain_kind == "teacher" else InfoGain())
                             if grower == "lfd":
-                                res = lfd_tree(ds, rep, gain, d, s)
+                                res = lfd_tree(ds, rep, gain, d, s, paths)
                             else:
                                 res = tree_learners._grow(
                                     ds, gain, d, s, reference_candidates(rep),
