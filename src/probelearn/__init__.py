@@ -24,12 +24,12 @@ from .polynomials import (ExactCorrelation, OrthogonalBasis, Polynomial,
                           improve_rep_polynomial, learn_polynomial_scratch,
                           lfd_polynomial)
 from .protocol import (ROW_FIELDS, SCHEMA_VERSION, MonomialFamily,
-                       PolynomialFamily, ProtocolRun, Task, TreeFamily,
+                       PolynomialFamily, ProtocolRun, TreeFamily,
                        combined_slack, run_bootstrap_protocol,
                        run_combined_protocol, run_protocol,
                        run_restart_protocol)
-from .streams import (GameResult, StreamSpec, adversary_r_min, fill_labels,
-                      game_failure_bound, gen_adversary_stream,
+from .streams import (GameResult, StreamSpec, Task, adversary_r_min,
+                      fill_labels, game_failure_bound, gen_adversary_stream,
                       gen_agnostic_stream, gen_monomial_stream,
                       gen_poly_stream, gen_tree_stream, leaf_cover_dataset,
                       leaf_cover_datasets, play_single_feature_game, sample_fragment,

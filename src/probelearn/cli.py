@@ -26,9 +26,9 @@ Every block and key is optional; defaults in parentheses.  Run/sweep: stream
 (StreamSpec's fields), protocol and trials int >= 1 (1); STREAM_READS and
 PROTOCOL_READS name the keys each stream family and protocol kind reads.  A
 stream reads placement only when r >= 1, an overcomplete stream reads k only
-as the default k_cap of restart and combined, a protocol with
-n_bootstrap reads no p_min or delta, and one with slack reads no r; else
-combined's slack is sqrt(rKN/m), at least 1, over the stream's m + r tasks.
+as the default k_cap of restart and combined, and a protocol with
+n_bootstrap reads no p_min or delta.  Combined's default slack is
+sqrt(rKN/m), at least 1, from the stream's r over its m + r tasks.
 README's run-config table gives every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
@@ -86,12 +86,12 @@ STREAM_KEYS["family"] = (str, FAMILIES)  # checked before its STREAM_READS row
 # The protocol keys each kind reads beside kind and strict_envelope_scale;
 # on a tree-family stream every kind also reads gain and improver.
 PROTOCOL_READS = {"plain": (), "restart": ("k_cap", "slack"),
-                  "combined": ("k_cap", "slack", "r"),
+                  "combined": ("k_cap", "slack"),
                   "bootstrap": ("n_bootstrap", "p_min", "delta")}
 PROTOCOL_KEYS = {
     "kind": (str, tuple(PROTOCOL_READS)),
     "gain": (str, ("teacher", "info")), "improver": (str, TREE_FAMILIES),
-    "k_cap": (int, 0), "r": (int, 0), "slack": (int, 0),
+    "k_cap": (int, 0), "slack": (int, 0),
     "n_bootstrap": (int, 0), "p_min": (float, None), "delta": (float, None),
     "strict_envelope_scale": (float, 0)}
 RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
@@ -180,7 +180,7 @@ def _checked_plan(config: dict):
     stream_reads = set(STREAM_READS[family])
     proto_reads = {"kind", "strict_envelope_scale", *tree_reads,
                    *PROTOCOL_READS[kind]}
-    if stream.get("r", 0) == 0:  # placement places the r bad tasks only
+    if "r" not in stream or stream["r"] == 0:  # placement orders r bad tasks
         stream_reads.discard("placement")
     # K1 x K2 sizes an overcomplete dictionary: k is only the default k_cap
     if family == "overcomplete" and (kind not in ("restart", "combined")
@@ -188,8 +188,6 @@ def _checked_plan(config: dict):
         stream_reads.discard("k")
     if "n_bootstrap" in proto:  # then p_min and delta give no count
         proto_reads -= {"p_min", "delta"}
-    if "slack" in proto:  # then combined derives no slack from r
-        proto_reads.discard("r")
     for what, block, reads in ((f"{family} stream", stream, stream_reads),
                                (f"{kind} protocol", proto, proto_reads)):
         if unread := sorted(set(block) - reads):
@@ -211,7 +209,7 @@ def _checked_plan(config: dict):
     k_cap = proto.get("k_cap", spec.k)
     # an explicit slack (the c axis) wins; every stream poses m + r tasks
     slack = proto.get("slack", 0 if kind == "restart" else combined_slack(
-        proto.get("r", spec.r), k_cap, spec.n_features, spec.m + spec.r))
+        spec.r, k_cap, spec.n_features, spec.m + spec.r))
     return spec, family, kind, (k_cap, slack)
 
 
@@ -312,9 +310,9 @@ def _strict_code(strict: bool, violations: int) -> int:
     return int(strict and violations > 0)
 
 
-def sweep_envelope(kind: str, spec: StreamSpec, r: int) -> float:
-    s, n, k, m, d = (spec.sample_size, spec.n_features, spec.dictionary_size,
-                     spec.m, spec.d)
+def sweep_envelope(kind: str, spec: StreamSpec) -> float:
+    s, n, k, m, d, r = (spec.sample_size, spec.n_features,
+                        spec.dictionary_size, spec.m, spec.d, spec.r)
     if kind == "combined":
         return s * (math.sqrt(max(r, 1) * k * n * m) + m * k)
     if kind == "restart":
@@ -339,13 +337,10 @@ def sweep_plan(config: dict, axis: str, text: str) -> list:
     plan = []
     for value in values:
         cfg = json.loads(json.dumps(config))  # deep copy
-        proto = cfg.setdefault("protocol", {})
         if stream_key is None:
-            proto["slack"] = value
+            cfg.setdefault("protocol", {})["slack"] = value
         else:
             cfg.setdefault("stream", {})[stream_key] = value
-        if axis == "r" and "r" in proto:  # combined's r defaults to stream r
-            proto["r"] = value
         plan.append((value, cfg, _checked_plan(cfg)))
     return plan
 
@@ -357,8 +352,7 @@ def cmd_sweep(config: dict, out: Path, jobs: int, strict: bool, axis: str,
     heads, calls = [], []
     for value, cfg, (spec, _, kind, _) in plan:
         head = {"schema_version": SCHEMA_VERSION, "axis": axis, "value": value,
-                "family": spec.family, "envelope": sweep_envelope(
-                    kind, spec, cfg["protocol"].get("r", spec.r))}
+                "family": spec.family, "envelope": sweep_envelope(kind, spec)}
         for t in range(cfg.get("trials", 1)):
             heads.append(head)
             calls.append((cfg, t))
@@ -406,10 +400,10 @@ def cmd_adversary(config: dict, out: Path, jobs: int) -> int:
     regime = config.get("regime")
     regime_rows = []
     if regime:  # before the games, which seed their own RNGs
-        name = regime.get("name", "realizable")
-        n, k, m, r, size = (regime.get("n_features", 20), regime.get("k", 3),
-                            regime.get("m", 30), regime.get("r", 0),
-                            regime.get("sample_size", 4))
+        # the defaults, updated by the regime block in their key order
+        name, n, k, m, r, size = (
+            {"name": "realizable", "n_features": 20, "k": 3, "m": 30, "r": 0,
+             "sample_size": 4} | regime).values()
         tasks, _ = gen_adversary_stream(name, n, k, m, r, seed,
                                         sample_size=size)
         family = TreeFamily(d=1, s=1, gain="teacher", improver="tree")

@@ -17,14 +17,13 @@ reads (`probe`, `peek*`), labels and `evaluate`.
 Every metered read is `meter` plus an unmetered gather.  `meter(features,
 rows)` charges the features on the examples of the bitset `rows` (every
 example by default) and returns nothing; the other reads call it, then
-gather what they return: `probe` one cell through `peek`, `probe_rows` and
-`probe_column` one column (float64 numerator / denominator, the correctly
-rounded value of each cell, for the sampled estimators), and `probe_bits`
-bitsets through `gather_bits`.  A caller that resolves the values it pays
-for elsewhere (the exact oracles, single-sample verification through
-`evaluate`, and a tree split, whose gain gathers only what it scores) calls
-`meter` alone.  `probe_all` alone bypasses it: afterwards every cell counts
-as read.
+gather what they return: `probe` one cell through `peek`, and `probe_rows`
+and `probe_column` one column (float64 numerator / denominator, the
+correctly rounded value of each cell, for the sampled estimators).  A
+caller that resolves the values it pays for elsewhere (the exact oracles,
+single-sample verification through `evaluate`, and a tree split, whose gain
+gathers only what it scores through `gather_bits`) calls `meter` alone.
+`probe_all` alone bypasses it: afterwards every cell counts as read.
 
 A bool dataset holds only bitsets, bit e for example e, and its shape:
 `pack_columns` packs column f into max(1, ceil(S/64)) uint64 words of one
@@ -33,12 +32,12 @@ one int.  No S x N matrix is kept: `peek`, `peek_all`, the column reads
 and `to_json_obj` unpack the cells they return from the columns on each
 call.
 The tree growers hold each node's examples as a bitset too.  A split is
-`meter` on the node's bitset plus the gain's own gather: `gather_bits`, the
-unmetered half of `probe_bits`, takes the node's bitset and returns, per
-feature, the bitset of the node's examples with the feature set, so a
-node's purity test, split counts and children are int AND / popcount
-operations.  `peek_bits` (one whole column) and `label_bits` are the
-unmetered and free counterparts.
+`meter` on the node's bitset plus the gain's own gather: the unmetered
+`gather_bits` takes the node's bitset and returns, per feature, the bitset
+of the node's examples with the feature set, so a node's purity test,
+split counts and children are int AND / popcount operations.  `peek_bits`
+(one whole column) and `label_bits` are the unmetered and free
+counterparts.
 
 For every value kind, the ledger keeps one bitset per feature read: the
 examples read on it.  A read that sets no new bit keeps nothing, a read
@@ -302,15 +301,6 @@ class CostlyDataset:
         self.meter((feature,))
         return self._column(feature)
 
-    def probe_bits(self, rows: int, features) -> list:
-        """Read several features of a bool dataset on the examples of the
-        bitset `rows` in one metered read: `meter`, then `gather_bits`
-        (one probe per fresh cell).  On a rational dataset it is a
-        UsageError and charges nothing."""
-        self.need_bits()
-        self.meter(features, rows)
-        return self.gather_bits(rows, features)
-
     def probe_all(self) -> None:
         """Read the whole matrix (the scratch-learn opening move)."""
         self.ledger.record_all()
@@ -372,9 +362,9 @@ class CostlyDataset:
         return column_bits(self._cols, self.n_examples, feature)
 
     def gather_bits(self, rows: int, features) -> list:
-        """The unmetered half of `probe_bits`, for a caller that has charged
-        the read with `meter`: item j is the bitset of the examples of
-        `rows` with features[j] set."""
+        """Unmetered, for a caller that has charged the read with `meter`:
+        item j is the bitset of the examples of `rows` with features[j]
+        set."""
         self.need_bits()
         if self.n_examples <= 64:  # one word per column: index it directly
             words = self._cols

@@ -51,21 +51,6 @@ OUTCOME_SCRATCH = "scratch"
 OUTCOME_BOOTSTRAP = "bootstrap"
 
 
-@dataclass
-class Task:
-    """One task in a stream: a probe-metered dataset plus its hidden target.
-
-    The target rides along on the oracle channel (teacher gain, exact
-    correlation oracles, ground-truth comparisons); learners never read it
-    through the data path.  `good` marks tasks the stream promises are
-    realizable from the shared fragment pool.
-    """
-    ds: object
-    target: object
-    good: bool = True
-    meta: dict = field(default_factory=dict)
-
-
 # -- family adapters -------------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +43,6 @@ from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
 from .monomials import monomial_to_json_obj
 from .polynomials import Polynomial, term_key
-from .protocol import Task
 from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree
 
 TREE_FAMILIES = ("tree", "list", "anchor", "overcomplete")
@@ -61,6 +60,21 @@ STREAM_READS = {
     "overcomplete": _COMMON_READS + ("s", "mf_depth", "p_min", "k1", "k2"),
     "monomial": _COMMON_READS + ("r", "placement"),
     "polynomial": _COMMON_READS + ("t",)}
+
+
+@dataclass
+class Task:
+    """One task in a stream: a probe-metered dataset plus its hidden target.
+
+    The target rides along on the oracle channel (teacher gain, exact
+    correlation oracles, ground-truth comparisons); learners never read it
+    through the data path.  `good` marks tasks the stream promises are
+    realizable from the shared fragment pool.
+    """
+    ds: object
+    target: object
+    good: bool = True
+    meta: dict = field(default_factory=dict)
 
 
 @dataclass

@@ -67,27 +67,27 @@ def _best_split(ds, gain, rows, labels, candidates):
     node's examples with it set).
 
     `rows` and `labels` are the bitsets of a mixed, non-empty node's
-    examples and of its positive ones.  A gain picks the node's split with
-    one call, `gain.best(ds, rows, labels, candidates)` -> the argmax's
-    index (see `InfoGain` and `TeacherGain`).  The split is `meter` plus the
-    gain's own gather: the candidates are charged on `rows` in one read, the
-    gain gathers what it scores, and only the chosen column is gathered
-    here.  A dataset that is not bool is refused before anything is
-    charged, as `probe_bits` refuses it.
+    examples and of its positive ones.  The split is one `meter` call plus
+    an unmetered gather: a dataset that is not bool is refused before
+    anything is charged, then the candidates are charged on `rows` in one
+    read.  A gain picks the node's split with one call, `gain.best(ds,
+    rows, labels, candidates)` -> the argmax's index (see `InfoGain` and
+    `TeacherGain`); it gathers what it scores, and only the chosen column
+    is gathered here.
 
     Any other callable is a per-candidate score, `gain(ds, rows, feature,
-    cols[j], labels)`, where `cols = ds.probe_bits(rows, candidates)`,
+    cols[j], labels)`, where `cols = ds.gather_bits(rows, candidates)`,
     called once per candidate with the same `rows` object.  That path stays
     because perfbench's gain proxy wraps only the per-candidate call; once
     ROADMAP item 2 points the proxy at `best`, it can go.
     """
+    ds.need_bits()
+    ds.meter(candidates, rows)
     best = getattr(gain, "best", None)
     if best is not None:
-        ds.need_bits()
-        ds.meter(candidates, rows)
         feature = candidates[best(ds, rows, labels, candidates)]
         return feature, ds.peek_bits(feature) & rows
-    cols = ds.probe_bits(rows, candidates)
+    cols = ds.gather_bits(rows, candidates)
     best_j, best_gain = None, -math.inf
     for j, feature in enumerate(candidates):
         g = gain(ds, rows, feature, cols[j], labels)

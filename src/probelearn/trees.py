@@ -282,9 +282,9 @@ class InfoGain:
     score with `_split_gain`, the formula `info_gain` uses.  The
     per-candidate call is handed the candidate's column on `rows`; `best`
     is called after the node's candidates were charged with `meter`, and
-    gathers their columns itself through `ds.gather_bits`, the unmetered
-    half of `probe_bits`.  It scores every candidate of a non-empty node, so
-    its argmax is the per-candidate one.
+    gathers their columns itself through the unmetered `ds.gather_bits`.
+    It scores every candidate of a non-empty node, so its argmax is the
+    per-candidate one.
     """
 
     def __call__(self, ds, rows, feature, values, labels) -> float:

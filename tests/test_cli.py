@@ -330,8 +330,8 @@ STREAM_VALUES = {"n_features": 16, "k": 2, "d": 2, "s": 5, "t": 2, "m": 6,
                  "placement": "random", "p_min": 0.25, "k1": 2, "k2": 2,
                  "seed": 0}
 PROTOCOL_VALUES = {"gain": "teacher", "improver": "tree", "k_cap": 2,
-                   "r": 1, "slack": 1, "n_bootstrap": 2, "p_min": 0.5,
-                   "delta": 0.1, "strict_envelope_scale": 1.0}
+                   "slack": 1, "n_bootstrap": 2, "p_min": 0.5, "delta": 0.1,
+                   "strict_envelope_scale": 1.0}
 KINDS = PROTOCOL_KEYS["kind"][1]
 FAMILY_KINDS = [(family, kind) for family in FAMILIES for kind in KINDS]
 
@@ -345,11 +345,9 @@ def dead_keys(family, kind):
     """(stream, protocol) keys that the table rows read but that another key
     of the full config leaves unread: K1 x K2 sizes an overcomplete
     dictionary and k_cap (where the kind reads it) replaces k; n_bootstrap
-    replaces p_min and delta; slack replaces the one combined derives from
-    r."""
+    replaces p_min and delta."""
     return ({"k"} if family == "overcomplete" else set(),
-            {"p_min", "delta"} if kind == "bootstrap"
-            else {"r"} if kind == "combined" else set())
+            {"p_min", "delta"} if kind == "bootstrap" else set())
 
 
 def full_config(family, kind):
@@ -372,7 +370,8 @@ def test_read_tables_are_total():
     assert set(STREAM_VALUES) | {"family"} == set(STREAM_KEYS)
     assert set(PROTOCOL_VALUES) | {"kind"} == set(PROTOCOL_KEYS)
     for family, kind, keys in (("monomial", "plain", 12),
-                               ("tree", "plain", 17)):
+                               ("tree", "plain", 17),
+                               ("tree", "combined", 19)):
         assert sum(len(block) if isinstance(block, dict) else 1
                    for block in full_config(family, kind).values()) == keys
 
@@ -421,14 +420,14 @@ UNREAD_CASES = {
                       "the list stream does not read ['p_min']"),
     "delta-on-restart": ("run", with_protocol(RESTART_CONFIG, delta=0.5), [],
                          "the restart protocol does not read ['delta']"),
+    # r is the stream's: combined's default slack reads stream.r, and no
+    # protocol kind has an r of its own
     "r-on-restart": ("run", with_protocol(RESTART_CONFIG, r=1), [],
-                     "the restart protocol does not read ['r']"),
-    # an explicit slack replaces the one combined derives from r; this ran
-    # to the report of the config without r
+                     "unknown protocol fields: ['r']"),
     "r-slack-on-combined": (
         "run", dict(with_stream(r=1),
                     protocol={"kind": "combined", "slack": 1, "r": 5}), [],
-        "the combined protocol does not read ['r']"),
+        "unknown protocol fields: ['r']"),
     "sweep-r-polynomial": (
         "sweep", {"stream": {"family": "polynomial"}},
         ["--axis", "r", "--values", "0"],
@@ -485,13 +484,51 @@ def test_d_above_s_binds_only_tree_families(tmp_path):
 
 
 def test_sweep_axis_r_sets_protocol_r_only_where_the_config_does():
+    """The r axis sets stream.r and leaves the protocol block as the config
+    gives it; a config that sets protocol.r, which no kind reads, is a
+    usage error."""
     restart = with_stream(r=1)
     restart["protocol"] = {"kind": "restart", "k_cap": 2}
-    plan = sweep_plan(restart, "r", "0,1")
-    assert [cfg["protocol"] for _, cfg, _ in plan] == [restart["protocol"]] * 2
-    combined = with_protocol(restart, kind="combined", r=5)
-    plan = sweep_plan(combined, "r", "0,1")
-    assert [cfg["protocol"]["r"] for _, cfg, _ in plan] == [0, 1]
+    for kind in ("restart", "combined"):
+        cfg = with_protocol(restart, kind=kind)
+        plan = sweep_plan(cfg, "r", "0,1")
+        assert [c["stream"]["r"] for _, c, _ in plan] == [0, 1]
+        assert [c["protocol"] for _, c, _ in plan] == [cfg["protocol"]] * 2
+        with pytest.raises(UsageError, match=re.escape("['r']")):
+            sweep_plan(with_protocol(cfg, r=5), "r", "0,1")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", ["--axis", "m", "--values", "4"])])
+def test_protocol_r_exits_2(tmp_path, capsys, monkeypatch, command, extra,
+                            kind):
+    """r is a stream key only: a protocol block that sets it is a usage
+    error on every kind, with or without an explicit slack."""
+    for proto in ({"kind": kind, "r": 1}, {"kind": kind, "r": 0, "slack": 1}):
+        cfg = dict(with_stream(r=1), protocol=proto)
+        err = usage_error(tmp_path, capsys, monkeypatch, command, cfg, extra)
+        assert err == "error: unknown protocol fields: ['r']"
+
+
+def test_sweep_axis_r_of_combined_reads_the_stream_r(tmp_path):
+    """Per value of the r axis, combined's plan slack and the sweep's
+    envelope both read the stream's r."""
+    cfg = dict(with_stream(), protocol={"kind": "combined"}, trials=1)
+    stream = cfg["stream"]
+    plan = sweep_plan(cfg, "r", "0,2")
+    for (value, _, (spec, _, kind, args)) in plan:
+        assert (spec.r, kind) == (value, "combined")
+        assert args == (stream["k"], combined_slack(
+            value, stream["k"], stream["n_features"], stream["m"] + value))
+    out = tmp_path / "rsweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out), "--axis", "r", "--values", "0,2"]) == 0
+    _, rows = read_rows(out / "sweep.csv")
+    envelopes = [float(row["envelope"]) for row in rows]
+    assert envelopes == [cli.sweep_envelope("combined", spec)
+                         for _, _, (spec, _, _, _) in plan]
+    assert envelopes[0] != envelopes[1]
 
 
 def test_readme_config_table_matches_the_key_tables():

@@ -91,7 +91,8 @@ def test_block_reads_match_per_cell_probes():
         assert [column_ds.probe_rows(rows, f).tolist() for f in features] == cells
         checked = [meter_ds, column_ds]
         if make is small_bool:  # the bool block read: one bitset per feature
-            block = bits_ds.probe_bits(row_bits, features)
+            bits_ds.meter(features, row_bits)
+            block = bits_ds.gather_bits(row_bits, features)
             assert [[float(b >> int(e) & 1) for e in rows] for b in block] == cells
             checked.append(bits_ds)
         for ds in checked:
@@ -100,17 +101,15 @@ def test_block_reads_match_per_cell_probes():
 
 @pytest.mark.parametrize("features", [[0, 3], [-1], [1, 2, 7]])
 def test_block_reads_out_of_range_feature(features):
-    bool_ds, rational_ds = small_bool(2, 3), small_rational(2, 3)
-    with pytest.raises(UsageError):
-        bool_ds.probe_bits(0b11, features)
-    for ds in (bool_ds, rational_ds):
+    for ds in (small_bool(2, 3), small_rational(2, 3)):
         with pytest.raises(UsageError):
             ds.meter(features, 0b11)
         assert ds.ledger.total_probes == 0
 
 
 @pytest.mark.parametrize("features, offender", [
-    ([1, 5, -1], 5), ([0, -2, 9], -2), (np.array([2, 0, 4]), 4)])
+    ([1, 5, -1], 5), ([0, -2, 9], -2), (np.array([2, 0, 4]), 4),
+    ([0, 3], 3), ([-1], -1), ([1, 2, 7, -4], 7)])
 def test_meter_names_first_offending_feature(features, offender):
     for ds in (small_bool(2, 3), small_rational(2, 3)):
         with pytest.raises(UsageError,
@@ -161,7 +160,10 @@ def test_column_and_label_bitsets_match_the_matrix(n_examples, n_features):
 
     rows = bits_of(np.random.default_rng(n_examples).integers(0, 2, n_examples))
     features = list(range(n_features))[::-1]
-    assert ds.probe_bits(rows, features) == [cols[f] & rows for f in features]
+    assert ds.gather_bits(rows, features) == [cols[f] & rows for f in features]
+    assert ds.gather_bits(rows, []) == []
+    assert ds.ledger.total_probes == 0
+    ds.meter(features, rows)
     assert ds.ledger.total_probes == n_features * rows.bit_count()
 
 
@@ -193,7 +195,8 @@ def test_bool_dataset_keeps_only_bitsets_and_reads_its_matrix(n_examples):
         rows = rng.permutation(n_examples)[:int(rng.integers(1, n_examples + 1))]
         features = rng.permutation(n_features)[:3].tolist()
         flags = np.isin(np.arange(n_examples), rows)
-        assert ds.probe_bits(bits_of(flags), features) == [
+        ds.meter(features, bits_of(flags))
+        assert ds.gather_bits(bits_of(flags), features) == [
             bits_of(flags & (values[:, f] == 1)) for f in features]
         read[np.ix_(rows, features)] = True
         feature = int(rng.integers(n_features))
@@ -228,7 +231,8 @@ def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
         features = sorted(rng.choice(n_features, size=int(rng.integers(
             0, n_features + 1)), replace=False).tolist())
         bits = bits_of(np.isin(np.arange(n_examples), rows))
-        bit_ds.probe_bits(bits, features)
+        bit_ds.meter(features, bits)
+        bit_ds.gather_bits(bits, features)
         meter_ds.meter(features, bits)
         for e in rows.tolist():
             for f in features:
@@ -244,7 +248,7 @@ def test_ledger_mask_matches_cell_by_cell_records(n_examples, n_features):
     # after probe_all every cell is read, and later reads record nothing
     for ds in (bit_ds, meter_ds, cell_ds):
         ds.probe_all()
-        ds.probe_bits(1, [0])
+        ds.meter([0], 1)
         ds.probe(0, 0)
         assert ds.ledger.mask().all()
         assert ds.ledger.total_probes == n_examples * n_features
@@ -281,25 +285,6 @@ def test_empty_and_repeated_reads_leave_the_ledger_unchanged(n_examples,
             assert figures() == after
 
 
-@pytest.mark.parametrize("features, offender", [
-    ([0, 3], 3), ([-1], -1), ([1, 2, 7, -4], 7)])
-def test_probe_bits_out_of_range_feature(features, offender):
-    ds = small_bool(2, 3)
-    with pytest.raises(UsageError, match=rf"^feature {offender} out of range$"):
-        ds.probe_bits(0b11, features)
-    assert ds.ledger.total_probes == 0
-    assert ds.probe_bits(0b11, []) == []
-
-
-@pytest.mark.parametrize("rows, feature", [(1 << 9, 1), (-1, 0)])
-def test_probe_bits_rows_out_of_range(rows, feature):
-    ds = small_bool(4, 3)
-    with pytest.raises(UsageError):
-        ds.probe_bits(rows, [feature])
-    assert ds.ledger.total_probes == 0
-    assert ds.ledger.per_example_probes().tolist() == [0] * 4
-
-
 @pytest.mark.parametrize("kind", ["bool", "rational"])
 @pytest.mark.parametrize("rows", [[-1], [4], [0, 4], [2, -3]])
 def test_probe_rows_rows_out_of_range(kind, rows):
@@ -332,36 +317,20 @@ def test_probe_rows_on_no_examples_is_an_empty_free_read(kind, rows):
     assert ds.ledger.total_probes == 1
 
 
-@pytest.mark.parametrize("read", [lambda ds: ds.probe_bits(0b11, [0, 1]),
+@pytest.mark.parametrize("read", [lambda ds: ds.need_bits(),
                                   lambda ds: ds.peek_bits(0),
                                   lambda ds: ds.gather_bits(0b11, [0, 1])],
-                         ids=["probe_bits", "peek_bits", "gather_bits"])
+                         ids=["need_bits", "peek_bits", "gather_bits"])
 def test_bit_reads_on_rational_data_are_usage_errors(read):
     """A rational dataset has no bitsets: a bit read is a UsageError raised
-    before the ledger records anything."""
+    before the ledger records anything (a tree split calls `need_bits`
+    before its `meter`)."""
     ds = small_rational(2, 2)
     ds.probe_rows([0], 1)
     with pytest.raises(UsageError, match="bool dataset"):
         read(ds)
     assert ds.ledger.total_probes == 1
     assert ds.ledger.per_example_probes().tolist() == [1, 0]
-
-
-@pytest.mark.parametrize("n_examples, n_features", BIT_SHAPES)
-def test_probe_bits_is_meter_plus_gather_bits(n_examples, n_features):
-    """`gather_bits` returns what `probe_bits` does and charges nothing;
-    `meter` charges what `probe_bits` does."""
-    values, labels = bool_data(n_examples, n_features)
-    rng = np.random.default_rng(n_examples)
-    rows = bits_of(rng.integers(0, 2, n_examples))
-    features = sorted(rng.choice(n_features, size=2, replace=False).tolist())
-    probed, gathered, metered = (CostlyDataset.from_bool(values, labels)
-                                 for _ in range(3))
-    assert gathered.gather_bits(rows, features) == \
-        probed.probe_bits(rows, features)
-    assert gathered.ledger.total_probes == 0
-    metered.meter(features, rows)
-    assert (metered.ledger.mask() == probed.ledger.mask()).all()
 
 
 def test_labels_and_peeks_are_free():
@@ -512,17 +481,19 @@ def test_from_rational_needs_labels_or_terms(kw):
 # -- meter: metered reads that return nothing --------------------------------
 
 
-READS = ["probe", "probe_rows", "probe_column", "probe_bits"]
+READS = ["probe", "probe_rows", "probe_column", "gather_bits"]
 
 
 def read_cells(ds, read, rows, features):
     """The cells that `read` returns on the examples `rows` (an index array;
-    every example for `probe_column`) x features, one list per feature."""
+    every example for `probe_column`) x features, one list per feature;
+    `gather_bits` is read after `meter`, as a tree split reads it."""
     if read == "probe":
         return [[ds.probe(e, f) for e in rows.tolist()] for f in features]
-    if read == "probe_bits":
-        return ds.probe_bits(bits_of(np.isin(np.arange(ds.n_examples), rows)),
-                             features)
+    if read == "gather_bits":
+        bits = bits_of(np.isin(np.arange(ds.n_examples), rows))
+        ds.meter(features, bits)
+        return ds.gather_bits(bits, features)
     columns = [ds.probe_column(f) if read == "probe_column"
                else ds.probe_rows(rows, f) for f in features]
     kind = np.uint8 if ds.value_kind == "bool" else np.float64
@@ -532,7 +503,7 @@ def read_cells(ds, read, rows, features):
 
 def peeked_cells(cells, read, rows, features):
     """What `read_cells` should return, from the `peek_all` matrix."""
-    if read == "probe_bits":
+    if read == "gather_bits":
         flags = np.isin(np.arange(len(cells)), rows)
         return [bits_of(flags & (cells[:, f] == 1)) for f in features]
     if cells.dtype == object and read != "probe":  # rational columns: float64

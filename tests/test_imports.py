@@ -113,3 +113,27 @@ def test_src_noqa_holds_only_for_wrapped_names():
     source = "from .trees import conflict, made_up  # noqa: F401\n"
     assert unused_imports(source, {"conflict", "induce"}) == [(1, "made_up")]
     assert unused_imports(source, set()) == [(1, "conflict"), (1, "made_up")]
+
+
+def package_imports(name: str) -> set:
+    """The `probelearn` modules that module `name` imports, directly or
+    through the modules it imports (relative imports, from the source)."""
+    seen, todo = set(), [name]
+    while todo:
+        tree = ast.parse((ROOT / "src" / "probelearn" / f"{todo.pop()}.py")
+                         .read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module not in seen):
+                seen.add(node.module)
+                todo.append(node.module)
+    return seen
+
+
+def test_stream_generation_does_not_import_the_learners_or_the_cli():
+    """Every task is made in `streams`, which owns `Task`; generating a
+    stream needs neither the protocol, nor the tree learners, nor the
+    CLI."""
+    assert package_imports("streams").isdisjoint(
+        {"protocol", "tree_learners", "cli"})
+    assert "tree_learners" in package_imports("cli")

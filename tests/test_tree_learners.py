@@ -409,6 +409,23 @@ def test_split_gathers_only_what_the_gain_scores(monkeypatch, gain_kind):
             assert feature == task.target.var
 
 
+@pytest.mark.parametrize("gain", [
+    InfoGain(), TeacherGain(I(0, L(False), L(True))),
+    PerCandidateGain(InfoGain())], ids=["info", "teacher", "per-candidate"])
+def test_split_charges_its_candidates_with_one_meter_call(monkeypatch, gain):
+    """Both split paths, `best` and per-candidate scoring, charge the node's
+    candidates on its examples in one `meter` call."""
+    ds = CostlyDataset.from_bool([[0, 1], [1, 0], [1, 1]],
+                                 [False, True, True])
+    metered, meter = [], ds.meter
+    monkeypatch.setattr(ds, "meter", lambda features, rows=None: (
+        metered.append((list(features), rows)) or meter(features, rows)))
+    feature, col = tree_learners._best_split(ds, gain, 0b111, 0b110, [0, 1])
+    assert (feature, col) == (0, 0b110)
+    assert metered == [([0, 1], 0b111)]
+    assert ds.ledger.total_probes == 6
+
+
 # -- incremental superimposition --------------------------------------------
 
 
