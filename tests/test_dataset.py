@@ -285,6 +285,19 @@ def test_empty_and_repeated_reads_leave_the_ledger_unchanged(n_examples,
             assert figures() == after
 
 
+@pytest.mark.parametrize("rows, feature", [(1 << 9, 1), (-1, 0)])
+def test_probe_bits_rows_out_of_range(rows, feature):
+    """The bitset read a tree split makes (`need_bits`, `meter`, then
+    `gather_bits`) refuses rows naming an example out of range before the
+    ledger records anything, for any example."""
+    ds = small_bool(4, 3)
+    ds.need_bits()
+    with pytest.raises(UsageError, match="out of range"):
+        ds.meter([feature], rows)
+    assert ds.ledger.total_probes == 0
+    assert ds.ledger.per_example_probes().tolist() == [0] * 4
+
+
 @pytest.mark.parametrize("kind", ["bool", "rational"])
 @pytest.mark.parametrize("rows", [[-1], [4], [0, 4], [2, -3]])
 def test_probe_rows_rows_out_of_range(kind, rows):
