@@ -24,17 +24,19 @@ trial or game, and each command computes all its rows before it makes
 
 Every block and key is optional; defaults in parentheses.  Run/sweep: stream
 (StreamSpec's fields), protocol and trials int >= 1 (1); STREAM_READS and
-PROTOCOL_READS name the keys each stream family and protocol kind reads.  A
-stream reads placement only when r >= 1, an overcomplete stream reads k only
-as the default k_cap of restart and combined, and a protocol with
-n_bootstrap reads no p_min or delta.  Combined's default slack is
-sqrt(rKN/m), at least 1, from the stream's r over its m + r tasks.
-README's run-config table gives every key's type, default and readers.
+PROTOCOL_READS name the keys each stream family and protocol kind reads,
+and a stream reads placement only when r >= 1.  The default k_cap is the
+dictionary size K (K1 x K2 on an overcomplete stream), combined's default
+slack is sqrt(rKN/m), at least 1, from the stream's r over its m + r tasks,
+and bootstrap's default count is ceil(ln(K/delta)/p_min) from the stream's
+p_min (0.25 when it is 0) at delta = 0.1.  README's run-config table gives
+every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
             budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
             n_prime]), learners [scan|uniform|exhaustive] ([scan, uniform])
-  regime    (none: no regime stream) name (realizable): realizable|
+  regime    (none: no regime stream; {} runs the defaults) name
+            (realizable): realizable|
             intermediate|large1|large2; ints >= 1: n_features (20), k (3),
             sample_size (4); ints >= 0: m (30; >= 1 on intermediate and
             large2), r (0)
@@ -83,23 +85,22 @@ STREAM_KEYS = {name: (type(f.default),
                       None if isinstance(f.default, str) else 0)
                for name, f in StreamSpec.__dataclass_fields__.items()}
 STREAM_KEYS["family"] = (str, FAMILIES)  # checked before its STREAM_READS row
-# The protocol keys each kind reads beside kind and strict_envelope_scale;
-# on a tree-family stream every kind also reads gain and improver.
+# The protocol keys each kind reads beside kind; on a tree-family stream
+# every kind also reads gain and improver.
 PROTOCOL_READS = {"plain": (), "restart": ("k_cap", "slack"),
-                  "combined": ("k_cap", "slack"),
-                  "bootstrap": ("n_bootstrap", "p_min", "delta")}
+                  "combined": ("k_cap", "slack"), "bootstrap": ("n_bootstrap",)}
 PROTOCOL_KEYS = {
     "kind": (str, tuple(PROTOCOL_READS)),
     "gain": (str, ("teacher", "info")), "improver": (str, TREE_FAMILIES),
-    "k_cap": (int, 0), "slack": (int, 0),
-    "n_bootstrap": (int, 0), "p_min": (float, None), "delta": (float, None),
-    "strict_envelope_scale": (float, 0)}
+    "k_cap": (int, 0), "slack": (int, 0), "n_bootstrap": (int, 0)}
 RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
             "trials": (int, 1)}
 GAME_KEYS = {"n_prime": (int, 1), "budgets": ([int], 0), "trials": (int, 1),
              "s": (int, 1), "learners": ([str], tuple(GAME_LEARNERS))}
 REGIME_KEYS = {"name": (str, REGIMES), "n_features": (int, 1), "k": (int, 1),
                "m": (int, 0), "r": (int, 0), "sample_size": (int, 1)}
+REGIME_DEFAULTS = {"name": "realizable", "n_features": 20, "k": 3, "m": 30,
+                   "r": 0, "sample_size": 4}
 ADVERSARY_KEYS = {"seed": (int, 0), "game": GAME_KEYS, "regime": REGIME_KEYS}
 
 
@@ -178,16 +179,9 @@ def _checked_plan(config: dict):
     family, kind = stream.get("family", "tree"), proto.get("kind", "plain")
     tree_reads = ("gain", "improver") if family in TREE_FAMILIES else ()
     stream_reads = set(STREAM_READS[family])
-    proto_reads = {"kind", "strict_envelope_scale", *tree_reads,
-                   *PROTOCOL_READS[kind]}
+    proto_reads = {"kind", *tree_reads, *PROTOCOL_READS[kind]}
     if "r" not in stream or stream["r"] == 0:  # placement orders r bad tasks
         stream_reads.discard("placement")
-    # K1 x K2 sizes an overcomplete dictionary: k is only the default k_cap
-    if family == "overcomplete" and (kind not in ("restart", "combined")
-                                     or "k_cap" in proto):
-        stream_reads.discard("k")
-    if "n_bootstrap" in proto:  # then p_min and delta give no count
-        proto_reads -= {"p_min", "delta"}
     for what, block, reads in ((f"{family} stream", stream, stream_reads),
                                (f"{kind} protocol", proto, proto_reads)):
         if unread := sorted(set(block) - reads):
@@ -196,17 +190,12 @@ def _checked_plan(config: dict):
     family = build_family(spec, proto)
     if kind == "plain":
         return spec, family, kind, ()
-    if kind == "bootstrap":  # n_bootstrap, or the count p_min and delta give
+    if kind == "bootstrap":  # n_bootstrap, or the count the stream's p_min gives
         if "n_bootstrap" in proto:
             return spec, family, kind, (proto["n_bootstrap"],)
-        p_min = proto.get("p_min", spec.p_min or 0.25)
-        delta = proto.get("delta", 0.1)
-        if not (0 < p_min <= 1 and 0 < delta < 1):
-            raise UsageError(f"protocol needs 0 < p_min <= 1 and 0 < delta "
-                             f"< 1, got p_min={p_min!r}, delta={delta!r}")
-        k = max(spec.dictionary_size, 1)
-        return spec, family, kind, (bootstrap_count(p_min, k, delta),)
-    k_cap = proto.get("k_cap", spec.k)
+        return spec, family, kind, (bootstrap_count(
+            spec.p_min or 0.25, spec.dictionary_size, 0.1),)
+    k_cap = proto.get("k_cap", spec.dictionary_size)
     # an explicit slack (the c axis) wins; every stream poses m + r tasks
     slack = proto.get("slack", 0 if kind == "restart" else combined_slack(
         spec.r, k_cap, spec.n_features, spec.m + spec.r))
@@ -245,10 +234,9 @@ def run_trial(config: dict, trial: int) -> dict:
     driver = {"plain": run_protocol, "bootstrap": run_bootstrap_protocol}.get(
         kind, run_restart_protocol)
     run = driver(family, tasks, *args)
-    scale = config.get("protocol", {}).get("strict_envelope_scale", 1.0)
     violations = sum(
         1 for o, p, e in zip(run.outcomes, run.per_example_max, run.envelopes)
-        if o == "lfd" and p > e * scale)
+        if o == "lfd" and p > e)
     return {
         "rows": run.to_rows(trial),
         "summary": {"trial": trial, "scratch_count": run.scratch_count,
@@ -399,11 +387,9 @@ def cmd_adversary(config: dict, out: Path, jobs: int) -> int:
 
     regime = config.get("regime")
     regime_rows = []
-    if regime:  # before the games, which seed their own RNGs
+    if regime is not None:  # before the games, which seed their own RNGs
         # the defaults, updated by the regime block in their key order
-        name, n, k, m, r, size = (
-            {"name": "realizable", "n_features": 20, "k": 3, "m": 30, "r": 0,
-             "sample_size": 4} | regime).values()
+        name, n, k, m, r, size = (REGIME_DEFAULTS | regime).values()
         tasks, _ = gen_adversary_stream(name, n, k, m, r, seed,
                                         sample_size=size)
         family = TreeFamily(d=1, s=1, gain="teacher", improver="tree")

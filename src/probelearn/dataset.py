@@ -251,9 +251,10 @@ class CostlyDataset:
         self._check_features(features)
 
     def _check_features(self, features) -> None:
-        for feature in features:
-            if not 0 <= feature < self.n_features:
-                raise UsageError(f"feature {feature} out of range")
+        if len(features) and not (0 <= min(features)
+                                  and max(features) < self._shape[1]):
+            bad = next(f for f in features if not 0 <= f < self._shape[1])
+            raise UsageError(f"feature {bad} out of range")
 
     # -- metered reads -----------------------------------------------------
 
@@ -263,10 +264,8 @@ class CostlyDataset:
         cell).  Every other metered read but `probe_all` goes through here;
         a caller that resolves the values it pays for through an exact
         oracle or `evaluate` calls it alone."""
-        n_examples, n_features = self._shape
-        if len(features) and not (0 <= min(features)
-                                  and max(features) < n_features):
-            self._check_features(features)
+        n_examples = self._shape[0]
+        self._check_features(features)
         if rows is None:
             rows = (1 << n_examples) - 1
         elif rows < 0 or rows >> n_examples:
@@ -355,7 +354,10 @@ class CostlyDataset:
 
     def peek_bits(self, feature: int) -> int:
         """Unmetered bitset of the examples with the feature set; with S <=
-        64 the column's one word, read as `gather_bits` reads it."""
+        64 the column's one word, read as `gather_bits` reads it.  A
+        feature outside [0, N) is a UsageError."""
+        if not 0 <= feature < self._shape[1]:
+            raise UsageError(f"feature {feature} out of range")
         if self._shape[0] <= 64 and self._cols is not None:
             return self._cols[feature]
         self.need_bits()
@@ -364,12 +366,14 @@ class CostlyDataset:
     def gather_bits(self, rows: int, features) -> list:
         """Unmetered, for a caller that has charged the read with `meter`:
         item j is the bitset of the examples of `rows` with features[j]
-        set."""
+        set.  A feature outside [0, N) is a UsageError."""
         self.need_bits()
-        if self.n_examples <= 64:  # one word per column: index it directly
-            words = self._cols
+        self._check_features(features)
+        words, n_examples = self._cols, self.n_examples
+        if n_examples <= 64:  # one word per column: index it directly
             return [words[feature] & rows for feature in features]
-        return [self.peek_bits(feature) & rows for feature in features]
+        return [column_bits(words, n_examples, feature) & rows
+                for feature in features]
 
     def need_bits(self) -> None:
         """Refuse with UsageError a dataset that is not bool: the bit reads

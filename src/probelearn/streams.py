@@ -50,16 +50,16 @@ FAMILIES = TREE_FAMILIES + ("monomial", "polynomial")
 PLACEMENTS = ("random", "adversarial-first", "adversarial-interleaved")
 REGIMES = ("realizable", "intermediate", "large1", "large2")
 # The StreamSpec fields each family's generator and learner read; placement
-# is read only when r >= 1, and an overcomplete stream's k only as the
-# default k_cap of the restart and combined protocols (`cli._checked_plan`).
-_COMMON_READS = ("family", "n_features", "k", "d", "m", "sample_size", "seed")
-_TREE_READS = _COMMON_READS + ("s", "mf_depth", "p_min", "r", "placement")
+# is read only when r >= 1 (`cli._checked_plan`).  K1 x K2, not k, sizes an
+# overcomplete dictionary.
+_COMMON_READS = ("family", "n_features", "d", "m", "sample_size", "seed")
+_TREE_READS = _COMMON_READS + ("k", "s", "mf_depth", "p_min", "r", "placement")
 STREAM_READS = {
     "tree": _TREE_READS, "anchor": _TREE_READS,
-    "list": _COMMON_READS + ("s", "mf_depth"),
+    "list": _COMMON_READS + ("k", "s", "mf_depth"),
     "overcomplete": _COMMON_READS + ("s", "mf_depth", "p_min", "k1", "k2"),
-    "monomial": _COMMON_READS + ("r", "placement"),
-    "polynomial": _COMMON_READS + ("t",)}
+    "monomial": _COMMON_READS + ("k", "r", "placement"),
+    "polynomial": _COMMON_READS + ("k", "t")}
 
 
 @dataclass

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from probelearn import ROW_FIELDS, SCHEMA_VERSION, cli
-from probelearn.cli import (GAME_FIELDS, PROTOCOL_KEYS, PROTOCOL_READS,
-                            REGIME_FIELDS, RUN_KEYS, STREAM_KEYS,
+from probelearn.cli import (ADVERSARY_KEYS, GAME_FIELDS, GAME_KEYS,
+                            PROTOCOL_KEYS, PROTOCOL_READS, REGIME_DEFAULTS,
+                            REGIME_FIELDS, REGIME_KEYS, RUN_KEYS, STREAM_KEYS,
                             SWEEP_FIELDS, _checked_plan, build_spec, main,
                             sweep_plan)
 from probelearn.errors import UsageError
-from probelearn.protocol import combined_slack
+from probelearn.protocol import TreeFamily, combined_slack
 from probelearn.streams import FAMILIES, STREAM_READS, TREE_FAMILIES
 
 TREE_CONFIG = {
@@ -234,16 +235,12 @@ NUMERIC_CASES = {
         "run", with_protocol(TREE_CONFIG, kind="combined", r=1.5), []),
     "n_bootstrap-string": (
         "run", with_protocol(BOOTSTRAP_CONFIG, n_bootstrap="3"), []),
-    "bootstrap-p_min-zero": (
-        "run", with_protocol(BOOTSTRAP_CONFIG, p_min=0), []),
     "bootstrap-delta-zero": (
         "run", with_protocol(BOOTSTRAP_CONFIG, delta=0), []),
     "bootstrap-delta-ten": (
         "run", with_protocol(BOOTSTRAP_CONFIG, delta=10), []),
     "bootstrap-delta-one": (
         "run", with_protocol(BOOTSTRAP_CONFIG, delta=1), []),
-    "bootstrap-p_min-five": (
-        "run", with_protocol(BOOTSTRAP_CONFIG, p_min=5), []),
     # stream errors that depend only on the spec
     "list-pools-no-room": ("run", {"stream": {
         "family": "list", "n_features": 6, "k": 3, "mf_depth": 3, "d": 4}},
@@ -262,8 +259,6 @@ NUMERIC_CASES = {
         "run", with_stream(family="anchor", n_features=4, d=3, r=1), []),
     "monomial-r-k-too-large": ("run", {"stream": {
         "family": "monomial", "n_features": 3, "k": 3, "r": 1}}, []),
-    "strict_envelope_scale-string": (
-        "run", with_protocol(TREE_CONFIG, strict_envelope_scale="1"), []),
     "strict-string": ("run", dict(TREE_CONFIG, strict="no"), []),
     "kind-unknown": ("run", with_protocol(TREE_CONFIG, kind="psychic"), []),
     "learners-string": ("adversary", {"game": dict(GAME, learners="scan")},
@@ -330,34 +325,21 @@ STREAM_VALUES = {"n_features": 16, "k": 2, "d": 2, "s": 5, "t": 2, "m": 6,
                  "placement": "random", "p_min": 0.25, "k1": 2, "k2": 2,
                  "seed": 0}
 PROTOCOL_VALUES = {"gain": "teacher", "improver": "tree", "k_cap": 2,
-                   "slack": 1, "n_bootstrap": 2, "p_min": 0.5, "delta": 0.1,
-                   "strict_envelope_scale": 1.0}
+                   "slack": 1, "n_bootstrap": 2}
 KINDS = PROTOCOL_KEYS["kind"][1]
 FAMILY_KINDS = [(family, kind) for family in FAMILIES for kind in KINDS]
 
 
 def protocol_reads(family, kind):
     tree = ("gain", "improver") if family in TREE_FAMILIES else ()
-    return {"kind", "strict_envelope_scale", *tree, *PROTOCOL_READS[kind]}
-
-
-def dead_keys(family, kind):
-    """(stream, protocol) keys that the table rows read but that another key
-    of the full config leaves unread: K1 x K2 sizes an overcomplete
-    dictionary and k_cap (where the kind reads it) replaces k; n_bootstrap
-    replaces p_min and delta."""
-    return ({"k"} if family == "overcomplete" else set(),
-            {"p_min", "delta"} if kind == "bootstrap" else set())
+    return {"kind", *tree, *PROTOCOL_READS[kind]}
 
 
 def full_config(family, kind):
     stream = dict(STREAM_VALUES, family=family)
     proto = dict(PROTOCOL_VALUES, kind=kind, improver=family)
-    stream_dead, proto_dead = dead_keys(family, kind)
-    return {"stream": {key: stream[key] for key in STREAM_READS[family]
-                       if key not in stream_dead},
-            "protocol": {key: proto[key]
-                         for key in protocol_reads(family, kind) - proto_dead},
+    return {"stream": {key: stream[key] for key in STREAM_READS[family]},
+            "protocol": {key: proto[key] for key in protocol_reads(family, kind)},
             "trials": 1}
 
 
@@ -369,9 +351,13 @@ def test_read_tables_are_total():
         == set(PROTOCOL_KEYS)
     assert set(STREAM_VALUES) | {"family"} == set(STREAM_KEYS)
     assert set(PROTOCOL_VALUES) | {"kind"} == set(PROTOCOL_KEYS)
-    for family, kind, keys in (("monomial", "plain", 12),
-                               ("tree", "plain", 17),
-                               ("tree", "combined", 19)):
+    assert set(PROTOCOL_KEYS) == {"kind", "gain", "improver", "k_cap",
+                                  "slack", "n_bootstrap"}
+    assert "k" not in STREAM_READS["overcomplete"]
+    for family, kind, keys in (("monomial", "plain", 11),
+                               ("tree", "plain", 16),
+                               ("tree", "combined", 18),
+                               ("overcomplete", "bootstrap", 16)):
         assert sum(len(block) if isinstance(block, dict) else 1
                    for block in full_config(family, kind).values()) == keys
 
@@ -384,17 +370,14 @@ def test_full_config_passes_the_check(family, kind):
 
 @pytest.mark.parametrize("family, kind", FAMILY_KINDS)
 def test_unread_keys_exit_2(tmp_path, capsys, monkeypatch, family, kind):
-    """Each stream or protocol key that the (family, kind) does not read, or
-    that the full config leaves dead, is a usage error naming the family or
-    kind and the key."""
+    """Each stream or protocol key that the (family, kind) does not read is
+    a usage error naming the family or kind and the key."""
     base = full_config(family, kind)
-    stream_dead, proto_dead = dead_keys(family, kind)
     unread = [("stream", key, STREAM_VALUES[key], family)
-              for key in sorted(set(STREAM_KEYS) - set(STREAM_READS[family])
-                                | stream_dead)]
+              for key in sorted(set(STREAM_KEYS) - set(STREAM_READS[family]))]
     unread += [("protocol", key, PROTOCOL_VALUES[key], kind)
                for key in sorted(set(PROTOCOL_KEYS)
-                                 - protocol_reads(family, kind) | proto_dead)]
+                                 - protocol_reads(family, kind))]
     assert unread
     for block, key, value, owner in unread:
         cfg = dict(base, **{block: dict(base[block], **{key: value})})
@@ -418,8 +401,10 @@ UNREAD_CASES = {
         "the polynomial stream does not read ['r']"),
     "p_min-on-list": ("run", with_stream(family="list", p_min=0.1), [],
                       "the list stream does not read ['p_min']"),
+    # delta is fixed at 0.1 and p_min is the stream's: no protocol kind has
+    # either of its own
     "delta-on-restart": ("run", with_protocol(RESTART_CONFIG, delta=0.5), [],
-                         "the restart protocol does not read ['delta']"),
+                         "unknown protocol fields: ['delta']"),
     # r is the stream's: combined's default slack reads stream.r, and no
     # protocol kind has an r of its own
     "r-on-restart": ("run", with_protocol(RESTART_CONFIG, r=1), [],
@@ -445,8 +430,8 @@ UNREAD_CASES = {
         "sweep", with_stream(r=1, placement="random"),
         ["--axis", "r", "--values", "1,0"],
         "the tree stream does not read ['placement']"),
-    # K1 x K2 sizes an overcomplete dictionary, so k is read only as the
-    # default k_cap; these ran to the report of the config without k
+    # K1 x K2 sizes an overcomplete dictionary and is the default k_cap, so
+    # no kind reads k; these ran to the report of the config without k
     "k-on-overcomplete-plain": (
         "run", overcomplete(k=2), [],
         "the overcomplete stream does not read ['k']"),
@@ -456,10 +441,15 @@ UNREAD_CASES = {
     "k-k_cap-on-overcomplete-restart": (
         "run", overcomplete(k=2, protocol={"kind": "restart", "k_cap": 2}),
         [], "the overcomplete stream does not read ['k']"),
-    # n_bootstrap replaces the count that p_min and delta give
+    "k-on-overcomplete-restart": (
+        "run", overcomplete(k=2, protocol={"kind": "restart"}), [],
+        "the overcomplete stream does not read ['k']"),
+    "k-on-overcomplete-combined": (
+        "run", overcomplete(k=2, protocol={"kind": "combined"}), [],
+        "the overcomplete stream does not read ['k']"),
     "n_bootstrap-p_min-on-bootstrap": (
         "run", with_protocol(BOOTSTRAP_CONFIG, n_bootstrap=2, p_min=0.5), [],
-        "the bootstrap protocol does not read ['p_min']"),
+        "unknown protocol fields: ['p_min']"),
 }
 
 
@@ -470,11 +460,48 @@ def test_named_unread_keys_exit_2(tmp_path, capsys, monkeypatch, case):
     assert err == f"error: {message}"
 
 
-def test_overcomplete_k_is_read_as_the_default_k_cap():
-    assert _checked_plan(OVERCOMPLETE_CONFIG)[0].k == 3
-    for kind in ("restart", "combined"):
-        cfg = overcomplete(k=2, protocol={"kind": kind})
-        assert _checked_plan(cfg)[0].k == 2
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", ["restart", "combined"])
+def test_default_k_cap_is_the_dictionary_size(family, kind):
+    """The default k_cap is K: the stream's k (2), or K1 x K2 (4) on an
+    overcomplete stream, whose k stays at its unread default 3.  Combined's
+    default slack reads that K."""
+    cfg = full_config(family, kind)
+    del cfg["protocol"]["k_cap"], cfg["protocol"]["slack"]
+    spec, _, _, (k_cap, slack) = _checked_plan(cfg)
+    assert (spec.k, k_cap) == ((3, 4) if family == "overcomplete" else (2, 2))
+    assert slack == (0 if kind == "restart" else combined_slack(
+        spec.r, k_cap, spec.n_features, spec.m + spec.r))
+
+
+@pytest.mark.parametrize("stream, count", [
+    # ceil(ln(K / 0.1) / p_min)
+    (dict(TREE_CONFIG["stream"], p_min=0.5), 6),  # K = 2: ln 20 / 0.5
+    (TREE_CONFIG["stream"], 12),  # p_min 0 falls back to 0.25
+    (dict(OVERCOMPLETE_CONFIG["stream"], p_min=0.1), 41),  # K = 6: ln 60
+    (OVERCOMPLETE_CONFIG["stream"], 17),  # ln 60 / 0.25
+    ({"family": "monomial", "k": 3}, 14),  # no p_min read: ln 30 / 0.25
+])
+def test_bootstrap_count_reads_the_stream_p_min(stream, count):
+    _, _, kind, args = _checked_plan(
+        {"stream": stream, "protocol": {"kind": "bootstrap"}})
+    assert (kind, args) == ("bootstrap", (count,))
+    # an explicit n_bootstrap wins, 0 included
+    for n in (0, 3):
+        assert _checked_plan({"stream": stream, "protocol": {
+            "kind": "bootstrap", "n_bootstrap": n}})[3] == (n,)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("key, value", [
+    ("p_min", 0.5), ("delta", 0.1), ("strict_envelope_scale", 1.0)])
+def test_removed_protocol_keys_exit_2(tmp_path, capsys, monkeypatch, kind,
+                                      key, value):
+    """p_min is the stream's, delta is fixed at 0.1 and a violation is any
+    LFD row above its envelope, so no protocol kind reads these keys."""
+    cfg = dict(TREE_CONFIG, protocol={"kind": kind, key: value})
+    err = usage_error(tmp_path, capsys, monkeypatch, "run", cfg)
+    assert err == f"error: unknown protocol fields: {[key]}"
 
 
 def test_d_above_s_binds_only_tree_families(tmp_path):
@@ -531,20 +558,29 @@ def test_sweep_axis_r_of_combined_reads_the_stream_r(tmp_path):
     assert envelopes[0] != envelopes[1]
 
 
+def readme_table(start, end, blocks):
+    """{block: {key: (row's key cell, row's last cells)}} for each row of
+    README's table between the headings `start` and `end` whose first cell
+    is one of `blocks`; each key is listed once."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {block: {} for block in blocks}
+    for line in text[text.index(start):text.index(end)].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[0] in listed:
+            for key in re.findall(r"`(\w+)`", cells[1]):
+                assert key not in listed[cells[0]], key
+                listed[cells[0]][key] = (cells[1], tuple(cells[3:]))
+    return listed
+
+
 def test_readme_config_table_matches_the_key_tables():
     """README's run-config table lists exactly the stream, protocol and
     top-level keys, and each key's readers."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = text[text.index("Config for `run`/`sweep`"):
-                 text.index("Config for `adversary`")]
-    listed = {"`stream`": {}, "`protocol`": {}, "top level": {}}
-    for line in table.splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if cells[0] in listed:
-            names = set(re.findall(r"`(\w+)`", cells[4]))
-            for key in re.findall(r"`(\w+)`", cells[1]):
-                assert key not in listed[cells[0]], key
-                listed[cells[0]][key] = names
+    listed = readme_table("Config for `run`/`sweep`", "Config for `adversary`",
+                          ("`stream`", "`protocol`", "top level"))
+    listed = {block: {key: set(re.findall(r"`(\w+)`", rest[1]))
+                      for key, (_, rest) in rows.items()}
+              for block, rows in listed.items()}
     assert set(listed["`stream`"]) == set(STREAM_KEYS)
     assert set(listed["`protocol`"]) == set(PROTOCOL_KEYS)
     assert set(listed["top level"]) == {
@@ -555,6 +591,22 @@ def test_readme_config_table_matches_the_key_tables():
     for key, names in listed["`protocol`"].items():
         readers = {k for k in KINDS if key in protocol_reads("tree", k)}
         assert (names & set(KINDS) or set(KINDS)) == readers, key
+
+
+def test_readme_adversary_table_matches_the_key_tables():
+    """README's adversary table lists exactly the top-level, game and
+    regime keys, and the regime defaults that `cmd_adversary` runs."""
+    listed = readme_table("Config for `adversary`", "Without a `regime`",
+                          ("top level", "`game`", "`regime`"))
+    assert set(listed["top level"]) == {
+        key for key, value in ADVERSARY_KEYS.items()
+        if not isinstance(value, dict)}
+    assert set(listed["`game`"]) == set(GAME_KEYS)
+    assert set(listed["`regime`"]) == set(REGIME_KEYS) == set(REGIME_DEFAULTS)
+    for keys, (defaults,) in set(listed["`regime`"].values()):
+        keys = re.findall(r"`(\w+)`", keys)
+        defaults = [d.strip("` ") for d in defaults.split(",")]
+        assert defaults == [str(REGIME_DEFAULTS[key]) for key in keys], keys
 
 
 @pytest.mark.parametrize("command, cfg, key", [
@@ -615,14 +667,23 @@ def test_build_spec_rejects_unknown_fields():
         build_spec({"family": "tree", "n_feature": 8})
 
 
-def test_strict_flag_reports_violations(tmp_path):
-    cfg = dict(TREE_CONFIG)
-    cfg["protocol"] = {"kind": "plain", "strict_envelope_scale": 1e-9}
-    path = write_config(tmp_path, cfg)
+def zero_envelope(monkeypatch):
+    """Make every tree LFD row that probes a violation: its per-example
+    count is above an envelope of 0."""
+    monkeypatch.setattr(TreeFamily, "envelope", lambda self, rep: 0)
+
+
+def test_strict_flag_reports_violations(tmp_path, monkeypatch):
+    zero_envelope(monkeypatch)
+    path = write_config(tmp_path, TREE_CONFIG)
     relaxed = tmp_path / "relaxed"
     assert main(["run", "--config", path, "--out", str(relaxed)]) == 0
     doc = json.loads((relaxed / "report.json").read_text())
     assert doc["violations_total"] > 0  # every LFD probe beats a zero budget
+    _, rows = read_rows(relaxed / "report.csv")
+    assert doc["violations_total"] == sum(
+        row["outcome"] == "lfd" and int(row["per_example_max"]) > 0
+        for row in rows)
     assert main(["run", "--config", path, "--out", str(tmp_path / "strict"),
                  "--strict"]) == 1
 
@@ -725,6 +786,26 @@ def test_adversary_realizable_regime_runs_exactly_m_tasks(tmp_path):
         == [("1", "1", "1")]
 
 
+def test_empty_regime_block_runs_the_default_regime(tmp_path):
+    """Every regime key has a default, so `"regime": {}` runs the default
+    realizable regime, as a block that sets only a default value does."""
+    rows = {}
+    for name, regime in (("empty", {}), ("k", {"k": REGIME_DEFAULTS["k"]})):
+        out = tmp_path / name
+        cfg = {"game": GAME, "regime": regime}
+        assert main(["adversary", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        _, rows[name] = read_rows(out / "regime.csv")
+    assert rows["empty"] == rows["k"]
+    (row,) = rows["empty"]
+    d = REGIME_DEFAULTS
+    assert (row["regime"], row["n_features"], row["k"], row["m"], row["r"],
+            row["stream_len"], row["envelope"]) == (
+        d["name"], str(d["n_features"]), str(d["k"]), str(d["m"]), str(d["r"]),
+        str(d["m"]),
+        str(d["sample_size"] * (d["k"] * d["n_features"] + d["m"] * d["k"])))
+
+
 def test_adversary_has_no_strict_flag(tmp_path, capsys):
     # --strict reads per-example violations, which only run and sweep count
     path = write_config(tmp_path, {"game": GAME})
@@ -775,15 +856,14 @@ def test_zero_task_regimes_exit_2(tmp_path, capsys, monkeypatch, name):
 
 # -- one plan per config ----------------------------------------------------
 
-STRICT_CONFIG = with_protocol(TREE_CONFIG, strict_envelope_scale=1e-9)
-
-
 @pytest.mark.parametrize("command, extra", [
     ("run", []), ("sweep", ["--axis", "m", "--values", "4,8"])])
-def test_strict_says_why_it_fails(tmp_path, capsys, command, extra):
+def test_strict_says_why_it_fails(tmp_path, capsys, monkeypatch, command,
+                                  extra):
     """Under --strict, run and sweep exit 1 with one line that counts the
     violations; without it they exit 0 and say nothing."""
-    path = write_config(tmp_path, STRICT_CONFIG)
+    zero_envelope(monkeypatch)
+    path = write_config(tmp_path, TREE_CONFIG)
     assert main([command, "--config", path, "--out", str(tmp_path / "a"),
                  *extra]) == 0
     assert capsys.readouterr().err == ""

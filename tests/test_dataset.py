@@ -346,6 +346,25 @@ def test_bit_reads_on_rational_data_are_usage_errors(read):
     assert ds.ledger.per_example_probes().tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("n_examples", [2, 64, 65, 130])
+@pytest.mark.parametrize("feature", [-1, -3, 3, 4])
+def test_bit_reads_of_a_feature_out_of_range(n_examples, feature):
+    """`peek_bits` and `gather_bits` refuse a feature outside [0, N) with
+    UsageError, on one-word (S <= 64) and multi-word columns alike: -1
+    must not wrap to the last column, nor N reach the array's
+    IndexError."""
+    ds = small_bool(n_examples, 3)
+    rows = (1 << n_examples) - 1
+    with pytest.raises(UsageError, match=f"feature {feature} out of range"):
+        ds.peek_bits(feature)
+    for features in ([feature], [0, feature], [feature, 2, 1]):
+        with pytest.raises(UsageError,
+                           match=f"feature {feature} out of range"):
+            ds.gather_bits(rows, features)
+    assert ds.gather_bits(rows, [2, 0]) == [ds.peek_bits(2), ds.peek_bits(0)]
+    assert ds.ledger.total_probes == 0
+
+
 def test_labels_and_peeks_are_free():
     ds = small_bool(3, 4)
     ds.label(0)
