@@ -29,7 +29,8 @@ and a stream reads placement only when r >= 1.  The default k_cap is the
 dictionary size K (K1 x K2 on an overcomplete stream), combined's default
 slack is sqrt(rKN/m), at least 1, from the stream's r over its m + r tasks,
 and bootstrap's default count is ceil(ln(K/delta)/p_min) from the stream's
-p_min (0.25 when it is 0) at delta = 0.1.  README's run-config table gives
+p_min (0.25 when it is 0) at delta = 0.1, at most m + r.  A tree-family
+stream runs its own family's ImproveRep.  README's run-config table gives
 every key's type, default and readers.
 Adversary: seed int >= 0 (0)
   game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
@@ -86,12 +87,12 @@ STREAM_KEYS = {name: (type(f.default),
                for name, f in StreamSpec.__dataclass_fields__.items()}
 STREAM_KEYS["family"] = (str, FAMILIES)  # checked before its STREAM_READS row
 # The protocol keys each kind reads beside kind; on a tree-family stream
-# every kind also reads gain and improver.
+# every kind also reads gain.
 PROTOCOL_READS = {"plain": (), "restart": ("k_cap", "slack"),
                   "combined": ("k_cap", "slack"), "bootstrap": ("n_bootstrap",)}
 PROTOCOL_KEYS = {
     "kind": (str, tuple(PROTOCOL_READS)),
-    "gain": (str, ("teacher", "info")), "improver": (str, TREE_FAMILIES),
+    "gain": (str, ("teacher", "info")),
     "k_cap": (int, 0), "slack": (int, 0), "n_bootstrap": (int, 0)}
 RUN_KEYS = {"stream": STREAM_KEYS, "protocol": PROTOCOL_KEYS,
             "trials": (int, 1)}
@@ -155,13 +156,9 @@ def build_spec(cfg: dict) -> StreamSpec:
 
 
 def build_family(spec: StreamSpec, proto: dict):
-    if spec.family in TREE_FAMILIES:
-        improver = proto.get("improver", spec.family)
-        if improver == "overcomplete" and spec.family != "overcomplete":
-            raise UsageError(f"the overcomplete improver needs an overcomplete "
-                             f"stream, got family {spec.family!r}")
+    if spec.family in TREE_FAMILIES:  # each tree model runs its own ImproveRep
         return TreeFamily(d=spec.d, s=spec.s,
-                          gain=proto.get("gain", "teacher"), improver=improver)
+                          gain=proto.get("gain", "teacher"), improver=spec.family)
     dist = ProductDistribution()
     if spec.family == "monomial":
         return MonomialFamily(spec.n_features, spec.d, dist)
@@ -177,7 +174,7 @@ def _checked_plan(config: dict):
     check_block(config, RUN_KEYS, "config")
     stream, proto = config.get("stream", {}), config.get("protocol", {})
     family, kind = stream.get("family", "tree"), proto.get("kind", "plain")
-    tree_reads = ("gain", "improver") if family in TREE_FAMILIES else ()
+    tree_reads = ("gain",) if family in TREE_FAMILIES else ()
     stream_reads = set(STREAM_READS[family])
     proto_reads = {"kind", *tree_reads, *PROTOCOL_READS[kind]}
     if "r" not in stream or stream["r"] == 0:  # placement orders r bad tasks
@@ -190,11 +187,12 @@ def _checked_plan(config: dict):
     family = build_family(spec, proto)
     if kind == "plain":
         return spec, family, kind, ()
-    if kind == "bootstrap":  # n_bootstrap, or the count the stream's p_min gives
-        if "n_bootstrap" in proto:
-            return spec, family, kind, (proto["n_bootstrap"],)
-        return spec, family, kind, (bootstrap_count(
-            spec.p_min or 0.25, spec.dictionary_size, 0.1),)
+    if kind == "bootstrap":  # n_bootstrap, or the p_min count up to m + r
+        p_min, tasks = spec.p_min or 0.25, spec.m + spec.r
+        # m + r bootstraps every task; no ceil of an inf ln(K/delta)/p_min
+        count = (tasks if math.log(spec.dictionary_size / 0.1) >= tasks * p_min
+                 else bootstrap_count(p_min, spec.dictionary_size, 0.1))
+        return spec, family, kind, (proto.get("n_bootstrap", count),)
     k_cap = proto.get("k_cap", spec.dictionary_size)
     # an explicit slack (the c axis) wins; every stream poses m + r tasks
     slack = proto.get("slack", 0 if kind == "restart" else combined_slack(

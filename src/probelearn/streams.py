@@ -554,9 +554,9 @@ def gen_tree_stream(spec: StreamSpec, trial: int = 0):
     posed = spec.p_min > 0 and spec.family != "list"
     tasks = []
     for _ in range(spec.m):
-        slot = int(rng.random() / spec.p_min) if posed else len(dictionary)
-        if slot < len(dictionary):
-            target = fill_labels(rng, dictionary[slot])
+        slot = rng.random() / spec.p_min if posed else len(dictionary)
+        if slot < len(dictionary):  # a float: inf at a subnormal p_min
+            target = fill_labels(rng, dictionary[int(slot)])
         else:
             target = compose(rng)
         ds = leaf_cover_dataset(rng, target, spec.n_features, spec.sample_size)

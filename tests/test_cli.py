@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,9 @@ from probelearn.cli import (ADVERSARY_KEYS, GAME_FIELDS, GAME_KEYS,
                             sweep_plan)
 from probelearn.errors import UsageError
 from probelearn.protocol import TreeFamily, combined_slack
-from probelearn.streams import FAMILIES, STREAM_READS, TREE_FAMILIES
+from probelearn.streams import (FAMILIES, GAME_LEARNERS, STREAM_READS,
+                                TREE_FAMILIES)
+from probelearn.tree_learners import bootstrap_count
 
 TREE_CONFIG = {
     "stream": {"family": "tree", "n_features": 10, "k": 2, "d": 2, "s": 5,
@@ -273,7 +277,7 @@ NUMERIC_CASES = {
         []),
     "sweep-K-second-value-too-large": ("sweep", TREE_CONFIG,
                                        ["--axis", "K", "--values", "2,99"]),
-    # the overcomplete improver reads the anchors only its own stream makes
+    # each tree stream runs its own family's ImproveRep: no config picks one
     "overcomplete-improver-on-tree": (
         "run", with_protocol(TREE_CONFIG, improver="overcomplete"), []),
     "overcomplete-improver-on-list": (
@@ -324,20 +328,20 @@ STREAM_VALUES = {"n_features": 16, "k": 2, "d": 2, "s": 5, "t": 2, "m": 6,
                  "r": 1, "sample_size": 6, "mf_depth": 2,
                  "placement": "random", "p_min": 0.25, "k1": 2, "k2": 2,
                  "seed": 0}
-PROTOCOL_VALUES = {"gain": "teacher", "improver": "tree", "k_cap": 2,
-                   "slack": 1, "n_bootstrap": 2}
+PROTOCOL_VALUES = {"gain": "teacher", "k_cap": 2, "slack": 1,
+                   "n_bootstrap": 2}
 KINDS = PROTOCOL_KEYS["kind"][1]
 FAMILY_KINDS = [(family, kind) for family in FAMILIES for kind in KINDS]
 
 
 def protocol_reads(family, kind):
-    tree = ("gain", "improver") if family in TREE_FAMILIES else ()
+    tree = ("gain",) if family in TREE_FAMILIES else ()
     return {"kind", *tree, *PROTOCOL_READS[kind]}
 
 
 def full_config(family, kind):
     stream = dict(STREAM_VALUES, family=family)
-    proto = dict(PROTOCOL_VALUES, kind=kind, improver=family)
+    proto = dict(PROTOCOL_VALUES, kind=kind)
     return {"stream": {key: stream[key] for key in STREAM_READS[family]},
             "protocol": {key: proto[key] for key in protocol_reads(family, kind)},
             "trials": 1}
@@ -351,13 +355,13 @@ def test_read_tables_are_total():
         == set(PROTOCOL_KEYS)
     assert set(STREAM_VALUES) | {"family"} == set(STREAM_KEYS)
     assert set(PROTOCOL_VALUES) | {"kind"} == set(PROTOCOL_KEYS)
-    assert set(PROTOCOL_KEYS) == {"kind", "gain", "improver", "k_cap",
-                                  "slack", "n_bootstrap"}
+    assert set(PROTOCOL_KEYS) == {"kind", "gain", "k_cap", "slack",
+                                  "n_bootstrap"}
     assert "k" not in STREAM_READS["overcomplete"]
     for family, kind, keys in (("monomial", "plain", 11),
-                               ("tree", "plain", 16),
-                               ("tree", "combined", 18),
-                               ("overcomplete", "bootstrap", 16)):
+                               ("tree", "plain", 15),
+                               ("tree", "combined", 17),
+                               ("overcomplete", "bootstrap", 15)):
         assert sum(len(block) if isinstance(block, dict) else 1
                    for block in full_config(family, kind).values()) == keys
 
@@ -386,11 +390,12 @@ def test_unread_keys_exit_2(tmp_path, capsys, monkeypatch, family, kind):
 
 
 UNREAD_CASES = {
-    # each of these two once ran to the report of the run without its keys
+    # each of these two once ran to the report of the run without its keys;
+    # improver is no protocol key, and unknown keys are named first
     "gain-improver-on-monomial": ("run", {
         "stream": {"family": "monomial", "m": 10, "n_features": 6},
         "protocol": {"gain": "info", "improver": "list"}}, [],
-        "the plain protocol does not read ['gain', 'improver']"),
+        "unknown protocol fields: ['improver']"),
     "slack-k_cap-on-plain": (
         "run", with_protocol(TREE_CONFIG, slack=7, k_cap=1), [],
         "the plain protocol does not read ['k_cap', 'slack']"),
@@ -475,30 +480,53 @@ def test_default_k_cap_is_the_dictionary_size(family, kind):
 
 
 @pytest.mark.parametrize("stream, count", [
-    # ceil(ln(K / 0.1) / p_min)
+    # ceil(ln(K / 0.1) / p_min), capped at the stream's m + r tasks
     (dict(TREE_CONFIG["stream"], p_min=0.5), 6),  # K = 2: ln 20 / 0.5
-    (TREE_CONFIG["stream"], 12),  # p_min 0 falls back to 0.25
+    (TREE_CONFIG["stream"], 12),  # p_min 0 falls back to 0.25; m = 8
     (dict(OVERCOMPLETE_CONFIG["stream"], p_min=0.1), 41),  # K = 6: ln 60
-    (OVERCOMPLETE_CONFIG["stream"], 17),  # ln 60 / 0.25
+    (OVERCOMPLETE_CONFIG["stream"], 17),  # ln 60 / 0.25; m = 15
     ({"family": "monomial", "k": 3}, 14),  # no p_min read: ln 30 / 0.25
 ])
 def test_bootstrap_count_reads_the_stream_p_min(stream, count):
-    _, _, kind, args = _checked_plan(
+    spec, _, kind, args = _checked_plan(
         {"stream": stream, "protocol": {"kind": "bootstrap"}})
-    assert (kind, args) == ("bootstrap", (count,))
+    assert bootstrap_count(spec.p_min or 0.25, spec.dictionary_size,
+                           0.1) == count
+    assert (kind, args) == ("bootstrap", (min(count, spec.m + spec.r),))
     # an explicit n_bootstrap wins, 0 included
     for n in (0, 3):
         assert _checked_plan({"stream": stream, "protocol": {
             "kind": "bootstrap", "n_bootstrap": n}})[3] == (n,)
 
 
+@pytest.mark.parametrize("stream", [
+    {"family": "tree", "m": 5}, {"family": "anchor", "m": 4, "r": 2},
+    dict(OVERCOMPLETE_CONFIG["stream"], m=5)], ids=["tree", "anchor", "oc"])
+@pytest.mark.parametrize("p_min", [1e-320, 1e-9])
+def test_tiny_p_min_bootstraps_every_task(tmp_path, stream, p_min):
+    """ln(K/0.1)/p_min is infinite at a subnormal p_min and about 3.4e9 at
+    1e-9; either way the plan bootstraps the stream's m + r tasks, and the
+    run scratch-learns every one of them."""
+    cfg = {"stream": dict(stream, p_min=p_min),
+           "protocol": {"kind": "bootstrap"}}
+    tasks = stream["m"] + stream.get("r", 0)
+    assert _checked_plan(cfg)[3] == (tasks,)
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    _, rows = read_rows(out / "report.csv")
+    assert [row["outcome"] for row in rows] == ["bootstrap"] * tasks
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("key, value", [
-    ("p_min", 0.5), ("delta", 0.1), ("strict_envelope_scale", 1.0)])
+    ("p_min", 0.5), ("delta", 0.1), ("strict_envelope_scale", 1.0),
+    ("improver", "tree"), ("improver", "list")])
 def test_removed_protocol_keys_exit_2(tmp_path, capsys, monkeypatch, kind,
                                       key, value):
-    """p_min is the stream's, delta is fixed at 0.1 and a violation is any
-    LFD row above its envelope, so no protocol kind reads these keys."""
+    """p_min is the stream's, delta is fixed at 0.1, a violation is any LFD
+    row above its envelope and each tree stream runs its own family's
+    ImproveRep, so no protocol kind reads these keys."""
     cfg = dict(TREE_CONFIG, protocol={"kind": kind, key: value})
     err = usage_error(tmp_path, capsys, monkeypatch, "run", cfg)
     assert err == f"error: unknown protocol fields: {[key]}"
@@ -843,6 +871,44 @@ def test_adversary_reports_do_not_depend_on_jobs(tmp_path):
         outs.append(out)
     for name in ("adversary.csv", "regime.csv", "adversary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def exact_game_failure(learner, n_prime, budget, s):
+    """A game's failure probability.  `scan` and `uniform` read L =
+    min(B // S, N') features (a miss costs 1 probe, i* costs S, but each
+    stops after B // S features) and guess among the N' - L unread ones
+    when i* is not among them.  `exhaustive` reads every feature in turn
+    and forfeits when i* sits past position B - S."""
+    if learner == "exhaustive":
+        return 1 - Fraction(min(n_prime, max(budget - s + 1, 0)), n_prime)
+    read = min(budget // s, n_prime)
+    return Fraction(max(n_prime - read - 1, 0), n_prime)
+
+
+def test_game_failure_rates_match_the_closed_form():
+    """Over N' in {1, 7, 100}, S in {1, 2, 4} and budgets from 0 to S N',
+    every learner's simulated failure count lies within 4 standard errors
+    of its closed-form rate, and exactly on it where the rate is 0 or 1."""
+    learners, games = list(GAME_LEARNERS), 2000
+    cells = 0
+    for n_prime in (1, 7, 100):
+        for s in (1, 2, 4):
+            top = s * n_prime
+            budgets = sorted({0, 1, s, top // 4, top // 2, top - 1, top})
+            for budget in budgets:
+                lost = cli._game_failures(0, n_prime, budget, games, s,
+                                          learners)
+                for learner, failures in zip(learners, lost):
+                    p = exact_game_failure(learner, n_prime, budget, s)
+                    cells += 1
+                    if p in (0, 1):
+                        assert failures == p * games, (learner, n_prime, s,
+                                                       budget)
+                        continue
+                    se = math.sqrt(p * (1 - p) / games)
+                    z = (failures / games - p) / se
+                    assert abs(z) <= 4, (learner, n_prime, s, budget, z)
+    assert cells == 147
 
 
 @pytest.mark.parametrize("name", ["intermediate", "large2"])
