@@ -183,6 +183,9 @@ def _checked_plan(config: dict):
                                (f"{kind} protocol", proto, proto_reads)):
         if unread := sorted(set(block) - reads):
             raise UsageError(f"the {what} does not read {unread}")
+    if family == "overcomplete" and proto.get("gain", "teacher") != "teacher":
+        raise UsageError("protocol.gain must be teacher on an overcomplete "
+                         f"stream, got {proto['gain']!r}")
     spec = build_spec(stream)
     family = build_family(spec, proto)
     if kind == "plain":

@@ -10,7 +10,9 @@ attempt's hypothesis), `scratch(task)` and `improve(rep, learned, result,
 task)` (ImproveRep).  A task not learned through rep takes the loop's one
 scratch step, scratch then improve; a bootstrap task takes it with result
 None.  Each scratch learner reads the whole matrix first; the loop does not.
-One loop, `_run`, serves every variant:
+Under the teacher gain a tree scratch learn then returns the target itself
+once routing the sample down it shows the grower would rebuild it.  One
+loop, `_run`, serves every variant:
 
   * run_protocol          -- the plain loop (realizable streams)
   * run_restart_protocol  -- wipe the representation after k_cap+1 failures
@@ -39,7 +41,7 @@ from .polynomials import (ExactCorrelation, SampledCorrelation,
 from .tree_learners import (_dedup_extend, improve_rep_anchor,
                             improve_rep_list, improve_rep_overcomplete,
                             improve_rep_tree, learn_tree_scratch, lfd_tree)
-from .trees import InfoGain, TeacherGain
+from .trees import INTERNAL, InfoGain, TeacherGain, _route_bits
 
 SCHEMA_VERSION = 1
 ROW_FIELDS = ["schema_version", "family", "trial", "task_index", "outcome",
@@ -52,6 +54,28 @@ OUTCOME_BOOTSTRAP = "bootstrap"
 
 
 # -- family adapters -------------------------------------------------------
+
+
+def _rebuilds(ds, target, d: int, s: int) -> bool:
+    """Would `learn_tree_scratch(ds, TeacherGain(target), d, s)` grow the
+    target?  Yes if it fits the caps and, routing the sample down it, each
+    internal node's examples hold both labels and each leaf's examples are
+    non-empty and carry its label (so every split sends examples both ways
+    and no variable repeats on a path).  The walk stops at the first node
+    that fails, reading no column below it."""
+    if target.depth() > d or target.size() > s:
+        return False
+    positive = ds.label_bits
+    for node, rows in _route_bits(target, (1 << ds.n_examples) - 1,
+                                  ds.peek_bits):
+        labels = rows & positive
+        pure = labels in (0, rows)
+        if node.kind == INTERNAL:
+            if pure:
+                return False
+        elif not rows or not pure or node.label != (labels == rows):
+            return False
+    return True
 
 
 class TreeFamily:
@@ -94,6 +118,12 @@ class TreeFamily:
                         paths=self._paths)
 
     def scratch(self, task):
+        """Under the teacher gain, a copy of the target when `_rebuilds`
+        holds; otherwise `learn_tree_scratch`."""
+        if self.gain == "teacher":
+            task.ds.probe_all()
+            if _rebuilds(task.ds, task.target, self.d, self.s):
+                return task.target.copy()
         return learn_tree_scratch(task.ds, self._gain_for(task), self.d, self.s)
 
     def improve(self, rep, learned, result, task):

@@ -20,7 +20,7 @@ examples down the target.  Tasks that are drawn back to back, with no other
 draw between them, share one draw of their cells: the regime generators'
 posed stumps take one `leaf_cover_datasets` call, and an agnostic stream's
 pad columns come from one `shared_flips`; both draw in runs of at most
-CHUNK_CELLS cells.
+CHUNK_CELLS cells, and the tasks of a run are packed in one pass.
 
 The agnostic mixer plants r bad targets over features disjoint from the
 dictionary; the lower-bound regime generators emit single-feature stumps
@@ -37,13 +37,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import CostlyDataset, column_bits, pack_columns
+from .dataset import CostlyDataset, _pack_blocks, column_bits
 from .errors import GeneratorExhaustedError, UsageError
 from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
 from .monomials import monomial_to_json_obj
 from .polynomials import Polynomial, term_key
-from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree
+from .trees import EMPTY, INTERNAL, LEAF, MINUS, PLUS, Tree, _route_bits
 
 TREE_FAMILIES = ("tree", "list", "anchor", "overcomplete")
 FAMILIES = TREE_FAMILIES + ("monomial", "polynomial")
@@ -407,10 +407,17 @@ def shared_flips(rng, rows, n_cols: int):
     same bits as one call per item, with the generator left in the same
     state: cell k of a draw is the k-th 32-bit half of the generator's
     output, so one draw of a + b cells is a draw of a cells followed by one
-    of b.  Items are drawn in one call per run that together hold at most
-    CHUNK_CELLS cells (a larger item is a run of its own), so no more than
-    one run's cells are held at once.  The draws are lazy: take every item
-    before drawing anything else from rng."""
+    of b.  The items are drawn in the runs of `_flip_runs`, lazily: take
+    every item before drawing anything else from rng."""
+    for values, first, stop in _flip_runs(rng, rows, n_cols):
+        yield from np.split(values, np.cumsum(rows[first:stop - 1], dtype=int))
+
+
+def _flip_runs(rng, rows, n_cols: int):
+    """Yield (one `coin_flips` draw of their rows, start, stop) for each run
+    of items rows[start:stop] that hold at most CHUNK_CELLS cells together
+    (a larger item is a run of its own): no more than one run's cells are
+    held at once."""
     start = 0
     while start < len(rows):
         stop, total = start + 1, rows[start]
@@ -418,10 +425,7 @@ def shared_flips(rng, rows, n_cols: int):
                 (total + rows[stop]) * n_cols <= CHUNK_CELLS:
             total += rows[stop]
             stop += 1
-        values, end = coin_flips(rng, (total, n_cols)), 0
-        for j in range(start, stop):
-            yield values[end:end + rows[j]]
-            end += rows[j]
+        yield coin_flips(rng, (total, n_cols)), start, stop
         start = stop
 
 
@@ -435,46 +439,44 @@ def leaf_cover_dataset(rng, g: Tree, n_features: int,
 def leaf_cover_datasets(rng, targets, n_features: int,
                         sample_size: int) -> list:
     """For each target in order, one example routed to every leaf of it,
-    padded with uniform examples.  Back-to-back tasks share one draw of
-    their cells through `shared_flips`, so the datasets and the generator
-    state left behind equal those of one call per target.
+    padded with uniform examples.  Back-to-back tasks share the draws of
+    `shared_flips`, so the datasets and the generator state left behind
+    equal those of one call per target.
 
-    Each task's rows come in one piece of that draw, the same bits as one
-    draw per row.  Row i then takes the (variable, bit) pairs above the
-    target's i-th frontier node in `Tree.walk` order, written cell by cell.
-    The labels come from routing the examples down the target as bitsets:
-    each internal node splits its examples by its variable's column bitset.
-    The columns are packed once and handed to the dataset with the label
-    bitset, which it keeps as they are, not the drawn matrix.  An example
-    that reaches an empty leaf raises UsageError."""
+    Row i of a task takes the (variable, bit) pairs above the target's i-th
+    frontier node in `Tree.walk` order, written cell by cell.  The columns
+    of a draw's tasks are packed in one pass, and a task's labels come from
+    routing its examples down the target as bitsets; the dataset keeps
+    those bitsets, not the drawn matrix.  An example that reaches an empty
+    leaf raises UsageError."""
     frontiers = [[above for node, above in g.walk() if node.kind != INTERNAL]
                  for g in targets]
     rows = [max(len(frontier), sample_size) for frontier in frontiers]
-    return [_cover(g, frontier, values) for g, frontier, values
-            in zip(targets, frontiers, shared_flips(rng, rows, n_features))]
+    out = []
+    for values, first, stop in _flip_runs(rng, rows, n_features):
+        cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
+        start, blocks = 0, []
+        for frontier, height in zip(frontiers[first:stop], rows[first:stop]):
+            for row, above in enumerate(frontier, start):
+                for var, bit in above:
+                    cells[row * n_features + var] = bit
+            blocks.append(values[start:start + height])
+            start += height
+        out += map(_cover, targets[first:stop], blocks,
+                   _pack_blocks(values, rows[first:stop]))
+    return out
 
 
-def _cover(g: Tree, frontier, values: np.ndarray) -> CostlyDataset:
-    """One target's dataset on its drawn rows `values`: write the frontier's
-    path bits, pack the columns and label the examples by routing them."""
-    n_features = values.shape[1]
-    cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
-    for row, above in enumerate(frontier):
-        for var, bit in above:
-            cells[row * n_features + var] = bit
-    columns = pack_columns(values)
-    positive = 0
-    stack = [(g, (1 << len(values)) - 1)]
-    while stack:
-        node, rows = stack.pop()
-        if node.kind == INTERNAL:
-            one = rows & column_bits(columns, len(values), node.var)
-            stack += ((node.left, rows & ~one), (node.right, one))
-        elif node.kind == LEAF:
-            if node.label:
-                positive |= rows
-        elif rows:
+def _cover(g: Tree, values: np.ndarray, columns) -> CostlyDataset:
+    """A target's dataset on its rows, packed as `columns`, labeled by g."""
+    n, positive = len(values), 0
+    column = (columns.__getitem__ if n <= 64  # one word: `column_bits`
+              else functools.partial(column_bits, columns, n))
+    for node, rows in _route_bits(g, (1 << n) - 1, column):
+        if node.kind == EMPTY and rows:
             raise UsageError("predict called on an incomplete tree")
+        if node.kind == LEAF and node.label:
+            positive |= rows
     return CostlyDataset.from_bool(values, columns=columns,
                                    label_bits=positive)
 

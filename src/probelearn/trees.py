@@ -191,6 +191,20 @@ def path_repeats_var(tree: Tree) -> bool:
                for node, above in tree.walk() if node.kind == INTERNAL)
 
 
+def _route_bits(g: Tree, rows: int, column):
+    """Every node of g in pre-order, left child first, with the bitset of
+    the examples of `rows` that reach it; a node's examples are split by
+    `column(var)`, the bitset of those with var set, only after it is
+    yielded."""
+    stack = [(g, rows)]
+    while stack:
+        node, rows = stack.pop()
+        yield node, rows
+        if node.kind == INTERNAL:
+            one = rows & column(node.var)
+            stack += ((node.right, one), (node.left, rows & ~one))
+
+
 # -- superimposition -------------------------------------------------------
 
 

@@ -2,17 +2,21 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from probelearn import (ROW_FIELDS, SCHEMA_VERSION, CostlyDataset,
                         MonomialFamily, PolynomialFamily, ProductDistribution,
                         StreamSpec, Task, TeacherGain, Tree, TreeFamily,
-                        UsageError, build_orthogonal_basis, combined_slack,
-                        gen_monomial_stream, gen_poly_stream, gen_tree_stream,
-                        lfd_tree, run_bootstrap_protocol,
+                        UsageError, adversary_r_min, build_orthogonal_basis,
+                        combined_slack, gen_adversary_stream,
+                        gen_agnostic_stream, gen_monomial_stream,
+                        gen_poly_stream, gen_tree_stream, learn_tree_scratch,
+                        lfd_tree, protocol, run_bootstrap_protocol,
                         run_combined_protocol, run_protocol,
                         run_restart_protocol)
 from probelearn.cli import _write_csv
+from probelearn.streams import REGIMES
 from probelearn.protocol import (OUTCOME_BOOTSTRAP, OUTCOME_LFD,
                                  OUTCOME_SCRATCH, ProtocolRun)
 
@@ -222,6 +226,109 @@ def test_tree_family_attempt_never_reads_a_stale_path_map():
             case = "improved"
     assert seen == {"empty", "unchanged", "copied", "swapped", "wiped",
                     "improved", "improved after a wipe"}
+
+
+# -- a teacher scratch learn is its target ------------------------------------
+
+
+def scratch_streams():
+    """(name, tasks, d, s) for seeded streams of every tree family, the
+    four regime streams and an agnostic stream's bad tasks; each is
+    generated afresh on every call, so its ledgers are clean."""
+    shape = dict(n_features=40, k=3, d=3, s=7, mf_depth=2, m=20,
+                 sample_size=16)
+    for family, extra in (("tree", {}), ("list", dict(d=4, s=6)),
+                          ("anchor", {}), ("overcomplete", dict(k1=2, k2=2))):
+        for seed in (0, 1):
+            spec = tree_spec(**dict(shape, family=family, seed=seed, **extra))
+            yield f"{family}-{seed}", gen_tree_stream(spec)[0], spec.d, spec.s
+    for regime in REGIMES:
+        tasks, _ = gen_adversary_stream(regime, 16, 3, 10,
+                                        adversary_r_min(16, 3, 10), 7,
+                                        sample_size=4)
+        yield regime, tasks, 1, 1
+    spec = tree_spec(**dict(shape, r=8, seed=3))
+    tasks = [task for task in gen_agnostic_stream(spec)[0] if not task.good]
+    yield "agnostic-bad", tasks, spec.d, spec.s
+
+
+def count_grower_calls(monkeypatch):
+    calls = []
+    grow = protocol.learn_tree_scratch
+    monkeypatch.setattr(protocol, "learn_tree_scratch", lambda *args: (
+        calls.append(args) or grow(*args)))
+    return calls
+
+
+def test_teacher_scratch_returns_the_grown_target(monkeypatch):
+    """The grower with the teacher gain rebuilds every target of these
+    streams, and `TreeFamily.scratch` returns an equal tree with an equal
+    ledger without calling the grower."""
+    streams = list(scratch_streams())
+    assert len(streams) == 13
+    calls = count_grower_calls(monkeypatch)
+    for (name, tasks, d, s), (_, again, _, _) in zip(streams,
+                                                     scratch_streams()):
+        assert tasks, name
+        family = TreeFamily(d, s)
+        for task, copy in zip(tasks, again):
+            grown = learn_tree_scratch(task.ds, TeacherGain(task.target), d, s)
+            assert grown == task.target, name
+            got = family.scratch(copy)
+            assert got == grown and got is not copy.target, name
+            assert ((copy.ds.ledger.total_probes,
+                     copy.ds.ledger.per_example_max())
+                    == (task.ds.ledger.total_probes,
+                        task.ds.ledger.per_example_max())), name
+    assert calls == []
+
+
+def _t(var, left, right):
+    return Tree.internal(var, left, right)
+
+
+PLUS_, MINUS_ = Tree.leaf(True), Tree.leaf(False)
+DEPTH2 = _t(0, _t(1, MINUS_, PLUS_), _t(2, PLUS_, MINUS_))
+ALL3 = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+ALL2 = [[a, b] for a in (0, 1) for b in (0, 1)]
+
+# name -> (target, rows, labels or None for the target's, d, s); in each
+# the grower with the teacher gain does not give the target back
+FALLBACKS = {
+    "deeper-than-d": (DEPTH2, ALL3, None, 1, 7),
+    "larger-than-s": (DEPTH2, ALL3, None, 2, 2),
+    "labels-disagree": (_t(0, MINUS_, PLUS_), ALL2, [0, 1, 1, 1], 2, 3),
+    "one-label-subtree": (_t(0, _t(1, PLUS_, PLUS_), MINUS_), ALL2, None,
+                          2, 3),
+    "repeated-variable": (_t(0, _t(0, PLUS_, MINUS_), MINUS_), ALL2, None,
+                          2, 3),
+    "one-way-split": (_t(0, _t(1, MINUS_, PLUS_), PLUS_),
+                      [[0, 0], [0, 1], [0, 1], [0, 0]], None, 2, 3),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_teacher_scratch_falls_back_to_the_grower(monkeypatch, case):
+    """Where the grower does not rebuild the target, `TreeFamily.scratch`
+    calls it and returns or raises what it does, with the same ledger."""
+    target, rows, labels, d, s = FALLBACKS[case]
+
+    def outcome(learn):
+        values = np.array(rows, dtype=np.uint8)
+        ds = CostlyDataset.from_bool(values, labels if labels is not None
+                                     else [target.predict(r) for r in values])
+        try:
+            got = ("tree", learn(Task(ds, target)).key())
+        except Exception as exc:  # noqa: BLE001 - compared by type and text
+            got = (type(exc), str(exc))
+        return got, ds.ledger.total_probes, ds.ledger.per_example_max()
+
+    want = outcome(lambda task: learn_tree_scratch(
+        task.ds, TeacherGain(target), d, s))
+    assert want[0] != ("tree", target.key())
+    calls = count_grower_calls(monkeypatch)
+    assert outcome(TreeFamily(d, s).scratch) == want
+    assert len(calls) == 1
 
 
 def test_combined_slack_values():

@@ -350,6 +350,54 @@ def test_leaf_cover_list_matches_one_call_per_target(monkeypatch,
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def full_tree(rng, depth):
+    """A labeled complete tree of the given depth, variable i at depth i."""
+    def build(level):
+        return (Tree.empty() if level == depth else
+                Tree.internal(level, build(level + 1), build(level + 1)))
+    return fill_labels(rng, build(0))
+
+
+@pytest.mark.parametrize("sample_size", [64, 65, 130])
+def test_leaf_cover_runs_of_mixed_heights_match_one_call_per_target(
+        monkeypatch, sample_size):
+    """On an odd N from a pending 32-bit half, runs that mix stumps with
+    trees of more leaves than S (so taller tasks) give each target's
+    dataset, labels and generator state of one call per target."""
+    rng = np.random.default_rng(31)
+    composer = _Composer(dictionaries()[0][0], 4, 11)
+    targets = [stump(3), full_tree(rng, 7), composer(rng), full_tree(rng, 8),
+               stump(0), composer(rng), full_tree(rng, 6), stump(40)] * 3
+    n_features = 41
+    got_rng, want_rng = (np.random.default_rng(32) for _ in range(2))
+    for gen in (got_rng, want_rng):
+        gen.integers(5)  # a scalar bounded draw leaves a 32-bit half pending
+    draws = []
+    monkeypatch.setattr(streams, "coin_flips", lambda rng, shape: (
+        draws.append(shape) or coin_flips(rng, shape)))
+    got = leaf_cover_datasets(got_rng, targets, n_features, sample_size)
+    monkeypatch.undo()
+    heights = [max(len(g.frontier_paths()), sample_size) for g in targets]
+    runs, start = [], 0  # the heights each draw covers
+    for rows, _ in draws:
+        stop = start + 1
+        while sum(heights[start:stop]) < rows:
+            stop += 1
+        runs.append(heights[start:stop])
+        start = stop
+    assert sum(map(len, runs)) == len(targets)
+    assert any(len(set(run)) > 1 for run in runs)
+    want = [leaf_cover_dataset(want_rng, g, n_features, sample_size)
+            for g in targets]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for height, ds, ref in zip(heights, got, want):
+        assert (ds.n_examples, ds.n_features) == (height, n_features)
+        assert ds._cols == ref._cols
+        assert np.array_equal(ds.peek_all(), ref.peek_all())
+        assert ds.label_bits == ref.label_bits
+        assert np.array_equal(ds.labels, ref.labels)
+
+
 @pytest.mark.parametrize("n_cols", [0, 3, 200])
 def test_shared_flips_match_one_draw_per_item_within_the_cap(monkeypatch,
                                                              n_cols):
