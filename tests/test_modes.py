@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from probelearn import cli, protocol
+from probelearn import cli
 from probelearn.cli import main
 from probelearn.streams import FAMILIES, STREAM_READS, TREE_FAMILIES
 
@@ -170,46 +170,3 @@ def test_oracle_runs_read_the_target(monkeypatch, stream):
     sealed_streams(monkeypatch)
     with pytest.raises(OracleRead):
         cli.run_trial({"stream": stream}, 0)
-
-
-# -- which scratch learns run the grower ------------------------------------
-
-
-def count_grower_calls(monkeypatch):
-    calls = []
-    grow = protocol.learn_tree_scratch
-    monkeypatch.setattr(protocol, "learn_tree_scratch", lambda *args: (
-        calls.append(args) or grow(*args)))
-    return calls
-
-
-def run_main(tmp_path, command, cfg):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out",
-                 str(tmp_path / "out")]) == 0
-
-
-def test_teacher_regime_scratch_learns_never_run_the_grower(monkeypatch,
-                                                             tmp_path):
-    """The large2 regime at the benchmark's smoke shape scratch-learns
-    under the teacher gain without one grower call."""
-    calls = count_grower_calls(monkeypatch)
-    run_main(tmp_path, "adversary", {
-        "game": {"n_prime": 10, "budgets": [0], "trials": 1},
-        "regime": {"name": "large2", "n_features": 32, "k": 4, "m": 40,
-                   "r": 32, "sample_size": 8}})
-    with open(tmp_path / "out" / "regime.csv", newline="") as fh:
-        assert int(next(csv.DictReader(fh))["scratch_count"]) > 0
-    assert calls == []
-
-
-def test_info_gain_scratch_learns_each_run_the_grower(monkeypatch, tmp_path):
-    """A gain-info tree run calls the grower once per scratch row."""
-    calls = count_grower_calls(monkeypatch)
-    run_main(tmp_path, "run", {"stream": dict(INFO_SHAPE, family="tree"),
-                               "protocol": {"gain": "info"}})
-    with open(tmp_path / "out" / "report.csv", newline="") as fh:
-        scratch = sum(row["outcome"] != "lfd" for row in csv.DictReader(fh))
-    assert scratch > 0
-    assert len(calls) == scratch

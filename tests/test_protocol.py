@@ -1,6 +1,7 @@
 """Protocol drivers: plain, restart, combined, bootstrap, and CSV traces."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from probelearn import (ROW_FIELDS, SCHEMA_VERSION, CostlyDataset,
                         lfd_tree, protocol, run_bootstrap_protocol,
                         run_combined_protocol, run_protocol,
                         run_restart_protocol)
-from probelearn.cli import _write_csv
+from probelearn.cli import _write_csv, main
 from probelearn.streams import REGIMES
 from probelearn.protocol import (OUTCOME_BOOTSTRAP, OUTCOME_LFD,
                                  OUTCOME_SCRATCH, ProtocolRun)
@@ -283,12 +284,12 @@ def test_teacher_scratch_returns_the_grown_target(monkeypatch):
     assert calls == []
 
 
-def _t(var, left, right):
+def split(var, left, right):
     return Tree.internal(var, left, right)
 
 
-PLUS_, MINUS_ = Tree.leaf(True), Tree.leaf(False)
-DEPTH2 = _t(0, _t(1, MINUS_, PLUS_), _t(2, PLUS_, MINUS_))
+PLUS, MINUS = Tree.leaf(True), Tree.leaf(False)
+DEPTH2 = split(0, split(1, MINUS, PLUS), split(2, PLUS, MINUS))
 ALL3 = [[a, b, c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 ALL2 = [[a, b] for a in (0, 1) for b in (0, 1)]
 
@@ -297,12 +298,12 @@ ALL2 = [[a, b] for a in (0, 1) for b in (0, 1)]
 FALLBACKS = {
     "deeper-than-d": (DEPTH2, ALL3, None, 1, 7),
     "larger-than-s": (DEPTH2, ALL3, None, 2, 2),
-    "labels-disagree": (_t(0, MINUS_, PLUS_), ALL2, [0, 1, 1, 1], 2, 3),
-    "one-label-subtree": (_t(0, _t(1, PLUS_, PLUS_), MINUS_), ALL2, None,
+    "labels-disagree": (split(0, MINUS, PLUS), ALL2, [0, 1, 1, 1], 2, 3),
+    "one-label-subtree": (split(0, split(1, PLUS, PLUS), MINUS), ALL2, None,
                           2, 3),
-    "repeated-variable": (_t(0, _t(0, PLUS_, MINUS_), MINUS_), ALL2, None,
-                          2, 3),
-    "one-way-split": (_t(0, _t(1, MINUS_, PLUS_), PLUS_),
+    "repeated-variable": (split(0, split(0, PLUS, MINUS), MINUS), ALL2,
+                          None, 2, 3),
+    "one-way-split": (split(0, split(1, MINUS, PLUS), PLUS),
                       [[0, 0], [0, 1], [0, 1], [0, 0]], None, 2, 3),
 }
 
@@ -329,6 +330,42 @@ def test_teacher_scratch_falls_back_to_the_grower(monkeypatch, case):
     calls = count_grower_calls(monkeypatch)
     assert outcome(TreeFamily(d, s).scratch) == want
     assert len(calls) == 1
+
+
+def run_main(tmp_path, command, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 0
+    return tmp_path / "out"
+
+
+def test_teacher_regime_scratch_learns_never_run_the_grower(monkeypatch,
+                                                             tmp_path):
+    """The large2 regime at `adversary-churn`'s smoke shape scratch-learns
+    under the teacher gain without one grower call."""
+    calls = count_grower_calls(monkeypatch)
+    out = run_main(tmp_path, "adversary", {
+        "game": {"n_prime": 10, "budgets": [0], "trials": 1},
+        "regime": {"name": "large2", "n_features": 32, "k": 4, "m": 40,
+                   "r": 32, "sample_size": 8}})
+    with open(out / "regime.csv", newline="") as fh:
+        assert int(next(csv.DictReader(fh))["scratch_count"]) > 0
+    assert calls == []
+
+
+def test_info_gain_scratch_learns_each_run_the_grower(monkeypatch, tmp_path):
+    """A gain-info tree run, at the oracle-guard shape of
+    tests/test_modes.py, calls the grower once per scratch row."""
+    calls = count_grower_calls(monkeypatch)
+    out = run_main(tmp_path, "run", {
+        "stream": {"family": "tree", "n_features": 32, "k": 2, "d": 3, "s": 7,
+                   "mf_depth": 2, "m": 20, "sample_size": 8},
+        "protocol": {"gain": "info"}})
+    with open(out / "report.csv", newline="") as fh:
+        scratch = sum(row["outcome"] != "lfd" for row in csv.DictReader(fh))
+    assert scratch > 0
+    assert len(calls) == scratch
 
 
 def test_combined_slack_values():
