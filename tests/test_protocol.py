@@ -238,11 +238,13 @@ def scratch_streams():
     generated afresh on every call, so its ledgers are clean."""
     shape = dict(n_features=40, k=3, d=3, s=7, mf_depth=2, m=20,
                  sample_size=16)
-    for family, extra in (("tree", {}), ("list", dict(d=4, s=6)),
-                          ("anchor", {}), ("overcomplete", dict(k1=2, k2=2))):
+    for family, extra in (("tree", {}), ("tree", dict(sample_size=70)),
+                          ("list", dict(d=4, s=6)), ("anchor", {}),
+                          ("overcomplete", dict(k1=2, k2=2))):
         for seed in (0, 1):
             spec = tree_spec(**dict(shape, family=family, seed=seed, **extra))
-            yield f"{family}-{seed}", gen_tree_stream(spec)[0], spec.d, spec.s
+            yield (f"{family}-{seed}-S{spec.sample_size}",
+                   gen_tree_stream(spec)[0], spec.d, spec.s)
     for regime in REGIMES:
         tasks, _ = gen_adversary_stream(regime, 16, 3, 10,
                                         adversary_r_min(16, 3, 10), 7,
@@ -266,7 +268,7 @@ def test_teacher_scratch_returns_the_grown_target(monkeypatch):
     streams, and `TreeFamily.scratch` returns an equal tree with an equal
     ledger without calling the grower."""
     streams = list(scratch_streams())
-    assert len(streams) == 13
+    assert len(streams) == 15
     calls = count_grower_calls(monkeypatch)
     for (name, tasks, d, s), (_, again, _, _) in zip(streams,
                                                      scratch_streams()):
