@@ -454,33 +454,23 @@ def pack_columns(values) -> array:
     n_examples, n_features = values.shape
     padded = np.zeros((n_features, 64 * _width(n_examples)), dtype=np.uint8)
     padded[:, :n_examples] = values.T
-    return array("Q", np.packbits(padded, axis=1, bitorder="little")
+    return array("Q", np.packbits(padded, bitorder="little")
                  .view("<u8").astype(np.uint64, copy=False).tobytes())
 
 
-def _pack_blocks(values, heights) -> list:
-    """`pack_columns` of each block of rows of `values`, block j being the
-    next heights[j] rows, in one `np.packbits` pass: each block's column is
-    padded to 8, 16, 32 or 64 x W bits and read as ints of that width."""
-    if len(heights) == 1:  # pack_columns is quicker for one block
-        return [pack_columns(values)]
-    top, n_features = max(heights), values.shape[1]
-    chunk = (64 * _width(top) if top > 32
-             else max(8, 1 << (top - 1).bit_length()))
-    bits = np.zeros((len(heights), n_features, chunk), dtype=np.uint8)
-    if min(heights) == top:  # one transposing copy
-        bits[:, :, :top] = values.reshape(
-            len(heights), top, n_features).transpose(0, 2, 1)
-    else:
-        start = 0
-        for j, height in enumerate(heights):
-            bits[j, :, :height] = values[start:start + height].T
-            start += height
-    words = (np.packbits(bits, bitorder="little")
-             .view(f"<u{min(chunk, 64) // 8}").astype(np.uint64, copy=False)
-             .reshape(len(heights), n_features, -1))
-    return [array("Q", block[:, :_width(height)].tobytes())
-            for block, height in zip(words, heights)]
+def _pack_blocks(blocks) -> list:
+    """`pack_columns` of each of `blocks`, matrices N columns wide, in one
+    `np.packbits` pass."""
+    if len(blocks) == 1:  # pack_columns is quicker for one block
+        return [pack_columns(blocks[0])]
+    bits = np.zeros((len(blocks), blocks[0].shape[1],
+                     64 * _width(max(map(len, blocks)))), dtype=np.uint8)
+    for padded, values in zip(bits, blocks):
+        padded[:, :len(values)] = values.T
+    words = (np.packbits(bits, bitorder="little").view("<u8")
+             .astype(np.uint64, copy=False).reshape(bits.shape[:2] + (-1,)))
+    return [array("Q", column[:, :_width(len(values))].tobytes())
+            for column, values in zip(words, blocks)]
 
 
 def column_bits(words: array, n_examples: int, feature: int) -> int:

@@ -38,10 +38,11 @@ from .monomials import (EXACT, RepresentationMatrix, improve_rep_monomial,
 from .polynomials import (ExactCorrelation, SampledCorrelation,
                           improve_rep_polynomial, learn_polynomial_scratch,
                           lfd_polynomial)
-from .tree_learners import (_dedup_extend, improve_rep_anchor,
-                            improve_rep_list, improve_rep_overcomplete,
-                            improve_rep_tree, learn_tree_scratch, lfd_tree)
-from .trees import INTERNAL, InfoGain, TeacherGain, _route_bits
+from .tree_learners import (_dedup_extend, _teacher_rebuilds,
+                            improve_rep_anchor, improve_rep_list,
+                            improve_rep_overcomplete, improve_rep_tree,
+                            learn_tree_scratch, lfd_tree)
+from .trees import InfoGain, TeacherGain
 
 SCHEMA_VERSION = 1
 ROW_FIELDS = ["schema_version", "family", "trial", "task_index", "outcome",
@@ -54,28 +55,6 @@ OUTCOME_BOOTSTRAP = "bootstrap"
 
 
 # -- family adapters -------------------------------------------------------
-
-
-def _rebuilds(ds, target, d: int, s: int) -> bool:
-    """Would `learn_tree_scratch(ds, TeacherGain(target), d, s)` grow the
-    target?  Yes if it fits the caps and, routing the sample down it, each
-    internal node's examples hold both labels and each leaf's examples are
-    non-empty and carry its label (so every split sends examples both ways
-    and no variable repeats on a path).  The walk stops at the first node
-    that fails, reading no column below it."""
-    if target.depth() > d or target.size() > s:
-        return False
-    positive = ds.label_bits
-    for node, rows in _route_bits(target, (1 << ds.n_examples) - 1,
-                                  ds.peek_bits):
-        labels = rows & positive
-        pure = labels in (0, rows)
-        if node.kind == INTERNAL:
-            if pure:
-                return False
-        elif not rows or not pure or node.label != (labels == rows):
-            return False
-    return True
 
 
 class TreeFamily:
@@ -118,11 +97,9 @@ class TreeFamily:
                         paths=self._paths)
 
     def scratch(self, task):
-        """Under the teacher gain, a copy of the target when `_rebuilds`
-        holds; otherwise `learn_tree_scratch`."""
         if self.gain == "teacher":
             task.ds.probe_all()
-            if _rebuilds(task.ds, task.target, self.d, self.s):
+            if _teacher_rebuilds(task.ds, task.target, self.d, self.s):
                 return task.target.copy()
         return learn_tree_scratch(task.ds, self._gain_for(task), self.d, self.s)
 

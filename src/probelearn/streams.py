@@ -407,17 +407,15 @@ def shared_flips(rng, rows, n_cols: int):
     same bits as one call per item, with the generator left in the same
     state: cell k of a draw is the k-th 32-bit half of the generator's
     output, so one draw of a + b cells is a draw of a cells followed by one
-    of b.  The items are drawn in the runs of `_flip_runs`, lazily: take
+    of b.  The items come from the runs of `_flip_runs`, drawn lazily: take
     every item before drawing anything else from rng."""
-    for values, first, stop in _flip_runs(rng, rows, n_cols):
-        yield from np.split(values, np.cumsum(rows[first:stop - 1], dtype=int))
+    for run in _flip_runs(rng, rows, n_cols):
+        yield from run
 
 
 def _flip_runs(rng, rows, n_cols: int):
-    """Yield (one `coin_flips` draw of their rows, start, stop) for each run
-    of items rows[start:stop] that hold at most CHUNK_CELLS cells together
-    (a larger item is a run of its own): no more than one run's cells are
-    held at once."""
+    """Yield, per run of items holding at most CHUNK_CELLS cells (a larger
+    item is a run of its own), the items as views of one `coin_flips` draw."""
     start = 0
     while start < len(rows):
         stop, total = start + 1, rows[start]
@@ -425,7 +423,11 @@ def _flip_runs(rng, rows, n_cols: int):
                 (total + rows[stop]) * n_cols <= CHUNK_CELLS:
             total += rows[stop]
             stop += 1
-        yield coin_flips(rng, (total, n_cols)), start, stop
+        values, end, run = coin_flips(rng, (total, n_cols)), 0, []
+        for j in range(start, stop):
+            run.append(values[end:end + rows[j]])
+            end += rows[j]
+        yield run
         start = stop
 
 
@@ -440,45 +442,37 @@ def leaf_cover_datasets(rng, targets, n_features: int,
                         sample_size: int) -> list:
     """For each target in order, one example routed to every leaf of it,
     padded with uniform examples.  Back-to-back tasks share the draws of
-    `shared_flips`, so the datasets and the generator state left behind
-    equal those of one call per target.
+    `_flip_runs`, so the datasets and the generator state left behind equal
+    those of one call per target.
 
     Row i of a task takes the (variable, bit) pairs above the target's i-th
-    frontier node in `Tree.walk` order, written cell by cell.  The columns
-    of a draw's tasks are packed in one pass, and a task's labels come from
-    routing its examples down the target as bitsets; the dataset keeps
-    those bitsets, not the drawn matrix.  An example that reaches an empty
+    frontier node in `Tree.walk` order, written cell by cell.  A run's tasks
+    are packed in one pass, and each is labeled by routing its examples down
+    its target as bitsets; the dataset keeps the packed columns and the
+    label bitset, not the drawn matrix.  An example that reaches an empty
     leaf raises UsageError."""
     frontiers = [[above for node, above in g.walk() if node.kind != INTERNAL]
                  for g in targets]
     rows = [max(len(frontier), sample_size) for frontier in frontiers]
     out = []
-    for values, first, stop in _flip_runs(rng, rows, n_features):
-        cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
-        start, blocks = 0, []
-        for frontier, height in zip(frontiers[first:stop], rows[first:stop]):
-            for row, above in enumerate(frontier, start):
+    for run in _flip_runs(rng, rows, n_features):
+        for frontier, values in zip(frontiers[len(out):], run):
+            cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
+            for row, above in enumerate(frontier):
                 for var, bit in above:
                     cells[row * n_features + var] = bit
-            blocks.append(values[start:start + height])
-            start += height
-        out += map(_cover, targets[first:stop], blocks,
-                   _pack_blocks(values, rows[first:stop]))
+        for g, values, columns in zip(targets[len(out):], run,
+                                      _pack_blocks(run)):
+            n, positive = len(values), 0
+            for node, reach in _route_bits(
+                    g, (1 << n) - 1, functools.partial(column_bits, columns, n)):
+                if node.kind == EMPTY and reach:
+                    raise UsageError("predict called on an incomplete tree")
+                if node.kind == LEAF and node.label:
+                    positive |= reach
+            out.append(CostlyDataset.from_bool(values, columns=columns,
+                                               label_bits=positive))
     return out
-
-
-def _cover(g: Tree, values: np.ndarray, columns) -> CostlyDataset:
-    """A target's dataset on its rows, packed as `columns`, labeled by g."""
-    n, positive = len(values), 0
-    column = (columns.__getitem__ if n <= 64  # one word: `column_bits`
-              else functools.partial(column_bits, columns, n))
-    for node, rows in _route_bits(g, (1 << n) - 1, column):
-        if node.kind == EMPTY and rows:
-            raise UsageError("predict called on an incomplete tree")
-        if node.kind == LEAF and node.label:
-            positive |= rows
-    return CostlyDataset.from_bool(values, columns=columns,
-                                   label_bits=positive)
 
 
 # -- tree streams ----------------------------------------------------------

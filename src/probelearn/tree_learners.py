@@ -37,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError, ModelViolationError, RealizabilityError
-from .trees import INTERNAL, LEAF, PLUS, Tree, steps
+from .trees import INTERNAL, LEAF, PLUS, Tree, _route_bits, steps
 # Not called here: perfbench/tracing.py wraps these names in this module.
 from .trees import conflict, induce  # noqa: F401
 
@@ -168,6 +168,25 @@ def learn_tree_scratch(ds, gain, d: int, s: int) -> Tree:
     if result.tree.size() >= s:
         raise RealizabilityError(f"size cap {s} reached")
     raise RealizabilityError("all features already used on this path")
+
+
+def _teacher_rebuilds(ds, target: Tree, d: int, s: int) -> bool:
+    """Would `learn_tree_scratch(ds, TeacherGain(target), d, s)` grow the
+    target?  Yes if it fits the caps, each internal node's examples hold
+    both labels and each leaf's are non-empty and all carry its label (so
+    no split is one-sided and no variable repeats on a path)."""
+    if target.depth() > d or target.size() > s:
+        return False
+    positive = ds.label_bits
+    for node, rows in _route_bits(target, (1 << ds.n_examples) - 1,
+                                  ds.peek_bits):
+        labels = rows & positive
+        if node.kind == INTERNAL:
+            if labels in (0, rows):
+                return False
+        elif node.kind != LEAF or not rows or labels != rows * node.label:
+            return False
+    return True
 
 
 # -- learning from the representation --------------------------------------

@@ -192,10 +192,8 @@ def path_repeats_var(tree: Tree) -> bool:
 
 
 def _route_bits(g: Tree, rows: int, column):
-    """Every node of g in pre-order, left child first, with the bitset of
-    the examples of `rows` that reach it; a node's examples are split by
-    `column(var)`, the bitset of those with var set, only after it is
-    yielded."""
+    """Yield each node of g, parents first, with the bitset of the examples
+    of `rows` that reach it, then split them by `column(var)` if internal."""
     stack = [(g, rows)]
     while stack:
         node, rows = stack.pop()
