@@ -30,17 +30,10 @@ dictionary size K (K1 x K2 on an overcomplete stream), combined's default
 slack is sqrt(rKN/m), at least 1, from the stream's r over its m + r tasks,
 and bootstrap's default count is ceil(ln(K/delta)/p_min) from the stream's
 p_min (0.25 when it is 0) at delta = 0.1, at most m + r.  A tree-family
-stream runs its own family's ImproveRep.  README's run-config table gives
-every key's type, default and readers.
-Adversary: seed int >= 0 (0)
-  game      n_prime int >= 1 (100), s int >= 1 (1), trials int >= 1 (1000),
-            budgets [ints in 0..s*n_prime] ([0, n_prime/4, n_prime/2,
-            n_prime]), learners [scan|uniform|exhaustive] ([scan, uniform])
-  regime    (none: no regime stream; {} runs the defaults) name
-            (realizable): realizable|
-            intermediate|large1|large2; ints >= 1: n_features (20), k (3),
-            sample_size (4); ints >= 0: m (30; >= 1 on intermediate and
-            large2), r (0)
+stream runs its own family's ImproveRep.  Adversary: seed int >= 0 (0), a
+game block (GAME_KEYS) and an optional regime block (REGIME_KEYS,
+REGIME_DEFAULTS; none runs no regime stream, {} the defaults).  README's
+run and adversary config tables give every key's type, default and readers.
 """
 
 from __future__ import annotations

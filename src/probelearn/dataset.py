@@ -30,30 +30,24 @@ A bool dataset holds only bitsets, bit e for example e, and its shape:
 compact array, which become one Python int on read, and the labels are
 one int.  No S x N matrix is kept: `peek`, `peek_all`, the column reads
 and `to_json_obj` unpack the cells they return from the columns on each
-call.
-The tree growers hold each node's examples as a bitset too.  A split is
-`meter` on the node's bitset plus the gain's own gather: the unmetered
-`gather_bits` takes the node's bitset and returns, per feature, the bitset
-of the node's examples with the feature set, so a node's purity test,
-split counts and children are int AND / popcount operations.  `peek_bits`
-(one whole column) and `label_bits` are the unmetered and free
-counterparts.
+call.  The tree growers hold example sets as bitsets too: for a split,
+the unmetered `gather_bits` returns the node's examples with each
+candidate set; `peek_bits` (one column), `column_words` (the packed
+words) and the free `label_bits` are the other bit reads.
 
 For every value kind, the ledger keeps one bitset per feature read: the
-examples read on it.  A read that sets no new bit keeps nothing, a read
-after `probe_all` records nothing, and `total_probes`, the per-example
-counts and the S x N `mask` are computed from the touched features when
-asked for.
+examples read on it.  A read that sets no new bit keeps nothing, a read after
+`probe_all` records nothing, and `total_probes`, the per-example counts and
+the S x N `mask` are computed from the touched features when asked for.
 
-Labels are built on read when a rational dataset is labeled by a
-polynomial (`from_rational(..., terms=...)`, as every generated stream is):
-the dataset keeps the polynomial as integer weights over one label
-denominator and builds an example's exact label from its integer row the
-first time any read path (`label`, `labels`, `to_json_obj`)
-asks for it, then memoizes it.  Labels are free, so this changes nothing
-the ledger sees.  `evaluate` runs any polynomial through the same integer
-evaluation, unmetered: a hypothesis is checked against a label without
-forming a Fraction per cell.
+Labels are built on read when a rational dataset is labeled by a polynomial
+(`from_rational(..., terms=...)`, as every generated stream is): the dataset
+keeps the polynomial as integer weights over one label denominator and builds
+an example's exact label from its integer row the first time any read path
+(`label`, `labels`, `to_json_obj`) asks for it, then memoizes it.  Labels are
+free, so this changes nothing the ledger sees.  `evaluate` runs any
+polynomial through the same integer evaluation, unmetered: a hypothesis is
+checked against a label without forming a Fraction per cell.
 """
 
 from __future__ import annotations
@@ -180,11 +174,10 @@ class CostlyDataset:
     def from_bool(cls, values, labels=None, columns=None,
                   label_bits=None) -> "CostlyDataset":
         """values: an S x N 0/1 matrix; labels: S bools, or, given
-        `label_bits` instead, the bitset of the positive examples.
-        `columns` is `pack_columns(values)`, for a caller that has packed
-        them already; then only the shape of `values` is read, and `columns`
-        must hold N * max(1, ceil(S/64)) words.  Only the bitsets are
-        kept."""
+        `label_bits` instead, the bitset of the positive examples.  `columns`
+        is `pack_columns(values)`, for a caller that has packed them already;
+        then only the shape of `values` is read, and `columns` must hold
+        N * max(1, ceil(S/64)) words.  Only the bitsets are kept."""
         try:
             vals = np.asarray(values, dtype=np.uint8)
         except ValueError as exc:
@@ -351,6 +344,12 @@ class CostlyDataset:
     def label_bits(self) -> int:
         """The bitset of a bool dataset's positive examples (labels are free)."""
         return self._label_bits
+
+    @property
+    def column_words(self) -> array:
+        """A bool dataset's `pack_columns` words, unmetered."""
+        self.need_bits()
+        return self._cols
 
     def peek_bits(self, feature: int) -> int:
         """Unmetered bitset of the examples with the feature set; with S <=

@@ -11,16 +11,17 @@ Tree targets are compositions of a hidden dictionary of K incomplete
 never repeat), remaining slots become leaves such that every internal node
 keeps both a + and a - leaf beneath it — the reduced-tree property the
 teacher gain needs for exact reconstruction on leaf-covering data.  As in
-the paper the dictionary is fixed per stream, and so is the work on it: a
-stream reads each fragment's variables, depth, size and empty slots once,
-and a composition grafts fragment copies into one working tree in place,
-keeping its empty slots up to date rather than rescanning them.  Each
-task's leaf-covering examples are labeled in bulk, by routing bitsets of
-examples down the target.  Tasks that are drawn back to back, with no other
-draw between them, share one draw of their cells: the regime generators'
-posed stumps take one `leaf_cover_datasets` call, and an agnostic stream's
-pad columns come from one `shared_flips`; both draw in runs of at most
-CHUNK_CELLS cells, and the tasks of a run are packed in one pass.
+the paper the dictionary is fixed per stream, so a stream reads each
+fragment's shape once, and a composition grafts fragment copies into one
+working tree, keeping its empty slots up to date.  One pre-order pass then
+labels the target's slots and returns its frontier, the (variable, step)
+pairs above each leaf, which the leaf cover writes into the task's drawn
+cells; the cells are packed, and one walk routing bitsets of examples down
+the target labels them.  Tasks drawn back to back, with no other draw
+between them, share one draw of their cells: the regime generators' posed
+stumps through `leaf_cover_datasets`, an agnostic stream's pad columns
+through `shared_flips`; both draw in runs of at most CHUNK_CELLS cells,
+and a run's tasks are packed in one pass.
 
 The agnostic mixer plants r bad targets over features disjoint from the
 dictionary; the lower-bound regime generators emit single-feature stumps
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dataset import CostlyDataset, _pack_blocks, column_bits
+from .dataset import CostlyDataset, _pack_blocks
 from .errors import GeneratorExhaustedError, UsageError
 from .griddist import DEFAULT_GRID
 from .exactla import independent_rows
@@ -151,15 +152,17 @@ def tree_vars(tree: Tree) -> set:
 
 def sample_fragment(rng, pool, max_depth: int) -> Tree:
     """Random all-empty decided tree over `pool`, at least one internal node."""
-    def build(depth, avail):
-        if depth >= max_depth or not avail:
-            return Tree.empty()
-        if depth > 0 and rng.random() > P_EXTEND:
-            return Tree.empty()
-        var = int(avail[int(rng.integers(len(avail)))])
-        rest = [v for v in avail if v != var]
-        return Tree.internal(var, build(depth + 1, rest), build(depth + 1, rest))
-    return build(0, list(pool))
+    return _sample_node(rng, list(pool), max_depth, 0)
+
+
+def _sample_node(rng, free, max_depth: int, depth: int) -> Tree:
+    """A `sample_fragment` node at `depth` over the variables `free`."""
+    if depth >= max_depth or not free or depth and rng.random() > P_EXTEND:
+        return Tree.empty()
+    var = int(free[int(rng.integers(len(free)))])
+    rest = [v for v in free if v != var]
+    return Tree.internal(var, _sample_node(rng, rest, max_depth, depth + 1),
+                         _sample_node(rng, rest, max_depth, depth + 1))
 
 
 def _sample_list_fragment(rng, pool, max_len: int):
@@ -180,33 +183,35 @@ def fill_labels(rng, tree: Tree) -> Tree:
     """Replace empties with leaves so every internal node has both a + and a
     - leaf beneath it (labels at pre-existing leaves are kept)."""
     out = tree.copy()
-    _fill(rng, out)
+    _fill(rng, out, out.size())
     return out
 
 
-def _fill(rng, root: Tree) -> None:
-    """`fill_labels` in place: one draw per internal node, in pre-order,
-    picks which side needs which label; a lone empty root draws its own.
-    The draws are taken in one call, which yields the same bits, and leaves
-    the generator in the same state, as one draw per node."""
-    draws = iter(rng.integers(2, size=root.size() + (root.kind == EMPTY))
-                 .tolist())
-
-    def fill(node, need):
+def _fill(rng, root: Tree, size: int) -> list:
+    """`fill_labels` in place on a tree of `size` internal nodes, in one
+    pre-order pass that returns the frontier: the (variable, step) pairs
+    above each leaf, in `Tree.walk` order.  Each internal node draws which
+    side needs which label, a lone empty root its own; the draws are taken
+    in one call, the same bits and generator state as one call per node."""
+    draws = iter(rng.integers(2, size=size + (root.kind == EMPTY)).tolist())
+    frontier, stack = [], [(root, None, ())]
+    while stack:
+        node, need, above = stack.pop()
+        if node.kind == INTERNAL:
+            left = next(draws) == 1  # the label the left side needs
+            stack += ((node.right, not left, above + ((node.var, 1),)),
+                      (node.left, left, above + ((node.var, 0),)))
+            continue
         if node.kind == EMPTY:
             node.kind = LEAF
             node.label = bool(next(draws)) if need is None else need
-        elif node.kind == INTERNAL:
-            needs = (PLUS, MINUS) if next(draws) else (MINUS, PLUS)
-            fill(node.left, needs[0])
-            fill(node.right, needs[1])
-
-    fill(root, None)
+        frontier.append(above)
+    return frontier
 
 
 class _Composer:
     """Draws targets composed from one dictionary under the (d, s) caps,
-    then labeled.
+    then labeled: a draw is (target, the frontier `_fill` returns).
 
     While some (empty slot, fitting fragment) pair is left, a round goes on
     with probability P_MORE and grafts a uniform pair; the pairs are listed
@@ -216,10 +221,10 @@ class _Composer:
     Each fragment's shape, that is its variables, depth, size and empty
     slots, is read once, when the composer is built.  A draw keeps the
     target's empty slots left to right, each as (path, variables above it,
-    the fragments that fit it by depth and disjointness); a round only
-    filters those fits by the size left.  A graft writes a copy of the
-    fragment into the working tree and puts the fragment's own slots in
-    place of the one it fills.
+    the fragments that fit it by depth and disjointness, listed once per
+    (depth, variables) pair and stream); a round only filters those fits by
+    the size left.  A graft writes a copy of the fragment into the working
+    tree and puts the fragment's own slots in place of the one it fills.
     """
 
     def __init__(self, metafeatures, d: int, s: int):
@@ -229,16 +234,20 @@ class _Composer:
         self.depths = [f.depth() for f in self.fragments]
         self.sizes = [f.size() for f in self.fragments]
         self.slots = [f.empty_slots() for f in self.fragments]
+        self._fits = {}
         self.roots = [[self._slot(path, used) for path, used in slots]
                       for slots in self.slots]
 
     def _slot(self, path, used):
-        depth_left = self.d - len(path)
-        return path, used, [j for j, (fvars, fdepth)
-                            in enumerate(zip(self.vars, self.depths))
-                            if fdepth <= depth_left and fvars.isdisjoint(used)]
+        key = (len(path), used)
+        if key not in self._fits:
+            self._fits[key] = [j for j, (fvars, fdepth)
+                               in enumerate(zip(self.vars, self.depths))
+                               if fdepth <= self.d - len(path)
+                               and fvars.isdisjoint(used)]
+        return path, used, self._fits[key]
 
-    def __call__(self, rng) -> Tree:
+    def __call__(self, rng):
         for _ in range(MAX_TRIES):
             i = int(rng.integers(len(self.fragments)))
             size = self.sizes[i]
@@ -258,20 +267,21 @@ class _Composer:
                 slots[k:k + 1] = [self._slot(path + fpath, used | fused)
                                   for fpath, fused in self.slots[j]]
                 size += self.sizes[j]
-            _fill(rng, g)
+            frontier = _fill(rng, g, size)
             if g.kind == INTERNAL:  # every graft kept the depth and size caps
-                return g
+                return g, frontier
         raise GeneratorExhaustedError(
             "could not compose a target within the depth/size caps")
 
 
-def _compose_list(rng, segments, d: int) -> Tree:
-    """Chain list segments at the spine end, then label side slots.
+def _compose_list(rng, segments, d: int):
+    """Chain list segments at the spine end, then label side slots; a draw
+    is (target, its `_fill` frontier).
 
     `segments` holds each segment's (tree, spine end, variables, depth),
     read once per stream.  Every internal node of a segment lies on its
     spine, so the variables on the spine are those of the chained
-    segments."""
+    segments, one per internal node."""
     for _ in range(MAX_TRIES):
         i = int(rng.integers(len(segments)))
         frag, end, spine, depth = segments[i]
@@ -287,9 +297,9 @@ def _compose_list(rng, segments, d: int) -> Tree:
             spine = spine | fvars
             depth = max(depth, len(end) + fdepth)
             end = end + fend
-        _fill(rng, g)
+        frontier = _fill(rng, g, len(spine))
         if g.kind == INTERNAL and depth <= d:
-            return g
+            return g, frontier
     raise GeneratorExhaustedError(
         "could not compose a decision list within the depth cap")
 
@@ -431,47 +441,52 @@ def _flip_runs(rng, rows, n_cols: int):
         start = stop
 
 
-def leaf_cover_dataset(rng, g: Tree, n_features: int,
-                       sample_size: int) -> CostlyDataset:
+def leaf_cover_dataset(rng, g: Tree, n_features: int, sample_size: int,
+                       frontier=None) -> CostlyDataset:
     """One example routed to every leaf of g, padded with uniform examples:
-    `leaf_cover_datasets` of the one target."""
-    return leaf_cover_datasets(rng, [g], n_features, sample_size)[0]
+    `leaf_cover_datasets` of the one target.  `frontier` is g's, as `_fill`
+    returns it; without it g is walked for it."""
+    if frontier is None:
+        frontier = [above for node, above in g.walk() if node.kind != INTERNAL]
+    values = coin_flips(rng, (max(len(frontier), sample_size), n_features))
+    return _cover((g,), (frontier,), (values,))[0]
 
 
 def leaf_cover_datasets(rng, targets, n_features: int,
                         sample_size: int) -> list:
-    """For each target in order, one example routed to every leaf of it,
-    padded with uniform examples.  Back-to-back tasks share the draws of
-    `_flip_runs`, so the datasets and the generator state left behind equal
-    those of one call per target.
-
-    Row i of a task takes the (variable, bit) pairs above the target's i-th
-    frontier node in `Tree.walk` order, written cell by cell.  A run's tasks
-    are packed in one pass, and each is labeled by routing its examples down
-    its target as bitsets; the dataset keeps the packed columns and the
-    label bitset, not the drawn matrix.  An example that reaches an empty
-    leaf raises UsageError."""
+    """`leaf_cover_dataset` of each target in order: back-to-back tasks
+    share the draws of `_flip_runs`, which leave the same datasets and
+    generator state as one call per target."""
     frontiers = [[above for node, above in g.walk() if node.kind != INTERNAL]
                  for g in targets]
     rows = [max(len(frontier), sample_size) for frontier in frontiers]
     out = []
     for run in _flip_runs(rng, rows, n_features):
-        for frontier, values in zip(frontiers[len(out):], run):
-            cells = values.reshape(-1)  # a view: cell (row, var) is row * N + var
-            for row, above in enumerate(frontier):
-                for var, bit in above:
-                    cells[row * n_features + var] = bit
-        for g, values, columns in zip(targets[len(out):], run,
-                                      _pack_blocks(run)):
-            n, positive = len(values), 0
-            for node, reach in _route_bits(
-                    g, (1 << n) - 1, functools.partial(column_bits, columns, n)):
-                if node.kind == EMPTY and reach:
-                    raise UsageError("predict called on an incomplete tree")
-                if node.kind == LEAF and node.label:
-                    positive |= reach
-            out.append(CostlyDataset.from_bool(values, columns=columns,
-                                               label_bits=positive))
+        start, stop = len(out), len(out) + len(run)
+        out += _cover(targets[start:stop], frontiers[start:stop], run)
+    return out
+
+
+def _cover(targets, frontiers, blocks) -> list:
+    """The datasets of `targets` on their drawn `blocks`: row i of a block
+    takes its target's i-th frontier pairs, cell by cell, the blocks are
+    packed in one pass, and one routing walk per target labels them.  An
+    example that reaches an empty leaf raises UsageError."""
+    for frontier, values in zip(frontiers, blocks):
+        cells, n_features = values.reshape(-1), values.shape[1]  # a view
+        for row, above in enumerate(frontier):
+            for var, bit in above:
+                cells[row * n_features + var] = bit
+    out = []
+    for g, values, columns in zip(targets, blocks, _pack_blocks(blocks)):
+        positive = 0
+        for node, reach in _route_bits(g, columns, len(values)):
+            if node.kind == EMPTY and reach:
+                raise UsageError("predict called on an incomplete tree")
+            if node.kind == LEAF and node.label:
+                positive |= reach
+        out.append(CostlyDataset.from_bool(values, columns=columns,
+                                           label_bits=positive))
     return out
 
 
@@ -552,10 +567,12 @@ def gen_tree_stream(spec: StreamSpec, trial: int = 0):
     for _ in range(spec.m):
         slot = rng.random() / spec.p_min if posed else len(dictionary)
         if slot < len(dictionary):  # a float: inf at a subnormal p_min
-            target = fill_labels(rng, dictionary[int(slot)])
+            target = dictionary[int(slot)].copy()
+            frontier = _fill(rng, target, compose.sizes[int(slot)])
         else:
-            target = compose(rng)
-        ds = leaf_cover_dataset(rng, target, spec.n_features, spec.sample_size)
+            target, frontier = compose(rng)
+        ds = leaf_cover_dataset(rng, target, spec.n_features, spec.sample_size,
+                                frontier)
         meta = {"anchors": anchors} if anchors is not None else {}
         tasks.append(Task(ds=ds, target=target, good=True, meta=meta))
     return tasks, dictionary
@@ -692,14 +709,13 @@ def _bad_monomial_task(rng, spec: StreamSpec, pool) -> Task:
 
 
 def gen_agnostic_stream(spec: StreamSpec, trial: int = 0):
-    """m good tasks plus r bad ones, placed per spec.placement; flags are
-    for reporting only.  The bad targets read only the last `reserve`
-    features: d on a `tree` or `anchor` stream, 1 on a `monomial` stream.
-    The good tasks are the family's stream over the other N - reserve,
-    re-hosted in all N: a tree dataset is padded with uniform columns (the
-    target never reads them), drawn back to back through `shared_flips`,
-    a monomial takes a 0 exponent and a new
-    dataset."""
+    """m good tasks plus r bad ones, placed per spec.placement; flags are for
+    reporting only.  The bad targets read only the last `reserve` features: d
+    on a `tree` or `anchor` stream, 1 on a `monomial` stream.  The good tasks
+    are the family's stream over the other N - reserve, re-hosted in all N: a
+    tree dataset is padded with uniform columns (the target never reads
+    them), drawn back to back through `shared_flips`, a monomial takes a 0
+    exponent and a new dataset."""
     spec.validate()
     if spec.r < 1:
         raise UsageError(f"an agnostic stream needs r >= 1, got r={spec.r}")

@@ -25,9 +25,8 @@ grows depth-first, so its first failing node, and with it the
 `RealizabilityError` message, is the first in pre-order.
 
 The ImproveRep variants decide what to add to F~ after a failure: path
-subtrees (general trees), a single suffix (decision lists), a single
-anchored subtree (anchor model), or an anchor partition (overcomplete
-model).
+subtrees (general trees), a single suffix (decision lists), a single anchored
+subtree (anchor model), or an anchor partition (overcomplete model).
 """
 
 from __future__ import annotations
@@ -73,13 +72,11 @@ def _best_split(ds, gain, rows, labels, candidates):
     read.  A gain picks the node's split with one call, `gain.best(ds,
     rows, labels, candidates)` -> the argmax's index (see `InfoGain` and
     `TeacherGain`); it gathers what it scores, and only the chosen column
-    is gathered here.
-
-    Any other callable is a per-candidate score, `gain(ds, rows, feature,
-    cols[j], labels)`, where `cols = ds.gather_bits(rows, candidates)`,
-    called once per candidate with the same `rows` object.  That path stays
-    because perfbench's gain proxy wraps only the per-candidate call; once
-    ROADMAP item 2 points the proxy at `best`, it can go.
+    is gathered here.  Any other callable is a per-candidate score,
+    `gain(ds, rows, feature, cols[j], labels)` with `cols =
+    ds.gather_bits(rows, candidates)`, called once per candidate with the
+    same `rows` object: perfbench's gain proxy wraps only that call, so the
+    path stays until ROADMAP item 2 points the proxy at `best`.
     """
     ds.need_bits()
     ds.meter(candidates, rows)
@@ -178,8 +175,7 @@ def _teacher_rebuilds(ds, target: Tree, d: int, s: int) -> bool:
     if target.depth() > d or target.size() > s:
         return False
     positive = ds.label_bits
-    for node, rows in _route_bits(target, (1 << ds.n_examples) - 1,
-                                  ds.peek_bits):
+    for node, rows in _route_bits(target, ds.column_words, ds.n_examples):
         labels = rows & positive
         if node.kind == INTERNAL:
             if labels in (0, rows):
@@ -285,14 +281,11 @@ def _find_differing_path(g: Tree, gtilde: Tree, failed_path):
 def _dedup_extend(rep, additions):
     seen = {f.key() for f in rep}
     out = list(rep)
-    added = 0
     for tree in additions:
-        k = tree.key()
-        if k not in seen:
+        if (k := tree.key()) not in seen:
             seen.add(k)
             out.append(tree)
-            added += 1
-    return out, added
+    return out, len(out) - len(rep)
 
 
 # -- ImproveRep variants ---------------------------------------------------
@@ -382,17 +375,22 @@ def improve_rep_overcomplete(rep, g: Tree, anchors):
     todo = deque([g])
     while todo:
         start = todo.popleft()
-
-        def cut(node):
-            if node.kind != INTERNAL:
-                return Tree.empty()  # strip labels: they are never induced from
-            if node is not start and node.var in anchors:
-                todo.append(node)
-                return Tree.empty()
-            return Tree.internal(node.var, cut(node.left), cut(node.right))
-
-        pieces.append(cut(start))
+        pieces.append(Tree.internal(start.var, _cut(start.left, anchors, todo),
+                                    _cut(start.right, anchors, todo)))
     return _dedup_extend(rep, pieces)
+
+
+def _cut(node, anchors, todo) -> Tree:
+    """A copy of node's subtree, labels stripped to empty (they are never
+    induced from), cut where a known anchor starts a nested fragment: that
+    position becomes an empty leaf, and the fragment goes on `todo`."""
+    if node.kind != INTERNAL:
+        return Tree.empty()
+    if node.var in anchors:
+        todo.append(node)
+        return Tree.empty()
+    return Tree.internal(node.var, _cut(node.left, anchors, todo),
+                         _cut(node.right, anchors, todo))
 
 
 # -- baselines and bootstrap ----------------------------------------------

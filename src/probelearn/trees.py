@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .dataset import column_bits
 from .errors import OracleMisuseError, UsageError
 
 INTERNAL = "internal"
@@ -140,10 +141,9 @@ class Tree:
 
     def copy(self) -> "Tree":
         if self.kind == INTERNAL:
-            return Tree.internal(self.var, self.left.copy(), self.right.copy())
-        if self.kind == LEAF:
-            return Tree.leaf(self.label)
-        return Tree.empty()
+            return Tree(INTERNAL, self.var, None, self.left.copy(),
+                        self.right.copy())
+        return Tree(self.kind, None, self.label)
 
     def __repr__(self):
         if self.kind == EMPTY:
@@ -191,16 +191,21 @@ def path_repeats_var(tree: Tree) -> bool:
                for node, above in tree.walk() if node.kind == INTERNAL)
 
 
-def _route_bits(g: Tree, rows: int, column):
-    """Yield each node of g, parents first, with the bitset of the examples
-    of `rows` that reach it, then split them by `column(var)` if internal."""
-    stack = [(g, rows)]
+def _route_bits(g: Tree, words, n_examples: int) -> list:
+    """Each node of g, parents first, as (node, the bitset of the examples
+    that reach it): all n examples start at the root, and an internal node
+    sends right those whose column in the `pack_columns` words has the bit
+    set.  With n <= 64 a column is its one word, read directly."""
+    one_word = n_examples <= 64
+    out, stack = [], [(g, (1 << n_examples) - 1)]
     while stack:
         node, rows = stack.pop()
-        yield node, rows
+        out.append((node, rows))
         if node.kind == INTERNAL:
-            one = rows & column(node.var)
+            one = rows & (words[node.var] if one_word
+                          else column_bits(words, n_examples, node.var))
             stack += ((node.right, one), (node.left, rows & ~one))
+    return out
 
 
 # -- superimposition -------------------------------------------------------
@@ -290,13 +295,12 @@ class InfoGain:
     """Empirical information gain over the probed feature column.
 
     Both calls take a node's examples `rows` and its positive ones `labels`
-    as bitsets (see `tree_learners._best_split`), count by popcount and
-    score with `_split_gain`, the formula `info_gain` uses.  The
-    per-candidate call is handed the candidate's column on `rows`; `best`
-    is called after the node's candidates were charged with `meter`, and
-    gathers their columns itself through the unmetered `ds.gather_bits`.
-    It scores every candidate of a non-empty node, so its argmax is the
-    per-candidate one.
+    as bitsets (see `tree_learners._best_split`), count by popcount and score
+    with `_split_gain`, the formula `info_gain` uses.  The per-candidate call
+    is handed the candidate's column on `rows`; `best` is called after the
+    node's candidates were charged with `meter`, and gathers their columns
+    itself through the unmetered `ds.gather_bits`.  It scores every candidate
+    of a non-empty node, so its argmax is the per-candidate one.
     """
 
     def __call__(self, ds, rows, feature, values, labels) -> float:
@@ -327,21 +331,17 @@ class TeacherGain:
 
     Both calls take a node's examples `rows` and its positive ones `labels`
     as bitsets (see `tree_learners._best_split`); a route step splits `rows`
-    by the variable's column bitset.  `best` routes a node's non-empty
-    sample once and returns the designated split's index among the
-    candidates, or 0 when it is not among them; a leaf route runs the label
-    check and returns 0.  That is the strict argmax of the per-candidate
-    scores.  It reads no candidate column: the split gathers only the one
-    it picks.
+    by the variable's column bitset.  `best` routes a node's non-empty sample
+    once and returns the designated split's index among the candidates, or 0
+    when it is not among them; a leaf route runs the label check and returns
+    0.  That is the strict argmax of the per-candidate scores.  It reads no
+    candidate column: the split gathers only the one it picks.
 
-    The per-candidate `__call__` serves a caller that scores one candidate
-    at a time, as `_best_split`'s fallback does for a gain proxy without
-    `best` until ROADMAP item 2 points perfbench's proxy at `best`.  Such a
-    caller scores every candidate of a node with the same `rows` array
-    object, so the routing is done once per (ds, rows) pair and reused for
-    the node's other candidates; `rows` must not be mutated between calls.
-    A routing that raises is not cached, and the label check runs on every
-    call.
+    The per-candidate `__call__` serves `_best_split`'s fallback, which
+    scores every candidate of a node with the same `rows` object: the
+    routing is done once per (ds, rows) pair and reused for the node's other
+    candidates, so `rows` must not be mutated between calls.  A routing
+    that raises is not cached, and the label check runs on every call.
     """
 
     def __init__(self, target: Tree):
@@ -402,40 +402,34 @@ def member_of_dt(g: Tree, metafeatures, d: int, s: int,
     """
     if g.size() > max_size or len(metafeatures) > max_metafeatures:
         raise UsageError("member_of_dt is an exhaustive oracle; instance too large")
-    if g.depth() > d or g.size() > s:
+    if g.depth() > d or g.size() > s or path_repeats_var(g):
         return False
-    if path_repeats_var(g):
+    return _realizable(g, (metafeatures, use_prefixes, {}))
+
+
+def _realizable(gnode, ctx) -> bool:
+    """Can this g-subtree be produced starting fresh (fragment or label)?
+    `ctx` is `member_of_dt`'s (fragments, use_prefixes, memo by node id)."""
+    if gnode.kind != INTERNAL:
+        return True  # a label move, or not yet grown
+    memo = ctx[2]
+    if id(gnode) not in memo:
+        memo[id(gnode)] = False  # cycle guard; overwritten below
+        memo[id(gnode)] = any(_covers(f, gnode, True, ctx) for f in ctx[0])
+    return memo[id(gnode)]
+
+
+def _covers(fnode, gnode, at_root: bool, ctx) -> bool:
+    """Place fnode at gnode and match every position of f against g."""
+    if fnode.kind == EMPTY:
+        return _realizable(gnode, ctx)  # graft point
+    # Pruning f here turns this position into an empty leaf of the
+    # pruned fragment, i.e. a fresh graft/label point.
+    if ctx[1] and not at_root and _realizable(gnode, ctx):
+        return True
+    if fnode.kind == LEAF:
+        return gnode.kind == LEAF and gnode.label == fnode.label
+    if gnode.kind != INTERNAL or gnode.var != fnode.var:
         return False
-
-    memo = {}
-
-    def realizable(gnode) -> bool:
-        """Can this g-subtree be produced starting fresh (fragment or label)?"""
-        if gnode.kind == LEAF:
-            return True  # label move
-        if gnode.kind == EMPTY:
-            return True  # not yet grown
-        key = id(gnode)
-        if key in memo:
-            return memo[key]
-        memo[key] = False  # cycle guard; overwritten below
-        ok = any(cover(f, gnode, at_root=True) for f in metafeatures)
-        memo[key] = ok
-        return ok
-
-    def cover(fnode, gnode, at_root: bool) -> bool:
-        """Place fnode at gnode and match every position of f against g."""
-        if fnode.kind == EMPTY:
-            return realizable(gnode)  # graft point
-        # Pruning f here turns this position into an empty leaf of the
-        # pruned fragment, i.e. a fresh graft/label point.
-        if use_prefixes and not at_root and realizable(gnode):
-            return True
-        if fnode.kind == LEAF:
-            return gnode.kind == LEAF and gnode.label == fnode.label
-        if gnode.kind != INTERNAL or gnode.var != fnode.var:
-            return False
-        return (cover(fnode.left, gnode.left, False)
-                and cover(fnode.right, gnode.right, False))
-
-    return realizable(g)
+    return (_covers(fnode.left, gnode.left, False, ctx)
+            and _covers(fnode.right, gnode.right, False, ctx))

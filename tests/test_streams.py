@@ -1,5 +1,6 @@
 """Stream generators: determinism, structural audits, regimes, the game."""
 
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -18,8 +19,9 @@ from probelearn import streams
 from probelearn.griddist import ProductDistribution
 from probelearn.errors import GeneratorExhaustedError
 from probelearn.streams import (CHUNK_CELLS, MAX_TRIES, P_MORE, _Composer,
-                                _grid_dataset, _overcomplete_dictionary,
-                                _sample_dictionary, coin_flips, shared_flips)
+                                _compose_list, _fill, _grid_dataset,
+                                _overcomplete_dictionary, _sample_dictionary,
+                                coin_flips, shared_flips)
 from probelearn.trees import INTERNAL, LEAF, path_repeats_var
 from probelearn.cli import _game_failures
 from probelearn.streams import pcg64_trial_states
@@ -193,10 +195,11 @@ def test_compose_target_respects_caps():
     frags = [sample_fragment(rng, [0, 1, 2], 2),
              sample_fragment(rng, [3, 4, 5], 2)]
     for _ in range(20):
-        g = _Composer(frags, d=4, s=9)(rng)
+        g, frontier = _Composer(frags, d=4, s=9)(rng)
         assert g.kind == INTERNAL
         assert g.depth() <= 4 and g.size() <= 9
         assert not path_repeats_var(g)
+        assert frontier == walk_frontier(g)
 
 
 def test_leaf_cover_dataset_reaches_every_leaf():
@@ -212,6 +215,12 @@ def test_leaf_cover_dataset_reaches_every_leaf():
 
 
 # -- the bulk paths against the per-slot, per-row references ---------------
+
+def walk_frontier(g: Tree) -> list:
+    """The (variable, step) pairs above each leaf of g, in `Tree.walk`
+    order: what `_fill` hands the leaf cover."""
+    return [above for node, above in g.walk() if node.kind != INTERNAL]
+
 
 def reference_compose(rng, metafeatures, d, s):
     """The composer as one scan of every empty slot per round, each graft
@@ -271,15 +280,16 @@ def dictionaries():
 @pytest.mark.parametrize("case", range(4))
 def test_composer_matches_the_per_slot_reference(case):
     """The stream's composer, built once and drawn from many times, and a
-    composer built for each draw give the reference's trees and leave the
-    generator in the reference's state."""
+    composer built for each draw give the reference's trees, with their
+    frontiers, and leave the generator in the reference's state."""
     dictionary, d, s = dictionaries()[case]
     composer = _Composer(dictionary, d, s)
     gens = [np.random.default_rng((case, 9)) for _ in range(3)]
     for _ in range(60):
         want = reference_compose(gens[0], dictionary, d, s)
-        assert composer(gens[1]) == want
-        assert _Composer(dictionary, d, s)(gens[2]) == want
+        assert composer(gens[1]) == (want, walk_frontier(want))
+        assert _Composer(dictionary, d, s)(gens[2]) == (want,
+                                                         walk_frontier(want))
         state = gens[0].bit_generator.state
         assert gens[1].bit_generator.state == state
         assert gens[2].bit_generator.state == state
@@ -287,28 +297,53 @@ def test_composer_matches_the_per_slot_reference(case):
     assert dictionary == dictionaries()[case][0]
 
 
-def cover_cases():
-    rng = np.random.default_rng(17)
-    trees = [stump(3), Tree.leaf(True)]
+def test_fill_hands_the_leaf_cover_the_walk_frontier():
+    """The frontier `_fill` returns, which the stream hands the leaf cover,
+    is the walk's on composed (tree, anchor, overcomplete), list and posed
+    dictionary targets."""
+    rng = np.random.default_rng(23)
+    drawn = []
     for dictionary, d, s in dictionaries():
         composer = _Composer(dictionary, d, s)
-        trees += [composer(rng) for _ in range(15)]
-    # the sample size is below, at and above each tree's leaf count
-    return [(g, n) for g in trees
+        drawn += [composer(rng) for _ in range(10)]
+        for f, size in zip(dictionary, composer.sizes):  # posed whole
+            g = f.copy()
+            drawn.append((g, _fill(rng, g, size)))
+    sp = spec(family="list", n_features=20, k=3, d=6, s=9, mf_depth=3)
+    segments = [(f, end, tree_vars(f), f.depth())
+                for f, end in _sample_dictionary(rng, sp)]
+    drawn += [_compose_list(rng, segments, sp.d) for _ in range(10)]
+    assert len({len(frontier) for _, frontier in drawn}) > 4
+    for g, frontier in drawn:
+        assert frontier == walk_frontier(g)
+
+
+def cover_cases():
+    """(target, the frontier its generator hands the leaf cover, sample
+    size); the sample size is below, at and above each tree's leaf
+    count."""
+    rng = np.random.default_rng(17)
+    drawn = [(g, walk_frontier(g)) for g in (stump(3), Tree.leaf(True))]
+    for dictionary, d, s in dictionaries():
+        composer = _Composer(dictionary, d, s)
+        drawn += [composer(rng) for _ in range(15)]
+    return [(g, frontier, n) for g, frontier in drawn
             for leaves in [len(g.frontier_paths())]
             for n in (1, leaves, leaves + 7)]
 
 
 def test_leaf_cover_dataset_matches_the_per_row_reference():
+    """With the composer's frontier and with none (g is walked for it)."""
     cases = cover_cases()
-    assert any(n < len(g.frontier_paths()) for g, n in cases)
-    for k, (g, n) in enumerate(cases):
-        rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
-        ds = leaf_cover_dataset(rng, g, 40, n)
-        values, labels = reference_leaf_cover(ref_rng, g, 40, n)
-        assert np.array_equal(ds.peek_all(), values)
-        assert np.array_equal(ds.labels, labels)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert any(n < len(g.frontier_paths()) for g, _, n in cases)
+    for k, (g, frontier, n) in enumerate(cases):
+        for given in (frontier, None):
+            rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+            ds = leaf_cover_dataset(rng, g, 40, n, given)
+            values, labels = reference_leaf_cover(ref_rng, g, 40, n)
+            assert np.array_equal(ds.peek_all(), values)
+            assert np.array_equal(ds.labels, labels)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n_features", [40, 300])
@@ -321,8 +356,8 @@ def test_leaf_cover_list_matches_one_call_per_target(monkeypatch,
     alone exceeds that, and is drawn on its own."""
     rng = np.random.default_rng(21)
     composer = _Composer(dictionaries()[0][0], 4, 11)
-    targets = [stump(3), composer(rng), stump(0), stump(n_features - 1)]
-    targets += [composer(rng) if j % 3 else stump(j) for j in range(12)]
+    targets = [stump(3), composer(rng)[0], stump(0), stump(n_features - 1)]
+    targets += [composer(rng)[0] if j % 3 else stump(j) for j in range(12)]
     assert sum(len(g.frontier_paths()) > 1 for g in targets) > 8
     assert len(targets) * 130 * n_features > 2 * CHUNK_CELLS
     got_rng, want_rng = (np.random.default_rng(22) for _ in range(2))
@@ -366,8 +401,9 @@ def test_leaf_cover_runs_of_mixed_heights_match_one_call_per_target(
     dataset, labels and generator state of one call per target."""
     rng = np.random.default_rng(31)
     composer = _Composer(dictionaries()[0][0], 4, 11)
-    targets = [stump(3), full_tree(rng, 7), composer(rng), full_tree(rng, 8),
-               stump(0), composer(rng), full_tree(rng, 6), stump(40)] * 3
+    targets = [stump(3), full_tree(rng, 7), composer(rng)[0],
+               full_tree(rng, 8), stump(0), composer(rng)[0],
+               full_tree(rng, 6), stump(40)] * 3
     n_features = 41
     got_rng, want_rng = (np.random.default_rng(32) for _ in range(2))
     for gen in (got_rng, want_rng):
@@ -648,8 +684,24 @@ def test_rational_stream_golden_digest(family, kw, gen, digest):
     ("tree", lambda: gen_adversary_stream("large2", 12, 3, 10, 12, seed=66,
                                           sample_size=5),
      "d8a09acb24a8288c037dcb7d0df0563cc24a172e64c7be7f78cc048404ac2802"),
+    ("tree", lambda: gen_tree_stream(spec(
+        family="tree", n_features=24, k=3, d=4, s=9, mf_depth=3, m=10,
+        sample_size=6, p_min=0.2, seed=67)),
+     "6123e1f0a63b1572920e2b420b5a887ddbd47b51e926a246b591ef1a611bb76a"),
+    ("tree", lambda: gen_tree_stream(spec(
+        family="tree", n_features=24, k=3, d=4, s=9, mf_depth=3, m=10,
+        sample_size=130, seed=68)),
+     "d11663d551fe4f5dc3fe205723e32da83aa1882b8e6d83873460f05aa1989362"),
+    ("list", lambda: gen_tree_stream(spec(
+        family="list", n_features=20, k=3, d=6, s=9, mf_depth=3, m=10,
+        sample_size=70, seed=69)),
+     "b1abf47c6928eca72c4b6dfed647effc2279ce086a9755f9f37eb423d6485dbf"),
+    ("tree", lambda: gen_adversary_stream("large2", 12, 3, 10, 12, seed=70,
+                                          sample_size=70),
+     "c619b6d77437424b02b453a151c63466053d70663fa79df6af754b4e5c18158e"),
 ], ids=["tree", "list", "anchor", "overcomplete", "agnostic-tree",
-        "adversary-large2"])
+        "adversary-large2", "tree-posed", "tree-multiword", "list-multiword",
+        "adversary-large2-multiword"])
 def test_tree_stream_golden_digest(family, make, digest):
     """Serialized tree-family streams are pinned byte for byte: targets,
     leaf-covering examples and labels are a fixed function of the seed."""
@@ -670,6 +722,34 @@ def test_grid_dataset_stores_int64_numerators():
         for i in range(3):
             assert ds.peek(e, i) == row[i]
         assert ds.label(e) == Fraction(-3, 4) * row[0] ** 2 * row[2]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_tree_stream(spec(family="tree", n_features=24, k=3, d=4, s=9,
+                                 mf_depth=3, m=40, p_min=0.1, seed=71)),
+    lambda: gen_tree_stream(spec(family="list", n_features=20, k=3, d=6, s=9,
+                                 mf_depth=3, m=20, seed=72)),
+    lambda: gen_tree_stream(spec(family="anchor", n_features=24, k=3, d=4,
+                                 s=9, mf_depth=3, m=20, seed=73)),
+    lambda: gen_tree_stream(spec(family="overcomplete", n_features=20, d=4,
+                                 s=9, mf_depth=3, k1=2, k2=2, m=20, seed=74)),
+    lambda: gen_agnostic_stream(spec(family="tree", n_features=20, k=3, d=3,
+                                     s=7, mf_depth=2, m=20, r=5, seed=75)),
+    lambda: gen_adversary_stream("large2", 12, 3, 10, 12, seed=76),
+], ids=["tree", "list", "anchor", "overcomplete", "agnostic-tree",
+        "adversary-large2"])
+def test_generation_leaves_no_reference_cycle(make):
+    """Every object a stream's generation makes is freed by reference
+    counting: the collector finds nothing unreachable afterwards."""
+    gc.disable()
+    try:
+        gc.collect()
+        tasks, _ = make()
+        assert tasks
+        del tasks
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- agnostic mixer ----------------------------------------------------------

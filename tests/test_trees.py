@@ -620,7 +620,7 @@ def test_member_construction_soundness():
         frags = [sample_fragment(rng, [0, 1, 2], 2), sample_fragment(rng, [3, 4, 5], 2)]
         if any(f.kind != "internal" for f in frags):
             continue
-        g = _Composer(frags, d=4, s=8)(rng)
+        g, _ = _Composer(frags, d=4, s=8)(rng)
         assert member_of_dt(g, frags, d=4, s=8)
 
 
