@@ -9,11 +9,27 @@ largest remaining monomial power-by-power — the detection test
     < prod_{j<i} H_{2g_j}(x_j) * H_{2d'}(x_i), (P_G - P_Gtilde)^2 >  >  0
 
 fires first at the true maximal power, and the coefficient drops out of a
-single linear correlation divided by the basis norms.  The exact oracle
-computes these expectations symbolically through the hidden target; the
-sampled oracle estimates them on the probe-metered sample with a positivity
-threshold.  Detection reads only the sign of each test, never its value, so
-the exact oracle runs a scan as integer sign tests (`_ExactScan`).
+single linear correlation divided by the basis norms.  The sampled oracle
+estimates these expectations on the probe-metered sample with a positivity
+threshold.  The exact oracle reads the hidden target and answers each test
+in closed form from the residual's terms (`_ExactScan`), squaring nothing.
+
+Closed form (derived here, not in the paper).  Write the residual as
+R = sum_t c_t x^{e_t}, and call a term *live* while e_t agrees with every
+power g_j a scan has fixed.  Each g_j is the largest exponent of x_j among
+the terms live before it, so a product in R^2 with a non-live term has, at
+the first fixed j where the pair deviates, an exponent sum below 2 g_j, and
+E[H_{2g_j}(x) x^e] = 0 for e < 2 g_j: only live pairs count.  Let m be the
+largest exponent of x_i among live terms.  A test H_k(x_i) with k > 2m sees
+only exponent sums below k, so it is 0.  At k = 2m only the live terms with
+x_i^m are left, and the test is n_{2m} * prod_j n_{2g_j} * E[Q^2], Q being
+their sum with x_i and the fixed variables divided out: a nonzero
+polynomial of degree at most d per coordinate on a grid of more than 2d
+points per coordinate (the basis's positive norms through 2d say so), so
+E[Q^2] > 0 and the test fires.  A test with k < 2m is reached only when a
+live term's degree exceeds the budget; that input is outside the model and
+raises `ModelViolationError` instead of a verdict.  With nothing fixed, the
+same argument gives E[R^2] > 0 iff R has a term.
 
 Monic basis note: the orthonormal family is H_k / sqrt(n_k) with n_k =
 E[H_k^2]; the leading coefficient of the orthonormal version is 1/sqrt(n_k),
@@ -43,6 +59,8 @@ DENOMINATOR_CAP = 64  # the others snap to a rational with this denominator cap
 def key_to_vector(key, n_features: int) -> np.ndarray:
     g = np.zeros(n_features, dtype=np.int64)
     for i, e in key:
+        if not 0 <= i < n_features:
+            raise UsageError(f"variable {i} outside 0..{n_features - 1}")
         g[i] = e
     return g
 
@@ -55,10 +73,16 @@ class Polynomial:
         self.terms = {}  # term_key -> Fraction
 
     def add_term(self, g, coeff) -> None:
-        """Add coeff * x^g, dropping the term if it cancels.  A Fraction
+        """Add coeff * x^g, dropping the term if it cancels.  `g` must be
+        n_features non-negative int exponents, else UsageError.  A Fraction
         coefficient is kept as it is (stored itself on a new monomial);
         anything else goes through Fraction()."""
-        key = term_key(g)
+        exps = np.asarray(g).tolist()
+        if (not isinstance(exps, list) or len(exps) != self.n_features
+                or not all(type(e) is int and e >= 0 for e in exps)):
+            raise UsageError(f"monomial {exps!r} is not {self.n_features} "
+                             "non-negative int exponents")
+        key = tuple([(i, e) for i, e in enumerate(exps) if e])
         if not isinstance(coeff, Fraction):
             coeff = Fraction(coeff)
         old = self.terms.get(key)
@@ -126,8 +150,6 @@ class Polynomial:
             except (AttributeError, KeyError, TypeError, ValueError,
                     ZeroDivisionError) as exc:
                 raise UsageError(f"bad polynomial term {item!r}") from exc
-            if any(not 0 <= i < n or e < 0 for i, e in powers):
-                raise UsageError(f"bad monomial {item['monomial']!r}")
             poly.add_term(key_to_vector(powers, n), coeff)
         return poly
 
@@ -197,7 +219,9 @@ class OrthogonalBasis:
 
 
 def build_orthogonal_basis(dist, d: int) -> OrthogonalBasis:
-    """Basis through degree 2d (detection squares the residual)."""
+    """Basis through degree 2d, which only the sampled scan and `corr_sq`
+    read; the exact scan needs its positive norms only as the proof that
+    the grid has more than 2d points per coordinate."""
     return OrthogonalBasis(dist, 2 * d)
 
 
@@ -250,22 +274,17 @@ class ExactCorrelation:
 
     Each expectation is a sum over residual terms of products of per-variable
     factors E[H_k(x_v) x_v^e], read as ints from the basis's `power_table`
-    over its scale D.  Residual coefficients are ints over their LCM L, and
-    the squared residual, squared in ints, is over L^2; both are built once
-    per partial and cached together on an integer key of its terms.
-
-    Detection reads signs only.  `detection` keys the partial once per scan
-    and hands the scan an `_ExactScan` over its squared residual, whose every
-    test is the sign of a Python-int sum: no Fraction is built and no
-    denominator is formed.  `_expectation` pads a product with fewer than
-    len(lhs) + width factors by powers of D, so every term is over
-    L * D^(len(lhs) + width), and returns the int numerator and that
-    denominator.  `corr_sq` and `corr_lin` (the exact values, for the tests'
-    reference) wrap them in one reduced Fraction, a vanishing one being a
-    shared Fraction(0), whose sign `positive` reads off its numerator.
-    `coefficient` runs on the cached integer residual and multiplies the
-    basis norms' numerators and denominators into that pair, so each
-    coefficient is one reduced Fraction.
+    over its scale D.  The residual's coefficients are ints over their LCM L,
+    built once per partial and cached on an integer key of its terms.
+    `_expectation` pads a product with fewer than len(lhs) + width factors by
+    powers of D and returns an int numerator over L * D^(len(lhs) + width);
+    `coefficient` multiplies the basis norms into that pair, so it builds one
+    reduced Fraction.  Detection squares nothing: `_ExactScan` answers each
+    test in closed form from the residual's exponents (derived in the module
+    docstring), and a residual exponent above the basis's d raises
+    `ModelViolationError`.  `corr_sq` and `corr_lin`, the exact reference
+    values, square on demand and return one reduced Fraction (a vanishing
+    one is a shared Fraction(0)), whose sign `positive` reads off.
     """
 
     sampled = False
@@ -276,7 +295,7 @@ class ExactCorrelation:
             raise UsageError("the basis belongs to another distribution")
         self.target = target
         self.basis = basis
-        self._residuals = {}  # partial's terms -> (integer residual, square)
+        self._residuals = {}  # partial's terms -> integer residual
 
     def _expectation(self, lhs: dict, terms) -> tuple:
         """E[prod_v H_{lhs[v]}(x_v) * sum(terms)] as (numerator, denominator)
@@ -303,12 +322,12 @@ class ExactCorrelation:
         return total, den * scale ** (len(lhs) + width)
 
     def _residual(self, partial: Polynomial) -> tuple:
-        """(integer residual, its square) of target - partial, cached."""
+        """The integer residual of target - partial, cached."""
         key = _terms_key(partial)
         cached = self._residuals.get(key)
         if cached is None:
-            linear = _integer_terms(_residual_terms(self.target, partial))
-            cached = self._residuals[key] = (linear, _square_terms(linear))
+            cached = self._residuals[key] = _integer_terms(
+                _residual_terms(self.target, partial))
         return cached
 
     def _fraction(self, lhs: dict, terms) -> Fraction:
@@ -317,26 +336,30 @@ class ExactCorrelation:
 
     def corr_sq(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)^2]."""
-        return self._fraction(lhs, self._residual(partial)[1])
+        return self._fraction(lhs, _square_terms(self._residual(partial)))
 
     def corr_lin(self, lhs: dict, partial: Polynomial) -> Fraction:
         """E[prod_v H_{lhs[v]}(x_v) * (P_target - P_partial)]."""
-        return self._fraction(lhs, self._residual(partial)[0])
+        return self._fraction(lhs, self._residual(partial))
 
     def positive(self, value) -> bool:
         return value.numerator > 0
 
     def detection(self, partial: Polynomial, variables) -> _ExactScan:
-        """The detection test of one scan over `variables` for `partial`."""
-        square = self._residual(partial)[1]
-        scale, table = self.basis.power_table(square[2])
-        return _ExactScan(square, scale, table, variables)
+        """The detection test of one scan for `partial`; `variables` is the
+        scan's order, which the closed form does not need."""
+        _, _, top, rows = self._residual(partial)
+        if 2 * top > self.basis.max_degree:
+            raise ModelViolationError(
+                f"residual exponent {top} exceeds the basis's degree "
+                f"{self.basis.max_degree // 2}")
+        return _ExactScan([exps for _, exps in rows])
 
     def coefficient(self, g, partial: Polynomial) -> Fraction:
         """corr_lin(g's exponents, partial) / prod_v n_{g_v}, built as one
         reduced Fraction (the norms are positive)."""
         lhs = dict(term_key(g))
-        num, den = self._expectation(lhs, self._residual(partial)[0])
+        num, den = self._expectation(lhs, self._residual(partial))
         if not num:
             return _ZERO
         norms = self.basis.norms
@@ -347,76 +370,46 @@ class ExactCorrelation:
 
 
 class _ExactScan:
-    """The exact detection test of one scan, over `variables` in order.
+    """The exact detection test of one scan, in closed form.
 
     `residual_left()` is positive(corr_sq({}, partial)).  With lhs the
     variables fixed so far, `fires(i, k)` is positive(corr_sq(lhs + {i: k},
     partial)) for k >= 1, and `fix(i, k)` fixes i at k (k = 0: no factor);
     it is called once for every variable, in order.
 
-    A row c * prod_v x_v^{e_v} of the squared residual adds
-    c * prod_v f_v(e_v) to a test, f_v being the table row of v's fixed k,
-    else the moment row.  Padding c by D^(width - its variable count) puts
-    every row over one positive scale, so a verdict is the sign of an int
-    sum.  A live row keeps `pre`, c times the factors of the variables the
-    scan has passed and of those it never visits; `holders` keeps, for each
-    visited variable, the rows holding it with their exponent there and the
-    product of moments over their later visited variables.  A row that lacks
-    a variable fixed at k >= 1 is dropped, since E[H_k] = 0.  So a test
-    (i, k) costs one multiply per live row holding i, summed per exponent.
+    The scan keeps the live terms' exponents.  With m the largest exponent
+    of x_i among them, a test fires iff k == 2m, and `fix` keeps the live
+    terms with exponent k/2 at i (none when k > 2m: every later test is 0).
+    A test or a fix below 2m means a live term's degree exceeds the budget:
+    `ModelViolationError`.
     """
 
-    def __init__(self, square, scale: int, table, variables):
-        _, width, _, rows = square
-        moments = table[0]
-        order = {v: p for p, v in enumerate(variables)}
-        self.table = table
-        self.pre = {}      # live row -> c * factors of passed, unvisited vars
-        self.holders = {}  # visited var -> [(row, exponent, later moments)]
-        total = 0
-        pads = [scale ** j for j in range(width + 1)]
-        for r, (coeff, exps) in enumerate(rows):
-            prod = coeff * pads[width - len(exps)]
-            visited = []
-            for v, e in exps.items():
-                if v in order:
-                    visited.append((order[v], v, e))
-                else:
-                    prod *= moments[e]
-            later = 1
-            for _, v, e in sorted(visited, reverse=True):
-                self.holders.setdefault(v, []).append((r, e, later))
-                later *= moments[e]
-            self.pre[r] = prod
-            total += prod * later
-        self._left = total > 0
-        self._weights = None  # (var, {exponent: sum of pre * later moments})
+    def __init__(self, live: list):
+        self.live = live  # exponent dict of each live residual term
+        self._peaks = (None, 0)  # (variable, twice its largest live exponent)
 
     def residual_left(self) -> bool:
-        return self._left
+        return bool(self.live)
+
+    def _peak(self, i, k: int) -> int:
+        """Twice x_i's largest live exponent, checked against test power k."""
+        var, top = self._peaks
+        if var != i:
+            top = 2 * max([exps.get(i, 0) for exps in self.live], default=0)
+            self._peaks = (i, top)
+        if k < top:
+            raise ModelViolationError(
+                f"a residual term of degree above the budget has x{i}^{top // 2}")
+        return top
 
     def fires(self, i, k: int) -> bool:
-        if self._weights is None or self._weights[0] != i:
-            pre = self.pre
-            weights = {}
-            for r, e, later in self.holders.get(i, ()):
-                if r in pre:
-                    weights[e] = weights.get(e, 0) + pre[r] * later
-            self._weights = (i, weights)
-        row = self.table[k]
-        return sum(w * row[e] for e, w in self._weights[1].items()) > 0
+        return k == self._peak(i, k)
 
     def fix(self, i, k: int) -> None:
-        pre = self.pre
-        row = self.table[k]
-        if k:
-            self.pre = {r: pre[r] * row[e] for r, e, _ in self.holders.get(i, ())
-                        if r in pre and row[e]}
-        else:
-            for r, e, _ in self.holders.get(i, ()):
-                if r in pre:
-                    pre[r] *= row[e]
-        self._weights = None
+        self._peak(i, k)
+        if k:  # k = 0 passed the check, so every live exponent at i is 0
+            self.live = [exps for exps in self.live if 2 * exps.get(i, 0) == k]
+            self._peaks = (None, 0)
 
 
 class _CorrScan:

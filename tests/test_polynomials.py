@@ -66,6 +66,18 @@ def test_add_term_keeps_a_fraction_coefficient_as_it_is():
     assert p.terms == {term_key(vec(0, 1)): 2}
 
 
+@pytest.mark.parametrize("g", [[0, 0, 3], [1], vec(-1, 0), [0.5, 0], 2],
+                         ids=["too-long", "too-short", "negative", "float",
+                              "scalar"])
+def test_add_term_rejects_a_malformed_exponent_vector(g):
+    """A monomial must be N non-negative int exponents; anything else would
+    be stored and break `monomials` and `evaluate` later."""
+    p = Polynomial(2)
+    with pytest.raises(UsageError):
+        p.add_term(g, 1)
+    assert p.terms == {}
+
+
 def test_polynomial_accessors():
     p = poly(3, (vec(2, 0, 0), 3), (vec(1, 1, 0), Fraction(-5, 2)))
     assert p.sparsity() == 2
@@ -332,7 +344,7 @@ def test_detection_fires_at_the_top_power():
 
 def per_call_extract(oracle, variables, budget, partial):
     """The residual check and the detection loop as one `corr_sq` per test:
-    the reference that the per-scan integer test must reproduce."""
+    the reference that the exact scan's closed form must reproduce."""
     if not oracle.positive(oracle.corr_sq({}, partial)):
         return None
     lhs = {}
@@ -421,6 +433,48 @@ def test_detection_weighs_rows_by_their_later_moments():
     partial = poly(2, (vec(1, 2), 1))
     visited = check_scans(target, [partial], range(2), 3)
     assert ((), 0, 2) in visited
+
+
+def test_detection_skips_a_term_that_left_the_prefix_earlier():
+    """In x0 x1^3 + x0^2 at d = 4, x0 is fixed at H_4 and x0 x1^3 leaves the
+    live terms; its x1^3 sits above x1's fixed power 0 but must not fire."""
+    target = poly(2, (vec(1, 3), 1), (vec(2, 0), 1))
+    visited = check_scans(target, [Polynomial(2)], range(2), 4)
+    assert (((0, 4),), 1, 4) in visited and (((0, 4),), 1, 2) in visited
+    assert _extract_largest(ExactCorrelation(
+        target, DIST, build_orthogonal_basis(DIST, 4)), range(2), 4,
+        Polynomial(2)) == {0: 2, 1: 0}
+
+
+def test_detection_on_a_row_subset_whose_live_terms_differ_off_it():
+    """Scanned over x0, x1 only, x0 x2 - x0 x2^2 keeps both terms live; they
+    differ only on x2, and their sum vanishes at the grid point x2 = 1, yet
+    E[(x2 - x2^2)^2] > 0 so x0 fires at H_2 and nothing fires at x1."""
+    target = poly(4, (vec(1, 0, 1, 0), 1), (vec(1, 0, 2, 0), -1),
+                  (vec(0, 0, 0, 1), 2))
+    partials = [Polynomial(4), poly(4, (vec(1, 0, 1, 0), 1)),
+                poly(4, (vec(1, 0, 1, 0), 1), (vec(1, 0, 2, 0), -1))]
+    visited = check_scans(target, partials, [0, 1], 3)
+    assert (((0, 2),), 1, 2) in visited
+    oracle = ExactCorrelation(target, DIST, build_orthogonal_basis(DIST, 3))
+    for partial in partials[:2]:
+        assert _extract_largest(oracle, [0, 1], 3, partial) == {0: 1, 1: 0}
+    assert _extract_largest(oracle, [0, 1], 3, partials[2]) == {0: 0, 1: 0}
+
+
+@pytest.mark.parametrize("target, budget, d", [
+    (poly(2, (vec(3, 0), 1), (vec(0, 1), 2)), 1, 3),  # a test below 2m
+    (poly(2, (vec(1, 1), 1)), 1, 1),  # the budget runs out under x0 x1
+    (poly(2, (vec(3, 0), 1), (vec(0, 1), 2)), 1, 1),  # above the basis
+], ids=["test-below-the-peak", "budget-spent", "exponent-above-the-basis"])
+def test_out_of_budget_residual_raises_model_violation(target, budget, d):
+    """A residual term of degree above the budget is outside the model: the
+    exact scan raises instead of returning the largest power that fits."""
+    oracle = ExactCorrelation(target, DIST, build_orthogonal_basis(DIST, d))
+    with pytest.raises(ModelViolationError):
+        _extract_largest(oracle, range(2), budget, Polynomial(2))
+    with pytest.raises(ModelViolationError, match="budget|basis"):
+        learn_polynomial_scratch(oracle, 2, budget, 2)
 
 
 def test_detection_scan_matches_corr_sq_on_random_targets():
@@ -660,7 +714,7 @@ def test_corr_sq_follows_partial_updates(sampled):
 
 
 def test_lfd_in_span_exact_with_probe_cap():
-    basis = build_orthogonal_basis(DIST, 4)  # detection squares: degree 2d
+    basis = build_orthogonal_basis(DIST, 4)  # the budget d = 4
     rng = np.random.default_rng(43)
     rep = RepresentationMatrix(3)
     rep.insert(vec(1, 1, 0))
