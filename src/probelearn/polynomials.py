@@ -282,8 +282,8 @@ class ExactCorrelation:
     reduced Fraction.  Detection squares nothing: `_ExactScan` answers each
     test in closed form from the residual's exponents (derived in the module
     docstring), and a residual exponent above the basis's d raises
-    `ModelViolationError`.  `corr_sq` and `corr_lin`, the exact reference
-    values, square on demand and return one reduced Fraction (a vanishing
+    `ModelViolationError`.  `corr_sq` (squaring on demand) and `corr_lin`,
+    the exact reference values, return one reduced Fraction (a vanishing
     one is a shared Fraction(0)), whose sign `positive` reads off.
     """
 
